@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
@@ -90,7 +89,7 @@ def main(argv=None) -> int:
         (args.out / "history.csv").write_text(history_to_csv(history))
         for method, report in reports.items():
             path = args.out / f"report_{method}.json"
-            path.write_text(json.dumps(report_to_json(report), indent=2) + "\n")
+            path.write_text(report_to_json(report))
         print(f"\nartifacts written to {args.out}/")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import uuid
 import zlib
 from pathlib import Path
 
@@ -22,11 +23,17 @@ from .errors import ChecksumMismatch, FormatVersionMismatch
 
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
     """Write via a temp file in the same directory so readers never see a
-    half-written file."""
+    half-written file.  The temp name is unique per call, so concurrent
+    writers of one path never share it, and it is removed if the write fails."""
     path = Path(path)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: Path, text: str) -> None:

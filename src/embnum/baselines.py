@@ -94,6 +94,78 @@ def pair_features(a, b) -> np.ndarray:
     ])
 
 
+class PackedColumns:
+    """Stored columns laid end to end, each sorted once, for scoring one
+    query against all of them in a single vectorized pass.
+
+    Every statistic equals the scalar function's value on the same pair,
+    bit for bit: counts are exact integers divided exactly as the scalar
+    code divides them.
+    """
+
+    def __init__(self, columns):
+        cols = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
+        if not cols or any(c.size == 0 for c in cols):
+            raise EmptyInput("statistic inputs must be non-empty")
+        self.sizes = np.array([c.size for c in cols])
+        self.starts = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
+        self.values = np.empty(int(self.sizes.sum()))
+        self.cdf = np.empty_like(self.values)   # F_r(r_j) within each column
+        for c, s in zip(cols, self.starts):
+            r = np.sort(c)
+            self.values[s : s + r.size] = r
+            self.cdf[s : s + r.size] = np.searchsorted(r, r, side="right") / r.size
+
+    def statistics(self, query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(KS, MW, numeric Jaccard) of the query against every column, as
+        ks_statistic(query, r), mw_statistic(query, r), numeric_jaccard(query, r)."""
+        q = np.asarray(query, dtype=np.float64).ravel()
+        if q.size == 0:
+            raise EmptyInput("statistic inputs must be non-empty")
+        m, starts = q.size, self.starts
+        qs = np.sort(q)
+        # stored points: |F_q(r_j) - F_r(r_j)| with F_q(r_j) = #(q <= r_j) / m
+        counts = np.searchsorted(qs, self.values, side="right")
+        le = np.add.reduceat(counts, starts)
+        gap = counts / m
+        del counts
+        gap -= self.cdf
+        np.abs(gap, out=gap)
+        # query points: F_q - F_r peaks at the last query value below r_j,
+        # where F_q = #(q < r_j) / m and F_r is the previous stored value's
+        counts = np.searchsorted(qs, self.values, side="left")
+        lt = np.add.reduceat(counts, starts)
+        below = counts / m
+        below[1:] -= self.cdf[:-1]
+        below[starts] = counts[starts] / m
+        del counts
+        np.maximum(gap, below, out=gap)
+        ks = np.maximum.reduceat(gap, starts)
+
+        # U counts pairs with the query value below the stored one; same
+        # exact-integer rounding rule as mw_statistic
+        num2x = lt + le
+        den2x = 2 * m * self.sizes
+        mw = np.where(2 * num2x <= den2x, num2x / den2x,
+                      1.0 - (den2x - num2x) / den2x)
+
+        # the sign of a zero bound never reaches the result: the ratio only
+        # sees nonzero widths, and a zero overlap is clamped to +0.0
+        lo, hi = self.values[starts], self.values[starts + self.sizes - 1]
+        union = np.maximum(hi, qs[-1]) - np.minimum(lo, qs[0])
+        overlap = np.minimum(hi, qs[-1]) - np.maximum(lo, qs[0])
+        overlap = np.where(overlap > 0.0, overlap, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jaccard = np.where(union == 0.0, np.where(lo == qs[0], 1.0, 0.0),
+                               overlap / union)
+        return ks, mw, jaccard
+
+
+def features_from_statistics(ks, mw, jaccard) -> np.ndarray:
+    """(n, 3) rows of pair_features from per-column statistics."""
+    return np.stack([1.0 - ks, 1.0 - 2.0 * np.abs(mw - 0.5), jaccard], axis=1)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0
@@ -112,6 +184,11 @@ class LogisticModel:
     def logit(self, features: np.ndarray) -> float:
         return float(np.dot(self.weights, np.asarray(features, dtype=np.float64))
                      + self.bias)
+
+    def logits(self, features: np.ndarray) -> np.ndarray:
+        """logit() of each row, bit for bit: one np.dot per row, since a
+        matrix product is free to sum the three terms in another order."""
+        return np.array([np.dot(self.weights, row) for row in features]) + self.bias
 
     def probability(self, features: np.ndarray) -> float:
         return float(_sigmoid(np.array([self.logit(features)]))[0])

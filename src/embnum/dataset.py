@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._serial import atomic_write_text
 from .errors import (
     EmptyAttribute,
     InvalidSpec,
@@ -185,14 +186,8 @@ def write_dataset(dataset: Dataset, root_path) -> Path:
         src_dir = root / attr.source
         src_dir.mkdir(exist_ok=True)
         body = "\n".join(format_value(v) for v in attr.values) + "\n"
-        _write_text_atomic(src_dir / f"{attr.label}.csv", body)
+        atomic_write_text(src_dir / f"{attr.label}.csv", body)
     return root
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

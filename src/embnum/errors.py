@@ -123,3 +123,7 @@ class NoQueries(EmbnumError):
 
 class TooFewSources(EmbnumError):
     pass
+
+
+class MalformedStore(EmbnumError):
+    pass

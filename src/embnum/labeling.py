@@ -22,12 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import _serial
-from .baselines import (LogisticModel, _sigmoid, dsl_train, ks_statistic,
-                        make_training_pairs, pair_features)
+from .baselines import (LogisticModel, PackedColumns, _sigmoid, dsl_train,
+                        features_from_statistics, make_training_pairs)
+# perfbench/spans.py patches these by their labeling names, so keep them bound
+from .baselines import ks_statistic, pair_features  # noqa: F401
 from .dataset import Dataset, NumericAttribute, dataset_fingerprint
 from .embnet import Model, embed, model_from_bytes, model_to_bytes, preprocess
 from .errors import (EmptyLabeledData, EmptyRanking, EmptyStore, InvalidSpec,
-                     MissingModel, NoQueries, TooFewSources)
+                     MalformedStore, MissingModel, NoQueries, TooFewSources)
 
 STORE_MAGIC = b"EMBS"
 STORE_VERSION = 1
@@ -53,6 +55,7 @@ class FeatureStore:
         if self.method not in METHODS:
             raise InvalidSpec(f"unknown method {self.method!r}; expected one of {METHODS}")
         self._matrix = None
+        self._columns = None
 
     @property
     def labels(self) -> list[str]:
@@ -63,6 +66,12 @@ class FeatureStore:
         if self._matrix is None:
             self._matrix = np.stack([r.feature for r in self.records]).astype(np.float64)
         return self._matrix
+
+    def packed_columns(self) -> PackedColumns:
+        """Stored raw values, presorted once (semantictyper and dsl only)."""
+        if self._columns is None:
+            self._columns = PackedColumns([r.feature for r in self.records])
+        return self._columns
 
 
 @dataclass(frozen=True)
@@ -124,11 +133,10 @@ def _score_one(store: FeatureStore, values: np.ndarray
         diff = store.embedding_matrix() - q[None, :]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         return dist, dist
+    ks, mw, jaccard = store.packed_columns().statistics(values)
     if store.method == "semantictyper":
-        ks = np.array([ks_statistic(values, r.feature) for r in store.records])
         return ks, 1.0 - ks
-    logits = np.array([store.dsl_model.logit(pair_features(values, r.feature))
-                       for r in store.records])
+    logits = store.dsl_model.logits(features_from_statistics(ks, mw, jaccard))
     return -logits, _sigmoid(logits)
 
 
@@ -179,8 +187,9 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]
     """Label a batch of queries against one store, timing the whole batch.
 
     Embedding queries are featurized and scored as one vectorized block;
-    the statistical scorers walk record-by-record over raw values.  Both
-    paths order exactly like rank().
+    the statistical scorers take one query at a time, each scored against
+    the whole presorted store in one pass.  Both paths order exactly like
+    rank().
     """
     if not queries:
         raise NoQueries("no query attributes")
@@ -356,6 +365,13 @@ def save_store(store: FeatureStore, path: Path) -> None:
 
 def load_store(path: Path) -> FeatureStore:
     manifest, arrays = _serial.read_framed(Path(path), STORE_MAGIC, STORE_VERSION)
+    try:
+        return _store_from_frame(manifest, arrays)
+    except KeyError as exc:
+        raise MalformedStore(f"{path}: store lacks {exc.args[0]!r}") from None
+
+
+def _store_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> FeatureStore:
     method = manifest["method"]
     rec_meta = manifest["record_meta"]
     if method == "embnum":

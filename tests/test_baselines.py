@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from embnum.baselines import (
     LogisticModel,
+    PackedColumns,
     dsl_logit,
     dsl_score,
     dsl_train,
+    features_from_statistics,
     ks_statistic,
     load_dsl_model,
     make_training_pairs,
@@ -33,6 +35,22 @@ samples = st.lists(
 )
 # duplicate-heavy samples exercise the tie handling
 gridded = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=30)
+# few distinct values, both signed zeros among them, so ties cross columns
+signed = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.5])
+# one repeated value: a single-point range
+point = st.tuples(signed, st.integers(1, 4)).map(lambda vk: [vk[0]] * vk[1])
+column = st.one_of(samples, gridded, point,
+                   st.lists(signed, min_size=1, max_size=12))
+# ragged stores; sizes from 1 upward
+stores = st.lists(column, min_size=1, max_size=8)
+weights = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4, max_size=4)
+
+
+def same_bits(got, want) -> bool:
+    """np.array_equal and more: equal float64 bit patterns, so even the sign
+    of zero must agree."""
+    want = np.asarray(want, dtype=np.float64)
+    return got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 class TestKolmogorovSmirnov:
@@ -187,6 +205,38 @@ class TestPairFeatures:
         a, b = [1.0, 2.0], [1.0, 3.0]
         assert semantictyper_score(a, b) == 1.0 - ks_statistic(a, b)
         assert semantictyper_score(a, a) == 1.0
+
+
+class TestPackedColumns:
+    @given(stores, column)
+    @settings(max_examples=300, deadline=None)
+    def test_every_statistic_equals_the_pairwise_one(self, columns, query):
+        got = PackedColumns(columns).statistics(query)
+        for stat, fn in zip(got, (ks_statistic, mw_statistic, numeric_jaccard)):
+            assert same_bits(stat, [fn(query, c) for c in columns])
+
+    @given(stores, column, weights)
+    @settings(max_examples=200, deadline=None)
+    def test_dsl_logits_equal_the_pairwise_logit(self, columns, query, wb):
+        model = LogisticModel(weights=np.array(wb[:3]), bias=wb[3])
+        feats = features_from_statistics(*PackedColumns(columns).statistics(query))
+        want = [model.logit(pair_features(query, c)) for c in columns]
+        assert same_bits(feats, [pair_features(query, c) for c in columns])
+        assert same_bits(model.logits(feats), want)
+
+    def test_hand_cases(self):
+        ks, mw, jac = PackedColumns([[1.0, 2.0], [10.0, 11.0], [2.0]]).statistics([1.0, 2.0])
+        assert ks.tolist() == [0.0, 1.0, 0.5]
+        assert mw.tolist() == [0.5, 1.0, 0.75]
+        assert jac.tolist() == [1.0, 0.0, 0.0]
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput):
+            PackedColumns([[1.0], []])
+        with pytest.raises(EmptyInput):
+            PackedColumns([])
+        with pytest.raises(EmptyInput):
+            PackedColumns([[1.0]]).statistics([])
 
 
 def separable_pairs():

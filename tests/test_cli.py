@@ -178,6 +178,19 @@ class TestIndexAndLabel:
         assert "IoError" in capsys.readouterr().err
 
 
+    def test_label_malformed_store_is_named_error(self, tmp_path, capsys):
+        from embnum import _serial
+        from embnum.labeling import STORE_MAGIC, STORE_VERSION
+
+        store = tmp_path / "bad.bin"
+        _serial.write_framed(store, STORE_MAGIC, STORE_VERSION,
+                             {"kind": "feature-store", "method": "semantictyper"}, {})
+        q = tmp_path / "q.csv"
+        q.write_text("1\n")
+        assert main(["label", str(store), str(q)]) == 1
+        assert "MalformedStore" in capsys.readouterr().err
+
+
 class TestBenchmark:
     def test_stdout_report(self, data_dir, capsys):
         assert main(["benchmark", str(data_dir), "--method", "semantictyper"]) == 0

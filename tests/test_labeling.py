@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import embnum.labeling as labeling_mod
-from embnum.baselines import LogisticModel, dsl_train, make_training_pairs
+from embnum import _serial
+from embnum.baselines import (LogisticModel, dsl_train, ks_statistic,
+                              make_training_pairs, pair_features)
 from embnum.dataset import Dataset, NumericAttribute, SyntheticSpec, generate_synthetic
 from embnum.embnet import ArchConfig, build_model
 from embnum.errors import (
@@ -11,11 +13,14 @@ from embnum.errors import (
     EmptyRanking,
     EmptyStore,
     InvalidSpec,
+    MalformedStore,
     MissingModel,
     NoQueries,
     TooFewSources,
 )
 from embnum.labeling import (
+    STORE_MAGIC,
+    STORE_VERSION,
     FeatureStore,
     RankEntry,
     RankingList,
@@ -48,6 +53,21 @@ def tiny_dataset():
 @pytest.fixture(scope="module")
 def tiny_model():
     return build_model(TINY, seed=0)
+
+
+def pairwise_ranking(store: FeatureStore, values) -> RankingList:
+    """The ranking the pairwise scorers give, one stored column at a time."""
+    if store.method == "semantictyper":
+        keys = [ks_statistic(values, r.feature) for r in store.records]
+        shown = [1.0 - k for k in keys]
+    else:
+        feats = [pair_features(values, r.feature) for r in store.records]
+        keys = [-store.dsl_model.logit(f) for f in feats]
+        shown = [store.dsl_model.probability(f) for f in feats]
+    recs = store.records
+    order = sorted(range(len(recs)), key=lambda i: (keys[i], recs[i].label, recs[i].source))
+    return RankingList(method=store.method, entries=tuple(
+        RankEntry(recs[i].label, recs[i].source, shown[i]) for i in order))
 
 
 def two_record_store(method="semantictyper", **kwargs) -> FeatureStore:
@@ -345,6 +365,37 @@ class TestStorePersistence:
         loaded = load_store(p)
         q = tiny_dataset.attributes[0]
         assert rank(loaded, q) == rank(store, q)
+
+
+    @pytest.mark.parametrize("method", ["semantictyper", "dsl"])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_loaded_statistical_store_ranks_like_pairwise_scoring(
+            self, tiny_dataset, tmp_path, method, tied):
+        ds = tiny_dataset
+        if tied:  # whole numbers: heavy ties within and across columns
+            ds = Dataset.from_attributes([
+                NumericAttribute(values=np.round(a.values), label=a.label, source=a.source)
+                for a in ds.attributes])
+        dsl_model = LogisticModel(weights=np.array([1.5, -0.5, 2.0]), bias=0.25)
+        store = index_labeled(ds, method, dsl_model=dsl_model)
+        p = tmp_path / "store.bin"
+        save_store(store, p)
+        loaded = load_store(p)
+        for q in ds.attributes:
+            assert rank(loaded, q) == pairwise_ranking(store, q.values)
+
+    @pytest.mark.parametrize("missing", ["method", "record_meta", "rec000001"])
+    def test_missing_manifest_key_is_malformed_store(self, tiny_dataset, tmp_path, missing):
+        store = index_labeled(tiny_dataset, "semantictyper")
+        p = tmp_path / "store.bin"
+        save_store(store, p)
+        manifest, arrays = _serial.read_framed(p, STORE_MAGIC, STORE_VERSION)
+        manifest.pop(missing, None)
+        arrays.pop(missing, None)
+        del manifest["arrays"]
+        _serial.write_framed(p, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        with pytest.raises(MalformedStore, match=missing):
+            load_store(p)
 
 
 class TestEmbeddingExport:
