@@ -54,8 +54,6 @@ class FeatureStore:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidSpec(f"unknown method {self.method!r}; expected one of {METHODS}")
-        self._matrix = None
-        self._columns = None
 
     @property
     def labels(self) -> list[str]:
@@ -72,6 +70,17 @@ class FeatureStore:
         if self._columns is None:
             self._columns = PackedColumns([r.feature for r in self.records])
         return self._columns
+
+
+def _set_records(store: FeatureStore, records: list[StoreRecord]) -> None:
+    store._records = records
+    store._matrix = None
+    store._columns = None
+
+
+# Assigned after the class body so the dataclass keeps `records` as a plain
+# required field; assigning it drops both caches built from the old records.
+FeatureStore.records = property(lambda store: store._records, _set_records)
 
 
 @dataclass(frozen=True)

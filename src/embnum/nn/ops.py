@@ -1,9 +1,11 @@
 """Differentiable layer operations for 1-D feature maps.
 
-All ops take (batch, channels, length) arrays.  Convolution forward/backward
-is expressed with non-optimized einsum over a strided sliding window, so the
-per-output-element reduction order is fixed and results do not depend on how
-items are batched together.
+All ops take (batch, channels, length) arrays.  The forward passes of
+conv1d and linear run as BLAS GEMM calls on fixed tiles of exactly
+_TILE_ROWS rows (the tail tile zero-padded), so each output row's bits depend
+only on the layer's shape, never on how many rows are batched with it.  Their
+backward passes use plain GEMM, which is deterministic from run to run but
+not batch invariant; training needs no more than that.
 
 A small tracing hook records where piecewise-linear ops (relu, maxpool) sit
 relative to their kinks; numerical gradient checks use it to skip coordinates
@@ -19,6 +21,29 @@ import numpy as np
 from .tensor import Tensor, make
 
 _KINKS: list[np.ndarray] | None = None
+
+# Rows per forward GEMM call.  Larger tiles index faster but slow the
+# one-column forward pass that single-query ranking pays for.
+_TILE_ROWS = 8
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D a, as GEMM calls on exactly _TILE_ROWS rows each.
+
+    One GEMM over all rows, even padded to a multiple of the tile, is not
+    batch invariant on OpenBLAS; a fixed-shape call per tile is.
+    """
+    m, k = a.shape
+    out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
+    full = m - m % _TILE_ROWS
+    if full:
+        np.matmul(a[:full].reshape(-1, _TILE_ROWS, k), b,
+                  out=out[:full].reshape(-1, _TILE_ROWS, b.shape[1]))
+    if full < m:
+        tail = np.zeros((_TILE_ROWS, k), dtype=a.dtype)
+        tail[: m - full] = a[full:]
+        out[full:] = (tail @ b)[: m - full]
+    return out
 
 
 @contextmanager
@@ -50,10 +75,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     x: (B, C_in, L), weight: (C_out, C_in, K), bias: (C_out,) or None.
     Output length is (L + 2*padding - K) // stride + 1.
 
-    The windows are materialized as a contiguous (B, L_out, C_in*K) block and
-    reduced over the trailing axis; einsum then takes its unbuffered
-    per-element path, which keeps each output's summation order independent
-    of batch size (strided-view operands do not guarantee this).
+    The windows are materialized as a contiguous (B*L_out, C_in*K) block.
+    The forward product runs as fixed 8-row GEMM tiles (_tiled_matmul), so
+    each output's summation order is independent of batch size; the backward
+    products are plain GEMM, deterministic from run to run only.
     """
     b, c_in, length = x.data.shape
     c_out, c_in_w, k = weight.data.shape
@@ -67,9 +92,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(f"conv1d output would be empty: L={length} pad={padding} K={k}")
     sw = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
     sw = sw[:, :, :out_len]
-    col = np.ascontiguousarray(sw.transpose(0, 2, 1, 3).reshape(b, out_len, c_in * k))
-    wf = np.ascontiguousarray(weight.data.reshape(c_out, c_in * k))
-    y = np.einsum("blm,om->bol", col, wf)
+    col = np.ascontiguousarray(sw.transpose(0, 2, 1, 3).reshape(b * out_len, c_in * k))
+    wf = weight.data.reshape(c_out, c_in * k)
+    y = _tiled_matmul(col, wf.T).reshape(b, out_len, c_out).transpose(0, 2, 1)
     if bias is not None:
         y = y + bias.data[None, :, None]
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -78,16 +103,17 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         padded_len = xp.shape[2]
 
         def back(g, xt=x, wt=weight, bt=bias, win=col):
+            g2 = g.transpose(0, 2, 1).reshape(b * out_len, c_out)
             if wt.requires_grad:
-                wt.accumulate(np.einsum("bol,blm->om", g, win).reshape(c_out, c_in, k))
+                wt.accumulate((g2.T @ win).reshape(c_out, c_in, k))
             if bt is not None and bt.requires_grad:
                 bt.accumulate(g.sum(axis=(0, 2)))
             if xt.requires_grad:
+                gcol = (g2 @ wt.data.reshape(c_out, c_in * k)).reshape(
+                    b, out_len, c_in, k).transpose(0, 2, 3, 1)
                 gxp = np.zeros((b, c_in, padded_len), dtype=g.dtype)
                 for kk in range(k):
-                    gxp[:, :, kk : kk + stride * out_len : stride] += np.einsum(
-                        "bol,oc->bcl", g, wt.data[:, :, kk]
-                    )
+                    gxp[:, :, kk : kk + stride * out_len : stride] += gcol[:, :, kk]
                 if padding:
                     gxp = gxp[:, :, padding : padded_len - padding]
                 xt.accumulate(gxp)
@@ -182,15 +208,15 @@ def global_avgpool1d(x: Tensor) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map on feature vectors: (B, F) x (O, F) + (O,) -> (B, O)."""
-    y = np.einsum("bf,of->bo", x.data, weight.data) + bias.data[None, :]
+    y = _tiled_matmul(x.data, weight.data.T) + bias.data[None, :]
     out = make(y, (x, weight, bias))
     if out.requires_grad:
 
         def back(g, xt=x, wt=weight, bt=bias):
             if xt.requires_grad:
-                xt.accumulate(np.einsum("bo,of->bf", g, wt.data))
+                xt.accumulate(g @ wt.data)
             if wt.requires_grad:
-                wt.accumulate(np.einsum("bo,bf->of", g, xt.data))
+                wt.accumulate(g.T @ xt.data)
             if bt.requires_grad:
                 bt.accumulate(g.sum(axis=0))
 

@@ -4,8 +4,8 @@ Every operation records a closure that knows how to push the output gradient
 back to its parents; backward() does one reverse-topological sweep from a
 scalar loss.  Arrays keep whatever float dtype they were created with (the
 network uses float32, gradient-check tests run the same code at float64).
-Reductions go through non-optimized einsum / per-axis numpy sums, so results
-are bit-reproducible and independent of batch composition.
+Reductions are per-axis numpy sums, so results are bit-reproducible; the
+matrix products, and how they stay batch invariant, live in ops.py.
 """
 
 from __future__ import annotations

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +164,29 @@ class TestEmbed:
             assert full[i].tobytes() == embed(m, x[i]).tobytes()
         # and sub-batches agree with the full batch too
         assert embed(m, x[2:5]).tobytes() == full[2:5].tobytes()
+        # and batches on both sides of the forward pass's 8-row GEMM tile,
+        # for the tiny and the full-width network
+        sizes = (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 130)
+        for arch in (TINY, ArchConfig()):
+            m = build_model(arch, seed=3)
+            x = rng.standard_normal((max(sizes), arch.h)).astype(np.float32)
+            single = np.stack([embed(m, row) for row in x])
+            for n in sizes:
+                assert embed(m, x[:n]).tobytes() == single[:n].tobytes()
+
+    def test_batching_invariant_with_single_threaded_blas(self):
+        # tier-1 runs with the default BLAS thread count; rerun the
+        # invariance checks in one child process pinned to one thread
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tests.parent / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{tests / 'test_embnet.py'}::TestEmbed::test_batching_never_changes_numbers",
+             f"{tests / 'test_nn.py'}::TestConvBatchInvariance"],
+            cwd=tests.parent, env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
     def test_width_mismatch(self):
         m = build_model(TINY, seed=0)

@@ -169,6 +169,22 @@ class TestRank:
         with pytest.raises(EmptyStore):
             rank(store, np.array([1.0]))
 
+    @pytest.mark.parametrize("method", ["embnum", "semantictyper", "dsl"])
+    def test_reassigned_records_rank_like_a_fresh_store(self, tiny_dataset, tiny_model,
+                                                        method):
+        # rank caches the embedding matrix / packed columns; reassigning
+        # records must drop them, whether the record count changes or not
+        dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+        store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
+        records = list(store.records)
+        query = tiny_dataset.attributes[0]
+        rank(store, query)
+        for replacement in (records[10:] + records[:10], records[3:4], records[5:12]):
+            store.records = replacement
+            fresh = FeatureStore(method=method, records=list(replacement),
+                                 model=store.model, dsl_model=store.dsl_model)
+            assert rank(store, query) == rank(fresh, query)
+
     def test_total_order_and_repeatability(self, tiny_dataset, tiny_model):
         store = index_labeled(tiny_dataset, "embnum", model=tiny_model)
         q = tiny_dataset.attributes[7]

@@ -175,6 +175,35 @@ class TestConvBatchInvariance:
                                  stride=stride, padding=pad).data
                 assert full[i : i + 1].tobytes() == one.tobytes()
 
+    @pytest.mark.parametrize("b", [1, 2, 3, 7, 8, 9, 15, 16, 17, 33])
+    def test_rows_straddling_the_tile_equal_single_rows_bitwise(self, b):
+        # B * L_out GEMM rows land on both sides of the 8-row tile edge
+        rng = np.random.default_rng(b)
+        for c_in, c_out, length, k, stride, pad in [
+            (16, 32, 2, 3, 2, 1),   # L_out 1: rows = B
+            (8, 8, 5, 3, 1, 1),     # L_out 5
+            (4, 16, 13, 3, 2, 1),   # L_out 7
+        ]:
+            x = rng.standard_normal((b, c_in, length)).astype(np.float32)
+            w = Tensor(rng.standard_normal((c_out, c_in, k)).astype(np.float32))
+            full = ops.conv1d(Tensor(x), w, stride=stride, padding=pad).data
+            for i in range(b):
+                one = ops.conv1d(Tensor(x[i : i + 1]), w,
+                                 stride=stride, padding=pad).data
+                assert full[i : i + 1].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_rows_equal_single_rows_bitwise(self, dtype):
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.standard_normal((24, 100)).astype(dtype))
+        bias = Tensor(rng.standard_normal(24).astype(dtype))
+        x = rng.standard_normal((65, 100)).astype(dtype)
+        single = [ops.linear(Tensor(x[i : i + 1]), w, bias).data for i in range(65)]
+        for n in (1, 7, 8, 9, 15, 16, 17, 63, 64, 65):
+            full = ops.linear(Tensor(x[:n]), w, bias).data
+            for i in range(n):
+                assert full[i : i + 1].tobytes() == single[i].tobytes()
+
 
 class TestGradientsNumerically:
     def test_elementwise_composite(self):
