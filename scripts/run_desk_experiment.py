@@ -20,13 +20,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from embnum._serial import atomic_write_text
 from embnum.dataset import generate_synthetic
 from embnum.fixtures import desk_arch, desk_spec, desk_train_config, overlapping_spec
-from embnum.labeling import expected_experiments, report_to_json, run_benchmark
+from embnum.labeling import METHODS, expected_experiments, report_to_json, run_benchmark
 from embnum.metric import history_to_csv, train
 from embnum.embnet import save_model
-
-METHODS = ("embnum", "semantictyper", "dsl")
 
 
 def parse_args(argv):
@@ -86,10 +85,9 @@ def main(argv=None) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         save_model(model, args.out / "metric.bin")
-        (args.out / "history.csv").write_text(history_to_csv(history))
+        atomic_write_text(args.out / "history.csv", history_to_csv(history))
         for method, report in reports.items():
-            path = args.out / f"report_{method}.json"
-            path.write_text(report_to_json(report))
+            atomic_write_text(args.out / f"report_{method}.json", report_to_json(report))
         print(f"\nartifacts written to {args.out}/")
     return 0
 

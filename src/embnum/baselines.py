@@ -224,16 +224,22 @@ def dsl_logit(model: LogisticModel, a, b) -> float:
     return model.logit(pair_features(a, b))
 
 
+def dsl_model_to_doc(model: LogisticModel) -> list[float]:
+    """The four numbers [w1, w2, w3, bias] that stores and weight files hold."""
+    return [float(w) for w in model.weights] + [float(model.bias)]
+
+
+def dsl_model_from_doc(doc) -> LogisticModel:
+    w1, w2, w3, bias = (float(v) for v in doc)
+    return LogisticModel(weights=np.array([w1, w2, w3]), bias=bias)
+
+
 def save_dsl_model(model: LogisticModel, path: Path) -> None:
-    doc = [float(model.weights[0]), float(model.weights[1]),
-           float(model.weights[2]), float(model.bias)]
-    atomic_write_text(Path(path), json.dumps(doc) + "\n")
+    atomic_write_text(Path(path), json.dumps(dsl_model_to_doc(model)) + "\n")
 
 
 def load_dsl_model(path: Path) -> LogisticModel:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    w1, w2, w3, bias = (float(v) for v in doc)
-    return LogisticModel(weights=np.array([w1, w2, w3]), bias=bias)
+    return dsl_model_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def make_training_pairs(dataset) -> list[tuple[tuple, bool]]:

@@ -8,33 +8,19 @@ parallelism.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
-from . import baselines, dataset, embnet, labeling, metric
+from . import baselines, dataset, embnet, fixtures, labeling, metric
 from ._serial import atomic_write_text
 from .errors import EmbnumError, MissingDirectory
-
-# width_multiplier 1/8 + 30 epochs: the CPU-friendly regime used by the
-# bundled synthetic fixture
-DESK_PRESET = {
-    "width_multiplier": 0.125,
-    "epochs": 30,
-    "batch_labels": 10,
-    "samples_per_label": 3,
-}
-
-ARCH_DEFAULTS = {"h": 100, "k": 100, "stem_channels": 64,
-                 "width_multiplier": 1.0, "input_norm": "signed_log"}
-TRAIN_DEFAULTS = {"alpha": 0.2, "lr0": 0.01, "lr_step": 10, "lr_decay": 0.1,
-                  "momentum": 0.9, "weight_decay": 1e-5, "epochs": 100,
-                  "batch_labels": 8, "samples_per_label": 4, "seed": 0}
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=["desk"], default=None,
-                   help="flag bundle; 'desk' shrinks width to 1/8 and epochs to 30")
+                   help="start from a fixture's configs; 'desk' is width 1/8, "
+                        "30 epochs, 10x3 batches, seed 7")
     p.add_argument("--h", type=int, default=None, help="sampled input width")
     p.add_argument("--k", type=int, default=None, help="embedding dimension")
     p.add_argument("--stem-channels", type=int, default=None)
@@ -52,20 +38,18 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
-def _resolve(args, fields: dict) -> dict:
-    out = dict(fields)
-    if args.preset == "desk":
-        out.update({k: v for k, v in DESK_PRESET.items() if k in fields})
-    for name in fields:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            out[name] = flag
-    return out
-
-
 def _configs(args) -> tuple[embnet.ArchConfig, metric.TrainConfig]:
-    return (embnet.ArchConfig(**_resolve(args, ARCH_DEFAULTS)),
-            metric.TrainConfig(**_resolve(args, TRAIN_DEFAULTS)))
+    """The dataclass defaults, or the desk fixture's configs under --preset
+    desk, with every explicit flag applied on top."""
+    if args.preset == "desk":
+        configs = (fixtures.desk_arch(), fixtures.desk_train_config())
+    else:
+        configs = (embnet.ArchConfig(), metric.TrainConfig())
+    return tuple(
+        dataclasses.replace(c, **{f.name: getattr(args, f.name)
+                                  for f in dataclasses.fields(c)
+                                  if getattr(args, f.name, None) is not None})
+        for c in configs)
 
 
 def build_parser() -> argparse.ArgumentParser:

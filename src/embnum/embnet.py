@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _serial
-from .errors import InvalidArch, MalformedValue, WidthMismatch
+from .errors import InvalidArch, MalformedCheckpoint, MalformedValue, WidthMismatch
 from .nn import BatchNorm1d, Conv1d, Linear, Tensor, no_grad, ops
 from .sampling import sample_inverse_transform
 
@@ -227,22 +227,23 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def model_to_bytes(model: Model) -> bytes:
-    arch = asdict(model.arch)
-    arch["block_counts"] = list(arch["block_counts"])
+def model_frame(model: Model) -> tuple[dict, dict[str, np.ndarray]]:
+    """The manifest metadata and named arrays that a checkpoint frames."""
     meta = {
         "kind": "embedding-model",
-        "arch": arch,
+        "arch": asdict(model.arch),
         "training_meta": model.training_meta,
     }
-    return _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, meta, model.state_dict())
+    return meta, model.state_dict()
 
 
-def model_from_bytes(blob: bytes) -> Model:
-    manifest, arrays = _serial.unpack_framed(blob, MODEL_MAGIC, MODEL_VERSION)
-    arch_d = dict(manifest["arch"])
-    arch_d["block_counts"] = tuple(arch_d["block_counts"])
-    arch = ArchConfig(**arch_d)
+def model_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> Model:
+    """Inverse of model_frame."""
+    try:
+        arch = ArchConfig(**manifest["arch"])
+        training_meta = dict(manifest["training_meta"])
+    except KeyError as exc:
+        raise MalformedCheckpoint(f"checkpoint lacks {exc.args[0]!r}") from None
     model = build_model(arch, seed=0)
     params = model.net.named_params()
     buffers = model.net.named_buffers()
@@ -253,8 +254,16 @@ def model_from_bytes(blob: bytes) -> Model:
         p.data = arrays[name].astype(np.float32)
     for name, buf in buffers.items():
         np.copyto(buf, arrays[name])
-    model.training_meta = dict(manifest["training_meta"])
+    model.training_meta = training_meta
     return model
+
+
+def model_to_bytes(model: Model) -> bytes:
+    return _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, *model_frame(model))
+
+
+def model_from_bytes(blob: bytes) -> Model:
+    return model_from_frame(*_serial.unpack_framed(blob, MODEL_MAGIC, MODEL_VERSION))
 
 
 def save_model(model: Model, path: Path) -> None:

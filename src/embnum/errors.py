@@ -70,6 +70,10 @@ class ChecksumMismatch(EmbnumError):
     pass
 
 
+class MalformedCheckpoint(EmbnumError):
+    pass
+
+
 # metric learning
 class DimensionMismatch(EmbnumError):
     pass

@@ -13,7 +13,6 @@ non-empty subset of the remaining sources, timing only the labeling side
 
 from __future__ import annotations
 
-import base64
 import json
 import time
 from dataclasses import dataclass
@@ -22,19 +21,21 @@ from pathlib import Path
 import numpy as np
 
 from . import _serial
-from .baselines import (LogisticModel, PackedColumns, _sigmoid, dsl_train,
-                        features_from_statistics, make_training_pairs)
+from .baselines import (LogisticModel, PackedColumns, _sigmoid, dsl_model_from_doc,
+                        dsl_model_to_doc, dsl_train, features_from_statistics,
+                        make_training_pairs)
 # perfbench/spans.py patches these by their labeling names, so keep them bound
 from .baselines import ks_statistic, pair_features  # noqa: F401
 from .dataset import Dataset, NumericAttribute, dataset_fingerprint
-from .embnet import Model, embed, model_from_bytes, model_to_bytes, preprocess
+from .embnet import Model, embed, model_frame, model_from_frame, preprocess
 from .errors import (EmptyLabeledData, EmptyRanking, EmptyStore, InvalidSpec,
                      MalformedStore, MissingModel, NoQueries, TooFewSources)
 
 STORE_MAGIC = b"EMBS"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 METHODS = ("embnum", "semantictyper", "dsl")
+EMBED_CHUNK = 512  # columns per embed() call
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,23 @@ class FeatureStore:
             self._columns = PackedColumns([r.feature for r in self.records])
         return self._columns
 
+    def tie_break(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sources, labels) arrays that break score ties, as lexsort keys."""
+        if self._ties is None:
+            self._ties = (np.array([r.source for r in self.records]),
+                          np.array(self.labels))
+        return self._ties
+
 
 def _set_records(store: FeatureStore, records: list[StoreRecord]) -> None:
     store._records = records
     store._matrix = None
     store._columns = None
+    store._ties = None
 
 
 # Assigned after the class body so the dataclass keeps `records` as a plain
-# required field; assigning it drops both caches built from the old records.
+# required field; assigning it drops every cache built from the old records.
 FeatureStore.records = property(lambda store: store._records, _set_records)
 
 
@@ -101,60 +110,50 @@ def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
     """Build the searchable store: one record per labeled attribute."""
     if not labeled.attributes:
         raise EmptyLabeledData("no labeled attributes to index")
-    if method == "embnum":
-        if model is None:
-            raise MissingModel("embnum indexing requires a trained model")
-        vectors = np.stack([preprocess(a.values, model.arch) for a in labeled.attributes])
-        embs = _embed_chunked(model, vectors)
-        records = [StoreRecord(a.label, a.source, embs[i])
-                   for i, a in enumerate(labeled.attributes)]
-        return FeatureStore(method=method, records=records, model=model)
+    if method == "embnum" and model is None:
+        raise MissingModel("embnum indexing requires a trained model")
     if method == "dsl" and dsl_model is None:
         raise MissingModel("dsl indexing requires a trained logistic model")
-    records = [StoreRecord(a.label, a.source, np.asarray(a.values, dtype=np.float64))
-               for a in labeled.attributes]
-    return FeatureStore(method=method, records=records, dsl_model=dsl_model)
+    attrs = labeled.attributes
+    features = _featurize(method, model, [a.values for a in attrs])
+    records = [StoreRecord(a.label, a.source, f) for a, f in zip(attrs, features)]
+    return FeatureStore(method=method, records=records, model=model, dsl_model=dsl_model)
 
 
-def _embed_chunked(model: Model, vectors: np.ndarray, chunk: int = 512) -> np.ndarray:
-    outs = [embed(model, vectors[i : i + chunk]) for i in range(0, len(vectors), chunk)]
-    return np.concatenate(outs, axis=0)
+def _featurize(method: str, model: Model | None, columns: list) -> list[np.ndarray]:
+    """Per-column features: float32 embeddings, computed as one batch in
+    chunks of EMBED_CHUNK columns, for embnum; raw float64 values otherwise."""
+    if method != "embnum":
+        return [np.asarray(c, dtype=np.float64) for c in columns]
+    vectors = [preprocess(c, model.arch) for c in columns]
+    return [row for i in range(0, len(vectors), EMBED_CHUNK)
+            for row in embed(model, np.stack(vectors[i : i + EMBED_CHUNK]))]
 
 
-def _query_values(query) -> np.ndarray:
-    if isinstance(query, NumericAttribute):
-        return query.values
-    return np.asarray(query, dtype=np.float64)
-
-
-def _order_keys(store: FeatureStore, keys: np.ndarray) -> np.ndarray:
-    """Ascending-key order; key ties broken by (label, source)."""
-    labels = np.array([r.label for r in store.records])
-    sources = np.array([r.source for r in store.records])
-    return np.lexsort((sources, labels, keys))
-
-
-def _score_one(store: FeatureStore, values: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (sort keys ascending-is-better, display scores)."""
+def _order(store: FeatureStore, feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every record against one featurized query: (record indices best first,
+    display scores).  Keys ascend; key ties break by (label, source)."""
     if store.method == "embnum":
-        q = embed(store.model, preprocess(values, store.model.arch)).astype(np.float64)
-        diff = store.embedding_matrix() - q[None, :]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        return dist, dist
-    ks, mw, jaccard = store.packed_columns().statistics(values)
-    if store.method == "semantictyper":
-        return ks, 1.0 - ks
-    logits = store.dsl_model.logits(features_from_statistics(ks, mw, jaccard))
-    return -logits, _sigmoid(logits)
+        diff = store.embedding_matrix() - feature
+        keys = display = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    else:
+        ks, mw, jaccard = store.packed_columns().statistics(feature)
+        if store.method == "semantictyper":
+            keys, display = ks, 1.0 - ks
+        else:
+            logits = store.dsl_model.logits(features_from_statistics(ks, mw, jaccard))
+            keys, display = -logits, _sigmoid(logits)
+    sources, labels = store.tie_break()
+    return np.lexsort((sources, labels, keys)), display
 
 
 def rank(store: FeatureStore, query) -> RankingList:
     """Total ordering of every store record against one query."""
     if not store.records:
         raise EmptyStore("cannot rank against an empty store")
-    keys, display = _score_one(store, _query_values(query))
-    order = _order_keys(store, keys)
+    values = query.values if isinstance(query, NumericAttribute) else query
+    [feature] = _featurize(store.method, store.model, [values])
+    order, display = _order(store, feature)
     entries = tuple(
         RankEntry(store.records[i].label, store.records[i].source, float(display[i]))
         for i in order
@@ -195,46 +194,28 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]
                   ) -> LabelingResult:
     """Label a batch of queries against one store, timing the whole batch.
 
-    Embedding queries are featurized and scored as one vectorized block;
-    the statistical scorers take one query at a time, each scored against
-    the whole presorted store in one pass.  Both paths order exactly like
-    rank().
+    Queries whose label the store lacks are counted as excluded.  The rest
+    go through the same two steps as rank(): one _featurize() call for the
+    whole batch (one embedding batch for embnum, the raw values otherwise),
+    then _order() per query, so every rank equals rank()'s first-correct
+    position.
     """
     if not queries:
         raise NoQueries("no query attributes")
     if not store.records:
         raise EmptyStore("cannot label against an empty store")
     store_labels = set(store.labels)
-    labels_arr = np.array([r.label for r in store.records])
-    sources_arr = np.array([r.source for r in store.records])
+    kept = [a for a in queries if a.label in store_labels]
+    labels = store.tie_break()[1]
 
-    ranks: list[int] = []
-    excluded = 0
     t0 = time.perf_counter()
-    if store.method == "embnum":
-        qv = np.stack([preprocess(a.values, store.model.arch) for a in queries])
-        qe = _embed_chunked(store.model, qv).astype(np.float64)
-        mat = store.embedding_matrix()
-        diff = qe[:, None, :] - mat[None, :, :]
-        dists = np.sqrt(np.einsum("qnk,qnk->qn", diff, diff))
-        for qi, attr in enumerate(queries):
-            if attr.label not in store_labels:
-                excluded += 1
-                continue
-            order = np.lexsort((sources_arr, labels_arr, dists[qi]))
-            hit = np.flatnonzero(labels_arr[order] == attr.label)[0]
-            ranks.append(int(hit) + 1)
-    else:
-        for attr in queries:
-            if attr.label not in store_labels:
-                excluded += 1
-                continue
-            keys, _ = _score_one(store, attr.values)
-            order = np.lexsort((sources_arr, labels_arr, keys))
-            hit = np.flatnonzero(labels_arr[order] == attr.label)[0]
-            ranks.append(int(hit) + 1)
+    features = _featurize(store.method, store.model, [a.values for a in kept])
+    ranks = []
+    for attr, feature in zip(kept, features):
+        order, _ = _order(store, feature)
+        ranks.append(int(np.flatnonzero(labels[order] == attr.label)[0]) + 1)
     seconds = time.perf_counter() - t0
-    return LabelingResult(ranks=ranks, excluded=excluded, seconds=seconds)
+    return LabelingResult(ranks=ranks, excluded=len(queries) - len(kept), seconds=seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +247,18 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
                   dsl_model: LogisticModel | None = None) -> BenchmarkReport:
     """Full leave-one-source-out protocol.
 
-    Store-side features are computed once per attribute and shared across
-    subsets (indexing is excluded from labeling time by contract); the
-    query side is re-featurized inside every timed experiment.
+    The dataset is indexed once and every subset store takes its records
+    (indexing is excluded from labeling time by contract); the query side
+    is re-featurized inside every timed experiment.
     """
     d = len(dataset.sources)
     if d < 2:
         raise TooFewSources(f"benchmark needs >= 2 sources, got {d}")
-    if method == "embnum" and model is None:
-        raise MissingModel("embnum benchmark requires a trained model")
     if method == "dsl" and dsl_model is None:
         # fallback scorer fitted on the dataset's own pairs; pass an
         # externally trained model to avoid the circularity
         dsl_model = dsl_train(make_training_pairs(dataset))
-
-    features: dict[tuple[str, str], np.ndarray] = {}
-    if method == "embnum":
-        vectors = np.stack([preprocess(a.values, model.arch) for a in dataset.attributes])
-        embs = _embed_chunked(model, vectors)
-        for i, a in enumerate(dataset.attributes):
-            features[(a.source, a.label)] = embs[i]
-    else:
-        for a in dataset.attributes:
-            features[(a.source, a.label)] = np.asarray(a.values, dtype=np.float64)
+    full = index_labeled(dataset, method, model=model, dsl_model=dsl_model)
 
     sources = sorted(dataset.sources)
     outcomes: list[tuple[int, float, float]] = []
@@ -298,11 +268,8 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
         for mask in range(1, 2 ** len(others)):
             subset = [others[i] for i in range(len(others)) if mask >> i & 1]
             chosen = set(subset)
-            records = [
-                StoreRecord(a.label, a.source, features[(a.source, a.label)])
-                for a in dataset.attributes if a.source in chosen
-            ]
-            store = FeatureStore(method=method, records=records,
+            store = FeatureStore(method=method,
+                                 records=[r for r in full.records if r.source in chosen],
                                  model=model, dsl_model=dsl_model)
             result = label_queries(store, queries)
             outcomes.append((len(subset), mrr(result.ranks), result.seconds))
@@ -353,60 +320,64 @@ def report_from_json(text: str) -> BenchmarkReport:
 
 
 def save_store(store: FeatureStore, path: Path) -> None:
+    """One frame per store.  An embnum store holds its model's checkpoint
+    manifest under "model", the model's arrays under a "model." prefix and
+    one (n, k) "embeddings" array; a raw store holds every record's values
+    end to end in one "values" array, with each record's row count in
+    record_meta."""
+    records = store.records
     meta: dict = {
         "kind": "feature-store",
         "method": store.method,
-        "record_meta": [{"label": r.label, "source": r.source} for r in store.records],
+        "record_meta": [{"label": r.label, "source": r.source} for r in records],
     }
-    arrays: dict[str, np.ndarray] = {}
     if store.method == "embnum":
-        meta["model_b64"] = base64.b64encode(model_to_bytes(store.model)).decode("ascii")
-        arrays["embeddings"] = np.stack([r.feature for r in store.records]).astype(np.float32)
+        meta["model"], model_arrays = model_frame(store.model)
+        arrays = {f"model.{name}": a for name, a in model_arrays.items()}
+        arrays["embeddings"] = np.stack([r.feature for r in records]).astype(np.float32)
     else:
+        for m, r in zip(meta["record_meta"], records):
+            m["rows"] = len(r.feature)
+        arrays = {"values": np.concatenate([np.empty(0), *(r.feature for r in records)])}
         if store.method == "dsl":
-            w = store.dsl_model.weights
-            meta["dsl_model"] = [float(w[0]), float(w[1]), float(w[2]),
-                                 float(store.dsl_model.bias)]
-        for i, r in enumerate(store.records):
-            arrays[f"rec{i:06d}"] = np.asarray(r.feature, dtype=np.float64)
+            meta["dsl_model"] = dsl_model_to_doc(store.dsl_model)
     _serial.write_framed(Path(path), STORE_MAGIC, STORE_VERSION, meta, arrays)
 
 
 def load_store(path: Path) -> FeatureStore:
     manifest, arrays = _serial.read_framed(Path(path), STORE_MAGIC, STORE_VERSION)
     try:
-        return _store_from_frame(manifest, arrays)
+        method = manifest["method"]
+        rec_meta = manifest["record_meta"]
+        model = dsl_model = None
+        if method == "embnum":
+            model = model_from_frame(manifest["model"], {
+                name.removeprefix("model."): a
+                for name, a in arrays.items() if name.startswith("model.")})
+            features = arrays["embeddings"]
+        else:
+            rows = [m["rows"] for m in rec_meta]
+            values = arrays["values"]
+            if min(rows, default=0) < 0 or sum(rows) != len(values):
+                raise MalformedStore(f"{path}: record row counts sum to {sum(rows)}, "
+                                     f"but the store holds {len(values)} values")
+            features = [values[end - n : end] for n, end in zip(rows, np.cumsum(rows))]
+            if method == "dsl":
+                dsl_model = dsl_model_from_doc(manifest["dsl_model"])
+        if len(features) != len(rec_meta):
+            raise MalformedStore(f"{path}: {len(rec_meta)} records, "
+                                 f"but {len(features)} stored embeddings")
+        records = [StoreRecord(m["label"], m["source"], f) for m, f in zip(rec_meta, features)]
     except KeyError as exc:
         raise MalformedStore(f"{path}: store lacks {exc.args[0]!r}") from None
-
-
-def _store_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> FeatureStore:
-    method = manifest["method"]
-    rec_meta = manifest["record_meta"]
-    if method == "embnum":
-        model = model_from_bytes(base64.b64decode(manifest["model_b64"]))
-        embs = arrays["embeddings"]
-        records = [StoreRecord(m["label"], m["source"], embs[i])
-                   for i, m in enumerate(rec_meta)]
-        return FeatureStore(method=method, records=records, model=model)
-    dsl_model = None
-    if method == "dsl":
-        w1, w2, w3, b = manifest["dsl_model"]
-        dsl_model = LogisticModel(weights=np.array([w1, w2, w3]), bias=float(b))
-    records = [StoreRecord(m["label"], m["source"], arrays[f"rec{i:06d}"])
-               for i, m in enumerate(rec_meta)]
-    return FeatureStore(method=method, records=records, dsl_model=dsl_model)
+    return FeatureStore(method=method, records=records, model=model, dsl_model=dsl_model)
 
 
 def export_embeddings_csv(model: Model, dataset: Dataset) -> str:
     """CSV of every attribute's embedding: label, source, e0..e{k-1}."""
-    k = model.arch.k
-    header = "label,source," + ",".join(f"e{i}" for i in range(k))
+    header = "label,source," + ",".join(f"e{i}" for i in range(model.arch.k))
     attrs = sorted(dataset.attributes, key=lambda a: (a.label, a.source))
-    vectors = np.stack([preprocess(a.values, model.arch) for a in attrs])
-    embs = _embed_chunked(model, vectors)
-    lines = [header]
-    for i, a in enumerate(attrs):
-        vals = ",".join(repr(float(v)) for v in embs[i])
-        lines.append(f"{a.label},{a.source},{vals}")
+    embs = _featurize("embnum", model, [a.values for a in attrs])
+    lines = [header] + [f"{a.label},{a.source}," + ",".join(repr(float(v)) for v in e)
+                        for a, e in zip(attrs, embs)]
     return "\n".join(lines) + "\n"

@@ -1,15 +1,19 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from embnum.cli import main
+from embnum.cli import _configs, build_parser, main
 from embnum.dataset import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
     write_dataset,
 )
+from embnum.embnet import ArchConfig
+from embnum.fixtures import desk_arch, desk_train_config
+from embnum.metric import TrainConfig
 
 SPEC_DOC = {
     "label_count": 3,
@@ -190,6 +194,34 @@ class TestIndexAndLabel:
         assert main(["label", str(store), str(q)]) == 1
         assert "MalformedStore" in capsys.readouterr().err
 
+    def test_label_short_store_is_named_error(self, trained_paths, tmp_path, capsys):
+        from embnum import _serial
+        from embnum.labeling import STORE_MAGIC, STORE_VERSION
+
+        _, _, store = trained_paths
+        manifest, arrays = _serial.read_framed(store, STORE_MAGIC, STORE_VERSION)
+        manifest["record_meta"].append({"label": "extra", "source": "s9"})
+        del manifest["arrays"]
+        _serial.write_framed(store, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        q = tmp_path / "q.csv"
+        q.write_text("1\n")
+        capsys.readouterr()
+        assert main(["label", str(store), str(q)]) == 1
+        assert "MalformedStore" in capsys.readouterr().err
+
+    def test_label_version_1_store_is_refused(self, tmp_path, capsys):
+        from embnum import _serial
+        from embnum.labeling import STORE_MAGIC
+
+        store = tmp_path / "v1.bin"
+        _serial.write_framed(store, STORE_MAGIC, 1,
+                             {"kind": "feature-store", "method": "semantictyper",
+                              "record_meta": []}, {})
+        q = tmp_path / "q.csv"
+        q.write_text("1\n")
+        assert main(["label", str(store), str(q)]) == 1
+        assert "FormatVersionMismatch" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def test_stdout_report(self, data_dir, capsys):
@@ -222,6 +254,37 @@ class TestExport:
         assert main(["export-embeddings", str(model), str(data_dir),
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("label,source,e0,")
+
+    @pytest.mark.parametrize("missing", ["arch", "training_meta"])
+    def test_malformed_checkpoint_is_named_error(self, trained_paths, missing, capsys):
+        from embnum import _serial
+        from embnum.embnet import MODEL_MAGIC, MODEL_VERSION
+
+        data_dir, model, _ = trained_paths
+        manifest, arrays = _serial.read_framed(model, MODEL_MAGIC, MODEL_VERSION)
+        del manifest[missing]
+        _serial.write_framed(model, MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
+        capsys.readouterr()
+        assert main(["export-embeddings", str(model), str(data_dir)]) == 1
+        assert "MalformedCheckpoint" in capsys.readouterr().err
+
+
+class TestConfigs:
+    @staticmethod
+    def configs(*flags):
+        return _configs(build_parser().parse_args(["train", "data", "--out", "m.bin", *flags]))
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert self.configs() == (ArchConfig(), TrainConfig())
+
+    def test_desk_preset_is_the_desk_fixture(self):
+        assert self.configs("--preset", "desk") == (desk_arch(), desk_train_config())
+
+    def test_explicit_flags_override_the_preset(self):
+        arch, cfg = self.configs("--preset", "desk", "--k", "16", "--epochs", "5",
+                                 "--seed", "3")
+        assert arch == replace(desk_arch(), k=16)
+        assert cfg == replace(desk_train_config(), epochs=5, seed=3)
 
 
 class TestUsageErrors:

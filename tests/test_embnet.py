@@ -27,6 +27,7 @@ from embnum.errors import (
     ChecksumMismatch,
     FormatVersionMismatch,
     InvalidArch,
+    MalformedCheckpoint,
     MalformedValue,
     WidthMismatch,
 )
@@ -273,6 +274,15 @@ class TestCheckpointFormat:
         doctored = _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION,
                                        manifest, arrays)
         with pytest.raises(InvalidArch):
+            model_from_bytes(doctored)
+
+    @pytest.mark.parametrize("missing", ["arch", "training_meta"])
+    def test_missing_manifest_key_is_malformed_checkpoint(self, missing):
+        manifest, arrays = _serial.unpack_framed(model_to_bytes(build_model(TINY, seed=0)),
+                                                 MODEL_MAGIC, MODEL_VERSION)
+        del manifest[missing]
+        doctored = _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
+        with pytest.raises(MalformedCheckpoint, match=missing):
             model_from_bytes(doctored)
 
     def test_model_equality_sees_meta_and_weights(self):

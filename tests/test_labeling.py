@@ -6,7 +6,7 @@ from embnum import _serial
 from embnum.baselines import (LogisticModel, dsl_train, ks_statistic,
                               make_training_pairs, pair_features)
 from embnum.dataset import Dataset, NumericAttribute, SyntheticSpec, generate_synthetic
-from embnum.embnet import ArchConfig, build_model
+from embnum.embnet import ArchConfig, build_model, model_frame
 from embnum.errors import (
     ChecksumMismatch,
     EmptyLabeledData,
@@ -19,6 +19,7 @@ from embnum.errors import (
     TooFewSources,
 )
 from embnum.labeling import (
+    METHODS,
     STORE_MAGIC,
     STORE_VERSION,
     FeatureStore,
@@ -229,6 +230,7 @@ class TestLabelQueries:
         for method, kwargs in [
             ("embnum", {"model": tiny_model}),
             ("semantictyper", {}),
+            ("dsl", {"dsl_model": dsl_train(make_training_pairs(tiny_dataset))}),
         ]:
             store = index_labeled(tiny_dataset, method, **kwargs)
             queries = tiny_dataset.by_source("s0")
@@ -248,6 +250,16 @@ class TestLabelQueries:
         result = label_queries(store, queries)
         assert result.excluded == 1
         assert result.ranks == [1]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_batch_of_absent_labels_is_all_excluded(self, tiny_dataset, tiny_model, method):
+        dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+        store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
+        queries = [NumericAttribute(values=a.values, label="alien", source=a.source)
+                   for a in tiny_dataset.by_source("s0")]
+        result = label_queries(store, queries)
+        assert result.ranks == []
+        assert result.excluded == len(queries)
 
     def test_empty_inputs_rejected(self, tiny_dataset, tiny_model):
         store = index_labeled(tiny_dataset, "semantictyper")
@@ -400,7 +412,7 @@ class TestStorePersistence:
         for q in ds.attributes:
             assert rank(loaded, q) == pairwise_ranking(store, q.values)
 
-    @pytest.mark.parametrize("missing", ["method", "record_meta", "rec000001"])
+    @pytest.mark.parametrize("missing", ["method", "record_meta", "values"])
     def test_missing_manifest_key_is_malformed_store(self, tiny_dataset, tmp_path, missing):
         store = index_labeled(tiny_dataset, "semantictyper")
         p = tmp_path / "store.bin"
@@ -412,6 +424,40 @@ class TestStorePersistence:
         _serial.write_framed(p, STORE_MAGIC, STORE_VERSION, manifest, arrays)
         with pytest.raises(MalformedStore, match=missing):
             load_store(p)
+
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_record_count_must_match_the_arrays(self, tiny_dataset, tiny_model, tmp_path,
+                                                method):
+        dsl_model = LogisticModel(weights=np.array([1.5, -0.5, 2.0]), bias=0.25)
+        store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
+        p = tmp_path / "store.bin"
+        save_store(store, p)
+        manifest, arrays = _serial.read_framed(p, STORE_MAGIC, STORE_VERSION)
+        manifest["record_meta"].append({"label": "extra", "source": "s9", "rows": 1})
+        del manifest["arrays"]
+        _serial.write_framed(p, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        with pytest.raises(MalformedStore):
+            load_store(p)
+
+    def test_file_layout(self, tiny_dataset, tiny_model, tmp_path):
+        # one manifest: the model's checkpoint manifest and "model."-prefixed
+        # arrays for embnum, one values array plus per-record row counts otherwise
+        p = tmp_path / "store.bin"
+        save_store(index_labeled(tiny_dataset, "embnum", model=tiny_model), p)
+        manifest, arrays = _serial.read_framed(p, STORE_MAGIC, STORE_VERSION)
+        meta, state = model_frame(tiny_model)
+        assert manifest["model"]["training_meta"] == meta["training_meta"]
+        assert set(arrays) == {"embeddings"} | {f"model.{name}" for name in state}
+        assert arrays["embeddings"].shape == (len(tiny_dataset.attributes), TINY.k)
+
+        save_store(index_labeled(tiny_dataset, "semantictyper"), p)
+        manifest, arrays = _serial.read_framed(p, STORE_MAGIC, STORE_VERSION)
+        assert set(arrays) == {"values"}
+        assert [m["rows"] for m in manifest["record_meta"]] == [
+            a.values.size for a in tiny_dataset.attributes]
+        assert np.array_equal(arrays["values"],
+                              np.concatenate([a.values for a in tiny_dataset.attributes]))
 
 
 class TestEmbeddingExport:
