@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from ._serial import atomic_write_text
-from .errors import (DegenerateVariance, EmptyInput, SingleClassTraining,
-                     TooFewValues)
+from .errors import (DegenerateVariance, EmptyInput, MalformedDslModel,
+                     SingleClassTraining, TooFewValues)
 
 
 def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -77,11 +77,6 @@ def numeric_jaccard(a, b) -> float:
         return 1.0 if lo_a == lo_b else 0.0
     overlap = max(0.0, min(hi_a, hi_b) - max(lo_a, lo_b))
     return overlap / union
-
-
-def semantictyper_score(a, b) -> float:
-    """Distribution similarity: identical samples score 1, disjoint score 0."""
-    return 1.0 - ks_statistic(a, b)
 
 
 def pair_features(a, b) -> np.ndarray:
@@ -181,17 +176,10 @@ class LogisticModel:
     bias: float
     meta: dict = field(default_factory=dict, compare=False)
 
-    def logit(self, features: np.ndarray) -> float:
-        return float(np.dot(self.weights, np.asarray(features, dtype=np.float64))
-                     + self.bias)
-
     def logits(self, features: np.ndarray) -> np.ndarray:
-        """logit() of each row, bit for bit: one np.dot per row, since a
+        """weights . row + bias for each row, one np.dot per row, since a
         matrix product is free to sum the three terms in another order."""
         return np.array([np.dot(self.weights, row) for row in features]) + self.bias
-
-    def probability(self, features: np.ndarray) -> float:
-        return float(_sigmoid(np.array([self.logit(features)]))[0])
 
 
 def dsl_train(pairs: list[tuple[tuple, bool]], iters: int = 500,
@@ -215,23 +203,21 @@ def dsl_train(pairs: list[tuple[tuple, bool]], iters: int = 500,
                          meta={"iters": iters, "lr": lr, "pairs": n})
 
 
-def dsl_score(model: LogisticModel, a, b) -> float:
-    return model.probability(pair_features(a, b))
-
-
-def dsl_logit(model: LogisticModel, a, b) -> float:
-    """Pre-sigmoid score; same ordering as dsl_score but never saturates."""
-    return model.logit(pair_features(a, b))
-
-
 def dsl_model_to_doc(model: LogisticModel) -> list[float]:
     """The four numbers [w1, w2, w3, bias] that stores and weight files hold."""
     return [float(w) for w in model.weights] + [float(model.bias)]
 
 
 def dsl_model_from_doc(doc) -> LogisticModel:
-    w1, w2, w3, bias = (float(v) for v in doc)
-    return LogisticModel(weights=np.array([w1, w2, w3]), bias=bias)
+    """Inverse of dsl_model_to_doc; anything but a list of four numbers is
+    MalformedDslModel."""
+    if isinstance(doc, list) and len(doc) == 4:
+        try:
+            w1, w2, w3, bias = (float(v) for v in doc)
+            return LogisticModel(weights=np.array([w1, w2, w3]), bias=bias)
+        except (TypeError, ValueError):
+            pass
+    raise MalformedDslModel("dsl weights must be a list of four numbers [w1, w2, w3, bias]")
 
 
 def save_dsl_model(model: LogisticModel, path: Path) -> None:
@@ -239,7 +225,11 @@ def save_dsl_model(model: LogisticModel, path: Path) -> None:
 
 
 def load_dsl_model(path: Path) -> LogisticModel:
-    return dsl_model_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedDslModel(f"{path}: not a JSON weights file ({exc})") from None
+    return dsl_model_from_doc(doc)
 
 
 def make_training_pairs(dataset) -> list[tuple[tuple, bool]]:

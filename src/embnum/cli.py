@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (named on stderr), 2 usage error.
-Output files are written atomically; set EMBNUM_THREADS to cap loader
-parallelism.
+Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="embnum",
         description="Semantic labeling of numerical table columns by "
                     "embedding similarity, with statistical baselines.",
-        epilog="EMBNUM_THREADS caps parallel file loading.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,21 +24,6 @@ from .errors import (
     MissingDirectory,
     UnknownSource,
 )
-
-THREADS_ENV = "EMBNUM_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap for parallel file loading, overridable via EMBNUM_THREADS."""
-    limit = os.cpu_count() or 1
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            limit = min(limit, max(1, int(raw)))
-        except ValueError:
-            pass
-    return min(8, limit)
-
 
 @dataclass(eq=False)
 class NumericAttribute:
@@ -158,8 +141,8 @@ def load_attribute_csv(path, label: str | None = None,
 def load_dataset(root_path) -> Dataset:
     """Load a dataset from a root/<source>/<label>.csv tree.
 
-    Files are parsed in parallel (bounded by EMBNUM_THREADS); the returned
-    Dataset is immutable by convention and safe to share.
+    Sources and their files are read in sorted order; the returned Dataset
+    is immutable by convention and safe to share.
     """
     root = Path(root_path)
     if not root.is_dir():
@@ -167,14 +150,10 @@ def load_dataset(root_path) -> Dataset:
     source_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not source_dirs:
         raise MissingDirectory(f"dataset root {root} contains no source directories")
-    jobs = []
-    for src_dir in source_dirs:
-        for f in sorted(src_dir.glob("*.csv")):
-            jobs.append((f, src_dir.name, f.stem))
-    if not jobs:
+    attributes = [_parse_attribute_file(f, src_dir.name, f.stem)
+                  for src_dir in source_dirs for f in sorted(src_dir.glob("*.csv"))]
+    if not attributes:
         raise MissingDirectory(f"dataset root {root} contains no attribute files")
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        attributes = list(pool.map(lambda j: _parse_attribute_file(*j), jobs))
     return Dataset.from_attributes(attributes)
 
 

@@ -244,6 +244,8 @@ def model_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> Model:
         training_meta = dict(manifest["training_meta"])
     except KeyError as exc:
         raise MalformedCheckpoint(f"checkpoint lacks {exc.args[0]!r}") from None
+    except TypeError as exc:  # an unknown or mistyped arch field
+        raise MalformedCheckpoint(f"checkpoint has a malformed header: {exc}") from None
     model = build_model(arch, seed=0)
     params = model.net.named_params()
     buffers = model.net.named_buffers()

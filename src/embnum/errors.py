@@ -75,10 +75,6 @@ class MalformedCheckpoint(EmbnumError):
 
 
 # metric learning
-class DimensionMismatch(EmbnumError):
-    pass
-
-
 class DegenerateBatch(EmbnumError):
     pass
 
@@ -101,6 +97,10 @@ class TooFewValues(EmbnumError):
 
 
 class SingleClassTraining(EmbnumError):
+    pass
+
+
+class MalformedDslModel(EmbnumError):
     pass
 
 

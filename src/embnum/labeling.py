@@ -29,7 +29,9 @@ from .baselines import ks_statistic, pair_features  # noqa: F401
 from .dataset import Dataset, NumericAttribute, dataset_fingerprint
 from .embnet import Model, embed, model_frame, model_from_frame, preprocess
 from .errors import (EmptyLabeledData, EmptyRanking, EmptyStore, InvalidSpec,
-                     MalformedStore, MissingModel, NoQueries, TooFewSources)
+                     MalformedDslModel, MalformedStore, MissingModel, NoQueries,
+                     TooFewSources)
+from .metric import distances
 
 STORE_MAGIC = b"EMBS"
 STORE_VERSION = 2
@@ -134,8 +136,7 @@ def _order(store: FeatureStore, feature: np.ndarray) -> tuple[np.ndarray, np.nda
     """Every record against one featurized query: (record indices best first,
     display scores).  Keys ascend; key ties break by (label, source)."""
     if store.method == "embnum":
-        diff = store.embedding_matrix() - feature
-        keys = display = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keys = display = distances(store.embedding_matrix(), feature)
     else:
         ks, mw, jaccard = store.packed_columns().statistics(feature)
         if store.method == "semantictyper":
@@ -355,6 +356,9 @@ def load_store(path: Path) -> FeatureStore:
                 name.removeprefix("model."): a
                 for name, a in arrays.items() if name.startswith("model.")})
             features = arrays["embeddings"]
+            if features.ndim != 2 or features.shape[1] != model.arch.k:
+                raise MalformedStore(f"{path}: embeddings have shape {features.shape}, "
+                                     f"but the model embeds to width {model.arch.k}")
         else:
             rows = [m["rows"] for m in rec_meta]
             values = arrays["values"]
@@ -363,7 +367,10 @@ def load_store(path: Path) -> FeatureStore:
                                      f"but the store holds {len(values)} values")
             features = [values[end - n : end] for n, end in zip(rows, np.cumsum(rows))]
             if method == "dsl":
-                dsl_model = dsl_model_from_doc(manifest["dsl_model"])
+                try:
+                    dsl_model = dsl_model_from_doc(manifest["dsl_model"])
+                except MalformedDslModel as exc:
+                    raise MalformedStore(f"{path}: {exc}") from None
         if len(features) != len(rec_meta):
             raise MalformedStore(f"{path}: {len(rec_meta)} records, "
                                  f"but {len(features)} stored embeddings")

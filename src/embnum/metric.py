@@ -4,8 +4,9 @@ Each step embeds a batch of P labels x K sampled attributes, mines the
 hardest positive and hardest negative inside the batch for every anchor, and
 descends the margin loss max(0, alpha + d_pos - d_neg) averaged over the
 triplets that are still violating the margin.  After every epoch the model is
-scored by mean reciprocal rank on the training attributes themselves and the
-best-scoring parameters are the ones returned.
+scored by mean reciprocal rank on the training attributes themselves, ranked
+as labeling ranks a store, and the best-scoring parameters are the ones
+returned.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .embnet import ArchConfig, Model, build_model, preprocess
-from .errors import (DegenerateBatch, DimensionMismatch, InsufficientSamples,
-                     InvalidSpec, NonFiniteLoss)
+from .errors import DegenerateBatch, InsufficientSamples, InvalidSpec, NonFiniteLoss
 from .nn import SGD, Tensor, no_grad, ops
 
 
@@ -54,23 +54,16 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.lr_decay ** (epoch // cfg.lr_step)
 
 
-def euclidean_distance(e1: np.ndarray, e2: np.ndarray) -> float:
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    if e1.shape != e2.shape:
-        raise DimensionMismatch(f"vector shapes differ: {e1.shape} vs {e2.shape}")
-    return float(np.sqrt(np.sum((e1 - e2) ** 2)))
-
-
 def triplet_loss(d_pos: float, d_neg: float, alpha: float) -> float:
     return max(0.0, alpha + d_pos - d_neg)
 
 
-def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
-    """(n, k) -> (n, n) matrix of exact Euclidean distances in float64."""
-    e = np.asarray(embeddings, dtype=np.float64)
-    diff = e[:, None, :] - e[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def distances(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Exact float64 Euclidean distance from each row of an (n, k) matrix to
+    one (k,) query: the one distance that triplet mining, training MRR and
+    labeling all rank by.  A row equal to the query is exactly 0 away."""
+    diff = np.asarray(matrix, dtype=np.float64) - np.asarray(query, dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 @dataclass
@@ -97,7 +90,7 @@ def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
     labels = np.asarray(labels)
     emb = np.asarray(embeddings, dtype=np.float64)
     n = emb.shape[0]
-    dist = pairwise_distances(emb)
+    dist = np.stack([distances(emb, row) for row in emb])
     same = labels[:, None] == labels[None, :]
     np_eye = np.eye(n, dtype=bool)
     pos_mask = same & ~np_eye
@@ -115,17 +108,20 @@ def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
 
 
 def training_mrr(embeddings: np.ndarray, labels) -> float:
-    """Each row queries all others; reciprocal rank of the first same-label
-    hit, averaged.  Distance ties keep input order (stable sort)."""
-    labels = np.asarray(labels)
-    dist = pairwise_distances(embeddings)
-    np.fill_diagonal(dist, np.inf)
-    # all off-diagonal distances are finite, so self sorts strictly last
-    order = np.argsort(dist, axis=1, kind="stable")[:, :-1]
-    hits = labels[order] == labels[:, None]
-    first = np.argmax(hits, axis=1)
-    found = hits.any(axis=1)
-    rr = np.where(found, 1.0 / (first + 1.0), 0.0)
+    """Each row queries all the others, ranked as labeling ranks a store: by
+    distance, ties by label.  The reciprocal rank of the first same-label hit
+    (0 when there is none) is averaged in input order.  One row of distances
+    is held at a time, so memory grows as n * k, not n * n * k."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    _, codes = np.unique(np.asarray(labels), return_inverse=True)
+    rr = np.zeros(len(emb))
+    for i, row in enumerate(emb):
+        dist = distances(emb, row)
+        dist[i] = np.inf  # every other distance is finite, so self ranks last
+        order = np.lexsort((codes, dist))[:-1]
+        hits = np.flatnonzero(codes[order] == codes[i])
+        if hits.size:
+            rr[i] = 1.0 / (hits[0] + 1.0)
     return float(rr.mean())
 
 

@@ -31,10 +31,6 @@ class CdfTable:
     cum_count: np.ndarray
     n: int
 
-    @property
-    def cum_prob(self) -> np.ndarray:
-        return self.cum_count / self.n
-
 
 def _as_values(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)

@@ -2,7 +2,9 @@
 
 Each function here recomputes a result by a different route than the
 production code (pure-Python loops, Fraction arithmetic, brute-force pair
-counting) so that agreement is evidence, not tautology.
+counting) so that agreement is evidence, not tautology.  The pairwise
+scorers at the end are the exception: they state, one pair at a time, what
+the library's store-wide scoring must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from embnum.baselines import _sigmoid, ks_statistic, pair_features
 
 
 def inverse_transform_oracle(values, h: int) -> list[float]:
@@ -79,6 +85,11 @@ def jaccard_oracle(a, b) -> float:
     return max(inter, 0.0) / union
 
 
+def distance_oracle(a, b) -> float:
+    """Euclidean distance by math.dist, which sums without numpy."""
+    return math.dist([float(v) for v in a], [float(v) for v in b])
+
+
 def mrr_oracle(ranks) -> float:
     return math.fsum(1.0 / r for r in ranks) / len(ranks)
 
@@ -91,3 +102,28 @@ def count_experiments_oracle(d: int) -> int:
         for mask in range(1, 2 ** len(rest)):
             total += 1
     return total
+
+
+def cum_prob(cdf) -> np.ndarray:
+    """F at each support point of an empirical CdfTable."""
+    return cdf.cum_count / cdf.n
+
+
+# ---------------------------------------------------------------------------
+# pairwise scorers
+
+
+def semantictyper_score(a, b) -> float:
+    """Distribution similarity: identical samples score 1, disjoint score 0."""
+    return 1.0 - ks_statistic(a, b)
+
+
+def dsl_logit(model, a, b) -> float:
+    """Pre-sigmoid DSL score of one pair; same ordering as dsl_score but
+    never saturates."""
+    return float(np.dot(model.weights, pair_features(a, b)) + model.bias)
+
+
+def dsl_score(model, a, b) -> float:
+    """DSL probability that the pair shares a label."""
+    return float(_sigmoid(np.array([dsl_logit(model, a, b)]))[0])

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from embnum.baselines import (
     LogisticModel,
     PackedColumns,
-    dsl_logit,
-    dsl_score,
     dsl_train,
     features_from_statistics,
     ks_statistic,
@@ -17,7 +15,6 @@ from embnum.baselines import (
     numeric_jaccard,
     pair_features,
     save_dsl_model,
-    semantictyper_score,
     welch_t,
 )
 from embnum.dataset import Dataset, NumericAttribute
@@ -27,7 +24,8 @@ from embnum.errors import (
     SingleClassTraining,
     TooFewValues,
 )
-from oracles import jaccard_oracle, ks_oracle, mw_oracle, welch_oracle
+from oracles import (dsl_logit, dsl_score, jaccard_oracle, ks_oracle, mw_oracle,
+                     semantictyper_score, welch_oracle)
 
 samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -220,7 +218,7 @@ class TestPackedColumns:
     def test_dsl_logits_equal_the_pairwise_logit(self, columns, query, wb):
         model = LogisticModel(weights=np.array(wb[:3]), bias=wb[3])
         feats = features_from_statistics(*PackedColumns(columns).statistics(query))
-        want = [model.logit(pair_features(query, c)) for c in columns]
+        want = [dsl_logit(model, query, c) for c in columns]
         assert same_bits(feats, [pair_features(query, c) for c in columns])
         assert same_bits(model.logits(feats), want)
 

@@ -175,6 +175,46 @@ class TestIndexAndLabel:
               "--dsl-model", str(weights), "--out", str(store)])
         assert load_store(store).dsl_model.bias == -0.5
 
+    @pytest.mark.parametrize("text", ["[1.0, 2.0, 3.0]", "{"])
+    def test_index_malformed_dsl_weights_is_named_error(self, data_dir, tmp_path,
+                                                        text, capsys):
+        weights = tmp_path / "w.json"
+        weights.write_text(text)
+        assert main(["index", str(data_dir), "--method", "dsl",
+                     "--dsl-model", str(weights), "--out", str(tmp_path / "s.bin")]) == 1
+        assert "MalformedDslModel" in capsys.readouterr().err
+
+    def test_label_malformed_dsl_weights_in_store_is_named_error(self, data_dir,
+                                                                 tmp_path, capsys):
+        from embnum import _serial
+        from embnum.labeling import STORE_MAGIC, STORE_VERSION
+
+        store = tmp_path / "dsl_store.bin"
+        main(["index", str(data_dir), "--method", "dsl", "--out", str(store)])
+        manifest, arrays = _serial.read_framed(store, STORE_MAGIC, STORE_VERSION)
+        manifest["dsl_model"] = [1.0, 2.0, 3.0]
+        _serial.write_framed(store, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        q = tmp_path / "q.csv"
+        q.write_text("1\n")
+        capsys.readouterr()
+        assert main(["label", str(store), str(q)]) == 1
+        assert "MalformedStore" in capsys.readouterr().err
+
+    def test_label_wrong_embedding_width_is_named_error(self, trained_paths,
+                                                        tmp_path, capsys):
+        from embnum import _serial
+        from embnum.labeling import STORE_MAGIC, STORE_VERSION
+
+        _, _, store = trained_paths
+        manifest, arrays = _serial.read_framed(store, STORE_MAGIC, STORE_VERSION)
+        arrays["embeddings"] = arrays["embeddings"][:, :-1]
+        _serial.write_framed(store, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        q = tmp_path / "q.csv"
+        q.write_text("1\n")
+        capsys.readouterr()
+        assert main(["label", str(store), str(q)]) == 1
+        assert "MalformedStore" in capsys.readouterr().err
+
     def test_label_missing_store_is_io_error(self, tmp_path, capsys):
         q = tmp_path / "q.csv"
         q.write_text("1\n")
@@ -269,6 +309,19 @@ class TestExport:
         assert "MalformedCheckpoint" in capsys.readouterr().err
 
 
+    def test_unknown_arch_field_is_named_error(self, trained_paths, capsys):
+        from embnum import _serial
+        from embnum.embnet import MODEL_MAGIC, MODEL_VERSION
+
+        data_dir, model, _ = trained_paths
+        manifest, arrays = _serial.read_framed(model, MODEL_MAGIC, MODEL_VERSION)
+        manifest["arch"]["depth"] = 3
+        _serial.write_framed(model, MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
+        capsys.readouterr()
+        assert main(["export-embeddings", str(model), str(data_dir)]) == 1
+        assert "MalformedCheckpoint" in capsys.readouterr().err
+
+
 class TestConfigs:
     @staticmethod
     def configs(*flags):
@@ -297,12 +350,6 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["index", str(data_dir)])  # --method and --out required
         assert exc.value.code == 2
-
-    def test_help_mentions_thread_cap(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        assert "EMBNUM_THREADS" in capsys.readouterr().out
 
     def test_preset_flag_accepted(self, capsys):
         with pytest.raises(SystemExit) as exc:

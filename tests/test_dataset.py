@@ -17,7 +17,6 @@ from embnum.dataset import (
     spec_from_json,
     split_half,
     split_holdout,
-    worker_count,
     write_dataset,
 )
 from embnum.errors import (
@@ -184,16 +183,6 @@ class TestParsing:
         assert attr.source == "query"
         with pytest.raises(MissingDirectory):
             load_attribute_csv(tmp_path / "absent.csv")
-
-
-class TestWorkerCount:
-    def test_env_override_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("EMBNUM_THREADS", "2")
-        assert worker_count() <= 2
-        monkeypatch.setenv("EMBNUM_THREADS", "bogus")
-        assert worker_count() >= 1
-        monkeypatch.setenv("EMBNUM_THREADS", "10000")
-        assert worker_count() <= 8
 
 
 class TestSynthetic:

@@ -3,8 +3,7 @@ import pytest
 
 import embnum.labeling as labeling_mod
 from embnum import _serial
-from embnum.baselines import (LogisticModel, dsl_train, ks_statistic,
-                              make_training_pairs, pair_features)
+from embnum.baselines import LogisticModel, dsl_train, ks_statistic, make_training_pairs
 from embnum.dataset import Dataset, NumericAttribute, SyntheticSpec, generate_synthetic
 from embnum.embnet import ArchConfig, build_model, model_frame
 from embnum.errors import (
@@ -40,7 +39,7 @@ from embnum.labeling import (
     run_benchmark,
     save_store,
 )
-from oracles import count_experiments_oracle, mrr_oracle
+from oracles import count_experiments_oracle, dsl_logit, dsl_score, mrr_oracle
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
 
@@ -62,9 +61,8 @@ def pairwise_ranking(store: FeatureStore, values) -> RankingList:
         keys = [ks_statistic(values, r.feature) for r in store.records]
         shown = [1.0 - k for k in keys]
     else:
-        feats = [pair_features(values, r.feature) for r in store.records]
-        keys = [-store.dsl_model.logit(f) for f in feats]
-        shown = [store.dsl_model.probability(f) for f in feats]
+        keys = [-dsl_logit(store.dsl_model, values, r.feature) for r in store.records]
+        shown = [dsl_score(store.dsl_model, values, r.feature) for r in store.records]
     recs = store.records
     order = sorted(range(len(recs)), key=lambda i: (keys[i], recs[i].label, recs[i].source))
     return RankingList(method=store.method, entries=tuple(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,29 +9,31 @@ from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
 from embnum.embnet import ArchConfig, build_model, preprocess
 from embnum.errors import (
     DegenerateBatch,
-    DimensionMismatch,
     InsufficientSamples,
     InvalidSpec,
     NonFiniteLoss,
 )
 from embnum.fixtures import desk_arch, desk_train_config, overlapping_spec
-from embnum.labeling import run_benchmark
+from embnum.labeling import (FeatureStore, StoreRecord, rank, rank_of_first_correct,
+                             run_benchmark)
 from embnum.metric import (
     TrainConfig,
-    euclidean_distance,
+    distances,
     history_to_csv,
     lr_at,
     mine_batch_hard,
-    pairwise_distances,
     parse_history_csv,
     train,
     training_mrr,
     triplet_loss,
 )
+import embnum.labeling as labeling_mod
 import embnum.metric as metric_mod
+from oracles import distance_oracle
 
 TINY_ARCH = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
 TINY_CFG = TrainConfig(epochs=2, batch_labels=2, samples_per_label=2, seed=0)
+QUARTER_GRID = st.integers(-20, 20).map(lambda v: v / 4)
 
 
 def tiny_training_set(labels=4, sources=3, seed=0) -> Dataset:
@@ -43,25 +47,22 @@ def tiny_training_set(labels=4, sources=3, seed=0) -> Dataset:
 
 class TestDistances:
     def test_euclidean_hand_cases(self):
-        assert euclidean_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-        assert euclidean_distance(np.array([1.0, 0.0]),
-                                  np.array([0.0, 1.0])) == pytest.approx(np.sqrt(2))
-        assert euclidean_distance(np.array([2.0]), np.array([2.0])) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            euclidean_distance(np.zeros(2), np.zeros(3))
+        got = distances(np.array([[3.0, 4.0], [2.0, 2.0], [0.0, 0.0]]), np.array([0.0, 0.0]))
+        assert got.tolist() == [5.0, np.sqrt(8.0), 0.0]
+        assert distances(np.array([[1.0, 0.0]]),
+                         np.array([0.0, 1.0]))[0] == pytest.approx(np.sqrt(2))
+        assert distances(np.array([[2.0]]), np.array([2.0])).tolist() == [0.0]
 
     def test_pairwise_matches_pointwise(self):
         rng = np.random.default_rng(0)
         e = rng.standard_normal((5, 3))
-        d = pairwise_distances(e)
+        d = np.stack([distances(e, row) for row in e])
         assert d.shape == (5, 5)
-        assert np.allclose(d, d.T)
-        assert np.allclose(np.diag(d), 0.0)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
         for i in range(5):
             for j in range(5):
-                assert d[i, j] == pytest.approx(euclidean_distance(e[i], e[j]))
+                assert d[i, j] == pytest.approx(distance_oracle(e[i], e[j]))
 
 
 class TestTripletLoss:
@@ -119,13 +120,14 @@ class TestMining:
         # index 2 has no positive, so only the two A rows anchor
         assert batch.anchors.tolist() == [0, 1]
 
+    # Points lie on a quarter grid in [-5, 5]: every difference and square is
+    # exact there, so math.dist and the sum of squares round each distance
+    # to the same bits and a tie is a tie in both.  Off the grid they differ
+    # in the last bit, and below 1e-154 the squares underflow to 0.
     @given(
         st.integers(3, 7).flatmap(
             lambda n: st.tuples(
-                st.lists(
-                    st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-                    min_size=n, max_size=n,
-                ),
+                st.lists(st.tuples(QUARTER_GRID, QUARTER_GRID), min_size=n, max_size=n),
                 st.lists(st.sampled_from("ABC"), min_size=n, max_size=n),
             )
         )
@@ -136,15 +138,15 @@ class TestMining:
         emb = np.array(points)
         lab = np.array(labels)
         n = len(lab)
-        dist = pairwise_distances(emb)
+        dist = [[distance_oracle(p, q) for q in emb] for p in emb]
         expected = []
         for i in range(n):
             pos = [j for j in range(n) if j != i and lab[j] == lab[i]]
             neg = [j for j in range(n) if lab[j] != lab[i]]
             if not pos or not neg:
                 continue
-            hardest_pos = max(pos, key=lambda j: (dist[i, j], -j))
-            hardest_neg = min(neg, key=lambda j: (dist[i, j], j))
+            hardest_pos = max(pos, key=lambda j: (dist[i][j], -j))
+            hardest_neg = min(neg, key=lambda j: (dist[i][j], j))
             expected.append((i, hardest_pos, hardest_neg))
         assume(expected)
         batch = mine_batch_hard(emb, lab)
@@ -166,6 +168,52 @@ class TestTrainingMrr:
     def test_singleton_label_scores_zero(self):
         emb = np.array([[0.0], [9.0]])
         assert training_mrr(emb, ["A", "B"]) == 0.0
+
+    def test_distance_ties_break_by_label(self):
+        emb = np.array([[0.0], [1.0], [-1.0]])
+        # row 0 is 1 away from B and from A; A ranks first, as labeling ranks it
+        assert training_mrr(emb, ["A", "B", "A"]) == pytest.approx(2.0 / 3.0)
+
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                         min_size=n, max_size=n),
+                st.lists(st.sampled_from("ABC"), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_rank_with_own_record_left_out(self, case):
+        points, labels = case
+        emb = np.array(points, dtype=np.float32)  # a small grid, so distances tie often
+        model = build_model(TINY_ARCH, seed=0)
+        rr = []
+        with pytest.MonkeyPatch.context() as mp:
+            # plant the embeddings: each query and record is its own point
+            mp.setattr(labeling_mod, "preprocess",
+                       lambda values, arch: np.asarray(values, dtype=np.float32))
+            mp.setattr(labeling_mod, "embed",
+                       lambda model, x: np.asarray(x, dtype=np.float32))
+            for i, label in enumerate(labels):
+                store = FeatureStore(method="embnum", model=model, records=[
+                    StoreRecord(labels[j], f"s{j}", emb[j])
+                    for j in range(len(labels)) if j != i])
+                first = rank_of_first_correct(rank(store, emb[i]), label)
+                rr.append(1.0 / first if first else 0.0)
+        assert training_mrr(emb, labels) == np.mean(rr)
+
+    def test_memory_grows_with_rows_not_pairs(self):
+        rng = np.random.default_rng(0)
+        emb = rng.standard_normal((600, 100))
+        labels = [f"l{i % 60}" for i in range(600)]
+        tracemalloc.start()
+        try:
+            training_mrr(emb, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"peak {peak / 1e6:.0f} MB"
 
 
 class TestTrainConfig:

@@ -10,7 +10,7 @@ from embnum.sampling import (
     sample_inverse_transform,
     sample_random_choice,
 )
-from oracles import inverse_transform_oracle
+from oracles import cum_prob, inverse_transform_oracle
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -52,7 +52,7 @@ class TestCdfTable:
         assert cdf.support.tolist() == [1.0, 2.0, 5.0]
         assert cdf.cum_count.tolist() == [1, 2, 4]
         assert cdf.n == 4
-        assert cdf.cum_prob.tolist() == [0.25, 0.5, 1.0]
+        assert cum_prob(cdf).tolist() == [0.25, 0.5, 1.0]
 
 
 class TestErrors:
