@@ -16,8 +16,8 @@ from .errors import EmbnumError
 from .labeling import (BenchmarkReport, FeatureStore, RankingList, assign_label,
                        index_labeled, label_queries, load_store, mrr, rank,
                        run_benchmark, save_store)
-from .metric import TrainConfig, mine_batch_hard, train, triplet_loss
-from .sampling import empirical_cdf, inverse_cdf, sample_inverse_transform
+from .metric import TrainConfig, mine_batch_hard, train
+from .sampling import sample_inverse_transform
 
 __version__ = "0.1.0"
 
@@ -25,9 +25,9 @@ __all__ = [
     "ArchConfig", "BenchmarkReport", "Dataset", "EmbnumError", "FamilySpec",
     "FeatureStore", "Model", "NumericAttribute", "RankingList", "SyntheticSpec",
     "TrainConfig", "assign_label", "baselines", "build_model", "cli", "dataset",
-    "embed", "embnet", "empirical_cdf", "generate_synthetic",
-    "index_labeled", "inverse_cdf", "label_queries", "labeling", "load_dataset",
-    "load_model", "load_store", "metric", "mine_batch_hard", "mrr", "nn",
-    "normalize_input", "preprocess", "rank", "run_benchmark", "sample_inverse_transform",
-    "sampling", "save_model", "save_store", "train", "triplet_loss", "write_dataset",
+    "embed", "embnet", "generate_synthetic", "index_labeled", "label_queries",
+    "labeling", "load_dataset", "load_model", "load_store", "metric",
+    "mine_batch_hard", "mrr", "nn", "normalize_input", "preprocess", "rank",
+    "run_benchmark", "sample_inverse_transform", "sampling", "save_model",
+    "save_store", "train", "write_dataset",
 ]

@@ -8,15 +8,13 @@ scorer is a logistic regression over three similarity-increasing features:
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._serial import atomic_write_text
-from .errors import (DegenerateVariance, EmptyInput, MalformedDslModel,
-                     SingleClassTraining, TooFewValues)
+from .errors import EmptyInput, MalformedDslModel, SingleClassTraining
 
 
 def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -52,18 +50,6 @@ def mw_statistic(a, b) -> float:
     if 2 * num2x <= den2x:
         return num2x / den2x
     return 1.0 - (den2x - num2x) / den2x
-
-
-def welch_t(a, b) -> float:
-    """Unequal-variance t statistic with unbiased sample variances."""
-    a, b = _as_pair(a, b)
-    if a.size < 2 or b.size < 2:
-        raise TooFewValues("welch_t needs at least 2 values per side")
-    va = float(np.var(a, ddof=1))
-    vb = float(np.var(b, ddof=1))
-    if va == 0.0 and vb == 0.0:
-        raise DegenerateVariance("both samples have zero variance")
-    return float((np.mean(a) - np.mean(b)) / math.sqrt(va / a.size + vb / b.size))
 
 
 def numeric_jaccard(a, b) -> float:
@@ -174,7 +160,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class LogisticModel:
     weights: np.ndarray          # 3 feature weights
     bias: float
-    meta: dict = field(default_factory=dict, compare=False)
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         """weights . row + bias for each row, one np.dot per row, since a
@@ -199,8 +184,7 @@ def dsl_train(pairs: list[tuple[tuple, bool]], iters: int = 500,
         resid = _sigmoid(x @ w + bias) - y
         w = w - lr * (x.T @ resid) / n
         bias = bias - lr * float(resid.mean())
-    return LogisticModel(weights=w, bias=bias,
-                         meta={"iters": iters, "lr": lr, "pairs": n})
+    return LogisticModel(weights=w, bias=bias)
 
 
 def dsl_model_to_doc(model: LogisticModel) -> list[float]:

@@ -11,7 +11,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import baselines, dataset, embnet, fixtures, labeling, metric
+from . import baselines, dataset, embnet, fixtures, labeling, metric, sampling
 from ._serial import atomic_write_text
 from .errors import EmbnumError, MissingDirectory
 
@@ -51,6 +51,13 @@ def _configs(args) -> tuple[embnet.ArchConfig, metric.TrainConfig]:
         for c in configs)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="embnum",
@@ -66,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="reduce a CSV column to an h-length quantile vector")
     p.add_argument("csv", help="one numeric value per line")
     p.add_argument("--h", type=int, default=100)
-    p.add_argument("--method", choices=["inverse", "random"], default="inverse")
-    p.add_argument("--seed", type=int, default=0, help="rng seed for --method random")
 
     p = sub.add_parser("train", help="train the embedding model on a dataset")
     p.add_argument("data", help="dataset directory")
@@ -87,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="rank store records against a query column")
     p.add_argument("store", help="feature store file")
     p.add_argument("query", help="query CSV, one numeric value per line")
-    p.add_argument("--top", type=int, default=5, help="entries to print")
+    p.add_argument("--top", type=_positive_int, default=5, help="entries to print (>= 1)")
 
     p = sub.add_parser("benchmark", help="run the leave-one-source-out protocol")
     p.add_argument("data", help="dataset directory")
@@ -104,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    spec = dataset.spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+    spec = dataset.spec_from_json(Path(args.spec).read_bytes())
     out = Path(args.out)
     if out.exists() and any(out.iterdir()):
         raise MissingDirectory(f"refusing to write into non-empty directory {out}")
@@ -117,12 +122,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sample(args) -> int:
     attr = dataset.load_attribute_csv(args.csv)
-    if args.method == "inverse":
-        from .sampling import sample_inverse_transform
-        vec = sample_inverse_transform(attr.values, args.h)
-    else:
-        from .sampling import sample_random_choice
-        vec = sample_random_choice(attr.values, args.h, seed=args.seed)
+    vec = sampling.sample_inverse_transform(attr.values, args.h)
     print(",".join(dataset.format_value(v) for v in vec))
     return 0
 

@@ -2,8 +2,7 @@
 
 On-disk layout: ``root/<source_id>/<label_id>.csv``, UTF-8, one decimal
 literal per line, no header.  Scientific notation is accepted; NaN, infinities
-and non-numeric tokens are hard errors.  The column-header ``name`` field is
-not persisted by this format.
+and non-numeric tokens are hard errors.
 """
 
 from __future__ import annotations
@@ -11,19 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._serial import atomic_write_text
-from .errors import (
-    EmptyAttribute,
-    InvalidSpec,
-    MalformedValue,
-    MissingDirectory,
-    UnknownSource,
-)
+from .errors import EmptyAttribute, InvalidSpec, MalformedValue, MissingDirectory
 
 @dataclass(eq=False)
 class NumericAttribute:
@@ -32,7 +26,6 @@ class NumericAttribute:
     values: np.ndarray
     label: str
     source: str
-    name: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64).reshape(-1)
@@ -52,7 +45,6 @@ class NumericAttribute:
         return (
             self.label == other.label
             and self.source == other.source
-            and self.name == other.name
             and np.array_equal(self.values, other.values)
         )
 
@@ -112,30 +104,33 @@ def format_value(v: float) -> str:
 
 def _parse_attribute_file(path: Path, source: str, label: str) -> NumericAttribute:
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                v = float(token)
-            except ValueError:
-                raise MalformedValue(f"{path}:{lineno}: not a number: {token!r}") from None
-            if not math.isfinite(v):
-                raise MalformedValue(f"{path}:{lineno}: non-finite value: {token!r}")
-            values.append(v)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                token = line.strip()
+                if not token:
+                    continue
+                try:
+                    v = float(token)
+                except ValueError:
+                    raise MalformedValue(f"{path}:{lineno}: not a number: {token!r}") from None
+                if not math.isfinite(v):
+                    raise MalformedValue(f"{path}:{lineno}: non-finite value: {token!r}")
+                values.append(v)
+    except UnicodeDecodeError as exc:
+        raise MalformedValue(f"{path}: not UTF-8 text ({exc})") from None
     if not values:
         raise EmptyAttribute(f"{path}: no parsable rows")
     return NumericAttribute(values=np.array(values), label=label, source=source)
 
 
-def load_attribute_csv(path, label: str | None = None,
-                       source: str = "query") -> NumericAttribute:
-    """Load one attribute file outside the dataset tree (e.g. a query)."""
+def load_attribute_csv(path) -> NumericAttribute:
+    """Load one attribute file outside the dataset tree (e.g. a query), labeled
+    by its file stem and sourced as "query"."""
     p = Path(path)
     if not p.is_file():
         raise MissingDirectory(f"attribute file {p} does not exist")
-    return _parse_attribute_file(p, source, label or p.stem)
+    return _parse_attribute_file(p, "query", p.stem)
 
 
 def load_dataset(root_path) -> Dataset:
@@ -188,6 +183,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
+        for name in ("location", "scale", "shape"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidSpec(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.scale <= 0:
             raise InvalidSpec("scale must be positive")
 
@@ -269,11 +267,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(sources=sources, labels=labels, attributes=attributes)
 
 
-def spec_from_json(text: str) -> SyntheticSpec:
+def spec_from_json(text: str | bytes) -> SyntheticSpec:
     """Parse a SyntheticSpec JSON document (family_pool optional)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise InvalidSpec(f"invalid spec JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidSpec("spec JSON must be an object")
@@ -294,19 +292,12 @@ def spec_from_json(text: str) -> SyntheticSpec:
         )
     except KeyError as exc:
         raise InvalidSpec(f"spec JSON missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"spec JSON counts and seed must be integers: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # partitioning
-
-
-def split_holdout(dataset: Dataset, unknown_source: str) -> tuple[Dataset, Dataset]:
-    """Partition into (labeled, queries): queries = attributes of one source."""
-    if unknown_source not in dataset.sources:
-        raise UnknownSource(f"source {unknown_source!r} not in dataset")
-    queries = [a for a in dataset.attributes if a.source == unknown_source]
-    labeled = [a for a in dataset.attributes if a.source != unknown_source]
-    return Dataset.from_attributes(labeled), Dataset.from_attributes(queries)
 
 
 def split_half(dataset: Dataset, axis: str = "source", seed: int = 0) -> tuple[Dataset, Dataset]:

@@ -27,16 +27,8 @@ class InvalidSpec(EmbnumError):
     pass
 
 
-class UnknownSource(EmbnumError):
-    pass
-
-
 # sampling
 class EmptyInput(EmbnumError):
-    pass
-
-
-class ProbabilityOutOfRange(EmbnumError):
     pass
 
 
@@ -88,14 +80,6 @@ class NonFiniteLoss(EmbnumError):
 
 
 # baselines
-class DegenerateVariance(EmbnumError):
-    pass
-
-
-class TooFewValues(EmbnumError):
-    pass
-
-
 class SingleClassTraining(EmbnumError):
     pass
 

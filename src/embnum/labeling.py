@@ -8,7 +8,9 @@ A FeatureStore indexes labeled attributes under one scoring method:
 
 The benchmark holds out each source in turn and labels it against every
 non-empty subset of the remaining sources, timing only the labeling side
-(query feature extraction included, store construction excluded).
+(query feature extraction included, store construction excluded).  An
+experiment in which no held-out query's label is in the subset store has
+nothing to score and is left out of the report.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,51 +50,39 @@ class StoreRecord:
     feature: np.ndarray  # (k,) float32 embedding, or raw float64 values
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureStore:
+    """An immutable store, so the arrays derived from its records are
+    computed once, on first use."""
+
     method: str
-    records: list[StoreRecord]
+    records: tuple[StoreRecord, ...]
     model: Model | None = None               # embnum query-side embedder
     dsl_model: LogisticModel | None = None   # dsl feature weights
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidSpec(f"unknown method {self.method!r}; expected one of {METHODS}")
+        object.__setattr__(self, "records", tuple(self.records))
 
     @property
     def labels(self) -> list[str]:
         return [r.label for r in self.records]
 
+    @cached_property
     def embedding_matrix(self) -> np.ndarray:
         """(n, k) float64 stack of stored embeddings (embnum only)."""
-        if self._matrix is None:
-            self._matrix = np.stack([r.feature for r in self.records]).astype(np.float64)
-        return self._matrix
+        return np.stack([r.feature for r in self.records]).astype(np.float64)
 
+    @cached_property
     def packed_columns(self) -> PackedColumns:
         """Stored raw values, presorted once (semantictyper and dsl only)."""
-        if self._columns is None:
-            self._columns = PackedColumns([r.feature for r in self.records])
-        return self._columns
+        return PackedColumns([r.feature for r in self.records])
 
+    @cached_property
     def tie_break(self) -> tuple[np.ndarray, np.ndarray]:
         """(sources, labels) arrays that break score ties, as lexsort keys."""
-        if self._ties is None:
-            self._ties = (np.array([r.source for r in self.records]),
-                          np.array(self.labels))
-        return self._ties
-
-
-def _set_records(store: FeatureStore, records: list[StoreRecord]) -> None:
-    store._records = records
-    store._matrix = None
-    store._columns = None
-    store._ties = None
-
-
-# Assigned after the class body so the dataclass keeps `records` as a plain
-# required field; assigning it drops every cache built from the old records.
-FeatureStore.records = property(lambda store: store._records, _set_records)
+        return np.array([r.source for r in self.records]), np.array(self.labels)
 
 
 @dataclass(frozen=True)
@@ -136,15 +127,15 @@ def _order(store: FeatureStore, feature: np.ndarray) -> tuple[np.ndarray, np.nda
     """Every record against one featurized query: (record indices best first,
     display scores).  Keys ascend; key ties break by (label, source)."""
     if store.method == "embnum":
-        keys = display = distances(store.embedding_matrix(), feature)
+        keys = display = distances(store.embedding_matrix, feature)
     else:
-        ks, mw, jaccard = store.packed_columns().statistics(feature)
+        ks, mw, jaccard = store.packed_columns.statistics(feature)
         if store.method == "semantictyper":
             keys, display = ks, 1.0 - ks
         else:
             logits = store.dsl_model.logits(features_from_statistics(ks, mw, jaccard))
             keys, display = -logits, _sigmoid(logits)
-    sources, labels = store.tie_break()
+    sources, labels = store.tie_break
     return np.lexsort((sources, labels, keys)), display
 
 
@@ -207,7 +198,7 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]
         raise EmptyStore("cannot label against an empty store")
     store_labels = set(store.labels)
     kept = [a for a in queries if a.label in store_labels]
-    labels = store.tie_break()[1]
+    labels = store.tie_break[1]
 
     t0 = time.perf_counter()
     features = _featurize(store.method, store.model, [a.values for a in kept])
@@ -250,7 +241,9 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
 
     The dataset is indexed once and every subset store takes its records
     (indexing is excluded from labeling time by contract); the query side
-    is re-featurized inside every timed experiment.
+    is re-featurized inside every timed experiment.  Experiments with no
+    scorable query, and labeled-source counts with no scored experiment,
+    are left out; NoQueries is raised when no experiment can be scored.
     """
     d = len(dataset.sources)
     if d < 2:
@@ -273,23 +266,25 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
                                  records=[r for r in full.records if r.source in chosen],
                                  model=model, dsl_model=dsl_model)
             result = label_queries(store, queries)
-            outcomes.append((len(subset), mrr(result.ranks), result.seconds))
+            if result.ranks:
+                outcomes.append((len(subset), mrr(result.ranks), result.seconds))
+    if not outcomes:
+        raise NoQueries("no held-out query's label is in any labeled subset")
 
     per_count = []
     for count in range(1, d):
         rows = [(m, s) for c, m, s in outcomes if c == count]
-        per_count.append(PerCount(
-            labeled_sources=count,
-            mean_mrr=float(np.mean([m for m, _ in rows])),
-            mean_seconds=float(np.mean([s for _, s in rows])),
-            experiments=len(rows),
-        ))
-    total = len(outcomes)
-    assert total == expected_experiments(d)
+        if rows:
+            per_count.append(PerCount(
+                labeled_sources=count,
+                mean_mrr=float(np.mean([m for m, _ in rows])),
+                mean_seconds=float(np.mean([s for _, s in rows])),
+                experiments=len(rows),
+            ))
     return BenchmarkReport(method=method,
                            dataset_sha256=dataset_fingerprint(dataset),
                            per_count=tuple(per_count),
-                           total_experiments=total)
+                           total_experiments=len(outcomes))
 
 
 def report_to_json(report: BenchmarkReport) -> str:
@@ -304,16 +299,6 @@ def report_to_json(report: BenchmarkReport) -> str:
         "total_experiments": report.total_experiments,
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> BenchmarkReport:
-    doc = json.loads(text)
-    return BenchmarkReport(
-        method=doc["method"],
-        dataset_sha256=doc["dataset_sha256"],
-        per_count=tuple(PerCount(**pc) for pc in doc["per_count"]),
-        total_experiments=doc["total_experiments"],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,13 @@ def lr_at(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.lr_decay ** (epoch // cfg.lr_step)
 
 
-def triplet_loss(d_pos: float, d_neg: float, alpha: float) -> float:
-    return max(0.0, alpha + d_pos - d_neg)
-
-
 def distances(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Exact float64 Euclidean distance from each row of an (n, k) matrix to
     one (k,) query: the one distance that triplet mining, training MRR and
-    labeling all rank by.  A row equal to the query is exactly 0 away."""
+    labeling all rank by.  A row equal to the query is exactly 0 away.  The
+    squared differences underflow for float64 points closer than about
+    1e-154 (inexact below that, exactly 0 below about 1e-162); distinct
+    float32 embeddings differ by at least 1.4e-45, far above either."""
     diff = np.asarray(matrix, dtype=np.float64) - np.asarray(query, dtype=np.float64)
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
@@ -237,12 +236,3 @@ def history_to_csv(history: list[dict]) -> str:
         lines.append(f"{row['epoch']},{row['mean_loss']!r},{row['train_mrr']!r},{row['lr']!r}")
     return "\n".join(lines) + "\n"
 
-
-def parse_history_csv(text: str) -> list[dict]:
-    rows = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    for ln in lines[1:]:
-        e, ml, mrr, lr = ln.split(",")
-        rows.append({"epoch": int(e), "mean_loss": float(ml),
-                     "train_mrr": float(mrr), "lr": float(lr)})
-    return rows

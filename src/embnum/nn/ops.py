@@ -6,21 +6,13 @@ _TILE_ROWS rows (the tail tile zero-padded), so each output row's bits depend
 only on the layer's shape, never on how many rows are batched with it.  Their
 backward passes use plain GEMM, which is deterministic from run to run but
 not batch invariant; training needs no more than that.
-
-A small tracing hook records where piecewise-linear ops (relu, maxpool) sit
-relative to their kinks; numerical gradient checks use it to skip coordinates
-whose perturbation would cross a kink.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .tensor import Tensor, make
-
-_KINKS: list[np.ndarray] | None = None
 
 # Rows per forward GEMM call.  Larger tiles index faster but slow the
 # one-column forward pass that single-query ranking pays for.
@@ -46,22 +38,8 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@contextmanager
-def trace_kinks(buf: list[np.ndarray]):
-    """Collect relu sign masks and maxpool argmax indices into buf."""
-    global _KINKS
-    prev = _KINKS
-    _KINKS = buf
-    try:
-        yield buf
-    finally:
-        _KINKS = prev
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    if _KINKS is not None:
-        _KINKS.append(mask.copy())
     out = make(np.where(mask, x.data, np.zeros_like(x.data)), (x,))
     if out.requires_grad:
         out._backward = lambda g, a=x, m=mask: a.accumulate(g * m)
@@ -177,8 +155,6 @@ def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     sw = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]
     sw = sw[:, :, :out_len]
     idx = np.argmax(sw, axis=3)
-    if _KINKS is not None:
-        _KINKS.append(idx.copy())
     y = np.take_along_axis(sw, idx[..., None], axis=3)[..., 0]
     out = make(y, (x,))
     if out.requires_grad:

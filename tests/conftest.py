@@ -48,7 +48,7 @@ def desk_dsl_model(desk_dataset):
 CRITERIA = {
     1: "sampling matches brute-force inverse-CDF oracle exactly",
     2: "all layers and full network pass finite-difference gradient checks",
-    3: "KS/MW/Welch/Jaccard match definitional oracles to 1e-9",
+    3: "KS/MW/Jaccard match definitional oracles to 1e-9",
     4: "benchmark runs 75 experiments for d=5 and 5,110 for d=10",
     5: "desk training < 10 min, MRR@5 sources >= 0.90, >= KS baseline everywhere",
     6: "embedding labeling >= 10x faster than DSL and faster than KS baseline",

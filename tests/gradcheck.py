@@ -12,13 +12,38 @@ call), check_network for module-owned parameters (perturbed in place).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from embnum.nn import Tensor, no_grad
-from embnum.nn.ops import trace_kinks
+from embnum.nn import Tensor, no_grad, ops
 
 STEP = 1e-3
 RTOL = 1e-3
+
+
+@contextmanager
+def trace_kinks(buf: list[np.ndarray]):
+    """Collect relu sign masks and maxpool argmax indices into buf while the
+    block runs.  The library looks both ops up through ``embnum.nn.ops`` at
+    call time, so wrapping them there sees every call."""
+    relu, maxpool1d = ops.relu, ops.maxpool1d
+
+    def traced_relu(x):
+        buf.append(x.data > 0)
+        return relu(x)
+
+    def traced_maxpool1d(x, kernel, stride, padding=0):
+        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)), constant_values=-np.inf)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]
+        buf.append(np.argmax(windows, axis=3))
+        return maxpool1d(x, kernel, stride, padding)
+
+    ops.relu, ops.maxpool1d = traced_relu, traced_maxpool1d
+    try:
+        yield buf
+    finally:
+        ops.relu, ops.maxpool1d = relu, maxpool1d
 
 
 def _signature(buf: list[np.ndarray]) -> tuple:

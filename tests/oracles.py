@@ -10,12 +10,14 @@ the library's store-wide scoring must equal bit for bit.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from embnum.baselines import _sigmoid, ks_statistic, pair_features
+from embnum.labeling import BenchmarkReport, PerCount
 
 
 def inverse_transform_oracle(values, h: int) -> list[float]:
@@ -62,18 +64,6 @@ def mw_oracle(a, b) -> float:
     return 1.0 - (den2x - num2x) / den2x
 
 
-def welch_oracle(a, b) -> float:
-    """Welch's t via math.fsum accumulation (sample variance, ddof 1)."""
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    na, nb = len(a), len(b)
-    ma = math.fsum(a) / na
-    mb = math.fsum(b) / nb
-    va = math.fsum((x - ma) ** 2 for x in a) / (na - 1)
-    vb = math.fsum((x - mb) ** 2 for x in b) / (nb - 1)
-    return (ma - mb) / math.sqrt(va / na + vb / nb)
-
-
 def jaccard_oracle(a, b) -> float:
     """Interval overlap / interval union of the two value ranges."""
     lo_a, hi_a = min(a), max(a)
@@ -104,11 +94,6 @@ def count_experiments_oracle(d: int) -> int:
     return total
 
 
-def cum_prob(cdf) -> np.ndarray:
-    """F at each support point of an empirical CdfTable."""
-    return cdf.cum_count / cdf.n
-
-
 # ---------------------------------------------------------------------------
 # pairwise scorers
 
@@ -127,3 +112,29 @@ def dsl_logit(model, a, b) -> float:
 def dsl_score(model, a, b) -> float:
     """DSL probability that the pair shares a label."""
     return float(_sigmoid(np.array([dsl_logit(model, a, b)]))[0])
+
+
+# ---------------------------------------------------------------------------
+# readers of files the package only writes
+
+
+def parse_history_csv(text: str) -> list[dict]:
+    """Rows of a training history CSV (metric.history_to_csv)."""
+    rows = []
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    for ln in lines[1:]:
+        e, ml, mrr, lr = ln.split(",")
+        rows.append({"epoch": int(e), "mean_loss": float(ml),
+                     "train_mrr": float(mrr), "lr": float(lr)})
+    return rows
+
+
+def report_from_json(text: str) -> BenchmarkReport:
+    """A benchmark report from its JSON form (labeling.report_to_json)."""
+    doc = json.loads(text)
+    return BenchmarkReport(
+        method=doc["method"],
+        dataset_sha256=doc["dataset_sha256"],
+        per_count=tuple(PerCount(**pc) for pc in doc["per_count"]),
+        total_experiments=doc["total_experiments"],
+    )

@@ -18,7 +18,6 @@ from embnum.baselines import (
     ks_statistic,
     mw_statistic,
     numeric_jaccard,
-    welch_t,
 )
 from embnum.dataset import SyntheticSpec, generate_synthetic, write_dataset
 from embnum.embnet import ArchConfig, BasicBlock, ResNet1d, build_model
@@ -39,7 +38,6 @@ from oracles import (
     jaccard_oracle,
     ks_oracle,
     mw_oracle,
-    welch_oracle,
 )
 
 
@@ -327,7 +325,6 @@ def _random_pair(rng):
 def test_criterion_3():
     rng = np.random.default_rng(99)
     t0 = time.perf_counter()
-    welch_checked = 0
     for _ in range(1000):
         a, b = _random_pair(rng)
         assert ks_statistic(a, b) == pytest.approx(ks_oracle(a, b), abs=1e-9)
@@ -336,13 +333,8 @@ def test_criterion_3():
         assert got_mw + mw_statistic(b, a) == 1.0
         assert numeric_jaccard(a, b) == pytest.approx(jaccard_oracle(a, b),
                                                       abs=1e-9)
-        if np.var(a, ddof=1) > 0 or np.var(b, ddof=1) > 0:
-            assert welch_t(a, b) == pytest.approx(welch_oracle(a, b),
-                                                  rel=1e-9, abs=1e-12)
-            welch_checked += 1
     elapsed = time.perf_counter() - t0
-    record_note(3, f"1000 pairs, welch on {welch_checked}, {elapsed:.1f}s")
-    assert welch_checked > 900
+    record_note(3, f"1000 pairs, {elapsed:.1f}s")
     assert elapsed < 30.0, f"baseline oracle sweep took {elapsed:.1f}s"
 
 

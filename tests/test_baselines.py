@@ -15,17 +15,11 @@ from embnum.baselines import (
     numeric_jaccard,
     pair_features,
     save_dsl_model,
-    welch_t,
 )
 from embnum.dataset import Dataset, NumericAttribute
-from embnum.errors import (
-    DegenerateVariance,
-    EmptyInput,
-    SingleClassTraining,
-    TooFewValues,
-)
+from embnum.errors import EmptyInput, SingleClassTraining
 from oracles import (dsl_logit, dsl_score, jaccard_oracle, ks_oracle, mw_oracle,
-                     semantictyper_score, welch_oracle)
+                     semantictyper_score)
 
 samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -112,51 +106,6 @@ class TestMannWhitney:
     @settings(max_examples=50, deadline=None)
     def test_self_comparison_is_half(self, a):
         assert mw_statistic(a, a) == 0.5
-
-
-class TestWelch:
-    def test_equal_means(self):
-        assert welch_t([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == 0.0
-
-    def test_hand_case(self):
-        # means 2 and 3, both variances 2 with n=2: t = -1/sqrt(2)
-        assert welch_t([1.0, 3.0], [2.0, 4.0]) == pytest.approx(-1.0 / np.sqrt(2))
-
-    def test_too_few_values(self):
-        with pytest.raises(TooFewValues):
-            welch_t([1.0], [2.0, 3.0])
-
-    def test_degenerate_variance(self):
-        with pytest.raises(DegenerateVariance):
-            welch_t([2.0, 2.0], [3.0, 3.0])
-
-    def test_one_sided_zero_variance_is_fine(self):
-        assert np.isfinite(welch_t([2.0, 2.0], [3.0, 5.0]))
-
-    @given(
-        st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=30),
-        st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=30),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_matches_fsum_oracle(self, a, b):
-        va, vb = np.var(a, ddof=1), np.var(b, ddof=1)
-        if va == 0.0 and vb == 0.0:
-            with pytest.raises(DegenerateVariance):
-                welch_t(a, b)
-            return
-        got = welch_t(a, b)
-        want = welch_oracle(a, b)
-        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-    @given(
-        st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=20),
-        st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=20),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_antisymmetric(self, a, b):
-        if np.var(a, ddof=1) == 0.0 and np.var(b, ddof=1) == 0.0:
-            return
-        assert welch_t(a, b) == pytest.approx(-welch_t(b, a), rel=1e-12, abs=0)
 
 
 class TestNumericJaccard:

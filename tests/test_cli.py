@@ -63,6 +63,18 @@ class TestGen:
         assert main(["gen", str(bad), str(tmp_path / "o")]) == 1
         assert "InvalidSpec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        b'{"label_count": 3, "source_count": 3, "rows_min": 6, "rows_max": 10, "seed": "\xff"}',
+        json.dumps({**SPEC_DOC, "label_count": None}).encode(),
+        json.dumps({**SPEC_DOC, "family_pool": [{"family": "normal", "location": "x"}] * 3}
+                   ).encode(),
+    ], ids=["not-utf8", "null-count", "string-location"])
+    def test_malformed_spec_is_invalid_spec(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(body)
+        assert main(["gen", str(bad), str(tmp_path / "o")]) == 1
+        assert "InvalidSpec" in capsys.readouterr().err
+
 
 class TestSample:
     def test_inverse_quantiles(self, tmp_path, capsys):
@@ -70,14 +82,6 @@ class TestSample:
         f.write_text("1\n2\n3\n4\n")
         assert main(["sample", str(f), "--h", "4"]) == 0
         assert capsys.readouterr().out.strip() == "1,2,3,4"
-
-    def test_random_method_is_seeded(self, tmp_path, capsys):
-        f = tmp_path / "col.csv"
-        f.write_text("\n".join(str(v) for v in range(50)) + "\n")
-        main(["sample", str(f), "--h", "10", "--method", "random", "--seed", "3"])
-        first = capsys.readouterr().out
-        main(["sample", str(f), "--h", "10", "--method", "random", "--seed", "3"])
-        assert capsys.readouterr().out == first
 
     def test_malformed_value_reported(self, tmp_path, capsys):
         f = tmp_path / "col.csv"
@@ -215,6 +219,22 @@ class TestIndexAndLabel:
         assert main(["label", str(store), str(q)]) == 1
         assert "MalformedStore" in capsys.readouterr().err
 
+    def test_label_non_utf8_query_is_malformed_value(self, data_dir, tmp_path, capsys):
+        store = tmp_path / "s.bin"
+        assert main(["index", str(data_dir), "--method", "semantictyper",
+                     "--out", str(store)]) == 0
+        q = tmp_path / "q.csv"
+        q.write_bytes(b"1\n\xff2\n")
+        assert main(["label", str(store), str(q)]) == 1
+        assert "MalformedValue" in capsys.readouterr().err
+
+    def test_index_non_utf8_dataset_file_is_malformed_value(self, data_dir, tmp_path,
+                                                           capsys):
+        next(data_dir.glob("*/*.csv")).write_bytes(b"\xfe\xff1\n")
+        assert main(["index", str(data_dir), "--method", "semantictyper",
+                     "--out", str(tmp_path / "s.bin")]) == 1
+        assert "MalformedValue" in capsys.readouterr().err
+
     def test_label_missing_store_is_io_error(self, tmp_path, capsys):
         q = tmp_path / "q.csv"
         q.write_text("1\n")
@@ -350,6 +370,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["index", str(data_dir)])  # --method and --out required
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_label_top_below_one_exits_2(self, tmp_path, capsys, top):
+        with pytest.raises(SystemExit) as exc:
+            main(["label", str(tmp_path / "s.bin"), str(tmp_path / "q.csv"), "--top", top])
+        assert exc.value.code == 2
+        assert "--top" in capsys.readouterr().err
 
     def test_preset_flag_accepted(self, capsys):
         with pytest.raises(SystemExit) as exc:

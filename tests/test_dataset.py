@@ -16,16 +16,9 @@ from embnum.dataset import (
     load_dataset,
     spec_from_json,
     split_half,
-    split_holdout,
     write_dataset,
 )
-from embnum.errors import (
-    EmptyAttribute,
-    InvalidSpec,
-    MalformedValue,
-    MissingDirectory,
-    UnknownSource,
-)
+from embnum.errors import EmptyAttribute, InvalidSpec, MalformedValue, MissingDirectory
 
 
 def tiny_dataset() -> Dataset:
@@ -251,17 +244,6 @@ class TestSynthetic:
 
 
 class TestSplits:
-    def test_holdout_partitions_by_source(self):
-        d = tiny_dataset()
-        labeled, queries = split_holdout(d, "s1")
-        assert labeled.sources == ["s0"]
-        assert queries.sources == ["s1"]
-        assert len(labeled.attributes) + len(queries.attributes) == len(d.attributes)
-
-    def test_holdout_unknown_source(self):
-        with pytest.raises(UnknownSource):
-            split_holdout(tiny_dataset(), "s9")
-
     def test_half_split_is_a_partition(self):
         spec = SyntheticSpec(label_count=4, source_count=6, rows_min=3,
                              rows_max=5, seed=2)

@@ -1,7 +1,7 @@
 import importlib.util
 from pathlib import Path
 
-from embnum.labeling import report_from_json
+from oracles import report_from_json
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_experiment.py"
 

@@ -1,3 +1,6 @@
+import dataclasses
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -34,12 +37,12 @@ from embnum.labeling import (
     mrr,
     rank,
     rank_of_first_correct,
-    report_from_json,
     report_to_json,
     run_benchmark,
     save_store,
 )
-from oracles import count_experiments_oracle, dsl_logit, dsl_score, mrr_oracle
+from oracles import (count_experiments_oracle, dsl_logit, dsl_score, mrr_oracle,
+                     report_from_json)
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
 
@@ -163,26 +166,32 @@ class TestRank:
         assert len(ranking.entries) == 1
 
     def test_empty_store_rejected(self):
-        store = two_record_store()
-        store.records = []
+        store = FeatureStore(method="semantictyper", records=[])
         with pytest.raises(EmptyStore):
             rank(store, np.array([1.0]))
 
     @pytest.mark.parametrize("method", ["embnum", "semantictyper", "dsl"])
     def test_reassigned_records_rank_like_a_fresh_store(self, tiny_dataset, tiny_model,
                                                         method):
-        # rank caches the embedding matrix / packed columns; reassigning
-        # records must drop them, whether the record count changes or not
+        # rank caches the embedding matrix / packed columns; a store whose
+        # records are replaced must not see them, whether the count changes or not
         dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
         store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
         records = list(store.records)
         query = tiny_dataset.attributes[0]
         rank(store, query)
         for replacement in (records[10:] + records[:10], records[3:4], records[5:12]):
-            store.records = replacement
+            store = dataclasses.replace(store, records=replacement)
             fresh = FeatureStore(method=method, records=list(replacement),
                                  model=store.model, dsl_model=store.dsl_model)
             assert rank(store, query) == rank(fresh, query)
+
+    def test_records_cannot_be_reassigned(self):
+        # rank caches arrays derived from the records, so they are fixed
+        store = two_record_store()
+        rank(store, np.array([1.0]))
+        with pytest.raises(FrozenInstanceError):
+            store.records = []
 
     def test_total_order_and_repeatability(self, tiny_dataset, tiny_model):
         store = index_labeled(tiny_dataset, "embnum", model=tiny_model)
@@ -263,9 +272,9 @@ class TestLabelQueries:
         store = index_labeled(tiny_dataset, "semantictyper")
         with pytest.raises(NoQueries):
             label_queries(store, [])
-        store.records = []
         with pytest.raises(EmptyStore):
-            label_queries(store, tiny_dataset.by_source("s0"))
+            label_queries(FeatureStore(method="semantictyper", records=[]),
+                          tiny_dataset.by_source("s0"))
 
 
 class TestBenchmark:
@@ -293,6 +302,25 @@ class TestBenchmark:
         for pc in report.per_count:
             assert 0.0 <= pc.mean_mrr <= 1.0
             assert pc.mean_seconds >= 0.0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_sources_with_different_label_sets(self, tiny_model, method):
+        # a = {x, y}, b = {x}, c = {y, z}: held-out b against {c} and held-out
+        # c against {b} share no label, so 7 of the 9 experiments are scored
+        def attr(label, source):
+            return NumericAttribute(values=[1.0 + len(label + source), 2.0],
+                                    label=label, source=source)
+
+        ds = Dataset.from_attributes([attr("x", "a"), attr("y", "a"), attr("x", "b"),
+                                      attr("y", "c"), attr("z", "c")])
+        dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+        report = run_benchmark(ds, method, model=tiny_model, dsl_model=dsl_model)
+        assert report.total_experiments == 7
+        assert [pc.labeled_sources for pc in report.per_count] == [1, 2]
+        assert [pc.experiments for pc in report.per_count] == [4, 3]
+        disjoint = Dataset.from_attributes([attr("x", "a"), attr("y", "b")])
+        with pytest.raises(NoQueries):
+            run_benchmark(disjoint, method, model=tiny_model, dsl_model=dsl_model)
 
     def test_too_few_sources(self):
         ds = generate_synthetic(SyntheticSpec(

@@ -22,14 +22,12 @@ from embnum.metric import (
     history_to_csv,
     lr_at,
     mine_batch_hard,
-    parse_history_csv,
     train,
     training_mrr,
-    triplet_loss,
 )
 import embnum.labeling as labeling_mod
 import embnum.metric as metric_mod
-from oracles import distance_oracle
+from oracles import distance_oracle, parse_history_csv
 
 TINY_ARCH = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
 TINY_CFG = TrainConfig(epochs=2, batch_labels=2, samples_per_label=2, seed=0)
@@ -63,25 +61,6 @@ class TestDistances:
         for i in range(5):
             for j in range(5):
                 assert d[i, j] == pytest.approx(distance_oracle(e[i], e[j]))
-
-
-class TestTripletLoss:
-    def test_violating_margin(self):
-        assert triplet_loss(2.0, 0.9, alpha=0.2) == pytest.approx(1.3)
-
-    def test_satisfied_margin_clamps_to_zero(self):
-        assert triplet_loss(0.5, 1.0, alpha=0.2) == 0.0
-        assert triplet_loss(0.5, 0.7, alpha=0.2) == 0.0  # exactly on the margin
-
-    @given(st.floats(0, 10), st.floats(0, 10), st.floats(0.01, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_zero_iff_negative_clears_margin(self, d_pos, d_neg, alpha):
-        loss = triplet_loss(d_pos, d_neg, alpha)
-        assert loss >= 0.0
-        if loss == 0.0:
-            assert d_neg >= d_pos + alpha or d_neg == pytest.approx(d_pos + alpha)
-        else:
-            assert loss == pytest.approx(alpha + d_pos - d_neg)
 
 
 class TestMining:

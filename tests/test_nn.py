@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from embnum.embnet import ArchConfig, build_model
 from embnum.errors import NonScalarLoss, ShapeMismatch
 from embnum.nn import SGD, Conv1d, BatchNorm1d, Linear, Tensor, no_grad, sgd_step
 from embnum.nn import ops
-from gradcheck import check_gradients
+from gradcheck import check_gradients, trace_kinks
 
 
 def T(data, grad=True):
@@ -419,9 +420,21 @@ class TestKinkTracing:
     def test_masks_recorded_inside_context(self):
         buf = []
         x = Tensor(np.array([[-1.0, 2.0]]), requires_grad=True)
-        with ops.trace_kinks(buf):
+        with trace_kinks(buf):
             ops.relu(x)
-            ops.maxpool1d(Tensor(np.ones((1, 1, 2))), kernel=2, stride=2)
-        assert len(buf) == 2
+            ops.maxpool1d(Tensor(np.array([[[1.0, 3.0, 2.0]]])), kernel=2, stride=1)
+        assert [a.tolist() for a in buf] == [[[False, True]], [[[1, 0]]]]
         ops.relu(x)
         assert len(buf) == 2  # recording stopped at context exit
+
+    def test_network_forward_records_every_kinked_op(self):
+        relu, maxpool1d = ops.relu, ops.maxpool1d
+        arch = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
+        model = build_model(arch, seed=0)
+        buf = []
+        with trace_kinks(buf), no_grad():
+            model.net(Tensor(np.ones((2, 1, arch.h), dtype=np.float32)), training=False)
+        # the stem's relu and maxpool, then two relus per residual block
+        relus = 1 + 2 * sum(arch.block_counts)
+        assert [a.dtype.kind for a in buf] == ["b", "i"] + ["b"] * (relus - 1)
+        assert (ops.relu, ops.maxpool1d) == (relu, maxpool1d)

@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embnum.errors import EmptyInput, InvalidWidth, ProbabilityOutOfRange
-from embnum.sampling import (
-    empirical_cdf,
-    inverse_cdf,
-    sample_inverse_transform,
-    sample_random_choice,
-)
-from oracles import cum_prob, inverse_transform_oracle
+from embnum.errors import EmptyInput, InvalidWidth
+from embnum.sampling import sample_inverse_transform
+from oracles import inverse_transform_oracle
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -29,10 +24,9 @@ class TestFrozenExamples:
         assert out.tolist() == [1.0, 1.0, 1.0, 9.0]
 
     def test_inverse_cdf_on_and_past_a_step(self):
-        cdf = empirical_cdf([1.0, 2.0, 2.0, 3.0])
-        assert inverse_cdf(cdf, 0.75) == 2.0
-        assert inverse_cdf(cdf, 0.76) == 3.0
-        assert inverse_cdf(cdf, 1.0) == 3.0
+        # F(2) = 3/4: grid point 75/100 lands on the step, 76/100 just past it
+        out = sample_inverse_transform([1.0, 2.0, 2.0, 3.0], 100)
+        assert (out[74], out[75], out[99]) == (2.0, 3.0, 3.0)
 
     def test_single_value_column(self):
         out = sample_inverse_transform([7.5], 5)
@@ -44,15 +38,6 @@ class TestFrozenExamples:
     def test_upsampling_shorter_column(self):
         out = sample_inverse_transform([10.0, 20.0], 4)
         assert out.tolist() == [10.0, 10.0, 20.0, 20.0]
-
-
-class TestCdfTable:
-    def test_cumulative_counts_end_at_n(self):
-        cdf = empirical_cdf([5.0, 1.0, 5.0, 2.0])
-        assert cdf.support.tolist() == [1.0, 2.0, 5.0]
-        assert cdf.cum_count.tolist() == [1, 2, 4]
-        assert cdf.n == 4
-        assert cum_prob(cdf).tolist() == [0.25, 0.5, 1.0]
 
 
 class TestErrors:
@@ -69,13 +54,7 @@ class TestErrors:
         with pytest.raises(EmptyInput):
             sample_inverse_transform([1.0, float("nan")], 4)
         with pytest.raises(EmptyInput):
-            empirical_cdf([float("inf")])
-
-    @pytest.mark.parametrize("p", [0.0, -0.25, 1.0000001, 2.0])
-    def test_probability_out_of_range(self, p):
-        cdf = empirical_cdf([1.0, 2.0])
-        with pytest.raises(ProbabilityOutOfRange):
-            inverse_cdf(cdf, p)
+            sample_inverse_transform([float("inf")], 4)
 
 
 class TestProperties:
@@ -108,39 +87,3 @@ class TestProperties:
     def test_width_n_on_distinct_values_is_sorted_identity(self, values):
         out = sample_inverse_transform(values, len(values))
         assert out.tolist() == sorted(values)
-
-    @given(value_lists)
-    @settings(max_examples=50, deadline=None)
-    def test_inverse_cdf_agrees_with_vector_path(self, values):
-        # h = 8 keeps every grid point i/8 exactly representable as a float
-        h = 8
-        cdf = empirical_cdf(values)
-        vec = sample_inverse_transform(values, h)
-        single = [inverse_cdf(cdf, (i + 1) / h) for i in range(h)]
-        assert single == vec.tolist()
-
-
-class TestRandomChoice:
-    def test_seeded_determinism(self):
-        values = list(range(100))
-        a = sample_random_choice(values, 50, seed=3)
-        b = sample_random_choice(values, 50, seed=3)
-        assert np.array_equal(a, b)
-
-    def test_different_seeds_differ(self):
-        values = [float(v) for v in range(100)]
-        a = sample_random_choice(values, 50, seed=1)
-        b = sample_random_choice(values, 50, seed=2)
-        assert not np.array_equal(a, b)
-
-    @given(value_lists, widths)
-    @settings(max_examples=50, deadline=None)
-    def test_sorted_subset_of_inputs(self, values, h):
-        out = sample_random_choice(values, h, seed=0)
-        assert out.shape == (h,)
-        assert np.all(np.diff(out) >= 0)
-        assert set(out.tolist()) <= set(float(v) for v in values)
-
-    def test_width_validation(self):
-        with pytest.raises(InvalidWidth):
-            sample_random_choice([1.0], 0, seed=0)
