@@ -67,7 +67,8 @@ def pack_framed(magic: bytes, version: int, meta: dict,
 
 def unpack_framed(blob: bytes, magic: bytes, version: int
                   ) -> tuple[dict, dict[str, np.ndarray]]:
-    """Inverse of pack_framed; validates magic, version, and checksum."""
+    """Inverse of pack_framed; validates magic, version, checksum and the
+    manifest's array list.  Any unreadable frame is ChecksumMismatch."""
     if len(blob) < 16 or blob[:4] != magic:
         raise ChecksumMismatch(f"not a {magic.decode('ascii', 'replace')} file")
     body, crc_bytes = blob[:-4], blob[-4:]
@@ -77,19 +78,25 @@ def unpack_framed(blob: bytes, magic: bytes, version: int
     if got_version != version:
         raise FormatVersionMismatch(f"format version {got_version}, expected {version}")
     mlen = struct.unpack("<I", blob[8:12])[0]
-    manifest = json.loads(blob[12 : 12 + mlen].decode("utf-8"))
     arrays: dict[str, np.ndarray] = {}
     offset = 12 + mlen
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        dtype = np.dtype(entry.get("dtype", "<f4"))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = dtype.itemsize * count
-        raw = blob[offset : offset + nbytes]
-        if len(raw) != nbytes:
-            raise ChecksumMismatch("array payload shorter than manifest declares")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        offset += nbytes
+    try:
+        manifest = json.loads(blob[12 : 12 + mlen].decode("utf-8"))
+        for entry in manifest["arrays"]:
+            shape = tuple(entry["shape"])
+            tag = entry.get("dtype", "<f4")
+            if tag not in ("<f4", "<f8"):
+                raise ValueError(f"unknown dtype {tag!r}")
+            dtype = np.dtype(tag)
+            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            nbytes = dtype.itemsize * count
+            raw = blob[offset : offset + nbytes]
+            if len(raw) != nbytes:
+                raise ChecksumMismatch("array payload shorter than manifest declares")
+            arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            offset += nbytes
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise ChecksumMismatch(f"malformed manifest: {exc!r}") from None
     return manifest, arrays
 
 

@@ -1,14 +1,16 @@
 """Statistical similarity scorers used as labeling baselines.
 
-All scorers consume raw attribute values (no sampling step).  The combined
-scorer is a logistic regression over three similarity-increasing features:
-1 - KS statistic, 1 - 2*|MW - 0.5|, and numeric Jaccard range overlap.
+All scorers consume raw attribute values (no sampling step).  PackedColumns
+holds the only KS, Mann-Whitney and numeric Jaccard code; the pairwise
+functions and DSL training call it.  The combined (DSL) scorer is a logistic
+regression over 1 - KS, 1 - 2*|MW - 0.5| and numeric Jaccard range overlap.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -17,72 +19,11 @@ from ._serial import atomic_write_text
 from .errors import EmptyInput, MalformedDslModel, SingleClassTraining
 
 
-def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size == 0 or b.size == 0:
-        raise EmptyInput("statistic inputs must be non-empty")
-    return a, b
-
-
-def ks_statistic(a, b) -> float:
-    """sup_x |F_a(x) - F_b(x)| over the merged support of both samples."""
-    a, b = _as_pair(a, b)
-    a = np.sort(a)
-    b = np.sort(b)
-    support = np.concatenate([a, b])
-    fa = np.searchsorted(a, support, side="right") / a.size
-    fb = np.searchsorted(b, support, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
-
-
-def mw_statistic(a, b) -> float:
-    """U / (n*m) with U = #{(x, y): x < y} + ties/2, computed in exact
-    integer arithmetic.  Rounding is arranged so that
-    mw_statistic(a, b) + mw_statistic(b, a) == 1.0 holds exactly."""
-    a, b = _as_pair(a, b)
-    bs = np.sort(b)
-    lt = int(np.sum(bs.size - np.searchsorted(bs, a, side="right")))
-    le = int(np.sum(bs.size - np.searchsorted(bs, a, side="left")))
-    ties = le - lt
-    num2x = 2 * lt + ties          # 2 * U, an exact integer
-    den2x = 2 * a.size * bs.size
-    if 2 * num2x <= den2x:
-        return num2x / den2x
-    return 1.0 - (den2x - num2x) / den2x
-
-
-def numeric_jaccard(a, b) -> float:
-    """Overlap of the value ranges divided by their union's width."""
-    a, b = _as_pair(a, b)
-    lo_a, hi_a = float(a.min()), float(a.max())
-    lo_b, hi_b = float(b.min()), float(b.max())
-    union = max(hi_a, hi_b) - min(lo_a, lo_b)
-    if union == 0.0:
-        # both ranges are single points; width-0 union means they coincide
-        return 1.0 if lo_a == lo_b else 0.0
-    overlap = max(0.0, min(hi_a, hi_b) - max(lo_a, lo_b))
-    return overlap / union
-
-
-def pair_features(a, b) -> np.ndarray:
-    """Three similarity-increasing features for the combined scorer."""
-    mw = mw_statistic(a, b)
-    return np.array([
-        1.0 - ks_statistic(a, b),
-        1.0 - 2.0 * abs(mw - 0.5),
-        numeric_jaccard(a, b),
-    ])
-
-
 class PackedColumns:
     """Stored columns laid end to end, each sorted once, for scoring one
-    query against all of them in a single vectorized pass.
-
-    Every statistic equals the scalar function's value on the same pair,
-    bit for bit: counts are exact integers divided exactly as the scalar
-    code divides them.
-    """
+    query against all of them in a single vectorized pass.  A column scores
+    the same, bit for bit, alone or in any store: counts are exact integers
+    and no arithmetic crosses a column boundary."""
 
     def __init__(self, columns):
         cols = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
@@ -98,8 +39,9 @@ class PackedColumns:
             self.cdf[s : s + r.size] = np.searchsorted(r, r, side="right") / r.size
 
     def statistics(self, query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(KS, MW, numeric Jaccard) of the query against every column, as
-        ks_statistic(query, r), mw_statistic(query, r), numeric_jaccard(query, r)."""
+        """(KS, MW, numeric Jaccard) of the query q against every column r:
+        sup |F_q - F_r|; U / (m*n) with U = #(x < y) + ties/2 over x in q,
+        y in r; and range overlap / range union, 1.0 for coinciding points."""
         q = np.asarray(query, dtype=np.float64).ravel()
         if q.size == 0:
             raise EmptyInput("statistic inputs must be non-empty")
@@ -123,28 +65,48 @@ class PackedColumns:
         np.maximum(gap, below, out=gap)
         ks = np.maximum.reduceat(gap, starts)
 
-        # U counts pairs with the query value below the stored one; same
-        # exact-integer rounding rule as mw_statistic
+        # U counts pairs with the query value below the stored one; above one
+        # half the complement is rounded, so MW(q, r) + MW(r, q) == 1.0
         num2x = lt + le
         den2x = 2 * m * self.sizes
         mw = np.where(2 * num2x <= den2x, num2x / den2x,
                       1.0 - (den2x - num2x) / den2x)
 
         # the sign of a zero bound never reaches the result: the ratio only
-        # sees nonzero widths, and a zero overlap is clamped to +0.0
+        # sees nonzero widths, and a zero overlap is clamped to +0.0; a
+        # zero-width union means both ranges are the same single point
         lo, hi = self.values[starts], self.values[starts + self.sizes - 1]
         union = np.maximum(hi, qs[-1]) - np.minimum(lo, qs[0])
         overlap = np.minimum(hi, qs[-1]) - np.maximum(lo, qs[0])
         overlap = np.where(overlap > 0.0, overlap, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            jaccard = np.where(union == 0.0, np.where(lo == qs[0], 1.0, 0.0),
-                               overlap / union)
+            jaccard = np.where(union == 0.0, 1.0, overlap / union)
         return ks, mw, jaccard
 
 
 def features_from_statistics(ks, mw, jaccard) -> np.ndarray:
-    """(n, 3) rows of pair_features from per-column statistics."""
+    """(n, 3) rows of the DSL features from per-column statistics."""
     return np.stack([1.0 - ks, 1.0 - 2.0 * np.abs(mw - 0.5), jaccard], axis=1)
+
+
+def ks_statistic(a, b) -> float:
+    """sup_x |F_a(x) - F_b(x)|."""
+    return float(PackedColumns([b]).statistics(a)[0][0])
+
+
+def mw_statistic(a, b) -> float:
+    """P(x < y) + P(x == y)/2 for x in a, y in b; mw(a, b) + mw(b, a) == 1.0."""
+    return float(PackedColumns([b]).statistics(a)[1][0])
+
+
+def numeric_jaccard(a, b) -> float:
+    """Overlap of the value ranges divided by their union's width."""
+    return float(PackedColumns([b]).statistics(a)[2][0])
+
+
+def pair_features(a, b) -> np.ndarray:
+    """The three DSL features of one pair."""
+    return features_from_statistics(*PackedColumns([b]).statistics(a))[0]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -170,10 +132,15 @@ class LogisticModel:
 def dsl_train(pairs: list[tuple[tuple, bool]], iters: int = 500,
               lr: float = 0.5) -> LogisticModel:
     """Full-batch gradient descent on logistic loss; deterministic in the
-    given pair order.  pairs: [((values_a, values_b), same_label), ...]."""
+    given pair order.  pairs: [((values_a, values_b), same_label), ...];
+    each run of pairs sharing one values_a object is scored as one store."""
     if not pairs:
         raise SingleClassTraining("no training pairs")
-    x = np.stack([pair_features(a, b) for (a, b), _ in pairs])
+    blocks = []
+    for _, run in groupby(pairs, key=lambda pair: id(pair[0][0])):
+        firsts, seconds = zip(*(ab for ab, _ in run))
+        blocks.append(features_from_statistics(*PackedColumns(seconds).statistics(firsts[0])))
+    x = np.concatenate(blocks)
     y = np.array([1.0 if same else 0.0 for _, same in pairs])
     if y.min() == y.max():
         raise SingleClassTraining("training pairs must include both classes")
@@ -218,7 +185,8 @@ def load_dsl_model(path: Path) -> LogisticModel:
 
 def make_training_pairs(dataset) -> list[tuple[tuple, bool]]:
     """All unordered attribute pairs with a same-label flag, in the
-    dataset's attribute order (deterministic)."""
+    dataset's attribute order (deterministic).  Pairs that share their first
+    attribute come consecutively, so dsl_train scores them as one store."""
     attrs = dataset.attributes
     pairs = []
     for i in range(len(attrs)):

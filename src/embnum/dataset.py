@@ -268,7 +268,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def spec_from_json(text: str | bytes) -> SyntheticSpec:
-    """Parse a SyntheticSpec JSON document (family_pool optional)."""
+    """Parse a SyntheticSpec JSON document (family_pool optional, seed 0 by
+    default).  Counts and seed must be JSON integers, else InvalidSpec."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
@@ -281,19 +282,16 @@ def spec_from_json(text: str | bytes) -> SyntheticSpec:
             pool = tuple(FamilySpec(**entry) for entry in doc["family_pool"])
         except TypeError as exc:
             raise InvalidSpec(f"bad family_pool entry: {exc}") from None
-    try:
-        return SyntheticSpec(
-            label_count=int(doc["label_count"]),
-            source_count=int(doc["source_count"]),
-            rows_min=int(doc["rows_min"]),
-            rows_max=int(doc["rows_max"]),
-            family_pool=pool,
-            seed=int(doc.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise InvalidSpec(f"spec JSON missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"spec JSON counts and seed must be integers: {exc}") from None
+    fields = ("label_count", "source_count", "rows_min", "rows_max", "seed")
+    counts = {"seed": 0, **{key: doc[key] for key in fields if key in doc}}
+    for key in fields:
+        if key not in counts:
+            raise InvalidSpec(f"spec JSON missing field {key!r}")
+        # bool is an int subclass, and int() would truncate 2.7 and parse "3"
+        if isinstance(counts[key], bool) or not isinstance(counts[key], int):
+            raise InvalidSpec(f"spec JSON field {key!r} must be an integer, "
+                              f"got {counts[key]!r}")
+    return SyntheticSpec(family_pool=pool, **counts)
 
 
 # ---------------------------------------------------------------------------

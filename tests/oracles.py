@@ -3,8 +3,8 @@
 Each function here recomputes a result by a different route than the
 production code (pure-Python loops, Fraction arithmetic, brute-force pair
 counting) so that agreement is evidence, not tautology.  The pairwise
-scorers at the end are the exception: they state, one pair at a time, what
-the library's store-wide scoring must equal bit for bit.
+scorers at the end are the exception: numpy code scoring one pair at a time,
+they state what the library's store-wide scoring must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from embnum.baselines import _sigmoid, ks_statistic, pair_features
+from embnum.baselines import _sigmoid
+from embnum.errors import EmptyInput
 from embnum.labeling import BenchmarkReport, PerCount
 
 
@@ -98,15 +99,73 @@ def count_experiments_oracle(d: int) -> int:
 # pairwise scorers
 
 
+def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.size == 0 or b.size == 0:
+        raise EmptyInput("statistic inputs must be non-empty")
+    return a, b
+
+
+def ks_pairwise(a, b) -> float:
+    """sup_x |F_a(x) - F_b(x)| over the merged support of both samples."""
+    a, b = _as_pair(a, b)
+    a = np.sort(a)
+    b = np.sort(b)
+    support = np.concatenate([a, b])
+    fa = np.searchsorted(a, support, side="right") / a.size
+    fb = np.searchsorted(b, support, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def mw_pairwise(a, b) -> float:
+    """U / (n*m) with U = #{(x, y): x < y} + ties/2, counted as exact
+    integers; the same complement rounding as mw_oracle."""
+    a, b = _as_pair(a, b)
+    bs = np.sort(b)
+    lt = int(np.sum(bs.size - np.searchsorted(bs, a, side="right")))
+    le = int(np.sum(bs.size - np.searchsorted(bs, a, side="left")))
+    ties = le - lt
+    num2x = 2 * lt + ties          # 2 * U, an exact integer
+    den2x = 2 * a.size * bs.size
+    if 2 * num2x <= den2x:
+        return num2x / den2x
+    return 1.0 - (den2x - num2x) / den2x
+
+
+def jaccard_pairwise(a, b) -> float:
+    """Overlap of the value ranges divided by their union's width, from
+    each sample's min and max."""
+    a, b = _as_pair(a, b)
+    lo_a, hi_a = float(a.min()), float(a.max())
+    lo_b, hi_b = float(b.min()), float(b.max())
+    union = max(hi_a, hi_b) - min(lo_a, lo_b)
+    if union == 0.0:
+        # both ranges are single points; width-0 union means they coincide
+        return 1.0 if lo_a == lo_b else 0.0
+    overlap = max(0.0, min(hi_a, hi_b) - max(lo_a, lo_b))
+    return overlap / union
+
+
+def features_pairwise(a, b) -> np.ndarray:
+    """The three DSL features of one pair, similarity-increasing."""
+    mw = mw_pairwise(a, b)
+    return np.array([
+        1.0 - ks_pairwise(a, b),
+        1.0 - 2.0 * abs(mw - 0.5),
+        jaccard_pairwise(a, b),
+    ])
+
+
 def semantictyper_score(a, b) -> float:
     """Distribution similarity: identical samples score 1, disjoint score 0."""
-    return 1.0 - ks_statistic(a, b)
+    return 1.0 - ks_pairwise(a, b)
 
 
 def dsl_logit(model, a, b) -> float:
     """Pre-sigmoid DSL score of one pair; same ordering as dsl_score but
     never saturates."""
-    return float(np.dot(model.weights, pair_features(a, b)) + model.bias)
+    return float(np.dot(model.weights, features_pairwise(a, b)) + model.bias)
 
 
 def dsl_score(model, a, b) -> float:

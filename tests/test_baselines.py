@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from embnum.baselines import (
     LogisticModel,
     PackedColumns,
+    dsl_model_to_doc,
     dsl_train,
     features_from_statistics,
     ks_statistic,
@@ -16,9 +17,11 @@ from embnum.baselines import (
     pair_features,
     save_dsl_model,
 )
-from embnum.dataset import Dataset, NumericAttribute
+from embnum import fixtures
+from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
 from embnum.errors import EmptyInput, SingleClassTraining
-from oracles import (dsl_logit, dsl_score, jaccard_oracle, ks_oracle, mw_oracle,
+from oracles import (dsl_logit, dsl_score, features_pairwise, jaccard_oracle,
+                     jaccard_pairwise, ks_oracle, ks_pairwise, mw_oracle, mw_pairwise,
                      semantictyper_score)
 
 samples = st.lists(
@@ -159,7 +162,7 @@ class TestPackedColumns:
     @settings(max_examples=300, deadline=None)
     def test_every_statistic_equals_the_pairwise_one(self, columns, query):
         got = PackedColumns(columns).statistics(query)
-        for stat, fn in zip(got, (ks_statistic, mw_statistic, numeric_jaccard)):
+        for stat, fn in zip(got, (ks_pairwise, mw_pairwise, jaccard_pairwise)):
             assert same_bits(stat, [fn(query, c) for c in columns])
 
     @given(stores, column, weights)
@@ -168,7 +171,7 @@ class TestPackedColumns:
         model = LogisticModel(weights=np.array(wb[:3]), bias=wb[3])
         feats = features_from_statistics(*PackedColumns(columns).statistics(query))
         want = [dsl_logit(model, query, c) for c in columns]
-        assert same_bits(feats, [pair_features(query, c) for c in columns])
+        assert same_bits(feats, [features_pairwise(query, c) for c in columns])
         assert same_bits(model.logits(feats), want)
 
     def test_hand_cases(self):
@@ -196,7 +199,22 @@ def separable_pairs():
     return pairs
 
 
+# dsl_model_to_doc(dsl_train(make_training_pairs(...))) on the frozen fixtures;
+# neither the feature arithmetic nor the order of the pairs may move a bit
+PINNED_DSL_DOCS = {
+    "desk_spec": [3.2619040845960128, 3.4258238994891412, 2.037118503204196,
+                  -5.213763887389984],
+    "overlapping_spec": [0.4511343638393534, 0.41647789798199414, 2.8282044020860417,
+                         -4.213753313553445],
+}
+
+
 class TestDslTraining:
+    @pytest.mark.parametrize("spec", sorted(PINNED_DSL_DOCS))
+    def test_frozen_fixture_weights_are_pinned(self, spec):
+        ds = generate_synthetic(getattr(fixtures, spec)())
+        assert dsl_model_to_doc(dsl_train(make_training_pairs(ds))) == PINNED_DSL_DOCS[spec]
+
     def test_learns_separable_pairs(self):
         model = dsl_train(separable_pairs())
         for (a, b), same in separable_pairs():

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -68,7 +70,12 @@ class TestGen:
         json.dumps({**SPEC_DOC, "label_count": None}).encode(),
         json.dumps({**SPEC_DOC, "family_pool": [{"family": "normal", "location": "x"}] * 3}
                    ).encode(),
-    ], ids=["not-utf8", "null-count", "string-location"])
+        json.dumps({**SPEC_DOC, "label_count": 2.7}).encode(),
+        json.dumps({**SPEC_DOC, "source_count": True}).encode(),
+        json.dumps({**SPEC_DOC, "rows_min": "3"}).encode(),
+        json.dumps({**SPEC_DOC, "seed": 1.9}).encode(),
+    ], ids=["not-utf8", "null-count", "string-location", "fractional-count", "boolean-count",
+            "string-count", "fractional-seed"])
     def test_malformed_spec_is_invalid_spec(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"
         bad.write_bytes(body)
@@ -340,6 +347,41 @@ class TestExport:
         capsys.readouterr()
         assert main(["export-embeddings", str(model), str(data_dir)]) == 1
         assert "MalformedCheckpoint" in capsys.readouterr().err
+
+
+MALFORMED_MANIFESTS = {
+    "invalid-json": b"{",
+    "non-object": b"[1, 2]",
+    "no-arrays": b'{"kind": "feature-store"}',
+    "entry-without-shape": b'{"arrays": [{"name": "values", "dtype": "<f8"}]}',
+    "unknown-dtype": b'{"arrays": [{"name": "values", "shape": [1], "dtype": "<q9"}]}',
+}
+
+
+def replace_manifest(path, manifest: bytes) -> None:
+    """Give a framed file another manifest, keeping its payload and a valid CRC."""
+    blob = path.read_bytes()
+    end = 12 + struct.unpack("<I", blob[8:12])[0]
+    body = blob[:8] + struct.pack("<I", len(manifest)) + manifest + blob[end:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("manifest", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
+    @pytest.mark.parametrize("command", ["label", "export-embeddings"])
+    def test_crc_valid_frame_with_bad_manifest_is_named_error(self, trained_paths, tmp_path,
+                                                             capsys, command, manifest):
+        data_dir, model, store = trained_paths
+        query = tmp_path / "q.csv"
+        query.write_text("1\n")
+        if command == "label":
+            target, argv = store, ["label", str(store), str(query)]
+        else:
+            target, argv = model, ["export-embeddings", str(model), str(data_dir)]
+        replace_manifest(target, manifest)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "ChecksumMismatch" in capsys.readouterr().err
 
 
 class TestConfigs:

@@ -6,7 +6,7 @@ import pytest
 
 import embnum.labeling as labeling_mod
 from embnum import _serial
-from embnum.baselines import LogisticModel, dsl_train, ks_statistic, make_training_pairs
+from embnum.baselines import LogisticModel, dsl_train, make_training_pairs
 from embnum.dataset import Dataset, NumericAttribute, SyntheticSpec, generate_synthetic
 from embnum.embnet import ArchConfig, build_model, model_frame
 from embnum.errors import (
@@ -41,8 +41,8 @@ from embnum.labeling import (
     run_benchmark,
     save_store,
 )
-from oracles import (count_experiments_oracle, dsl_logit, dsl_score, mrr_oracle,
-                     report_from_json)
+from oracles import (count_experiments_oracle, dsl_logit, dsl_score, ks_pairwise,
+                     mrr_oracle, report_from_json)
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
 
@@ -61,7 +61,7 @@ def tiny_model():
 def pairwise_ranking(store: FeatureStore, values) -> RankingList:
     """The ranking the pairwise scorers give, one stored column at a time."""
     if store.method == "semantictyper":
-        keys = [ks_statistic(values, r.feature) for r in store.records]
+        keys = [ks_pairwise(values, r.feature) for r in store.records]
         shown = [1.0 - k for k in keys]
     else:
         keys = [-dsl_logit(store.dsl_model, values, r.feature) for r in store.records]
