@@ -6,6 +6,10 @@ _TILE_ROWS rows (the tail tile zero-padded), so each output row's bits depend
 only on the layer's shape, never on how many rows are batched with it.  Their
 backward passes use plain GEMM, which is deterministic from run to run but
 not batch invariant; training needs no more than that.
+
+conv1d and maxpool1d read their windows through _windows: one contiguous
+padded copy of the input, written with slice assignments, and a strided
+(B, C, L_out, K) view over it.
 """
 
 from __future__ import annotations
@@ -38,9 +42,28 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _windows(x: np.ndarray, k: int, stride: int, padding: int,
+             fill: float) -> np.ndarray:
+    """(B, C, L_out, k) view of x's length-k windows, `stride` apart, after
+    `padding` positions of `fill` are added at both ends of the last axis.
+    The view reads a fresh contiguous copy, never x itself."""
+    b, c, length = x.shape
+    padded = length + 2 * padding
+    out_len = (padded - k) // stride + 1
+    if out_len <= 0:
+        raise ValueError(f"output would be empty: L={length} pad={padding} K={k}")
+    xp = np.empty((b, c, padded), dtype=x.dtype)
+    xp[:, :, :padding] = fill
+    xp[:, :, padding : padding + length] = x
+    xp[:, :, padding + length :] = fill
+    sb, sc, sl = xp.strides
+    return np.ndarray((b, c, out_len, k), dtype=xp.dtype, buffer=xp,
+                      strides=(sb, sc, sl * stride, sl))
+
+
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    out = make(np.where(mask, x.data, np.zeros_like(x.data)), (x,))
+    out = make(np.where(mask, x.data, 0), (x,))
     if out.requires_grad:
         out._backward = lambda g, a=x, m=mask: a.accumulate(g * m)
     return out
@@ -53,7 +76,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     x: (B, C_in, L), weight: (C_out, C_in, K), bias: (C_out,) or None.
     Output length is (L + 2*padding - K) // stride + 1.
 
-    The windows are materialized as a contiguous (B*L_out, C_in*K) block.
+    The zero-padded windows (_windows) are materialized as a contiguous
+    (B*L_out, C_in*K) block.
     The forward product runs as fixed 8-row GEMM tiles (_tiled_matmul), so
     each output's summation order is independent of batch size; the backward
     products are plain GEMM, deterministic from run to run only.
@@ -62,14 +86,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     c_out, c_in_w, k = weight.data.shape
     if c_in != c_in_w:
         raise ValueError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding)))
-    out_len = (length + 2 * padding - k) // stride + 1
-    if out_len <= 0:
-        raise ValueError(f"conv1d output would be empty: L={length} pad={padding} K={k}")
-    sw = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
-    sw = sw[:, :, :out_len]
+    sw = _windows(x.data, k, stride, padding, 0.0)
+    out_len = sw.shape[2]
     col = np.ascontiguousarray(sw.transpose(0, 2, 1, 3).reshape(b * out_len, c_in * k))
     wf = weight.data.reshape(c_out, c_in * k)
     y = _tiled_matmul(col, wf.T).reshape(b, out_len, c_out).transpose(0, 2, 1)
@@ -78,7 +96,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = make(y, parents)
     if out.requires_grad:
-        padded_len = xp.shape[2]
+        padded_len = length + 2 * padding
 
         def back(g, xt=x, wt=weight, bt=bias, win=col):
             g2 = g.transpose(0, 2, 1).reshape(b * out_len, c_out)
@@ -147,13 +165,7 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     """Max over sliding windows; padded positions are -inf and never win."""
     b, c, length = x.data.shape
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding)),
-                    constant_values=-np.inf)
-    out_len = (length + 2 * padding - kernel) // stride + 1
-    sw = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]
-    sw = sw[:, :, :out_len]
+    sw = _windows(x.data, kernel, stride, padding, -np.inf)
     idx = np.argmax(sw, axis=3)
     y = np.take_along_axis(sw, idx[..., None], axis=3)[..., 0]
     out = make(y, (x,))

@@ -8,7 +8,10 @@ column itself, preserving the shape of the distribution.
 
 Quantile boundary comparisons (is i/h <= count/n ?) are done on integers via
 cross-multiplication, never on floats, so grid points that land exactly on a
-CDF step are resolved exactly.
+CDF step are resolved exactly: F^{-1}(i/h) is the ceil(i*n/h)-th smallest
+value, read from one sort of the column.  Each pick is then replaced by the
+first member of its run of equal values, so a column that mixes -0.0 and 0.0
+always yields the one that sorts first.
 """
 
 import numpy as np
@@ -29,9 +32,9 @@ def sample_inverse_transform(values, h: int) -> np.ndarray:
         raise EmptyInput("value list is empty")
     if not np.all(np.isfinite(arr)):
         raise EmptyInput("value list contains non-finite entries")
-    support, counts = np.unique(arr, return_counts=True)
-    cum_count = np.cumsum(counts, dtype=np.int64)   # #values <= support[j]
+    ordered = np.sort(arr)
     i = np.arange(1, h + 1, dtype=np.int64)
     # min{v : count(v) / n >= i / h}  <=>  count(v) >= ceil(i * n / h)
     thresholds = (i * arr.size + h - 1) // h
-    return support[np.searchsorted(cum_count, thresholds, side="left")]
+    picks = ordered[thresholds - 1]
+    return ordered[np.searchsorted(ordered, picks, side="left")]

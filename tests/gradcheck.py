@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from embnum.nn import Tensor, no_grad, ops
+from oracles import padded_windows
 
 STEP = 1e-3
 RTOL = 1e-3
@@ -34,8 +35,7 @@ def trace_kinks(buf: list[np.ndarray]):
         return relu(x)
 
     def traced_maxpool1d(x, kernel, stride, padding=0):
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)), constant_values=-np.inf)
-        windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)[:, :, ::stride]
+        windows = padded_windows(x.data, kernel, stride, padding, -np.inf)
         buf.append(np.argmax(windows, axis=3))
         return maxpool1d(x, kernel, stride, padding)
 

@@ -2,9 +2,10 @@
 
 Each function here recomputes a result by a different route than the
 production code (pure-Python loops, Fraction arithmetic, brute-force pair
-counting) so that agreement is evidence, not tautology.  The pairwise
-scorers at the end are the exception: numpy code scoring one pair at a time,
-they state what the library's store-wide scoring must equal bit for bit.
+counting) so that agreement is evidence, not tautology.  Two sections are
+the exception: the pairwise scorers, numpy code scoring one pair at a time,
+and the np.pad / sliding_window_view window ops with the np.unique sampler.
+Each states what the library's faster form must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import numpy as np
 from embnum.baselines import _sigmoid
 from embnum.errors import EmptyInput
 from embnum.labeling import BenchmarkReport, PerCount
+from embnum.nn.ops import _tiled_matmul
+from embnum.nn.tensor import make
 
 
 def inverse_transform_oracle(values, h: int) -> list[float]:
@@ -171,6 +174,99 @@ def dsl_logit(model, a, b) -> float:
 def dsl_score(model, a, b) -> float:
     """DSL probability that the pair shares a label."""
     return float(_sigmoid(np.array([dsl_logit(model, a, b)]))[0])
+
+
+# ---------------------------------------------------------------------------
+# window ops through np.pad and sliding_window_view, sampling through np.unique
+
+
+def padded_windows(x: np.ndarray, k: int, stride: int, padding: int,
+                   fill: float) -> np.ndarray:
+    """(B, C, L_out, k) windows of x, `stride` apart, with `padding` fill
+    values at both ends of the last axis."""
+    xp = x
+    if padding:
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)), constant_values=fill)
+    out_len = (x.shape[2] + 2 * padding - k) // stride + 1
+    sw = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
+    return sw[:, :, :out_len]
+
+
+def relu_reference(x):
+    mask = x.data > 0
+    out = make(np.where(mask, x.data, np.zeros_like(x.data)), (x,))
+    if out.requires_grad:
+        out._backward = lambda g, a=x, m=mask: a.accumulate(g * m)
+    return out
+
+
+def conv1d_reference(x, weight, bias=None, stride: int = 1, padding: int = 0):
+    """ops.conv1d's forward and backward over padded_windows."""
+    b, c_in, length = x.data.shape
+    c_out, _, k = weight.data.shape
+    out_len = (length + 2 * padding - k) // stride + 1
+    sw = padded_windows(x.data, k, stride, padding, 0.0)
+    col = np.ascontiguousarray(sw.transpose(0, 2, 1, 3).reshape(b * out_len, c_in * k))
+    wf = weight.data.reshape(c_out, c_in * k)
+    y = _tiled_matmul(col, wf.T).reshape(b, out_len, c_out).transpose(0, 2, 1)
+    if bias is not None:
+        y = y + bias.data[None, :, None]
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = make(y, parents)
+    if out.requires_grad:
+        padded_len = length + 2 * padding
+
+        def back(g, xt=x, wt=weight, bt=bias, win=col):
+            g2 = g.transpose(0, 2, 1).reshape(b * out_len, c_out)
+            if wt.requires_grad:
+                wt.accumulate((g2.T @ win).reshape(c_out, c_in, k))
+            if bt is not None and bt.requires_grad:
+                bt.accumulate(g.sum(axis=(0, 2)))
+            if xt.requires_grad:
+                gcol = (g2 @ wt.data.reshape(c_out, c_in * k)).reshape(
+                    b, out_len, c_in, k).transpose(0, 2, 3, 1)
+                gxp = np.zeros((b, c_in, padded_len), dtype=g.dtype)
+                for kk in range(k):
+                    gxp[:, :, kk : kk + stride * out_len : stride] += gcol[:, :, kk]
+                if padding:
+                    gxp = gxp[:, :, padding : padded_len - padding]
+                xt.accumulate(gxp)
+
+        out._backward = back
+    return out
+
+
+def maxpool1d_reference(x, kernel: int, stride: int, padding: int = 0):
+    """ops.maxpool1d's forward and backward over -inf padded_windows."""
+    b, c, length = x.data.shape
+    sw = padded_windows(x.data, kernel, stride, padding, -np.inf)
+    idx = np.argmax(sw, axis=3)
+    y = np.take_along_axis(sw, idx[..., None], axis=3)[..., 0]
+    out = make(y, (x,))
+    if out.requires_grad:
+
+        def back(g, xt=x, am=idx):
+            gxp = np.zeros((b, c, length + 2 * padding), dtype=g.dtype)
+            bb, cc, tt = np.indices(am.shape)
+            np.add.at(gxp, (bb, cc, tt * stride + am), g)
+            if padding:
+                gxp = gxp[:, :, padding : padding + length]
+            xt.accumulate(gxp)
+
+        out._backward = back
+    return out
+
+
+def sample_unique_reference(values, h: int) -> np.ndarray:
+    """Inverse CDF on {i/h} over np.unique's support and cumulative counts;
+    each result is the support value np.unique keeps for its run of equal
+    values, which fixes the sign of a zero."""
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    support, counts = np.unique(arr, return_counts=True)
+    cum_count = np.cumsum(counts, dtype=np.int64)
+    i = np.arange(1, h + 1, dtype=np.int64)
+    thresholds = (i * arr.size + h - 1) // h
+    return support[np.searchsorted(cum_count, thresholds, side="left")]
 
 
 # ---------------------------------------------------------------------------

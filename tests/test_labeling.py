@@ -1,12 +1,14 @@
 import dataclasses
+import time
 from dataclasses import FrozenInstanceError
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import embnum.labeling as labeling_mod
 from embnum import _serial
-from embnum.baselines import LogisticModel, dsl_train, make_training_pairs
+from embnum.baselines import LogisticModel, PackedColumns, dsl_train, make_training_pairs
 from embnum.dataset import Dataset, NumericAttribute, SyntheticSpec, generate_synthetic
 from embnum.embnet import ArchConfig, build_model, model_frame
 from embnum.errors import (
@@ -267,6 +269,30 @@ class TestLabelQueries:
         result = label_queries(store, queries)
         assert result.ranks == []
         assert result.excluded == len(queries)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_store_side_arrays_are_built_before_the_clock(self, tiny_dataset, tiny_model,
+                                                          method, monkeypatch):
+        """A fresh store's presort or embedding stack is store construction,
+        which the labeling time leaves out."""
+        def slowly(build):
+            def slow(*args):
+                time.sleep(0.2)
+                return build(*args)
+            return slow
+
+        if method == "embnum":
+            slow = cached_property(slowly(FeatureStore.embedding_matrix.func))
+            slow.__set_name__(FeatureStore, "embedding_matrix")
+            monkeypatch.setattr(FeatureStore, "embedding_matrix", slow)
+        else:
+            monkeypatch.setattr(PackedColumns, "__init__", slowly(PackedColumns.__init__))
+        dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+        store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
+        t0 = time.perf_counter()
+        result = label_queries(store, tiny_dataset.by_source("s0"))
+        assert time.perf_counter() - t0 >= 0.2   # the slow build did run
+        assert result.seconds < 0.2
 
     def test_empty_inputs_rejected(self, tiny_dataset, tiny_model):
         store = index_labeled(tiny_dataset, "semantictyper")

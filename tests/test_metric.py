@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
-from embnum.embnet import ArchConfig, build_model, preprocess
+from embnum.embnet import ArchConfig, build_model, model_to_bytes, preprocess
 from embnum.errors import (
     DegenerateBatch,
     InsufficientSamples,
@@ -25,9 +26,12 @@ from embnum.metric import (
     train,
     training_mrr,
 )
+import embnum.embnet as embnet_mod
 import embnum.labeling as labeling_mod
 import embnum.metric as metric_mod
-from oracles import distance_oracle, parse_history_csv
+from embnum.nn import ops
+from oracles import (conv1d_reference, distance_oracle, maxpool1d_reference,
+                     parse_history_csv, relu_reference, sample_unique_reference)
 
 TINY_ARCH = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
 TINY_CFG = TrainConfig(epochs=2, batch_labels=2, samples_per_label=2, seed=0)
@@ -262,13 +266,28 @@ class TestTrainLoop:
             assert row["lr"] == lr_at(TINY_CFG, epoch)
 
     def test_deterministic_rerun(self):
-        from embnum.embnet import model_to_bytes
-
         ds = tiny_training_set()
         m1, h1 = train(ds, TINY_ARCH, TINY_CFG)
         m2, h2 = train(ds, TINY_ARCH, TINY_CFG)
         assert h1 == h2
         assert model_to_bytes(m1) == model_to_bytes(m2)
+
+    def test_desk_training_matches_the_reference_ops_bytewise(self, desk_dataset,
+                                                              monkeypatch):
+        """Three desk epochs give the same checkpoint and history bytes with
+        the np.pad / sliding_window_view ops and the np.unique sampler."""
+        cfg = replace(desk_train_config(), epochs=3)
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(ops, "conv1d", conv1d_reference)
+                monkeypatch.setattr(ops, "maxpool1d", maxpool1d_reference)
+                monkeypatch.setattr(ops, "relu", relu_reference)
+                monkeypatch.setattr(embnet_mod, "sample_inverse_transform",
+                                    sample_unique_reference)
+            model, history = train(desk_dataset, desk_arch(), cfg)
+            runs.append((model_to_bytes(model), history_to_csv(history)))
+        assert runs[0] == runs[1]
 
     def test_returned_model_is_earliest_best(self):
         ds = tiny_training_set()

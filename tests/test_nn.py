@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embnum.embnet import ArchConfig, build_model
 from embnum.errors import NonScalarLoss, ShapeMismatch
 from embnum.nn import SGD, Conv1d, BatchNorm1d, Linear, Tensor, no_grad, sgd_step
 from embnum.nn import ops
 from gradcheck import check_gradients, trace_kinks
+from oracles import conv1d_reference, maxpool1d_reference, relu_reference
 
 
 def T(data, grad=True):
@@ -204,6 +207,85 @@ class TestConvBatchInvariance:
             full = ops.linear(Tensor(x[:n]), w, bias).data
             for i in range(n):
                 assert full[i : i + 1].tobytes() == single[i].tobytes()
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+@st.composite
+def window_cases(draw):
+    """Shape, dtype and data for one window op call.  Values come in halves
+    with signed zeros, so maxpool windows hold ties and -0.0 beside 0.0;
+    one case in two reads the input through a non-contiguous view."""
+    k = draw(st.sampled_from([1, 3, 7]))
+    padding = draw(st.integers(0, 3))
+    length = draw(st.integers(max(1, k - 2 * padding), 12))
+    case = {
+        "k": k, "padding": padding, "stride": draw(st.integers(1, 2)),
+        "b": draw(st.integers(1, 9)), "c_in": draw(st.integers(1, 3)),
+        "c_out": draw(st.integers(1, 4)), "length": length,
+        "dtype": draw(st.sampled_from([np.float32, np.float64])),
+    }
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (case["b"], case["c_in"], 2 * length)
+    base = (np.round(rng.standard_normal(shape) * 2) / 2).astype(case["dtype"])
+    base[rng.random(shape) < 0.2] = -0.0
+    case["x"] = base[:, :, ::2] if draw(st.booleans()) else np.ascontiguousarray(base[:, :, :length])
+    case["rng"] = rng
+    return case
+
+
+class TestMatchesReferenceOps:
+    """conv1d, maxpool1d and relu equal their np.pad / sliding_window_view
+    forms in tests/oracles.py bit for bit, forward and backward."""
+
+    @given(window_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_conv1d(self, case):
+        rng, dtype = case["rng"], case["dtype"]
+        w = rng.standard_normal((case["c_out"], case["c_in"], case["k"])).astype(dtype)
+        bias = rng.standard_normal(case["c_out"]).astype(dtype)
+        runs = []
+        for op in (ops.conv1d, conv1d_reference):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (case["x"], w, bias))
+            y = op(xt, wt, bt, stride=case["stride"], padding=case["padding"])
+            g = np.random.default_rng(1).standard_normal(y.data.shape).astype(dtype)
+            (y * Tensor(g)).sum().backward()
+            runs.append([_bits(a) for a in (y.data, xt.grad, wt.grad, bt.grad)])
+        assert runs[0] == runs[1]
+
+    @given(window_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_maxpool1d(self, case):
+        runs = []
+        for op in (ops.maxpool1d, maxpool1d_reference):
+            xt = Tensor(case["x"], requires_grad=True)
+            y = op(xt, case["k"], case["stride"], case["padding"])
+            g = np.random.default_rng(1).standard_normal(y.data.shape).astype(case["dtype"])
+            with np.errstate(invalid="ignore"):  # all-padding windows give -inf
+                (y * Tensor(g)).sum().backward()
+            runs.append([_bits(a) for a in (y.data, xt.grad)])
+        assert runs[0] == runs[1]
+
+    @given(window_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_relu(self, case):
+        runs = []
+        for op in (ops.relu, relu_reference):
+            xt = Tensor(case["x"], requires_grad=True)
+            y = op(xt)
+            (y * 3.0).sum().backward()
+            runs.append([_bits(a) for a in (y.data, xt.grad)])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("op", [
+        lambda x: ops.conv1d(x, Tensor(np.ones((1, 1, 7)))),
+        lambda x: ops.maxpool1d(x, kernel=7, stride=1, padding=1),
+    ])
+    def test_window_longer_than_the_padded_input(self, op):
+        with pytest.raises(ValueError, match="output would be empty"):
+            op(Tensor(np.ones((1, 1, 4))))
 
 
 class TestGradientsNumerically:

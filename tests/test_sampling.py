@@ -5,12 +5,16 @@ from hypothesis import strategies as st
 
 from embnum.errors import EmptyInput, InvalidWidth
 from embnum.sampling import sample_inverse_transform
-from oracles import inverse_transform_oracle
+from oracles import inverse_transform_oracle, sample_unique_reference
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 value_lists = st.lists(finite_floats, min_size=1, max_size=60)
+# signed zeros beside repeated values: == cannot tell -0.0 from 0.0
+zero_heavy_lists = st.lists(
+    st.sampled_from([-0.0, 0.0, -0.0, 0.0, 1.5, -2.0]) | finite_floats,
+    min_size=1, max_size=60)
 widths = st.integers(min_value=1, max_value=50)
 
 
@@ -63,6 +67,13 @@ class TestProperties:
     def test_matches_fraction_oracle(self, values, h):
         got = sample_inverse_transform(values, h)
         assert got.tolist() == inverse_transform_oracle(values, h)
+
+    @given(zero_heavy_lists, widths)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unique_reference_bitwise(self, values, h):
+        got = sample_inverse_transform(values, h)
+        want = sample_unique_reference(values, h)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     @given(value_lists, widths)
     @settings(max_examples=100, deadline=None)
