@@ -99,12 +99,3 @@ def unpack_framed(blob: bytes, magic: bytes, version: int
         raise ChecksumMismatch(f"malformed manifest: {exc!r}") from None
     return manifest, arrays
 
-
-def write_framed(path: Path, magic: bytes, version: int, meta: dict,
-                 arrays: dict[str, np.ndarray]) -> None:
-    atomic_write_bytes(Path(path), pack_framed(magic, version, meta, arrays))
-
-
-def read_framed(path: Path, magic: bytes, version: int
-                ) -> tuple[dict, dict[str, np.ndarray]]:
-    return unpack_framed(Path(path).read_bytes(), magic, version)

@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="dataset directory")
     p.add_argument("--method", choices=list(labeling.METHODS), required=True)
     p.add_argument("--model", default=None, help="embnum checkpoint")
-    p.add_argument("--dsl-model", default=None, help="dsl weights JSON")
+    p.add_argument("--dsl-model", default=None,
+                   help="dsl weights JSON; trained on the dataset when omitted")
     p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
 
     p = sub.add_parser("export-embeddings", help="dump every attribute's embedding as CSV")
@@ -150,8 +151,6 @@ def _load_scorers(args):
 def _cmd_index(args) -> int:
     ds = dataset.load_dataset(args.data)
     model, dsl_model = _load_scorers(args)
-    if args.method == "dsl" and dsl_model is None:
-        dsl_model = baselines.dsl_train(baselines.make_training_pairs(ds))
     store = labeling.index_labeled(ds, args.method, model=model, dsl_model=dsl_model)
     labeling.save_store(store, Path(args.out))
     print(f"indexed {len(store.records)} attributes ({args.method}) into {args.out}")

@@ -56,38 +56,28 @@ class Dataset:
     (source, label) pairs are unique; equality is order-insensitive.
     """
 
-    sources: list[str]
-    labels: list[str]
     attributes: list[NumericAttribute]
 
     def __post_init__(self):
-        srcs, lbls = set(self.sources), set(self.labels)
+        self.attributes = list(self.attributes)
         seen = set()
         for attr in self.attributes:
-            if attr.source not in srcs:
-                raise MalformedValue(f"attribute source {attr.source!r} not declared")
-            if attr.label not in lbls:
-                raise MalformedValue(f"attribute label {attr.label!r} not declared")
             key = (attr.source, attr.label)
             if key in seen:
                 raise MalformedValue(f"duplicate (source, label) pair {key}")
             seen.add(key)
-        if len(self.labels) > len(self.attributes):
-            raise MalformedValue("more labels than attributes")
 
-    @classmethod
-    def from_attributes(cls, attributes: list[NumericAttribute]) -> "Dataset":
-        sources = sorted({a.source for a in attributes})
-        labels = sorted({a.label for a in attributes})
-        return cls(sources=sources, labels=labels, attributes=list(attributes))
+    @property
+    def sources(self) -> list[str]:
+        return sorted({a.source for a in self.attributes})
+
+    @property
+    def labels(self) -> list[str]:
+        return sorted({a.label for a in self.attributes})
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        if set(self.sources) != set(other.sources):
-            return False
-        if set(self.labels) != set(other.labels):
-            return False
         key = lambda a: (a.source, a.label)
         return sorted(self.attributes, key=key) == sorted(other.attributes, key=key)
 
@@ -149,7 +139,7 @@ def load_dataset(root_path) -> Dataset:
                   for src_dir in source_dirs for f in sorted(src_dir.glob("*.csv"))]
     if not attributes:
         raise MissingDirectory(f"dataset root {root} contains no attribute files")
-    return Dataset.from_attributes(attributes)
+    return Dataset(attributes)
 
 
 def write_dataset(dataset: Dataset, root_path) -> Path:
@@ -264,7 +254,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             jitter = 0.05 * fam.scale * rng.uniform(-1.0, 1.0)
             values = _draw_family(rng, fam, fam.location + jitter, rows)
             attributes.append(NumericAttribute(values=values, label=label, source=source))
-    return Dataset(sources=sources, labels=labels, attributes=attributes)
+    return Dataset(attributes)
 
 
 def spec_from_json(text: str | bytes) -> SyntheticSpec:
@@ -309,7 +299,7 @@ def split_half(dataset: Dataset, axis: str = "source", seed: int = 0) -> tuple[D
     pick = lambda a: (a.source if axis == "source" else a.label) in first
     part_a = [a for a in dataset.attributes if pick(a)]
     part_b = [a for a in dataset.attributes if not pick(a)]
-    return Dataset.from_attributes(part_a), Dataset.from_attributes(part_b)
+    return Dataset(part_a), Dataset(part_b)
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:

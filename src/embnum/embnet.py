@@ -155,7 +155,7 @@ class ResNet1d:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class Model:
     arch: ArchConfig
     net: ResNet1d
@@ -166,15 +166,17 @@ class Model:
         state.update(self.net.named_buffers())
         return state
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Model):
-            return NotImplemented
-        if self.arch != other.arch or self.training_meta != other.training_meta:
-            return False
-        a, b = self.state_dict(), other.state_dict()
-        return a.keys() == b.keys() and all(
-            np.array_equal(a[k], b[k]) for k in a
-        )
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy every parameter and buffer in from arrays, which must hold
+        exactly this model's array names and shapes, else InvalidArch."""
+        state = self.state_dict()
+        if state.keys() != arrays.keys() or any(
+                np.shape(arrays[name]) != a.shape for name, a in state.items()):
+            raise InvalidArch("arrays do not match the model's architecture")
+        for name, p in self.net.named_params().items():
+            p.data = arrays[name].astype(p.data.dtype)
+        for name, buf in self.net.named_buffers().items():
+            np.copyto(buf, arrays[name])
 
 
 def build_model(arch: ArchConfig, seed: int) -> Model:
@@ -244,18 +246,10 @@ def model_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> Model:
         training_meta = dict(manifest["training_meta"])
     except KeyError as exc:
         raise MalformedCheckpoint(f"checkpoint lacks {exc.args[0]!r}") from None
-    except TypeError as exc:  # an unknown or mistyped arch field
+    except (TypeError, ValueError) as exc:  # unknown or mistyped field, non-dict meta
         raise MalformedCheckpoint(f"checkpoint has a malformed header: {exc}") from None
     model = build_model(arch, seed=0)
-    params = model.net.named_params()
-    buffers = model.net.named_buffers()
-    expected = set(params) | set(buffers)
-    if expected != set(arrays):
-        raise InvalidArch("checkpoint arrays do not match the declared architecture")
-    for name, p in params.items():
-        p.data = arrays[name].astype(np.float32)
-    for name, buf in buffers.items():
-        np.copyto(buf, arrays[name])
+    model.load_state(arrays)
     model.training_meta = training_meta
     return model
 

@@ -31,9 +31,9 @@ from .baselines import (LogisticModel, PackedColumns, _sigmoid, dsl_model_from_d
 from .baselines import ks_statistic, pair_features  # noqa: F401
 from .dataset import Dataset, NumericAttribute, dataset_fingerprint
 from .embnet import Model, embed, model_frame, model_from_frame, preprocess
-from .errors import (EmptyLabeledData, EmptyRanking, EmptyStore, InvalidSpec,
-                     MalformedDslModel, MalformedStore, MissingModel, NoQueries,
-                     TooFewSources)
+from .errors import (EmptyInput, EmptyLabeledData, EmptyRanking, EmptyStore,
+                     InvalidSpec, MalformedDslModel, MalformedStore, MissingModel,
+                     NoQueries, TooFewSources)
 from .metric import distances
 
 STORE_MAGIC = b"EMBS"
@@ -100,13 +100,16 @@ class RankingList:
 
 def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
                   dsl_model: LogisticModel | None = None) -> FeatureStore:
-    """Build the searchable store: one record per labeled attribute."""
+    """Build the searchable store: one record per labeled attribute.
+
+    A dsl store given no weights fits them on the labeled data's own pairs;
+    pass weights trained elsewhere to keep scoring out of sample."""
     if not labeled.attributes:
         raise EmptyLabeledData("no labeled attributes to index")
     if method == "embnum" and model is None:
         raise MissingModel("embnum indexing requires a trained model")
     if method == "dsl" and dsl_model is None:
-        raise MissingModel("dsl indexing requires a trained logistic model")
+        dsl_model = dsl_train(make_training_pairs(labeled))
     attrs = labeled.attributes
     features = _featurize(method, model, [a.values for a in attrs])
     records = [StoreRecord(a.label, a.source, f) for a, f in zip(attrs, features)]
@@ -115,9 +118,13 @@ def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
 
 def _featurize(method: str, model: Model | None, columns: list) -> list[np.ndarray]:
     """Per-column features: float32 embeddings, computed as one batch in
-    chunks of EMBED_CHUNK columns, for embnum; raw float64 values otherwise."""
+    chunks of EMBED_CHUNK columns, for embnum; raw float64 values otherwise.
+    A column holding NaN or an infinity is EmptyInput under every method."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    if not all(np.isfinite(c).all() for c in columns):
+        raise EmptyInput("value list contains non-finite entries")
     if method != "embnum":
-        return [np.asarray(c, dtype=np.float64) for c in columns]
+        return columns
     vectors = [preprocess(c, model.arch) for c in columns]
     return [row for i in range(0, len(vectors), EMBED_CHUNK)
             for row in embed(model, np.stack(vectors[i : i + EMBED_CHUNK]))]
@@ -243,18 +250,15 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
     """Full leave-one-source-out protocol.
 
     The dataset is indexed once and every subset store takes its records
-    (indexing is excluded from labeling time by contract); the query side
-    is re-featurized inside every timed experiment.  Experiments with no
-    scorable query, and labeled-source counts with no scored experiment,
-    are left out; NoQueries is raised when no experiment can be scored.
+    and scorers, dsl weights fitted there included (indexing is excluded
+    from labeling time by contract); the query side is re-featurized inside
+    every timed experiment.  Experiments with no scorable query, and
+    labeled-source counts with no scored experiment, are left out; NoQueries
+    is raised when no experiment can be scored.
     """
     d = len(dataset.sources)
     if d < 2:
         raise TooFewSources(f"benchmark needs >= 2 sources, got {d}")
-    if method == "dsl" and dsl_model is None:
-        # fallback scorer fitted on the dataset's own pairs; pass an
-        # externally trained model to avoid the circularity
-        dsl_model = dsl_train(make_training_pairs(dataset))
     full = index_labeled(dataset, method, model=model, dsl_model=dsl_model)
 
     sources = sorted(dataset.sources)
@@ -267,7 +271,7 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
             chosen = set(subset)
             store = FeatureStore(method=method,
                                  records=[r for r in full.records if r.source in chosen],
-                                 model=model, dsl_model=dsl_model)
+                                 model=full.model, dsl_model=full.dsl_model)
             result = label_queries(store, queries)
             if result.ranks:
                 outcomes.append((len(subset), mrr(result.ranks), result.seconds))
@@ -330,14 +334,18 @@ def save_store(store: FeatureStore, path: Path) -> None:
         arrays = {"values": np.concatenate([np.empty(0), *(r.feature for r in records)])}
         if store.method == "dsl":
             meta["dsl_model"] = dsl_model_to_doc(store.dsl_model)
-    _serial.write_framed(Path(path), STORE_MAGIC, STORE_VERSION, meta, arrays)
+    _serial.atomic_write_bytes(Path(path), _serial.pack_framed(
+        STORE_MAGIC, STORE_VERSION, meta, arrays))
 
 
 def load_store(path: Path) -> FeatureStore:
-    manifest, arrays = _serial.read_framed(Path(path), STORE_MAGIC, STORE_VERSION)
+    manifest, arrays = _serial.unpack_framed(Path(path).read_bytes(),
+                                             STORE_MAGIC, STORE_VERSION)
     try:
         method = manifest["method"]
         rec_meta = manifest["record_meta"]
+        if not isinstance(rec_meta, list) or not all(isinstance(m, dict) for m in rec_meta):
+            raise MalformedStore(f"{path}: record_meta is not a list of records")
         model = dsl_model = None
         if method == "embnum":
             model = model_from_frame(manifest["model"], {
@@ -350,7 +358,9 @@ def load_store(path: Path) -> FeatureStore:
         else:
             rows = [m["rows"] for m in rec_meta]
             values = arrays["values"]
-            if min(rows, default=0) < 0 or sum(rows) != len(values):
+            if not all(type(n) is int and n >= 0 for n in rows):
+                raise MalformedStore(f"{path}: record row counts must be non-negative integers")
+            if sum(rows) != len(values):
                 raise MalformedStore(f"{path}: record row counts sum to {sum(rows)}, "
                                      f"but the store holds {len(values)} values")
             features = [values[end - n : end] for n, end in zip(rows, np.cumsum(rows))]

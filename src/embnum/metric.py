@@ -106,6 +106,21 @@ def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
                         negatives=negatives, embeddings=emb, labels=labels)
 
 
+def triplet_loss(emb: Tensor, mined: TripletBatch, alpha: float) -> Tensor | None:
+    """max(0, alpha + d_pos - d_neg) averaged over the mined triplets that
+    violate the margin; None when none does."""
+    diff_p = emb.gather_rows(mined.anchors) - emb.gather_rows(mined.positives)
+    diff_n = emb.gather_rows(mined.anchors) - emb.gather_rows(mined.negatives)
+    # tiny floor keeps sqrt differentiable when a distance hits 0
+    d_pos = ((diff_p * diff_p).sum(axis=1) + 1e-12).sqrt()
+    d_neg = ((diff_n * diff_n).sum(axis=1) + 1e-12).sqrt()
+    per_triplet = ops.relu(d_pos - d_neg + alpha)
+    active = np.flatnonzero(per_triplet.data > 0)
+    if active.size == 0:
+        return None
+    return per_triplet.gather_rows(active).sum() * (1.0 / active.size)
+
+
 def training_mrr(embeddings: np.ndarray, labels) -> float:
     """Each row queries all the others, ranked as labeling ranks a store: by
     distance, ties by label.  The reciprocal rank of the first same-label hit
@@ -126,13 +141,6 @@ def training_mrr(embeddings: np.ndarray, labels) -> float:
 
 def _snapshot(model: Model) -> dict[str, np.ndarray]:
     return {name: arr.copy() for name, arr in model.state_dict().items()}
-
-
-def _restore(model: Model, snap: dict[str, np.ndarray]) -> None:
-    for name, p in model.net.named_params().items():
-        p.data = snap[name].copy()
-    for name, buf in model.net.named_buffers().items():
-        np.copyto(buf, snap[name])
 
 
 def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
@@ -191,18 +199,9 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
                     f"non-finite embeddings at epoch {epoch}, step {start // cfg.batch_labels}; "
                     "the optimizer likely diverged (try a lower lr0)"
                 )
-            mined = mine_batch_hard(emb.data, labels[idx_arr])
-
-            diff_p = emb.gather_rows(mined.anchors) - emb.gather_rows(mined.positives)
-            diff_n = emb.gather_rows(mined.anchors) - emb.gather_rows(mined.negatives)
-            # tiny floor keeps sqrt differentiable when a distance hits 0
-            d_pos = ((diff_p * diff_p).sum(axis=1) + 1e-12).sqrt()
-            d_neg = ((diff_n * diff_n).sum(axis=1) + 1e-12).sqrt()
-            per_triplet = ops.relu(d_pos - d_neg + cfg.alpha)
-            active = np.flatnonzero(per_triplet.data > 0)
-            if active.size == 0:
+            loss = triplet_loss(emb, mine_batch_hard(emb.data, labels[idx_arr]), cfg.alpha)
+            if loss is None:
                 continue  # margin satisfied everywhere; nothing to descend
-            loss = per_triplet.gather_rows(active).sum() * (1.0 / active.size)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise NonFiniteLoss(
@@ -225,7 +224,7 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
             best_meta = {"epochs_seen": epoch + 1, "best_mrr": epoch_mrr,
                          "seed": int(cfg.seed)}
 
-    _restore(model, best_snap)
+    model.load_state(best_snap)
     model.training_meta = best_meta
     return model, history
 

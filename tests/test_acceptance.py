@@ -29,7 +29,7 @@ from embnum.labeling import (
     mrr,
     run_benchmark,
 )
-from embnum.metric import mine_batch_hard
+from embnum.metric import mine_batch_hard, triplet_loss
 from embnum.nn import BatchNorm1d, Tensor, ops
 from embnum.sampling import sample_inverse_transform
 from gradcheck import check_gradients, check_network
@@ -232,17 +232,8 @@ def _triplet_head_config(rng, alpha):
     emb0 = rng.standard_normal((8, 3))
     labels = np.array(["a", "a", "b", "b", "c", "c", "d", "d"])
     mined = mine_batch_hard(emb0, labels)
-    anchors, pos, neg = mined.anchors, mined.positives, mined.negatives
-
-    def fwd(ts):
-        e = ts[0]
-        dp = e.gather_rows(anchors) - e.gather_rows(pos)
-        dn = e.gather_rows(anchors) - e.gather_rows(neg)
-        d_pos = ((dp * dp).sum(axis=1) + 1e-12).sqrt()
-        d_neg = ((dn * dn).sum(axis=1) + 1e-12).sqrt()
-        per = ops.relu(d_pos - d_neg + alpha)
-        return per.sum() * (1.0 / len(anchors))
-
+    # train's own loss: the mean over the violating triplets only
+    fwd = lambda ts: triplet_loss(ts[0], mined, alpha)
     return lambda: check_gradients(fwd, [emb0], rng, coords_per_array=10)
 
 
@@ -396,7 +387,7 @@ def test_criterion_6():
     queries = ds.by_source(holdout)
     from embnum.dataset import Dataset
 
-    labeled = Dataset.from_attributes(labeled_attrs)
+    labeled = Dataset(labeled_attrs)
     assert len(labeled.attributes) == 500 and len(queries) == 50
     assert all(a.values.size == 1000 for a in ds.attributes)
 

@@ -281,7 +281,7 @@ class TestTrainingPairs:
             NumericAttribute(values=[3.0], label="y", source="s0"),
             NumericAttribute(values=[4.0], label="y", source="s1"),
         ]
-        ds = Dataset.from_attributes(attrs)
+        ds = Dataset(attrs)
         pairs = make_training_pairs(ds)
         assert len(pairs) == 6  # C(4, 2)
         assert sum(1 for _, same in pairs if same) == 2

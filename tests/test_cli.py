@@ -202,9 +202,10 @@ class TestIndexAndLabel:
 
         store = tmp_path / "dsl_store.bin"
         main(["index", str(data_dir), "--method", "dsl", "--out", str(store)])
-        manifest, arrays = _serial.read_framed(store, STORE_MAGIC, STORE_VERSION)
+        manifest, arrays = _serial.unpack_framed(store.read_bytes(), STORE_MAGIC,
+                                                 STORE_VERSION)
         manifest["dsl_model"] = [1.0, 2.0, 3.0]
-        _serial.write_framed(store, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        store.write_bytes(_serial.pack_framed(STORE_MAGIC, STORE_VERSION, manifest, arrays))
         q = tmp_path / "q.csv"
         q.write_text("1\n")
         capsys.readouterr()
@@ -217,9 +218,10 @@ class TestIndexAndLabel:
         from embnum.labeling import STORE_MAGIC, STORE_VERSION
 
         _, _, store = trained_paths
-        manifest, arrays = _serial.read_framed(store, STORE_MAGIC, STORE_VERSION)
+        manifest, arrays = _serial.unpack_framed(store.read_bytes(), STORE_MAGIC,
+                                                 STORE_VERSION)
         arrays["embeddings"] = arrays["embeddings"][:, :-1]
-        _serial.write_framed(store, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        store.write_bytes(_serial.pack_framed(STORE_MAGIC, STORE_VERSION, manifest, arrays))
         q = tmp_path / "q.csv"
         q.write_text("1\n")
         capsys.readouterr()
@@ -254,8 +256,8 @@ class TestIndexAndLabel:
         from embnum.labeling import STORE_MAGIC, STORE_VERSION
 
         store = tmp_path / "bad.bin"
-        _serial.write_framed(store, STORE_MAGIC, STORE_VERSION,
-                             {"kind": "feature-store", "method": "semantictyper"}, {})
+        store.write_bytes(_serial.pack_framed(
+            STORE_MAGIC, STORE_VERSION, {"kind": "feature-store", "method": "semantictyper"}, {}))
         q = tmp_path / "q.csv"
         q.write_text("1\n")
         assert main(["label", str(store), str(q)]) == 1
@@ -266,24 +268,51 @@ class TestIndexAndLabel:
         from embnum.labeling import STORE_MAGIC, STORE_VERSION
 
         _, _, store = trained_paths
-        manifest, arrays = _serial.read_framed(store, STORE_MAGIC, STORE_VERSION)
+        manifest, arrays = _serial.unpack_framed(store.read_bytes(), STORE_MAGIC,
+                                                 STORE_VERSION)
         manifest["record_meta"].append({"label": "extra", "source": "s9"})
         del manifest["arrays"]
-        _serial.write_framed(store, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        store.write_bytes(_serial.pack_framed(STORE_MAGIC, STORE_VERSION, manifest, arrays))
         q = tmp_path / "q.csv"
         q.write_text("1\n")
         capsys.readouterr()
         assert main(["label", str(store), str(q)]) == 1
         assert "MalformedStore" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record_meta", [
+        7,
+        [1, 2, 3],
+        "rows-as-string",
+    ], ids=["int", "list-of-ints", "string-rows"])
+    def test_label_malformed_record_meta_is_named_error(self, data_dir, tmp_path, capsys,
+                                                        record_meta):
+        from embnum import _serial
+        from embnum.labeling import STORE_MAGIC, STORE_VERSION
+
+        store = tmp_path / "s.bin"
+        assert main(["index", str(data_dir), "--method", "semantictyper",
+                     "--out", str(store)]) == 0
+        manifest, arrays = _serial.unpack_framed(store.read_bytes(), STORE_MAGIC,
+                                                 STORE_VERSION)
+        if record_meta == "rows-as-string":
+            manifest["record_meta"][0]["rows"] = str(manifest["record_meta"][0]["rows"])
+        else:
+            manifest["record_meta"] = record_meta
+        store.write_bytes(_serial.pack_framed(STORE_MAGIC, STORE_VERSION, manifest, arrays))
+        q = tmp_path / "q.csv"
+        q.write_text("1\n")
+        capsys.readouterr()
+        assert main(["label", str(store), str(q)]) == 1
+        assert capsys.readouterr().err.startswith("MalformedStore: ")
+
     def test_label_version_1_store_is_refused(self, tmp_path, capsys):
         from embnum import _serial
         from embnum.labeling import STORE_MAGIC
 
         store = tmp_path / "v1.bin"
-        _serial.write_framed(store, STORE_MAGIC, 1,
-                             {"kind": "feature-store", "method": "semantictyper",
-                              "record_meta": []}, {})
+        store.write_bytes(_serial.pack_framed(
+            STORE_MAGIC, 1, {"kind": "feature-store", "method": "semantictyper",
+                             "record_meta": []}, {}))
         q = tmp_path / "q.csv"
         q.write_text("1\n")
         assert main(["label", str(store), str(q)]) == 1
@@ -328,9 +357,10 @@ class TestExport:
         from embnum.embnet import MODEL_MAGIC, MODEL_VERSION
 
         data_dir, model, _ = trained_paths
-        manifest, arrays = _serial.read_framed(model, MODEL_MAGIC, MODEL_VERSION)
+        manifest, arrays = _serial.unpack_framed(model.read_bytes(), MODEL_MAGIC,
+                                                 MODEL_VERSION)
         del manifest[missing]
-        _serial.write_framed(model, MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
+        model.write_bytes(_serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays))
         capsys.readouterr()
         assert main(["export-embeddings", str(model), str(data_dir)]) == 1
         assert "MalformedCheckpoint" in capsys.readouterr().err
@@ -341,12 +371,31 @@ class TestExport:
         from embnum.embnet import MODEL_MAGIC, MODEL_VERSION
 
         data_dir, model, _ = trained_paths
-        manifest, arrays = _serial.read_framed(model, MODEL_MAGIC, MODEL_VERSION)
+        manifest, arrays = _serial.unpack_framed(model.read_bytes(), MODEL_MAGIC,
+                                                 MODEL_VERSION)
         manifest["arch"]["depth"] = 3
-        _serial.write_framed(model, MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
+        model.write_bytes(_serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays))
         capsys.readouterr()
         assert main(["export-embeddings", str(model), str(data_dir)]) == 1
         assert "MalformedCheckpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["export-embeddings", "index"])
+    def test_mis_shaped_checkpoint_array_is_invalid_arch(self, trained_paths, tmp_path,
+                                                         capsys, command):
+        from embnum import _serial
+        from embnum.embnet import MODEL_MAGIC, MODEL_VERSION
+
+        data_dir, model, _ = trained_paths
+        manifest, arrays = _serial.unpack_framed(model.read_bytes(), MODEL_MAGIC,
+                                                 MODEL_VERSION)
+        arrays["stem_conv.weight"] = arrays["stem_conv.weight"].reshape(-1)
+        model.write_bytes(_serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays))
+        argv = {"export-embeddings": ["export-embeddings", str(model), str(data_dir)],
+                "index": ["index", str(data_dir), "--method", "embnum", "--model",
+                          str(model), "--out", str(tmp_path / "s.bin")]}[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "InvalidArch" in capsys.readouterr().err
 
 
 MALFORMED_MANIFESTS = {

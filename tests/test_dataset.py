@@ -28,7 +28,7 @@ def tiny_dataset() -> Dataset:
         NumericAttribute(values=[2.0, 2.0, 9.0], label="height", source="s1"),
         NumericAttribute(values=[-4.25, 0.125], label="weight", source="s1"),
     ]
-    return Dataset.from_attributes(attrs)
+    return Dataset(attrs)
 
 
 class TestNumericAttribute:
@@ -54,16 +54,16 @@ class TestDatasetInvariants:
         a = NumericAttribute(values=[1.0], label="x", source="s")
         b = NumericAttribute(values=[2.0], label="x", source="s")
         with pytest.raises(MalformedValue):
-            Dataset.from_attributes([a, b])
+            Dataset([a, b])
 
-    def test_undeclared_source_rejected(self):
-        a = NumericAttribute(values=[1.0], label="x", source="s")
-        with pytest.raises(MalformedValue):
-            Dataset(sources=["other"], labels=["x"], attributes=[a])
+    def test_sources_and_labels_are_sorted_and_derived(self):
+        d = Dataset(list(reversed(tiny_dataset().attributes)))
+        assert d.sources == ["s0", "s1"]
+        assert d.labels == ["height", "weight"]
 
     def test_equality_is_order_insensitive(self):
         d1 = tiny_dataset()
-        d2 = Dataset.from_attributes(list(reversed(d1.attributes)))
+        d2 = Dataset(list(reversed(d1.attributes)))
         assert d1 == d2
 
     def test_by_source(self):
@@ -89,7 +89,7 @@ class TestRoundTrip:
 
     def test_fingerprint_stable_under_attribute_order(self, tmp_path):
         d1 = tiny_dataset()
-        d2 = Dataset.from_attributes(list(reversed(d1.attributes)))
+        d2 = Dataset(list(reversed(d1.attributes)))
         assert dataset_fingerprint(d1) == dataset_fingerprint(d2)
 
     def test_fingerprint_sensitive_to_values(self):
@@ -97,7 +97,7 @@ class TestRoundTrip:
         attrs = [NumericAttribute(values=a.values.copy(), label=a.label, source=a.source)
                  for a in d1.attributes]
         attrs[0].values[0] += 1e-9
-        d2 = Dataset.from_attributes(attrs)
+        d2 = Dataset(attrs)
         assert dataset_fingerprint(d1) != dataset_fingerprint(d2)
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,

@@ -70,13 +70,12 @@ class TestBuild:
     def test_seeded_build_is_deterministic(self):
         a = build_model(TINY, seed=1)
         b = build_model(TINY, seed=1)
-        assert a == b
         assert model_to_bytes(a) == model_to_bytes(b)
 
     def test_seed_changes_weights(self):
         a = build_model(TINY, seed=1)
         b = build_model(TINY, seed=2)
-        assert a != b
+        assert model_to_bytes(a) != model_to_bytes(b)
 
     def test_training_meta_initialized(self):
         m = build_model(TINY, seed=9)
@@ -230,7 +229,6 @@ class TestCheckpointFormat:
         p = tmp_path / "model.bin"
         save_model(m, p)
         loaded = load_model(p)
-        assert loaded == m
         assert model_to_bytes(loaded) == model_to_bytes(m)
 
     def test_magic_and_version_fields(self):
@@ -276,6 +274,15 @@ class TestCheckpointFormat:
         with pytest.raises(InvalidArch):
             model_from_bytes(doctored)
 
+    @pytest.mark.parametrize("name", ["stem_conv.weight", "fc.bias", "stem_bn.running_var"])
+    def test_arrays_must_match_declared_shapes(self, name):
+        manifest, arrays = _serial.unpack_framed(model_to_bytes(build_model(TINY, seed=0)),
+                                                 MODEL_MAGIC, MODEL_VERSION)
+        arrays[name] = np.concatenate([arrays[name].reshape(-1), [0.0]]).astype(np.float32)
+        doctored = _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
+        with pytest.raises(InvalidArch):
+            model_from_bytes(doctored)
+
     @pytest.mark.parametrize("missing", ["arch", "training_meta"])
     def test_missing_manifest_key_is_malformed_checkpoint(self, missing):
         manifest, arrays = _serial.unpack_framed(model_to_bytes(build_model(TINY, seed=0)),
@@ -285,11 +292,20 @@ class TestCheckpointFormat:
         with pytest.raises(MalformedCheckpoint, match=missing):
             model_from_bytes(doctored)
 
-    def test_model_equality_sees_meta_and_weights(self):
+    @pytest.mark.parametrize("training_meta", ["ab", 7])
+    def test_mistyped_training_meta_is_malformed_checkpoint(self, training_meta):
+        manifest, arrays = _serial.unpack_framed(model_to_bytes(build_model(TINY, seed=0)),
+                                                 MODEL_MAGIC, MODEL_VERSION)
+        manifest["training_meta"] = training_meta
+        doctored = _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
+        with pytest.raises(MalformedCheckpoint):
+            model_from_bytes(doctored)
+
+    def test_model_bytes_see_meta_and_weights(self):
         a = build_model(TINY, seed=0)
         b = build_model(TINY, seed=0)
         b.training_meta["epochs_seen"] = 3
-        assert a != b
+        assert model_to_bytes(a) != model_to_bytes(b)
         c = build_model(TINY, seed=0)
         c.net.fc.bias.data[0] += 1e-3
-        assert a != c
+        assert model_to_bytes(a) != model_to_bytes(c)

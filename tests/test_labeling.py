@@ -8,11 +8,13 @@ import pytest
 
 import embnum.labeling as labeling_mod
 from embnum import _serial
-from embnum.baselines import LogisticModel, PackedColumns, dsl_train, make_training_pairs
+from embnum.baselines import (LogisticModel, PackedColumns, dsl_model_to_doc, dsl_train,
+                              make_training_pairs)
 from embnum.dataset import Dataset, NumericAttribute, SyntheticSpec, generate_synthetic
-from embnum.embnet import ArchConfig, build_model, model_frame
+from embnum.embnet import ArchConfig, build_model, model_frame, model_to_bytes
 from embnum.errors import (
     ChecksumMismatch,
+    EmptyInput,
     EmptyLabeledData,
     EmptyRanking,
     EmptyStore,
@@ -103,15 +105,18 @@ class TestIndexing:
             assert r1.feature.tobytes() == r2.feature.tobytes()
 
     def test_empty_dataset_rejected(self):
-        empty = Dataset(sources=[], labels=[], attributes=[])
+        empty = Dataset([])
         with pytest.raises(EmptyLabeledData):
             index_labeled(empty, "semantictyper")
 
     def test_missing_models_rejected(self, tiny_dataset):
         with pytest.raises(MissingModel):
             index_labeled(tiny_dataset, "embnum")
-        with pytest.raises(MissingModel):
-            index_labeled(tiny_dataset, "dsl")
+
+    def test_dsl_store_without_weights_fits_them_on_the_labeled_pairs(self, tiny_dataset):
+        fitted = index_labeled(tiny_dataset, "dsl").dsl_model
+        want = dsl_train(make_training_pairs(tiny_dataset))
+        assert dsl_model_to_doc(fitted) == dsl_model_to_doc(want)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -171,6 +176,15 @@ class TestRank:
         store = FeatureStore(method="semantictyper", records=[])
         with pytest.raises(EmptyStore):
             rank(store, np.array([1.0]))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("query", [[np.nan, 1.0], [np.inf, 2.0], [1.0, -np.inf]],
+                             ids=["nan", "inf", "neg-inf"])
+    def test_non_finite_query_rejected(self, tiny_dataset, tiny_model, method, query):
+        dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+        store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
+        with pytest.raises(EmptyInput, match="non-finite"):
+            rank(store, np.array(query))
 
     @pytest.mark.parametrize("method", ["embnum", "semantictyper", "dsl"])
     def test_reassigned_records_rank_like_a_fresh_store(self, tiny_dataset, tiny_model,
@@ -337,14 +351,14 @@ class TestBenchmark:
             return NumericAttribute(values=[1.0 + len(label + source), 2.0],
                                     label=label, source=source)
 
-        ds = Dataset.from_attributes([attr("x", "a"), attr("y", "a"), attr("x", "b"),
-                                      attr("y", "c"), attr("z", "c")])
+        ds = Dataset([attr("x", "a"), attr("y", "a"), attr("x", "b"),
+                      attr("y", "c"), attr("z", "c")])
         dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
         report = run_benchmark(ds, method, model=tiny_model, dsl_model=dsl_model)
         assert report.total_experiments == 7
         assert [pc.labeled_sources for pc in report.per_count] == [1, 2]
         assert [pc.experiments for pc in report.per_count] == [4, 3]
-        disjoint = Dataset.from_attributes([attr("x", "a"), attr("y", "b")])
+        disjoint = Dataset([attr("x", "a"), attr("y", "b")])
         with pytest.raises(NoQueries):
             run_benchmark(disjoint, method, model=tiny_model, dsl_model=dsl_model)
 
@@ -404,7 +418,7 @@ class TestStorePersistence:
         save_store(store, p)
         loaded = load_store(p)
         assert loaded.method == "embnum"
-        assert loaded.model == store.model
+        assert model_to_bytes(loaded.model) == model_to_bytes(store.model)
         assert len(loaded.records) == len(store.records)
         for a, b in zip(store.records, loaded.records):
             assert (a.label, a.source) == (b.label, b.source)
@@ -453,7 +467,7 @@ class TestStorePersistence:
             self, tiny_dataset, tmp_path, method, tied):
         ds = tiny_dataset
         if tied:  # whole numbers: heavy ties within and across columns
-            ds = Dataset.from_attributes([
+            ds = Dataset([
                 NumericAttribute(values=np.round(a.values), label=a.label, source=a.source)
                 for a in ds.attributes])
         dsl_model = LogisticModel(weights=np.array([1.5, -0.5, 2.0]), bias=0.25)
@@ -469,11 +483,11 @@ class TestStorePersistence:
         store = index_labeled(tiny_dataset, "semantictyper")
         p = tmp_path / "store.bin"
         save_store(store, p)
-        manifest, arrays = _serial.read_framed(p, STORE_MAGIC, STORE_VERSION)
+        manifest, arrays = _serial.unpack_framed(p.read_bytes(), STORE_MAGIC, STORE_VERSION)
         manifest.pop(missing, None)
         arrays.pop(missing, None)
         del manifest["arrays"]
-        _serial.write_framed(p, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        p.write_bytes(_serial.pack_framed(STORE_MAGIC, STORE_VERSION, manifest, arrays))
         with pytest.raises(MalformedStore, match=missing):
             load_store(p)
 
@@ -485,10 +499,10 @@ class TestStorePersistence:
         store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
         p = tmp_path / "store.bin"
         save_store(store, p)
-        manifest, arrays = _serial.read_framed(p, STORE_MAGIC, STORE_VERSION)
+        manifest, arrays = _serial.unpack_framed(p.read_bytes(), STORE_MAGIC, STORE_VERSION)
         manifest["record_meta"].append({"label": "extra", "source": "s9", "rows": 1})
         del manifest["arrays"]
-        _serial.write_framed(p, STORE_MAGIC, STORE_VERSION, manifest, arrays)
+        p.write_bytes(_serial.pack_framed(STORE_MAGIC, STORE_VERSION, manifest, arrays))
         with pytest.raises(MalformedStore):
             load_store(p)
 
@@ -497,14 +511,14 @@ class TestStorePersistence:
         # arrays for embnum, one values array plus per-record row counts otherwise
         p = tmp_path / "store.bin"
         save_store(index_labeled(tiny_dataset, "embnum", model=tiny_model), p)
-        manifest, arrays = _serial.read_framed(p, STORE_MAGIC, STORE_VERSION)
+        manifest, arrays = _serial.unpack_framed(p.read_bytes(), STORE_MAGIC, STORE_VERSION)
         meta, state = model_frame(tiny_model)
         assert manifest["model"]["training_meta"] == meta["training_meta"]
         assert set(arrays) == {"embeddings"} | {f"model.{name}" for name in state}
         assert arrays["embeddings"].shape == (len(tiny_dataset.attributes), TINY.k)
 
         save_store(index_labeled(tiny_dataset, "semantictyper"), p)
-        manifest, arrays = _serial.read_framed(p, STORE_MAGIC, STORE_VERSION)
+        manifest, arrays = _serial.unpack_framed(p.read_bytes(), STORE_MAGIC, STORE_VERSION)
         assert set(arrays) == {"values"}
         assert [m["rows"] for m in manifest["record_meta"]] == [
             a.values.size for a in tiny_dataset.attributes]

@@ -236,7 +236,7 @@ class TestTrainConfig:
 
 class TestTrainValidation:
     def test_too_few_labels(self):
-        ds = Dataset.from_attributes([
+        ds = Dataset([
             NumericAttribute(values=[1.0], label="x", source="s0"),
             NumericAttribute(values=[2.0], label="x", source="s1"),
         ])
@@ -244,7 +244,7 @@ class TestTrainValidation:
             train(ds, TINY_ARCH, TINY_CFG)
 
     def test_thin_label_rejected(self):
-        ds = Dataset.from_attributes([
+        ds = Dataset([
             NumericAttribute(values=[1.0], label="x", source="s0"),
             NumericAttribute(values=[2.0], label="x", source="s1"),
             NumericAttribute(values=[3.0], label="y", source="s0"),
