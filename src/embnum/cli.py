@@ -18,13 +18,11 @@ from .errors import EmbnumError, MissingDirectory
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=["desk"], default=None,
-                   help="start from a fixture's configs; 'desk' is width 1/8, "
-                        "30 epochs, 10x3 batches, seed 7")
+                   help="start from a fixture's configs; 'desk' is "
+                        "embnum.fixtures.desk_arch() and desk_train_config()")
     p.add_argument("--h", type=int, default=None, help="sampled input width")
     p.add_argument("--k", type=int, default=None, help="embedding dimension")
     p.add_argument("--stem-channels", type=int, default=None)
-    p.add_argument("--width-multiplier", type=float, default=None)
-    p.add_argument("--input-norm", choices=list(embnet.INPUT_NORMS), default=None)
     p.add_argument("--alpha", type=float, default=None, help="triplet margin")
     p.add_argument("--lr0", type=float, default=None)
     p.add_argument("--lr-step", type=int, default=None)
@@ -72,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="reduce a CSV column to an h-length quantile vector")
     p.add_argument("csv", help="one numeric value per line")
-    p.add_argument("--h", type=int, default=100)
+    p.add_argument("--h", type=int, default=embnet.ArchConfig.h)
 
     p = sub.add_parser("train", help="train the embedding model on a dataset")
     p.add_argument("data", help="dataset directory")

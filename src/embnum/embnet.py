@@ -4,26 +4,25 @@ Maps an h-length sorted quantile vector to a k-dimensional embedding through
 a ResNet-18-shaped stack adapted to one spatial dimension: a 7-wide strided
 stem, four stages of two-conv residual blocks with channel doubling and
 stride-2 entries, global average pooling, and a final affine projection.
-A width multiplier scales every channel count so the same topology runs at
-desk scale.
+The stem's channel count sets every stage's width, so the same topology runs
+at desk scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import _serial
-from .errors import InvalidArch, MalformedCheckpoint, MalformedValue, WidthMismatch
+from .errors import InvalidArch, MalformedCheckpoint, WidthMismatch
 from .nn import BatchNorm1d, Conv1d, Linear, Tensor, no_grad, ops
 from .sampling import sample_inverse_transform
 
 MODEL_MAGIC = b"EMBN"
 MODEL_VERSION = 1
-
-INPUT_NORMS = ("none", "signed_log")
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,6 @@ class ArchConfig:
     k: int = 100
     stem_channels: int = 64
     block_counts: tuple[int, int, int, int] = (2, 2, 2, 2)
-    width_multiplier: float = 1.0
-    input_norm: str = "signed_log"
 
     def __post_init__(self):
         if self.h < 1:
@@ -45,20 +42,11 @@ class ArchConfig:
         object.__setattr__(self, "block_counts", tuple(self.block_counts))
         if len(self.block_counts) != 4 or any(c < 1 for c in self.block_counts):
             raise InvalidArch(f"block_counts must be 4 positive ints, got {self.block_counts}")
-        if not (self.width_multiplier > 0):
-            raise InvalidArch(f"width_multiplier must be positive, got {self.width_multiplier}")
-        if self.input_norm not in INPUT_NORMS:
-            raise InvalidArch(f"input_norm must be one of {INPUT_NORMS}, got {self.input_norm!r}")
-        if min(self.stage_channels) < 1:
-            raise InvalidArch(
-                f"width_multiplier {self.width_multiplier} collapses a stage to zero channels"
-            )
 
     @property
     def stage_channels(self) -> tuple[int, int, int, int]:
-        base = (self.stem_channels, self.stem_channels * 2,
-                self.stem_channels * 4, self.stem_channels * 8)
-        return tuple(int(round(c * self.width_multiplier)) for c in base)
+        c = self.stem_channels
+        return (c, 2 * c, 4 * c, 8 * c)
 
 
 class BasicBlock:
@@ -70,16 +58,16 @@ class BasicBlock:
     """
 
     def __init__(self, in_channels: int, out_channels: int, stride: int, *,
-                 rng: np.random.Generator, dtype=np.float32):
+                 dtype=np.float32):
         self.conv1 = Conv1d(in_channels, out_channels, 3, stride=stride,
-                            padding=1, bias=False, rng=rng, dtype=dtype)
+                            padding=1, bias=False, dtype=dtype)
         self.bn1 = BatchNorm1d(out_channels, dtype=dtype)
         self.conv2 = Conv1d(out_channels, out_channels, 3, stride=1,
-                            padding=1, bias=False, rng=rng, dtype=dtype)
+                            padding=1, bias=False, dtype=dtype)
         self.bn2 = BatchNorm1d(out_channels, dtype=dtype)
         if stride != 1 or in_channels != out_channels:
             self.proj_conv = Conv1d(in_channels, out_channels, 1, stride=stride,
-                                    bias=False, rng=rng, dtype=dtype)
+                                    bias=False, dtype=dtype)
             self.proj_bn = BatchNorm1d(out_channels, dtype=dtype)
         else:
             self.proj_conv = None
@@ -104,11 +92,10 @@ class BasicBlock:
 
 
 class ResNet1d:
-    def __init__(self, arch: ArchConfig, *, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, arch: ArchConfig, *, dtype=np.float32):
         chans = arch.stage_channels
         self.stem_conv = Conv1d(1, chans[0], 7, stride=2, padding=3,
-                                bias=False, rng=rng, dtype=dtype)
+                                bias=False, dtype=dtype)
         self.stem_bn = BatchNorm1d(chans[0], dtype=dtype)
         self.stages: list[list[BasicBlock]] = []
         in_ch = chans[0]
@@ -116,10 +103,10 @@ class ResNet1d:
             blocks = []
             for block_idx in range(count):
                 stride = 2 if (stage_idx > 0 and block_idx == 0) else 1
-                blocks.append(BasicBlock(in_ch, out_ch, stride, rng=rng, dtype=dtype))
+                blocks.append(BasicBlock(in_ch, out_ch, stride, dtype=dtype))
                 in_ch = out_ch
             self.stages.append(blocks)
-        self.fc = Linear(chans[3], arch.k, rng=rng, dtype=dtype)
+        self.fc = Linear(chans[3], arch.k, dtype=dtype)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         y = ops.relu(self.stem_bn(self.stem_conv(x), training))
@@ -179,34 +166,34 @@ class Model:
             np.copyto(buf, arrays[name])
 
 
+def init_weights(net, rng: np.random.Generator) -> None:
+    """He-uniform draw for every conv and linear weight of a network or
+    block, in modules() order: U(-b, b) with b = sqrt(6 / fan_in), fan_in
+    the product of the weight's shape past the output axis."""
+    for mod in net.modules().values():
+        if isinstance(mod, (Conv1d, Linear)):
+            w = mod.weight.data
+            bound = np.sqrt(6.0 / math.prod(w.shape[1:]))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+
+
 def build_model(arch: ArchConfig, seed: int) -> Model:
-    rng = np.random.default_rng(seed)
-    net = ResNet1d(arch, rng=rng)
+    net = ResNet1d(arch)
+    init_weights(net, np.random.default_rng(seed))
     return Model(arch=arch, net=net,
                  training_meta={"epochs_seen": 0, "best_mrr": 0.0, "seed": int(seed)})
 
 
-def normalize_input(raw: np.ndarray, mode: str) -> np.ndarray:
-    """Magnitude conditioning; signed_log maps v to sign(v) * ln(1 + |v|)."""
-    if mode == "none":
-        return np.asarray(raw)
-    if mode == "signed_log":
-        raw = np.asarray(raw, dtype=np.float64)
-        return np.sign(raw) * np.log1p(np.abs(raw))
-    raise InvalidArch(f"input_norm must be one of {INPUT_NORMS}, got {mode!r}")
+def normalize_input(raw: np.ndarray) -> np.ndarray:
+    """Magnitude conditioning: v -> sign(v) * ln(1 + |v|), at most 709.8 in
+    magnitude for any finite float64, so float32 always holds it."""
+    raw = np.asarray(raw, dtype=np.float64)
+    return np.sign(raw) * np.log1p(np.abs(raw))
 
 
 def preprocess(values: np.ndarray, arch: ArchConfig) -> np.ndarray:
     """Raw attribute values -> model-ready float32 h-vector."""
-    sampled = sample_inverse_transform(values, arch.h)
-    with np.errstate(over="ignore"):  # overflow is reported as MalformedValue below
-        out = normalize_input(sampled, arch.input_norm).astype(np.float32)
-    if not np.all(np.isfinite(out)):
-        raise MalformedValue(
-            f"values overflow float32 under input_norm={arch.input_norm!r}; "
-            "signed_log conditioning handles large magnitudes"
-        )
-    return out
+    return normalize_input(sample_inverse_transform(values, arch.h)).astype(np.float32)
 
 
 def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
@@ -248,9 +235,8 @@ def model_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> Model:
         raise MalformedCheckpoint(f"checkpoint lacks {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # unknown or mistyped field, non-dict meta
         raise MalformedCheckpoint(f"checkpoint has a malformed header: {exc}") from None
-    model = build_model(arch, seed=0)
+    model = Model(arch=arch, net=ResNet1d(arch), training_meta=training_meta)
     model.load_state(arrays)
-    model.training_meta = training_meta
     return model
 
 

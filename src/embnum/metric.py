@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .embnet import ArchConfig, Model, build_model, preprocess
+from .embnet import ArchConfig, Model, build_model, embed, preprocess
 from .errors import DegenerateBatch, InsufficientSamples, InvalidSpec, NonFiniteLoss
-from .nn import SGD, Tensor, no_grad, ops
+from .nn import SGD, Tensor, ops
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class TripletBatch:
     anchors: np.ndarray
     positives: np.ndarray
     negatives: np.ndarray
-    embeddings: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
@@ -103,7 +102,7 @@ def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
     positives = np.argmax(pos_d, axis=1)
     negatives = np.argmin(neg_d, axis=1)
     return TripletBatch(anchors=anchors, positives=positives,
-                        negatives=negatives, embeddings=emb, labels=labels)
+                        negatives=negatives, labels=labels)
 
 
 def triplet_loss(emb: Tensor, mined: TripletBatch, alpha: float) -> Tensor | None:
@@ -212,9 +211,7 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
             loss.backward()
             opt.step()
 
-        with no_grad():
-            emb_all = model.net(Tensor(vectors[:, None, :]), training=False).data
-        epoch_mrr = training_mrr(emb_all, labels)
+        epoch_mrr = training_mrr(embed(model, vectors), labels)
         mean_loss = float(np.mean(losses)) if losses else 0.0
         history.append({"epoch": epoch, "mean_loss": mean_loss,
                         "train_mrr": epoch_mrr, "lr": opt.lr})

@@ -1,4 +1,6 @@
-"""Parameterized layers: thin containers pairing Tensors with the ops."""
+"""Parameterized layers: thin containers pairing Tensors with the ops.
+
+Conv and linear weights start at zero; embnet.init_weights draws them."""
 
 from __future__ import annotations
 
@@ -8,23 +10,14 @@ from . import ops
 from .tensor import Tensor
 
 
-def he_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-               fan_in: int, dtype) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
 class Conv1d:
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, bias: bool = True, *,
-                 rng: np.random.Generator, dtype=np.float32):
+                 dtype=np.float32):
         self.stride = stride
         self.padding = padding
-        fan_in = in_channels * kernel
-        self.weight = Tensor(
-            he_uniform(rng, (out_channels, in_channels, kernel), fan_in, dtype),
-            requires_grad=True,
-        )
+        self.weight = Tensor(np.zeros((out_channels, in_channels, kernel), dtype=dtype),
+                             requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -62,12 +55,9 @@ class BatchNorm1d:
 
 
 class Linear:
-    def __init__(self, in_features: int, out_features: int, *,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.weight = Tensor(
-            he_uniform(rng, (out_features, in_features), in_features, dtype),
-            requires_grad=True,
-        )
+    def __init__(self, in_features: int, out_features: int, *, dtype=np.float32):
+        self.weight = Tensor(np.zeros((out_features, in_features), dtype=dtype),
+                             requires_grad=True)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:

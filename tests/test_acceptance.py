@@ -20,7 +20,7 @@ from embnum.baselines import (
     numeric_jaccard,
 )
 from embnum.dataset import SyntheticSpec, generate_synthetic, write_dataset
-from embnum.embnet import ArchConfig, BasicBlock, ResNet1d, build_model
+from embnum.embnet import ArchConfig, BasicBlock, ResNet1d, build_model, init_weights
 from embnum.fixtures import desk_arch, efficiency_spec
 from embnum.labeling import (
     expected_experiments,
@@ -202,7 +202,8 @@ def _misc_configs(rng):
 
 
 def _block_config(rng, c_in, c_out, stride, training):
-    block = BasicBlock(c_in, c_out, stride, rng=rng, dtype=np.float64)
+    block = BasicBlock(c_in, c_out, stride, dtype=np.float64)
+    init_weights(block, rng)
     params, buffers = _module_state(block.modules())
     length = 8
     out_len = math.ceil(length / stride)
@@ -217,7 +218,8 @@ def _block_config(rng, c_in, c_out, stride, training):
 
 def _resnet_config(rng, training):
     arch = ArchConfig(h=16, k=4, stem_channels=4, block_counts=(1, 1, 1, 1))
-    net = ResNet1d(arch, rng=rng, dtype=np.float64)
+    net = ResNet1d(arch, dtype=np.float64)
+    init_weights(net, rng)
     proj = rng.standard_normal((2, arch.k))
     x = Tensor(rng.standard_normal((2, 1, arch.h)), requires_grad=True)
 

@@ -1,12 +1,13 @@
+import argparse
 import json
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from embnum.cli import _configs, build_parser, main
+from embnum.cli import _add_model_flags, _configs, build_parser, main
 from embnum.dataset import (
     SyntheticSpec,
     generate_synthetic,
@@ -366,18 +367,22 @@ class TestExport:
         assert "MalformedCheckpoint" in capsys.readouterr().err
 
 
-    def test_unknown_arch_field_is_named_error(self, trained_paths, capsys):
+    # width_multiplier and input_norm were fields of older checkpoints
+    @pytest.mark.parametrize("field, value", [("depth", 3), ("width_multiplier", 1.0),
+                                              ("input_norm", "signed_log")])
+    def test_unknown_arch_field_is_named_error(self, trained_paths, capsys, field, value):
         from embnum import _serial
         from embnum.embnet import MODEL_MAGIC, MODEL_VERSION
 
         data_dir, model, _ = trained_paths
         manifest, arrays = _serial.unpack_framed(model.read_bytes(), MODEL_MAGIC,
                                                  MODEL_VERSION)
-        manifest["arch"]["depth"] = 3
+        manifest["arch"][field] = value
         model.write_bytes(_serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays))
         capsys.readouterr()
         assert main(["export-embeddings", str(model), str(data_dir)]) == 1
-        assert "MalformedCheckpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "MalformedCheckpoint" in err and field in err
 
     @pytest.mark.parametrize("command", ["export-embeddings", "index"])
     def test_mis_shaped_checkpoint_array_is_invalid_arch(self, trained_paths, tmp_path,
@@ -449,6 +454,18 @@ class TestConfigs:
                                  "--seed", "3")
         assert arch == replace(desk_arch(), k=16)
         assert cfg == replace(desk_train_config(), epochs=5, seed=3)
+
+    def test_sample_width_defaults_to_the_arch(self):
+        assert build_parser().parse_args(["sample", "col.csv"]).h == ArchConfig().h
+
+    def test_model_flags_are_the_config_fields(self):
+        # _configs skips a flag that names no field, so a stale flag would
+        # be accepted and silently ignored
+        p = argparse.ArgumentParser()
+        _add_model_flags(p)
+        flags = set(vars(p.parse_args([]))) - {"preset"}
+        names = {f.name for c in (ArchConfig, TrainConfig) for f in fields(c)}
+        assert flags == names - {"block_counts"}
 
 
 class TestUsageErrors:

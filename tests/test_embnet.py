@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embnum import _serial
+from embnum import _serial, embnet
 from embnum.embnet import (
     MODEL_MAGIC,
     MODEL_VERSION,
     ArchConfig,
     BasicBlock,
+    ResNet1d,
     build_model,
     embed,
+    init_weights,
     load_model,
     model_from_bytes,
     model_to_bytes,
@@ -28,10 +31,10 @@ from embnum.errors import (
     FormatVersionMismatch,
     InvalidArch,
     MalformedCheckpoint,
-    MalformedValue,
     WidthMismatch,
 )
-from embnum.nn import Tensor
+from embnum.fixtures import desk_arch
+from embnum.nn import Conv1d, Linear, Tensor
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
 
@@ -41,11 +44,9 @@ class TestArchConfig:
         arch = ArchConfig()
         assert arch.h == 100 and arch.k == 100
         assert arch.stage_channels == (64, 128, 256, 512)
-        assert arch.input_norm == "signed_log"
 
-    def test_width_multiplier_scales_stages(self):
-        arch = ArchConfig(width_multiplier=0.125)
-        assert arch.stage_channels == (8, 16, 32, 64)
+    def test_desk_arch_stage_channels(self):
+        assert desk_arch().stage_channels == (8, 16, 32, 64)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -55,10 +56,6 @@ class TestArchConfig:
             {"stem_channels": 0},
             {"block_counts": (2, 2, 2)},
             {"block_counts": (2, 2, 2, 0)},
-            {"width_multiplier": 0.0},
-            {"width_multiplier": -1.0},
-            {"input_norm": "zscore"},
-            {"stem_channels": 4, "width_multiplier": 0.1},  # stage rounds to 0
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -96,30 +93,44 @@ class TestBuild:
         m = build_model(TINY, seed=0)
         assert not any(name.endswith("conv1.bias") for name in m.net.named_params())
 
+    def test_init_weights_fills_he_uniform_bounds(self):
+        net = ResNet1d(ArchConfig(h=16, k=8, stem_channels=16, block_counts=(1, 1, 1, 1)))
+        layers = [m for m in net.modules().values() if isinstance(m, (Conv1d, Linear))]
+        assert len(layers) == 1 + 2 * 4 + 3 + 1  # stem, block convs, projections, fc
+        assert not any(layer.weight.data.any() for layer in layers)  # zero until drawn
+        init_weights(net, np.random.default_rng(0))
+        for layer in layers:
+            w = layer.weight.data
+            bound = np.sqrt(6.0 / np.prod(w.shape[1:]))
+            assert w.dtype == np.float32
+            assert np.abs(w).max() <= bound
+            assert np.abs(w).max() > 0.5 * bound  # actually fills the range
+
+    def test_seeded_draws_are_pinned(self):
+        # the draw order (modules() order, conv and linear weights only) fixes
+        # every trained checkpoint; a reordering would change all of them
+        state = build_model(desk_arch(), seed=7).state_dict()
+        digest = hashlib.sha256()
+        for name in sorted(state):
+            digest.update(name.encode() + state[name].tobytes())
+        assert digest.hexdigest()[:16] == "9c0d6da9aab1391c"
+
 
 class TestNormalizeInput:
-    def test_none_is_identity(self):
-        x = np.array([1.5, -2.0, 1e30])
-        assert np.array_equal(normalize_input(x, "none"), x)
-
     def test_signed_log_fixed_points(self):
-        out = normalize_input(np.array([0.0, np.e - 1.0, -(np.e - 1.0)]), "signed_log")
+        out = normalize_input(np.array([0.0, np.e - 1.0, -(np.e - 1.0)]))
         assert out[0] == 0.0
         assert abs(out[1] - 1.0) < 1e-15
         assert out[2] == -out[1]
-
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidArch):
-            normalize_input(np.array([1.0]), "unit")
 
     @given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
                               allow_nan=False), min_size=2, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_signed_log_is_monotone_and_odd(self, values):
         arr = np.array(sorted(values))
-        out = normalize_input(arr, "signed_log")
+        out = normalize_input(arr)
         assert np.all(np.diff(out) >= 0)
-        assert np.array_equal(normalize_input(-arr, "signed_log"), -out)
+        assert np.array_equal(normalize_input(-arr), -out)
 
 
 class TestPreprocess:
@@ -129,17 +140,17 @@ class TestPreprocess:
         assert out.dtype == np.float32
 
     def test_sampling_then_conditioning(self):
-        arch = ArchConfig(h=4, k=8, stem_channels=4, input_norm="none")
-        out = preprocess(np.array([1.0, 2.0, 2.0, 3.0]), arch)
-        assert out.tolist() == [1.0, 2.0, 2.0, 3.0]
+        arch = ArchConfig(h=4, k=8, stem_channels=4)
+        out = preprocess(np.array([3.0, 1.0, 2.0, 2.0]), arch)
+        assert out.tolist() == np.log1p([1.0, 2.0, 2.0, 3.0]).astype(np.float32).tolist()
 
-    def test_float32_overflow_rejected_without_conditioning(self):
-        arch = ArchConfig(h=4, k=8, stem_channels=4, input_norm="none")
-        with pytest.raises(MalformedValue):
-            preprocess(np.array([1e39]), arch)
-        # signed_log compresses the same value into float32 range
-        log_arch = ArchConfig(h=4, k=8, stem_channels=4, input_norm="signed_log")
-        assert np.all(np.isfinite(preprocess(np.array([1e39]), log_arch)))
+    def test_float64_extremes_stay_finite_in_float32(self):
+        arch = ArchConfig(h=6, k=8, stem_channels=4)
+        extremes = np.array([1.7976931348623157e308, -1.7976931348623157e308,
+                             5e-324, -5e-324, 0.0, -0.0])
+        out = preprocess(extremes, arch)
+        assert out.dtype == np.float32 and np.all(np.isfinite(out))
+        assert out[0] == np.float32(-709.782712893384) and out[-1] == -out[0]
 
 
 class TestEmbed:
@@ -212,7 +223,8 @@ class TestResidualPath:
         # gamma of the last norm zeroes the residual branch; identity shortcut
         # then makes the block exactly relu(x) == x for non-negative input
         rng = np.random.default_rng(0)
-        block = BasicBlock(4, 4, stride=1, rng=rng)
+        block = BasicBlock(4, 4, stride=1)
+        init_weights(block, rng)
         block.bn2.gamma.data[:] = 0.0
         x = np.abs(rng.standard_normal((2, 4, 8))).astype(np.float32)
         out = block(Tensor(x), training=False)
@@ -230,6 +242,17 @@ class TestCheckpointFormat:
         save_model(m, p)
         loaded = load_model(p)
         assert model_to_bytes(loaded) == model_to_bytes(m)
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        m = build_model(TINY, seed=5)
+        p = tmp_path / "model.bin"
+        save_model(m, p)
+
+        def no_draw(net, rng):
+            raise AssertionError("loading a checkpoint drew random weights")
+
+        monkeypatch.setattr(embnet, "init_weights", no_draw)
+        assert model_to_bytes(load_model(p)) == model_to_bytes(m)
 
     def test_magic_and_version_fields(self):
         blob = model_to_bytes(build_model(TINY, seed=0))
@@ -290,6 +313,16 @@ class TestCheckpointFormat:
         del manifest[missing]
         doctored = _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
         with pytest.raises(MalformedCheckpoint, match=missing):
+            model_from_bytes(doctored)
+
+    @pytest.mark.parametrize("field, value", [("width_multiplier", 0.125),
+                                              ("input_norm", "signed_log")])
+    def test_removed_arch_field_is_malformed_checkpoint(self, field, value):
+        manifest, arrays = _serial.unpack_framed(model_to_bytes(build_model(TINY, seed=0)),
+                                                 MODEL_MAGIC, MODEL_VERSION)
+        manifest["arch"][field] = value
+        doctored = _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
+        with pytest.raises(MalformedCheckpoint, match=field):
             model_from_bytes(doctored)
 
     @pytest.mark.parametrize("training_meta", ["ab", 7])

@@ -405,8 +405,7 @@ class TestGradientsNumerically:
 
 class TestLayers:
     def test_conv_layer_param_shapes(self):
-        rng = np.random.default_rng(0)
-        layer = Conv1d(2, 4, kernel=3, stride=1, padding=1, bias=True, rng=rng)
+        layer = Conv1d(2, 4, kernel=3, stride=1, padding=1, bias=True)
         params = layer.params()
         assert params["weight"].data.shape == (4, 2, 3)
         assert params["bias"].data.shape == (4,)
@@ -414,8 +413,7 @@ class TestLayers:
         assert out.data.shape == (1, 4, 5)
 
     def test_conv_layer_without_bias(self):
-        rng = np.random.default_rng(0)
-        layer = Conv1d(1, 1, kernel=3, stride=1, padding=0, bias=False, rng=rng)
+        layer = Conv1d(1, 1, kernel=3, stride=1, padding=0, bias=False)
         assert "bias" not in layer.params()
 
     def test_batchnorm_layer_state(self):
@@ -429,19 +427,9 @@ class TestLayers:
         assert not np.allclose(layer.buffers()["running_mean"], 0.0)
 
     def test_linear_layer(self):
-        rng = np.random.default_rng(0)
-        layer = Linear(3, 2, rng=rng)
+        layer = Linear(3, 2)
         out = layer(Tensor(np.ones((4, 3), dtype=np.float32)))
         assert out.data.shape == (4, 2)
-
-    def test_he_uniform_bound(self):
-        from embnum.nn.layers import he_uniform
-
-        rng = np.random.default_rng(0)
-        w = he_uniform(rng, (64, 64, 3), fan_in=64 * 3, dtype=np.float32)
-        bound = np.sqrt(6.0 / (64 * 3))
-        assert np.abs(w).max() <= bound
-        assert np.abs(w).max() > 0.5 * bound  # actually fills the range
 
 
 class TestSgd:
