@@ -8,6 +8,7 @@ regression over 1 - KS, 1 - 2*|MW - 0.5| and numeric Jaccard range overlap.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from itertools import groupby
@@ -37,6 +38,17 @@ class PackedColumns:
             r = np.sort(c)
             self.values[s : s + r.size] = r
             self.cdf[s : s + r.size] = np.searchsorted(r, r, side="right") / r.size
+
+    def take(self, keep: np.ndarray) -> PackedColumns:
+        """The columns where the boolean mask `keep` is set, sliced out of
+        this pack without sorting again: bit for bit the arrays that packing
+        those columns afresh gives."""
+        sub = copy.copy(self)
+        sub.sizes = self.sizes[keep]
+        sub.starts = np.concatenate([[0], np.cumsum(sub.sizes)[:-1]])
+        rows = np.repeat(keep, self.sizes)
+        sub.values, sub.cdf = self.values[rows], self.cdf[rows]
+        return sub
 
     def statistics(self, query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(KS, MW, numeric Jaccard) of the query q against every column r:

@@ -93,6 +93,29 @@ def format_value(v: float) -> str:
 
 
 def _parse_attribute_file(path: Path, source: str, label: str) -> NumericAttribute:
+    """Parse the whole file in one vectorized call; only a file that fails
+    that parse goes through the line loop, which names the offending line."""
+    with open(path, "rb") as fh:
+        values = _parse_values(fh.read())
+    if values is None:
+        values = _parse_lines(path)
+    return NumericAttribute(values=values, label=label, source=source)
+
+
+def _parse_values(data: bytes) -> np.ndarray | None:
+    """A file's values, with lines split and stripped as text mode reads them
+    (breaks at \\n, \\r and \\r\\n; blank lines skipped), or None when the file
+    is not UTF-8, holds no value, or holds a token that is not a finite
+    number.  numpy's string cast gives float()'s bits for every token."""
+    try:
+        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        values = np.array(list(filter(None, map(str.strip, lines))), dtype=np.float64)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return values if values.size and np.isfinite(values).all() else None
+
+
+def _parse_lines(path: Path) -> np.ndarray:
     values = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,7 +134,7 @@ def _parse_attribute_file(path: Path, source: str, label: str) -> NumericAttribu
         raise MalformedValue(f"{path}: not UTF-8 text ({exc})") from None
     if not values:
         raise EmptyAttribute(f"{path}: no parsable rows")
-    return NumericAttribute(values=np.array(values), label=label, source=source)
+    return np.array(values)
 
 
 def load_attribute_csv(path) -> NumericAttribute:

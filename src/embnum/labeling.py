@@ -79,6 +79,16 @@ class FeatureStore:
         """Stored raw values, presorted once (semantictyper and dsl only)."""
         return PackedColumns([r.feature for r in self.records])
 
+    def subset(self, keep: np.ndarray) -> FeatureStore:
+        """The records where the boolean mask `keep` is set, under this
+        store's scorers.  A raw-value subset takes its presorted columns
+        from this store's pack instead of sorting them again."""
+        sub = FeatureStore(self.method, [r for r, k in zip(self.records, keep) if k],
+                           self.model, self.dsl_model)
+        if self.method != "embnum":
+            sub.__dict__["packed_columns"] = self.packed_columns.take(keep)  # fills the cache
+        return sub
+
     @cached_property
     def tie_break(self) -> tuple[np.ndarray, np.ndarray]:
         """(sources, labels) arrays that break score ties, as lexsort keys."""
@@ -249,12 +259,13 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
                   dsl_model: LogisticModel | None = None) -> BenchmarkReport:
     """Full leave-one-source-out protocol.
 
-    The dataset is indexed once and every subset store takes its records
-    and scorers, dsl weights fitted there included (indexing is excluded
-    from labeling time by contract); the query side is re-featurized inside
-    every timed experiment.  Experiments with no scorable query, and
-    labeled-source counts with no scored experiment, are left out; NoQueries
-    is raised when no experiment can be scored.
+    The dataset is indexed once and every subset store takes its records,
+    presorted raw columns and scorers from that store, dsl weights fitted
+    there included (indexing is excluded from labeling time by contract);
+    the query side is re-featurized inside every timed experiment.
+    Experiments with no scorable query, and labeled-source counts with no
+    scored experiment, are left out; NoQueries is raised when no experiment
+    can be scored.
     """
     d = len(dataset.sources)
     if d < 2:
@@ -269,9 +280,7 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
         for mask in range(1, 2 ** len(others)):
             subset = [others[i] for i in range(len(others)) if mask >> i & 1]
             chosen = set(subset)
-            store = FeatureStore(method=method,
-                                 records=[r for r in full.records if r.source in chosen],
-                                 model=full.model, dsl_model=full.dsl_model)
+            store = full.subset(np.array([r.source in chosen for r in full.records]))
             result = label_queries(store, queries)
             if result.ranks:
                 outcomes.append((len(subset), mrr(result.ranks), result.seconds))

@@ -1,11 +1,14 @@
 """Differentiable layer operations for 1-D feature maps.
 
 All ops take (batch, channels, length) arrays.  The forward passes of
-conv1d and linear run as BLAS GEMM calls on fixed tiles of exactly
-_TILE_ROWS rows (the tail tile zero-padded), so each output row's bits depend
-only on the layer's shape, never on how many rows are batched with it.  Their
-backward passes use plain GEMM, which is deterministic from run to run but
-not batch invariant; training needs no more than that.
+conv1d and linear run through _tiled_matmul, whose GEMM calls are chosen by
+the layer's shape alone: narrow layers call GEMM on fixed tiles of exactly
+_TILE_ROWS rows, and float32 layers at least _ONE_GEMM_WIDTH outputs wide
+make one call over all whole tiles; either way the tail tile is zero-padded
+to _TILE_ROWS rows.  So each output row's bits depend only on the layer's
+shape, never on how many rows are batched with it.  The backward passes use
+plain GEMM, which is deterministic from run to run but not batch invariant;
+training needs no more than that.
 
 conv1d and maxpool1d read their windows through _windows: one contiguous
 padded copy of the input, written with slice assignments, and a strided
@@ -18,23 +21,45 @@ import numpy as np
 
 from .tensor import Tensor, make
 
-# Rows per forward GEMM call.  Larger tiles index faster but slow the
-# one-column forward pass that single-query ranking pays for.
+# Rows per forward GEMM call in a narrow layer, and in every tail tile.
+# Larger tiles index faster but slow the one-column forward pass that
+# single-query ranking pays for.
 _TILE_ROWS = 8
+
+_ONE_GEMM_WIDTH = 256
+"""Output width from which a float32 product runs as one GEMM over all whole
+tiles instead of one GEMM per tile.
+
+OpenBLAS 0.3.31 with its AVX-512 kernels sends an 8-row sgemm through a
+small-matrix kernel only when 8*N <= 1200, K >= 32 and 8*K*N <= 1e6, and
+that kernel's sums depend on the row count.  Wider products take the blocked
+kernel, whose sums for a row do not depend on how many rows share the call,
+so one GEMM over many whole tiles gives each row the bits that 8-row tiles
+give it.  Measured: equal bits for every N >= 160 at K from 3 to 1536 and 8
+to 7,150 rows, with 1 and 2 BLAS threads; unequal for N <= 144 at K 64-768.
+256 keeps a margin.  float64 stays on tiles, because there a width that is
+not a multiple of 8 changes the bits with the row count.
+"""
 
 
 def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D a, as GEMM calls on exactly _TILE_ROWS rows each.
+    """a @ b for 2-D a, each row's bits fixed by the shapes alone.
 
-    One GEMM over all rows, even padded to a multiple of the tile, is not
-    batch invariant on OpenBLAS; a fixed-shape call per tile is.
+    A narrow layer calls GEMM on exactly _TILE_ROWS rows at a time, because
+    one GEMM over all its rows, even padded to a multiple of the tile, is
+    not batch invariant on OpenBLAS.  A float32 layer at least
+    _ONE_GEMM_WIDTH wide makes one call over all whole tiles.  Both send the
+    last m % _TILE_ROWS rows through one zero-padded tile.
     """
     m, k = a.shape
-    out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
+    n = b.shape[1]
+    out = np.empty((m, n), dtype=np.result_type(a, b))
     full = m - m % _TILE_ROWS
-    if full:
+    if full and n >= _ONE_GEMM_WIDTH and out.dtype == np.float32:
+        np.matmul(a[:full], b, out=out[:full])
+    elif full:
         np.matmul(a[:full].reshape(-1, _TILE_ROWS, k), b,
-                  out=out[:full].reshape(-1, _TILE_ROWS, b.shape[1]))
+                  out=out[:full].reshape(-1, _TILE_ROWS, n))
     if full < m:
         tail = np.zeros((_TILE_ROWS, k), dtype=a.dtype)
         tail[: m - full] = a[full:]
@@ -78,7 +103,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     The zero-padded windows (_windows) are materialized as a contiguous
     (B*L_out, C_in*K) block.
-    The forward product runs as fixed 8-row GEMM tiles (_tiled_matmul), so
+    The forward product goes through _tiled_matmul (8-row GEMM tiles, or
+    one GEMM over them for float32 layers of 256 or more output channels), so
     each output's summation order is independent of batch size; the backward
     products are plain GEMM, deterministic from run to run only.
     """

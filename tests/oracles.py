@@ -4,8 +4,9 @@ Each function here recomputes a result by a different route than the
 production code (pure-Python loops, Fraction arithmetic, brute-force pair
 counting) so that agreement is evidence, not tautology.  Two sections are
 the exception: the pairwise scorers, numpy code scoring one pair at a time,
-and the np.pad / sliding_window_view window ops with the np.unique sampler.
-Each states what the library's faster form must equal bit for bit.
+and the np.pad / sliding_window_view window ops with the np.unique sampler
+and the one-GEMM-per-8-row-tile product.  Each states what the library's
+faster form must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from embnum.baselines import _sigmoid
 from embnum.errors import EmptyInput
 from embnum.labeling import BenchmarkReport, PerCount
-from embnum.nn.ops import _tiled_matmul
 from embnum.nn.tensor import make
 
 
@@ -177,7 +177,24 @@ def dsl_score(model, a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# window ops through np.pad and sliding_window_view, sampling through np.unique
+# window ops through np.pad and sliding_window_view, products as one GEMM per
+# 8-row tile, sampling through np.unique
+
+
+def tiled_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D a, as GEMM calls on exactly 8 rows each, the tail tile
+    zero-padded: every row's bits depend only on the shapes."""
+    m, k = a.shape
+    out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
+    full = m - m % 8
+    if full:
+        np.matmul(a[:full].reshape(-1, 8, k), b,
+                  out=out[:full].reshape(-1, 8, b.shape[1]))
+    if full < m:
+        tail = np.zeros((8, k), dtype=a.dtype)
+        tail[: m - full] = a[full:]
+        out[full:] = (tail @ b)[: m - full]
+    return out
 
 
 def padded_windows(x: np.ndarray, k: int, stride: int, padding: int,
@@ -208,7 +225,7 @@ def conv1d_reference(x, weight, bias=None, stride: int = 1, padding: int = 0):
     sw = padded_windows(x.data, k, stride, padding, 0.0)
     col = np.ascontiguousarray(sw.transpose(0, 2, 1, 3).reshape(b * out_len, c_in * k))
     wf = weight.data.reshape(c_out, c_in * k)
-    y = _tiled_matmul(col, wf.T).reshape(b, out_len, c_out).transpose(0, 2, 1)
+    y = tiled_matmul_reference(col, wf.T).reshape(b, out_len, c_out).transpose(0, 2, 1)
     if bias is not None:
         y = y + bias.data[None, :, None]
     parents = (x, weight) if bias is None else (x, weight, bias)

@@ -174,6 +174,19 @@ class TestPackedColumns:
         assert same_bits(feats, [features_pairwise(query, c) for c in columns])
         assert same_bits(model.logits(feats), want)
 
+    @given(stores, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_taken_subset_holds_the_arrays_of_a_fresh_pack(self, columns, data):
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(columns),
+                                           max_size=len(columns))))
+        if not keep.any():
+            keep[data.draw(st.integers(0, len(columns) - 1))] = True
+        got = PackedColumns(columns).take(keep)
+        want = PackedColumns([c for c, k in zip(columns, keep) if k])
+        for name in ("sizes", "starts", "values", "cdf"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
     def test_hand_cases(self):
         ks, mw, jac = PackedColumns([[1.0, 2.0], [10.0, 11.0], [2.0]]).statistics([1.0, 2.0])
         assert ks.tolist() == [0.0, 1.0, 0.5]

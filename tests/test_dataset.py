@@ -1,9 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embnum.dataset import (
+    _parse_values,
     Dataset,
     FamilySpec,
     NumericAttribute,
@@ -176,6 +179,86 @@ class TestParsing:
         assert attr.source == "query"
         with pytest.raises(MissingDirectory):
             load_attribute_csv(tmp_path / "absent.csv")
+
+
+def text_mode_values(data: bytes) -> list[float]:
+    """The line loop's reading: text-mode lines, stripped, blank ones
+    skipped, float() per token; raises ValueError where it would fail."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return [float(t) for t in (line.strip() for line in lines) if t]
+
+
+tokens = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(format_value),
+    st.sampled_from(["1_000", "1__0", "_1", "0x10", "1,5", "\u0661\u0662", "Infinity",
+                     "-0", "1e400", "1e-400", "+.5", "5.", "nan", "\ufeff1", "1\x00",
+                     " 7 ", "\t3\x0c", "1 2", "1\t2", "\u20281", "1\u20282", "1\x0b2",
+                     "\x85", "\x1c", "", "  "]),
+    st.text(alphabet="0123456789.eE+-_ \t\x0c\u2028", max_size=8),
+)
+
+
+@st.composite
+def csv_bytes(draw):
+    lines = draw(st.lists(tokens, max_size=12))
+    text = "".join(t + draw(st.sampled_from(["\n", "\r", "\r\n"])) for t in lines)
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:   # now and then, bytes that are not UTF-8
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[cut:]
+    return data
+
+
+class TestVectorizedParse:
+    """The one-call parse accepts exactly the files the line loop accepts,
+    with float()'s bits for every token."""
+
+    @given(csv_bytes())
+    @settings(max_examples=500, deadline=None)
+    def test_accepts_what_the_line_loop_accepts_with_float_bits(self, data):
+        try:
+            want = np.array(text_mode_values(data))
+        except ValueError:   # UnicodeDecodeError included
+            want = None
+        if want is not None and not (want.size and np.isfinite(want).all()):
+            want = None
+        got = _parse_values(data)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.tobytes() == want.tobytes()
+
+    def test_line_breaks_are_text_mode_ones(self):
+        # \x0b, \x0c, \x1c and \u2028 end a line for str.splitlines, not here
+        assert _parse_values(b"1\r2\r\n3\n\r\n4").tolist() == [1.0, 2.0, 3.0, 4.0]
+        for sep in ("\x0b", "\x0c", "\x1c", "\u2028", " "):
+            assert _parse_values(f"1{sep}2\n".encode()) is None
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1.5\n2.5\n1 2\n", 3, "not a number: '1 2'"),
+        ("1.5\r\n\r\nbanana\r\n", 3, "not a number: 'banana'"),
+        ("1\r1\u20282\n", 2, "not a number: '1\\u20282'"),
+        ("1e5\n  nan \n", 2, "non-finite value: 'nan'"),
+    ])
+    def test_a_failing_file_is_named_at_its_line(self, tmp_path, text, line, message):
+        p = tmp_path / "x.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(MalformedValue) as exc:
+            load_attribute_csv(p)
+        assert str(exc.value) == f"{p}:{line}: {message}"
+
+    def test_undecodable_and_empty_files_keep_their_messages(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"1\n\xff\n")
+        with pytest.raises(MalformedValue) as exc:
+            load_attribute_csv(p)
+        assert str(exc.value) == (f"{p}: not UTF-8 text ('utf-8' codec can't decode byte "
+                                  "0xff in position 2: invalid start byte)")
+        p.write_bytes(b" \r\n\t\n")
+        with pytest.raises(EmptyAttribute) as exc:
+            load_attribute_csv(p)
+        assert str(exc.value) == f"{p}: no parsable rows"
 
 
 class TestSynthetic:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embnum import _serial, embnet
+from embnum.dataset import generate_synthetic
 from embnum.embnet import (
     MODEL_MAGIC,
     MODEL_VERSION,
@@ -33,7 +34,7 @@ from embnum.errors import (
     MalformedCheckpoint,
     WidthMismatch,
 )
-from embnum.fixtures import desk_arch
+from embnum.fixtures import desk_arch, efficiency_spec
 from embnum.nn import Conv1d, Linear, Tensor
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
@@ -184,6 +185,22 @@ class TestEmbed:
             single = np.stack([embed(m, row) for row in x])
             for n in sizes:
                 assert embed(m, x[:n]).tobytes() == single[:n].tobytes()
+        # and a full-width batch larger than one EMBED_CHUNK, whose stage-2
+        # and stage-3 products run as one GEMM over thousands of rows
+        x = np.concatenate([x, rng.standard_normal((520 - len(x), arch.h)).astype(np.float32)])
+        full = embed(m, x)
+        assert full[: len(single)].tobytes() == single.tobytes()
+        for i in (*range(len(single), len(x), 7), len(x) - 1):
+            assert full[i].tobytes() == embed(m, x[i]).tobytes()
+
+    def test_full_width_embedding_bits_are_pinned(self):
+        # sha256 of the float32 embeddings of the first 64 efficiency-fixture
+        # columns under the full-width network, seed 0
+        arch = ArchConfig()
+        columns = generate_synthetic(efficiency_spec()).attributes[:64]
+        x = np.stack([preprocess(a.values, arch) for a in columns])
+        digest = hashlib.sha256(embed(build_model(arch, 0), x).tobytes()).hexdigest()
+        assert digest == "a02bf64a0826f924ed52a2ff5f79dab63c36916a35f7c6d8e6148032ef4e54a9"
 
     def test_batching_invariant_with_single_threaded_blas(self):
         # tier-1 runs with the default BLAS thread count; rerun the
@@ -195,7 +212,9 @@ class TestEmbed:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              f"{tests / 'test_embnet.py'}::TestEmbed::test_batching_never_changes_numbers",
-             f"{tests / 'test_nn.py'}::TestConvBatchInvariance"],
+             f"{tests / 'test_embnet.py'}::TestEmbed::test_full_width_embedding_bits_are_pinned",
+             f"{tests / 'test_nn.py'}::TestConvBatchInvariance",
+             f"{tests / 'test_nn.py'}::TestTiledMatmulMatchesTiles"],
             cwd=tests.parent, env=env, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 

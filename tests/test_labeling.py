@@ -362,6 +362,32 @@ class TestBenchmark:
         with pytest.raises(NoQueries):
             run_benchmark(disjoint, method, model=tiny_model, dsl_model=dsl_model)
 
+    @pytest.mark.parametrize("method", ["semantictyper", "dsl"])
+    def test_subset_stores_slice_the_full_stores_sorted_columns(self, method,
+                                                                 monkeypatch):
+        # one sort per call, and every per-count result a store that sorts
+        # its own columns gives
+        ds = generate_synthetic(SyntheticSpec(
+            label_count=4, source_count=4, rows_min=5, rows_max=30, seed=6))
+        dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+        packs = []
+        init = PackedColumns.__init__
+        monkeypatch.setattr(PackedColumns, "__init__",
+                            lambda self, columns: packs.append(init(self, columns)))
+        sliced = run_benchmark(ds, method, dsl_model=dsl_model)
+        assert len(packs) == 1
+
+        def fresh(self, keep):
+            return FeatureStore(self.method, [r for r, k in zip(self.records, keep) if k],
+                                self.model, self.dsl_model)
+
+        monkeypatch.setattr(FeatureStore, "subset", fresh)
+        sorted_again = run_benchmark(ds, method, dsl_model=dsl_model)
+        assert len(packs) == 1 + sorted_again.total_experiments
+        strip = lambda r: [(pc.labeled_sources, pc.mean_mrr, pc.experiments)
+                           for pc in r.per_count]
+        assert strip(sliced) == strip(sorted_again)
+
     def test_too_few_sources(self):
         ds = generate_synthetic(SyntheticSpec(
             label_count=2, source_count=1, rows_min=5, rows_max=8, seed=3))

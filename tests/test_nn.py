@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embnum.embnet import ArchConfig, build_model
+from embnum.embnet import ArchConfig, ResNet1d, build_model
 from embnum.errors import NonScalarLoss, ShapeMismatch
+from embnum.fixtures import desk_arch
 from embnum.nn import SGD, Conv1d, BatchNorm1d, Linear, Tensor, no_grad, sgd_step
 from embnum.nn import ops
 from gradcheck import check_gradients, trace_kinks
-from oracles import conv1d_reference, maxpool1d_reference, relu_reference
+from oracles import (conv1d_reference, maxpool1d_reference, relu_reference,
+                     tiled_matmul_reference)
 
 
 def T(data, grad=True):
@@ -207,6 +210,44 @@ class TestConvBatchInvariance:
             full = ops.linear(Tensor(x[:n]), w, bias).data
             for i in range(n):
                 assert full[i : i + 1].tobytes() == single[i].tobytes()
+
+
+def _product_shapes(arch: ArchConfig) -> set[tuple[int, int]]:
+    """(K, N) of every conv and linear forward product in the network."""
+    net = ResNet1d(arch)
+    return {(math.prod(mod.weight.data.shape[1:]), mod.weight.data.shape[0])
+            for mod in net.modules().values() if isinstance(mod, (Conv1d, Linear))}
+
+
+class TestTiledMatmulMatchesTiles:
+    """_tiled_matmul gives every row the bits of one GEMM per 8-row tile, so
+    layers wide enough for one GEMM over all whole tiles change nothing."""
+
+    ROWS = (*range(1, 71), 127, 513, 2200, 3850, 7150)
+
+    @staticmethod
+    def _check(k, n, rows, dtype=np.float32):
+        rng = np.random.default_rng(k * 10_007 + n)
+        # the weight enters transposed, as conv1d and linear pass it
+        b = rng.standard_normal((n, k)).astype(dtype).T
+        a = rng.standard_normal((max(rows), k)).astype(dtype)
+        for m in rows:
+            got = ops._tiled_matmul(a[:m], b)
+            assert got.tobytes() == tiled_matmul_reference(a[:m], b).tobytes(), (k, n, m)
+
+    @pytest.mark.parametrize("arch", [ArchConfig(), desk_arch()], ids=["full", "desk"])
+    def test_every_layer_of_the_network(self, arch):
+        for k, n in sorted(_product_shapes(arch)):
+            self._check(k, n, self.ROWS)
+
+    @pytest.mark.parametrize("n", [100, 128, 144, 160, 255, 256, 512, 1024])
+    def test_output_widths_around_the_one_gemm_width(self, n):
+        for k in (3, 21, 64, 192, 768):
+            self._check(k, n, self.ROWS)
+
+    def test_float64_keeps_tiles_at_any_width(self):
+        for n in (256, 300, 512):
+            self._check(64, n, (*range(1, 71), 513), dtype=np.float64)
 
 
 def _bits(a: np.ndarray) -> tuple:
