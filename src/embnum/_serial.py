@@ -40,6 +40,33 @@ def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
+def check(doc, schema, error: type[Exception], where: str) -> None:
+    """Raise error, naming the first bad field under where, unless doc matches
+    schema: a type (int and float never take a bool; float also takes an int),
+    a list ([s] takes any length, a longer list one entry per item) or a dict
+    (every key, bar those ending in "?", and no other)."""
+    if isinstance(schema, dict):
+        ok = isinstance(doc, dict)
+        fields = {key.rstrip("?"): key for key in schema}
+        extra = sorted(doc.keys() - fields.keys()) if ok else []
+        if extra:
+            raise error(f"{where}.{extra[0]} is not a field")
+        for name, key in fields.items() if ok else ():
+            if name in doc:
+                check(doc[name], schema[key], error, f"{where}.{name}")
+            elif name == key:
+                raise error(f"{where}.{name} is missing")
+    elif isinstance(schema, list):
+        ok = isinstance(doc, list) and len(schema) in (1, len(doc))
+        for i, item in enumerate(doc if ok else ()):
+            check(item, schema[min(i, len(schema) - 1)], error, f"{where}[{i}]")
+    else:
+        ok = (isinstance(doc, (int, float) if schema is float else schema)
+              and not isinstance(doc, bool))
+    if not ok:
+        raise error(f"{where} is malformed: {doc!r:.80}")
+
+
 def _dtype_tag(arr: np.ndarray) -> str:
     if arr.dtype == np.float32:
         return "<f4"
@@ -82,6 +109,8 @@ def unpack_framed(blob: bytes, magic: bytes, version: int
     offset = 12 + mlen
     try:
         manifest = json.loads(blob[12 : 12 + mlen].decode("utf-8"))
+        check(manifest["arrays"], [{"name": str, "shape": [int], "dtype?": str}],
+              ChecksumMismatch, "manifest.arrays")
         for entry in manifest["arrays"]:
             shape = tuple(entry["shape"])
             tag = entry.get("dtype", "<f4")

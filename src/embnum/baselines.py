@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._serial import atomic_write_text
+from . import _serial
 from .errors import EmptyInput, MalformedDslModel, SingleClassTraining
 
 
@@ -171,20 +171,19 @@ def dsl_model_to_doc(model: LogisticModel) -> list[float]:
     return [float(w) for w in model.weights] + [float(model.bias)]
 
 
+DSL_WEIGHTS = [float] * 4  # [w1, w2, w3, bias]
+
+
 def dsl_model_from_doc(doc) -> LogisticModel:
-    """Inverse of dsl_model_to_doc; anything but a list of four numbers is
+    """Inverse of dsl_model_to_doc; anything but DSL_WEIGHTS is
     MalformedDslModel."""
-    if isinstance(doc, list) and len(doc) == 4:
-        try:
-            w1, w2, w3, bias = (float(v) for v in doc)
-            return LogisticModel(weights=np.array([w1, w2, w3]), bias=bias)
-        except (TypeError, ValueError):
-            pass
-    raise MalformedDslModel("dsl weights must be a list of four numbers [w1, w2, w3, bias]")
+    _serial.check(doc, DSL_WEIGHTS, MalformedDslModel, "dsl weights")
+    w1, w2, w3, bias = map(float, doc)
+    return LogisticModel(weights=np.array([w1, w2, w3]), bias=bias)
 
 
 def save_dsl_model(model: LogisticModel, path: Path) -> None:
-    atomic_write_text(Path(path), json.dumps(dsl_model_to_doc(model)) + "\n")
+    _serial.atomic_write_text(Path(path), json.dumps(dsl_model_to_doc(model)) + "\n")
 
 
 def load_dsl_model(path: Path) -> LogisticModel:

@@ -20,19 +20,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=["desk"], default=None,
                    help="start from a fixture's configs; 'desk' is "
                         "embnum.fixtures.desk_arch() and desk_train_config()")
-    p.add_argument("--h", type=int, default=None, help="sampled input width")
-    p.add_argument("--k", type=int, default=None, help="embedding dimension")
-    p.add_argument("--stem-channels", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None, help="triplet margin")
-    p.add_argument("--lr0", type=float, default=None)
-    p.add_argument("--lr-step", type=int, default=None)
-    p.add_argument("--lr-decay", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-labels", type=int, default=None)
-    p.add_argument("--samples-per-label", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for f in dataclasses.fields(embnet.ArchConfig) + dataclasses.fields(metric.TrainConfig):
+        if f.name != "block_counts":
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
 
 
 def _configs(args) -> tuple[embnet.ArchConfig, metric.TrainConfig]:

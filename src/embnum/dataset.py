@@ -1,8 +1,8 @@
 """Loading, writing, generating, and partitioning labeled numeric-column datasets.
 
-On-disk layout: ``root/<source_id>/<label_id>.csv``, UTF-8, one decimal
-literal per line, no header.  Scientific notation is accepted; NaN, infinities
-and non-numeric tokens are hard errors.
+On-disk layout: ``root/<source_id>/<label_id>.csv``, UTF-8 with an optional
+leading byte-order mark, one decimal literal per line, no header.  Scientific
+notation is accepted; NaN, infinities and non-numeric tokens are hard errors.
 """
 
 from __future__ import annotations
@@ -10,13 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._serial import atomic_write_text
+from . import _serial
 from .errors import EmptyAttribute, InvalidSpec, MalformedValue, MissingDirectory
 
 @dataclass(eq=False)
@@ -93,48 +92,30 @@ def format_value(v: float) -> str:
 
 
 def _parse_attribute_file(path: Path, source: str, label: str) -> NumericAttribute:
-    """Parse the whole file in one vectorized call; only a file that fails
-    that parse goes through the line loop, which names the offending line."""
-    with open(path, "rb") as fh:
-        values = _parse_values(fh.read())
-    if values is None:
-        values = _parse_lines(path)
-    return NumericAttribute(values=values, label=label, source=source)
-
-
-def _parse_values(data: bytes) -> np.ndarray | None:
-    """A file's values, with lines split and stripped as text mode reads them
-    (breaks at \\n, \\r and \\r\\n; blank lines skipped), or None when the file
-    is not UTF-8, holds no value, or holds a token that is not a finite
-    number.  numpy's string cast gives float()'s bits for every token."""
+    """Decode once (a leading byte-order mark is dropped), split at text
+    mode's line breaks (\\n, \\r, \\r\\n), strip, skip blank lines and cast the
+    rest in one numpy call, which gives float()'s bits for every token.  Only
+    a file that fails the cast is numbered line by line, to name the line."""
     try:
-        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        values = np.array(list(filter(None, map(str.strip, lines))), dtype=np.float64)
-    except ValueError:  # UnicodeDecodeError included
-        return None
-    return values if values.size and np.isfinite(values).all() else None
-
-
-def _parse_lines(path: Path) -> np.ndarray:
-    values = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                token = line.strip()
-                if not token:
-                    continue
-                try:
-                    v = float(token)
-                except ValueError:
-                    raise MalformedValue(f"{path}:{lineno}: not a number: {token!r}") from None
-                if not math.isfinite(v):
-                    raise MalformedValue(f"{path}:{lineno}: non-finite value: {token!r}")
-                values.append(v)
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedValue(f"{path}: not UTF-8 text ({exc})") from None
-    if not values:
+    lines = list(map(str.strip, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
+    try:
+        values = np.array(list(filter(None, lines)), dtype=np.float64)
+    except ValueError:  # a token float() rejects too; the line loop names it
+        values = np.array([np.nan])
+    if not np.isfinite(values).all():
+        for lineno, token in enumerate(lines, start=1):
+            try:
+                finite = not token or math.isfinite(float(token))
+            except ValueError:
+                raise MalformedValue(f"{path}:{lineno}: not a number: {token!r}") from None
+            if not finite:
+                raise MalformedValue(f"{path}:{lineno}: non-finite value: {token!r}")
+    if not values.size:
         raise EmptyAttribute(f"{path}: no parsable rows")
-    return np.array(values)
+    return NumericAttribute(values=values, label=label, source=source)
 
 
 def load_attribute_csv(path) -> NumericAttribute:
@@ -173,7 +154,7 @@ def write_dataset(dataset: Dataset, root_path) -> Path:
         src_dir = root / attr.source
         src_dir.mkdir(exist_ok=True)
         body = "\n".join(format_value(v) for v in attr.values) + "\n"
-        atomic_write_text(src_dir / f"{attr.label}.csv", body)
+        _serial.atomic_write_text(src_dir / f"{attr.label}.csv", body)
     return root
 
 
@@ -196,11 +177,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
-        for name in ("location", "scale", "shape"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise InvalidSpec(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.scale <= 0:
-            raise InvalidSpec("scale must be positive")
+        if not (self.scale > 0 and self.shape >= 0):
+            raise InvalidSpec("scale must be positive and shape non-negative")
 
 
 @dataclass(frozen=True)
@@ -280,31 +258,22 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(attributes)
 
 
+SPEC = {"label_count": int, "source_count": int, "rows_min": int, "rows_max": int,
+        "seed?": int, "family_pool?": [{"family": str, "location?": float,
+                                        "scale?": float, "shape?": float}]}
+
+
 def spec_from_json(text: str | bytes) -> SyntheticSpec:
-    """Parse a SyntheticSpec JSON document (family_pool optional, seed 0 by
-    default).  Counts and seed must be JSON integers, else InvalidSpec."""
+    """Parse a SyntheticSpec JSON document matching SPEC (family_pool
+    optional, seed 0 by default), else InvalidSpec."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise InvalidSpec(f"invalid spec JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidSpec("spec JSON must be an object")
-    pool = None
-    if doc.get("family_pool") is not None:
-        try:
-            pool = tuple(FamilySpec(**entry) for entry in doc["family_pool"])
-        except TypeError as exc:
-            raise InvalidSpec(f"bad family_pool entry: {exc}") from None
-    fields = ("label_count", "source_count", "rows_min", "rows_max", "seed")
-    counts = {"seed": 0, **{key: doc[key] for key in fields if key in doc}}
-    for key in fields:
-        if key not in counts:
-            raise InvalidSpec(f"spec JSON missing field {key!r}")
-        # bool is an int subclass, and int() would truncate 2.7 and parse "3"
-        if isinstance(counts[key], bool) or not isinstance(counts[key], int):
-            raise InvalidSpec(f"spec JSON field {key!r} must be an integer, "
-                              f"got {counts[key]!r}")
-    return SyntheticSpec(family_pool=pool, **counts)
+    _serial.check(doc, SPEC, InvalidSpec, "spec")
+    pool = doc.pop("family_pool", None)
+    return SyntheticSpec(**doc, family_pool=None if pool is None else
+                         tuple(FamilySpec(**entry) for entry in pool))
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,10 @@ class ArchConfig:
     block_counts: tuple[int, int, int, int] = (2, 2, 2, 2)
 
     def __post_init__(self):
-        if self.h < 1:
-            raise InvalidArch(f"input width must be >= 1, got {self.h}")
-        if self.k < 1:
-            raise InvalidArch(f"embedding dimension must be >= 1, got {self.k}")
-        if self.stem_channels < 1:
-            raise InvalidArch(f"stem_channels must be >= 1, got {self.stem_channels}")
         object.__setattr__(self, "block_counts", tuple(self.block_counts))
-        if len(self.block_counts) != 4 or any(c < 1 for c in self.block_counts):
-            raise InvalidArch(f"block_counts must be 4 positive ints, got {self.block_counts}")
+        if len(self.block_counts) != 4 or min(self.h, self.k, self.stem_channels,
+                                              *self.block_counts) < 1:
+            raise InvalidArch(f"every field must be >= 1, with 4 block_counts: {self}")
 
     @property
     def stage_channels(self) -> tuple[int, int, int, int]:
@@ -154,12 +149,8 @@ class Model:
         return state
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy every parameter and buffer in from arrays, which must hold
-        exactly this model's array names and shapes, else InvalidArch."""
-        state = self.state_dict()
-        if state.keys() != arrays.keys() or any(
-                np.shape(arrays[name]) != a.shape for name, a in state.items()):
-            raise InvalidArch("arrays do not match the model's architecture")
+        """Copy every parameter and buffer in from arrays, which hold exactly
+        this model's array names and shapes."""
         for name, p in self.net.named_params().items():
             p.data = arrays[name].astype(p.data.dtype)
         for name, buf in self.net.named_buffers().items():
@@ -226,16 +217,43 @@ def model_frame(model: Model) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, model.state_dict()
 
 
+def state_shapes(arch: ArchConfig):
+    """(name, shape) of every array in a ResNet1d(arch)'s state, from the
+    arch alone, so a checkpoint is checked before any array is allocated."""
+    def conv_bn(conv: str, bn: str, shape: tuple):
+        yield f"{conv}.weight", shape
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            yield f"{bn}.{name}", shape[:1]
+
+    chans = arch.stage_channels
+    yield from conv_bn("stem_conv", "stem_bn", (chans[0], 1, 7))
+    in_ch = chans[0]
+    for i, (out_ch, count) in enumerate(zip(chans, arch.block_counts)):
+        for j in range(count):
+            p = f"stage{i}.{j}."
+            yield from conv_bn(p + "conv1", p + "bn1", (out_ch, in_ch, 3))
+            yield from conv_bn(p + "conv2", p + "bn2", (out_ch, out_ch, 3))
+            if i > 0 and j == 0:  # the strided entry block projects its shortcut
+                yield from conv_bn(p + "proj_conv", p + "proj_bn", (out_ch, in_ch, 1))
+            in_ch = out_ch
+    yield "fc.weight", (arch.k, chans[3])
+    yield "fc.bias", (arch.k,)
+
+
+CHECKPOINT = {"kind": str, "arrays?": list, "training_meta": dict,
+              "arch": {"h": int, "k": int, "stem_channels": int, "block_counts": [int] * 4}}
+
+
 def model_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> Model:
-    """Inverse of model_frame."""
-    try:
-        arch = ArchConfig(**manifest["arch"])
-        training_meta = dict(manifest["training_meta"])
-    except KeyError as exc:
-        raise MalformedCheckpoint(f"checkpoint lacks {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:  # unknown or mistyped field, non-dict meta
-        raise MalformedCheckpoint(f"checkpoint has a malformed header: {exc}") from None
-    model = Model(arch=arch, net=ResNet1d(arch), training_meta=training_meta)
+    """Inverse of model_frame: a manifest that is not CHECKPOINT is
+    MalformedCheckpoint, arrays that are not its arch's state_shapes InvalidArch."""
+    _serial.check(manifest, CHECKPOINT, MalformedCheckpoint, "checkpoint")
+    arch = ArchConfig(**manifest["arch"])
+    # a block holds 10 or 15 arrays, so the file's own size bounds the walk
+    if sum(arch.block_counts) > len(arrays) or dict(state_shapes(arch)) != {
+            name: a.shape for name, a in arrays.items()}:
+        raise InvalidArch("checkpoint arrays do not match its architecture")
+    model = Model(arch=arch, net=ResNet1d(arch), training_meta=manifest["training_meta"])
     model.load_state(arrays)
     return model
 

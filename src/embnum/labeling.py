@@ -24,16 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from . import _serial
-from .baselines import (LogisticModel, PackedColumns, _sigmoid, dsl_model_from_doc,
-                        dsl_model_to_doc, dsl_train, features_from_statistics,
-                        make_training_pairs)
+from .baselines import (DSL_WEIGHTS, LogisticModel, PackedColumns, _sigmoid,
+                        dsl_model_from_doc, dsl_model_to_doc, dsl_train,
+                        features_from_statistics, make_training_pairs)
 # perfbench/spans.py patches these by their labeling names, so keep them bound
 from .baselines import ks_statistic, pair_features  # noqa: F401
 from .dataset import Dataset, NumericAttribute, dataset_fingerprint
-from .embnet import Model, embed, model_frame, model_from_frame, preprocess
-from .errors import (EmptyInput, EmptyLabeledData, EmptyRanking, EmptyStore,
-                     InvalidSpec, MalformedDslModel, MalformedStore, MissingModel,
-                     NoQueries, TooFewSources)
+from .embnet import CHECKPOINT, Model, embed, model_frame, model_from_frame, preprocess
+from .errors import (EmptyInput, EmptyLabeledData, EmptyRanking, EmptyStore, InvalidSpec,
+                     MalformedStore, MissingModel, NoQueries, TooFewSources)
 from .metric import distances
 
 STORE_MAGIC = b"EMBS"
@@ -347,43 +346,38 @@ def save_store(store: FeatureStore, path: Path) -> None:
         STORE_MAGIC, STORE_VERSION, meta, arrays))
 
 
+STORE = {"kind": str, "method": str, "arrays": list,
+         "record_meta": [{"label": str, "source": str, "rows?": int}],
+         "model?": CHECKPOINT, "dsl_model?": DSL_WEIGHTS}
+
+
 def load_store(path: Path) -> FeatureStore:
+    """Inverse of save_store.  The manifest must match STORE, and the arrays
+    besides the model's must fit its records, else MalformedStore."""
     manifest, arrays = _serial.unpack_framed(Path(path).read_bytes(),
                                              STORE_MAGIC, STORE_VERSION)
-    try:
-        method = manifest["method"]
-        rec_meta = manifest["record_meta"]
-        if not isinstance(rec_meta, list) or not all(isinstance(m, dict) for m in rec_meta):
-            raise MalformedStore(f"{path}: record_meta is not a list of records")
-        model = dsl_model = None
-        if method == "embnum":
-            model = model_from_frame(manifest["model"], {
-                name.removeprefix("model."): a
-                for name, a in arrays.items() if name.startswith("model.")})
-            features = arrays["embeddings"]
-            if features.ndim != 2 or features.shape[1] != model.arch.k:
-                raise MalformedStore(f"{path}: embeddings have shape {features.shape}, "
-                                     f"but the model embeds to width {model.arch.k}")
-        else:
-            rows = [m["rows"] for m in rec_meta]
-            values = arrays["values"]
-            if not all(type(n) is int and n >= 0 for n in rows):
-                raise MalformedStore(f"{path}: record row counts must be non-negative integers")
-            if sum(rows) != len(values):
-                raise MalformedStore(f"{path}: record row counts sum to {sum(rows)}, "
-                                     f"but the store holds {len(values)} values")
-            features = [values[end - n : end] for n, end in zip(rows, np.cumsum(rows))]
-            if method == "dsl":
-                try:
-                    dsl_model = dsl_model_from_doc(manifest["dsl_model"])
-                except MalformedDslModel as exc:
-                    raise MalformedStore(f"{path}: {exc}") from None
-        if len(features) != len(rec_meta):
-            raise MalformedStore(f"{path}: {len(rec_meta)} records, "
-                                 f"but {len(features)} stored embeddings")
-        records = [StoreRecord(m["label"], m["source"], f) for m, f in zip(rec_meta, features)]
-    except KeyError as exc:
-        raise MalformedStore(f"{path}: store lacks {exc.args[0]!r}") from None
+    _serial.check(manifest, STORE, MalformedStore, "store")
+    method, rec_meta = manifest["method"], manifest["record_meta"]
+    rows = [m.get("rows", -1) for m in rec_meta]
+    model = dsl_model = None
+    if method == "embnum":
+        model = model_from_frame(manifest.get("model"), {
+            name.removeprefix("model."): a
+            for name, a in arrays.items() if name.startswith("model.")})
+        want = {"embeddings": (len(rec_meta), model.arch.k)}
+    else:
+        if min(rows, default=0) < 0:
+            raise MalformedStore(f"{path}: every {method} record needs a row count >= 0")
+        want = {"values": (sum(rows),)}
+        if method == "dsl":
+            dsl_model = dsl_model_from_doc(manifest.get("dsl_model"))
+    got = {name: a.shape for name, a in arrays.items() if not name.startswith("model.")}
+    if got != want:
+        raise MalformedStore(f"{path}: {len(rec_meta)} {method} records need arrays "
+                             f"{want}, but the store holds {got}")
+    features = (arrays["embeddings"] if method == "embnum" else
+                [arrays["values"][end - n : end] for n, end in zip(rows, np.cumsum(rows))])
+    records = [StoreRecord(m["label"], m["source"], f) for m, f in zip(rec_meta, features)]
     return FeatureStore(method=method, records=records, model=model, dsl_model=dsl_model)
 
 

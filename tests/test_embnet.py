@@ -26,6 +26,7 @@ from embnum.embnet import (
     normalize_input,
     preprocess,
     save_model,
+    state_shapes,
 )
 from embnum.errors import (
     ChecksumMismatch,
@@ -78,6 +79,15 @@ class TestBuild:
     def test_training_meta_initialized(self):
         m = build_model(TINY, seed=9)
         assert m.training_meta == {"epochs_seen": 0, "best_mrr": 0.0, "seed": 9}
+
+    @pytest.mark.parametrize("arch", [
+        ArchConfig(), desk_arch(),
+        ArchConfig(h=16, k=5, stem_channels=3, block_counts=(1, 3, 1, 2)),
+    ], ids=["default", "desk", "uneven"])
+    def test_state_shapes_are_the_built_layout(self, arch):
+        # checkpoints are checked against state_shapes before any net is built
+        state = build_model(arch, seed=0).state_dict()
+        assert dict(state_shapes(arch)) == {name: a.shape for name, a in state.items()}
 
     def test_parameter_naming_scheme(self):
         m = build_model(TINY, seed=0)

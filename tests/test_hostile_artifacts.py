@@ -1,0 +1,173 @@
+"""Hostile artifacts reach the CLI user as named errors, never as tracebacks.
+
+Each case edits one or two values of a valid checkpoint, store, DSL weights
+file or spec (recomputing the CRC of a framed file) and runs one command on
+it in a child process whose address space is capped, so a file that asks for
+a huge allocation fails there instead of exhausting the host.  Children run
+one at a time.
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+import struct
+import tempfile
+import zlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import embnum
+from embnum import errors
+from embnum.baselines import LogisticModel, save_dsl_model
+from embnum.dataset import SyntheticSpec, generate_synthetic, write_dataset
+from embnum.embnet import MODEL_MAGIC, MODEL_VERSION, ArchConfig, build_model, save_model
+from embnum.labeling import STORE_MAGIC, STORE_VERSION, index_labeled, save_store
+
+ADDRESS_SPACE = 1536 * 2**20
+CLI = "import sys; from embnum.cli import main; sys.exit(main(sys.argv[1:]))"
+NAMED_ERRORS = {name for name, cls in vars(errors).items()
+                if isinstance(cls, type) and issubclass(cls, errors.EmbnumError)} | {"IoError"}
+DATA_SPEC = {"label_count": 3, "source_count": 3, "rows_min": 6, "rows_max": 10, "seed": 11}
+FRAMES = {"model.bin": (MODEL_MAGIC, MODEL_VERSION), "embnum.bin": (STORE_MAGIC, STORE_VERSION),
+          "semantictyper.bin": (STORE_MAGIC, STORE_VERSION),
+          "dsl.bin": (STORE_MAGIC, STORE_VERSION)}
+
+# artifact file -> the commands that read it; {out} is a fresh path per run
+COMMANDS = {
+    "model.bin": [["export-embeddings", "{artifact}", "{base}/data"],
+                  ["index", "{base}/data", "--method", "embnum", "--model", "{artifact}",
+                   "--out", "{out}"]],
+    "embnum.bin": [["label", "{artifact}", "{base}/query.csv"]],
+    "semantictyper.bin": [["label", "{artifact}", "{base}/query.csv"]],
+    "dsl.bin": [["label", "{artifact}", "{base}/query.csv"]],
+    "weights.json": [["index", "{base}/data", "--method", "dsl", "--dsl-model", "{artifact}",
+                      "--out", "{out}"]],
+    "spec.json": [["gen", "{artifact}", "{out}"]],
+}
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """A valid artifact of every kind, from a tiny dataset and network."""
+    base = tmp_path_factory.mktemp("artifacts")
+    ds = generate_synthetic(SyntheticSpec(**DATA_SPEC))
+    write_dataset(ds, base / "data")
+    model = build_model(ArchConfig(h=8, k=4, stem_channels=1, block_counts=(1, 1, 1, 1)),
+                        seed=0)
+    save_model(model, base / "model.bin")
+    dsl_model = LogisticModel(weights=np.array([1.5, -0.5, 2.0]), bias=0.25)
+    for method in ("embnum", "semantictyper", "dsl"):
+        save_store(index_labeled(ds, method, model=model, dsl_model=dsl_model),
+                   base / f"{method}.bin")
+    save_dsl_model(dsl_model, base / "weights.json")
+    pool = [{"family": "normal", "scale": 2.0}, {"family": "lognormal", "shape": 0.5},
+            {"family": "counts", "location": 3.0}]
+    (base / "spec.json").write_text(json.dumps({**DATA_SPEC, "family_pool": pool}))
+    (base / "query.csv").write_text("1.5\n2\n7.25\n")
+    return base
+
+
+def read_doc(base: Path, name: str):
+    """The artifact's editable JSON document, a framed file's manifest or
+    the whole file, and the framed payload that follows the manifest."""
+    blob = (base / name).read_bytes()
+    if name not in FRAMES:
+        return json.loads(blob), None
+    end = 12 + struct.unpack("<I", blob[8:12])[0]
+    return json.loads(blob[12:end]), blob[end:-4]
+
+
+def write_doc(path: Path, name: str, doc, payload) -> None:
+    """Write the edited document; a framed file keeps its payload and gets
+    the CRC of its new bytes."""
+    text = json.dumps(doc).encode()
+    if name in FRAMES:
+        magic, version = FRAMES[name]
+        body = magic + struct.pack("<II", version, len(text)) + text + payload
+        text = body + struct.pack("<I", zlib.crc32(body))
+    path.write_bytes(text)
+
+
+def paths(doc, prefix=()):
+    """Key paths of a JSON document's values, the root excluded, and of a
+    manifest's array entries only the first two."""
+    if isinstance(doc, list):
+        items = enumerate(doc[:2] if prefix == ("arrays",) else doc)
+    else:
+        items = doc.items() if isinstance(doc, dict) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return out
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run_capped(base: Path, name: str, doc, payload, command: list[str]):
+    """Write the edited artifact and run one command on it in a capped child."""
+    with tempfile.TemporaryDirectory(dir=base) as tmp:
+        artifact = Path(tmp) / name
+        write_doc(artifact, name, doc, payload)
+        argv = [a.format(artifact=artifact, base=base, out=Path(tmp) / "out") for a in command]
+        env = {**os.environ, "PYTHONPATH": str(Path(embnum.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        return subprocess.run([sys.executable, "-c", CLI, *argv], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              preexec_fn=_cap_address_space)
+
+
+def assert_named_outcome(proc) -> None:
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    if proc.returncode == 1:
+        assert proc.stderr.split(":", 1)[0] in NAMED_ERRORS, proc.stderr
+
+
+# Each probe once escaped as a raw TypeError, or as a MemoryError after
+# building the network block by block.
+@pytest.mark.parametrize("name, path, value, error", [
+    ("model.bin", ("arch", "stem_channels"), 1.5, "MalformedCheckpoint"),
+    ("model.bin", ("arch", "k"), 8.0, "MalformedCheckpoint"),
+    ("model.bin", ("arch", "block_counts", 3), 1.0, "MalformedCheckpoint"),
+    ("model.bin", ("arch", "block_counts", 3), 10**8, "InvalidArch"),
+    ("embnum.bin", ("record_meta", 0, "label"), None, "MalformedStore"),
+    ("semantictyper.bin", ("record_meta", 0, "source"), {}, "MalformedStore"),
+    ("dsl.bin", ("record_meta", 2, "label"), {"a": 1}, "MalformedStore"),
+])
+def test_known_escapes_are_named_errors(base, name, path, value, error):
+    doc, payload = read_doc(base, name)
+    proc = run_capped(base, name, replaced(doc, path, value), payload, COMMANDS[name][0])
+    assert proc.returncode == 1 and proc.stderr.startswith(f"{error}: "), proc.stderr
+
+
+SMALL_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 16), st.floats(-4, 4),
+    st.sampled_from([float("nan"), "", "x", "embnum", "dsl", [], {}, [1, 2, 3, 4]]),
+    st.lists(st.integers(0, 3), max_size=4), st.dictionaries(st.sampled_from("ab"),
+                                                              st.integers(0, 3), max_size=2))
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(COMMANDS)))
+@settings(max_examples=20, deadline=None)
+def test_edited_artifacts_fail_with_named_errors(base, data, name):
+    doc, payload = read_doc(base, name)
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        path = data.draw(st.sampled_from(list(paths(doc))), label="path")
+        doc = replaced(doc, path, data.draw(SMALL_VALUES, label="value"))
+    command = data.draw(st.sampled_from(COMMANDS[name]), label="command")
+    assert_named_outcome(run_capped(base, name, doc, payload, command))
