@@ -75,11 +75,7 @@ def main(argv=None) -> int:
         row = "  ".join(f"{reports[m].per_count[i].mean_mrr:14.4f}"
                         for m in methods)
         print(f"{count:7d}  {row}")
-    def overall(report):
-        weights = [pc.experiments for pc in report.per_count]
-        return sum(pc.mean_mrr * w for pc, w in zip(report.per_count, weights)) / sum(weights)
-
-    row = "  ".join(f"{overall(reports[m]):14.4f}" for m in methods)
+    row = "  ".join(f"{reports[m].overall_mrr:14.4f}" for m in methods)
     print(f"overall  {row}")
 
     if args.out is not None:

@@ -85,21 +85,22 @@ def pack_framed(magic: bytes, version: int, meta: dict,
         for name, arr in arrays.items()
     ]
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [magic, struct.pack("<I", version), struct.pack("<I", len(mbytes)), mbytes]
-    for arr in arrays.values():
-        parts.append(np.ascontiguousarray(arr, dtype=_dtype_tag(arr)).tobytes())
-    body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body))
+    parts = [magic, struct.pack("<II", version, len(mbytes)), mbytes, *(
+        memoryview(np.ascontiguousarray(arr, dtype=_dtype_tag(arr))) for arr in arrays.values())]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, struct.pack("<I", crc)])
 
 
 def unpack_framed(blob: bytes, magic: bytes, version: int
                   ) -> tuple[dict, dict[str, np.ndarray]]:
     """Inverse of pack_framed; validates magic, version, checksum and the
-    manifest's array list.  Any unreadable frame is ChecksumMismatch."""
+    manifest's array list, whose payloads must end exactly at the CRC
+    trailer.  Any unreadable frame is ChecksumMismatch."""
     if len(blob) < 16 or blob[:4] != magic:
         raise ChecksumMismatch(f"not a {magic.decode('ascii', 'replace')} file")
-    body, crc_bytes = blob[:-4], blob[-4:]
-    if struct.unpack("<I", crc_bytes)[0] != zlib.crc32(body):
+    if struct.unpack("<I", blob[-4:])[0] != zlib.crc32(memoryview(blob)[:-4]):
         raise ChecksumMismatch("CRC-32 mismatch; file is corrupt or truncated")
     got_version = struct.unpack("<I", blob[4:8])[0]
     if got_version != version:
@@ -119,12 +120,13 @@ def unpack_framed(blob: bytes, magic: bytes, version: int
             dtype = np.dtype(tag)
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
             nbytes = dtype.itemsize * count
-            raw = blob[offset : offset + nbytes]
-            if len(raw) != nbytes:
+            if not 0 <= nbytes <= len(blob) - 4 - offset:
                 raise ChecksumMismatch("array payload shorter than manifest declares")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            arrays[entry["name"]] = np.frombuffer(blob, dtype, count, offset).reshape(shape).copy()
             offset += nbytes
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ChecksumMismatch(f"malformed manifest: {exc!r}") from None
+    if offset != len(blob) - 4:
+        raise ChecksumMismatch("array payloads do not end at the CRC trailer")
     return manifest, arrays
 

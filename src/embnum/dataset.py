@@ -179,6 +179,8 @@ class FamilySpec:
             raise InvalidSpec(f"unknown family {self.family!r}")
         if not (self.scale > 0 and self.shape >= 0):
             raise InvalidSpec("scale must be positive and shape non-negative")
+        if self.family == "counts" and not self.scale <= 1e17:  # numpy's Poisson mean < 9.2e18
+            raise InvalidSpec(f"a counts family's scale must be at most 1e17, got {self.scale}")
 
 
 @dataclass(frozen=True)

@@ -48,25 +48,20 @@ class BasicBlock:
     """Two 3-wide convolutions with a residual connection.
 
     The shortcut is the identity when shapes match, else a strided 1-wide
-    projection conv + batch norm.  Convolutions carry no bias; the batch
-    norms that follow them absorb any offset.
+    projection conv + batch norm.
     """
 
     def __init__(self, in_channels: int, out_channels: int, stride: int, *,
                  dtype=np.float32):
         self.conv1 = Conv1d(in_channels, out_channels, 3, stride=stride,
-                            padding=1, bias=False, dtype=dtype)
+                            padding=1, dtype=dtype)
         self.bn1 = BatchNorm1d(out_channels, dtype=dtype)
-        self.conv2 = Conv1d(out_channels, out_channels, 3, stride=1,
-                            padding=1, bias=False, dtype=dtype)
+        self.conv2 = Conv1d(out_channels, out_channels, 3, padding=1, dtype=dtype)
         self.bn2 = BatchNorm1d(out_channels, dtype=dtype)
+        self.proj_conv = self.proj_bn = None
         if stride != 1 or in_channels != out_channels:
-            self.proj_conv = Conv1d(in_channels, out_channels, 1, stride=stride,
-                                    bias=False, dtype=dtype)
+            self.proj_conv = Conv1d(in_channels, out_channels, 1, stride=stride, dtype=dtype)
             self.proj_bn = BatchNorm1d(out_channels, dtype=dtype)
-        else:
-            self.proj_conv = None
-            self.proj_bn = None
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         y = ops.relu(self.bn1(self.conv1(x), training))
@@ -89,8 +84,7 @@ class BasicBlock:
 class ResNet1d:
     def __init__(self, arch: ArchConfig, *, dtype=np.float32):
         chans = arch.stage_channels
-        self.stem_conv = Conv1d(1, chans[0], 7, stride=2, padding=3,
-                                bias=False, dtype=dtype)
+        self.stem_conv = Conv1d(1, chans[0], 7, stride=2, padding=3, dtype=dtype)
         self.stem_bn = BatchNorm1d(chans[0], dtype=dtype)
         self.stages: list[list[BasicBlock]] = []
         in_ch = chans[0]

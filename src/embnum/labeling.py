@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -248,6 +248,12 @@ class BenchmarkReport:
     per_count: tuple[PerCount, ...]
     total_experiments: int
 
+    @property
+    def overall_mrr(self) -> float:
+        """Experiment-weighted MRR over every labeled-source count."""
+        weights = [pc.experiments for pc in self.per_count]
+        return sum(pc.mean_mrr * w for pc, w in zip(self.per_count, weights)) / sum(weights)
+
 
 def expected_experiments(d: int) -> int:
     """Every source held out once against every non-empty labeled subset."""
@@ -272,48 +278,32 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
     full = index_labeled(dataset, method, model=model, dsl_model=dsl_model)
 
     sources = sorted(dataset.sources)
-    outcomes: list[tuple[int, float, float]] = []
+    by_count: dict[int, list[tuple[float, float]]] = {}
     for held in sources:
         queries = sorted(dataset.by_source(held), key=lambda a: a.label)
         others = [s for s in sources if s != held]
         for mask in range(1, 2 ** len(others)):
-            subset = [others[i] for i in range(len(others)) if mask >> i & 1]
-            chosen = set(subset)
+            chosen = {others[i] for i in range(len(others)) if mask >> i & 1}
             store = full.subset(np.array([r.source in chosen for r in full.records]))
             result = label_queries(store, queries)
             if result.ranks:
-                outcomes.append((len(subset), mrr(result.ranks), result.seconds))
-    if not outcomes:
+                by_count.setdefault(len(chosen), []).append((mrr(result.ranks), result.seconds))
+    if not by_count:
         raise NoQueries("no held-out query's label is in any labeled subset")
 
-    per_count = []
-    for count in range(1, d):
-        rows = [(m, s) for c, m, s in outcomes if c == count]
-        if rows:
-            per_count.append(PerCount(
-                labeled_sources=count,
-                mean_mrr=float(np.mean([m for m, _ in rows])),
-                mean_seconds=float(np.mean([s for _, s in rows])),
-                experiments=len(rows),
-            ))
+    per_count = tuple(PerCount(labeled_sources=count,
+                               mean_mrr=float(np.mean([m for m, _ in rows])),
+                               mean_seconds=float(np.mean([s for _, s in rows])),
+                               experiments=len(rows))
+                      for count, rows in sorted(by_count.items()))
     return BenchmarkReport(method=method,
                            dataset_sha256=dataset_fingerprint(dataset),
-                           per_count=tuple(per_count),
-                           total_experiments=len(outcomes))
+                           per_count=per_count,
+                           total_experiments=sum(pc.experiments for pc in per_count))
 
 
 def report_to_json(report: BenchmarkReport) -> str:
-    doc = {
-        "method": report.method,
-        "dataset_sha256": report.dataset_sha256,
-        "per_count": [
-            {"labeled_sources": pc.labeled_sources, "mean_mrr": pc.mean_mrr,
-             "mean_seconds": pc.mean_seconds, "experiments": pc.experiments}
-            for pc in report.per_count
-        ],
-        "total_experiments": report.total_experiments,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -70,28 +70,18 @@ class TripletBatch:
     anchors: np.ndarray
     positives: np.ndarray
     negatives: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        lab = self.labels
-        if np.any(self.anchors == self.positives):
-            raise DegenerateBatch("anchor and positive must differ")
-        if np.any(lab[self.anchors] != lab[self.positives]):
-            raise DegenerateBatch("positive must share the anchor's label")
-        if np.any(lab[self.anchors] == lab[self.negatives]):
-            raise DegenerateBatch("negative must have a different label")
 
 
 def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
     """Hardest positive (max distance) and hardest negative (min distance)
-    per anchor, ties broken by lowest batch index."""
+    per anchor, ties broken by lowest batch index.  The masks make every
+    positive another row of the anchor's label and every negative a row of
+    another label, given finite distances, as train's float32 ones are."""
     labels = np.asarray(labels)
     emb = np.asarray(embeddings, dtype=np.float64)
-    n = emb.shape[0]
     dist = np.stack([distances(emb, row) for row in emb])
     same = labels[:, None] == labels[None, :]
-    np_eye = np.eye(n, dtype=bool)
-    pos_mask = same & ~np_eye
+    pos_mask = same & ~np.eye(len(emb), dtype=bool)
     neg_mask = ~same
     valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
     if not valid.any():
@@ -101,8 +91,7 @@ def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
     neg_d = np.where(neg_mask[anchors], dist[anchors], np.inf)
     positives = np.argmax(pos_d, axis=1)
     negatives = np.argmin(neg_d, axis=1)
-    return TripletBatch(anchors=anchors, positives=positives,
-                        negatives=negatives, labels=labels)
+    return TripletBatch(anchors=anchors, positives=positives, negatives=negatives)
 
 
 def triplet_loss(emb: Tensor, mined: TripletBatch, alpha: float) -> Tensor | None:

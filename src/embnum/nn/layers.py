@@ -11,31 +11,25 @@ from .tensor import Tensor
 
 
 class Conv1d:
+    """A convolution without bias: every conv in the network feeds a batch
+    norm, which absorbs any offset."""
+
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0, bias: bool = True, *,
-                 dtype=np.float32):
+                 stride: int = 1, padding: int = 0, *, dtype=np.float32):
         self.stride = stride
         self.padding = padding
         self.weight = Tensor(np.zeros((out_channels, in_channels, kernel), dtype=dtype),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv1d(x, self.weight, self.bias,
-                          stride=self.stride, padding=self.padding)
+        return ops.conv1d(x, self.weight, stride=self.stride, padding=self.padding)
 
     def params(self) -> dict[str, Tensor]:
-        out = {"weight": self.weight}
-        if self.bias is not None:
-            out["bias"] = self.bias
-        return out
+        return {"weight": self.weight}
 
 
 class BatchNorm1d:
-    def __init__(self, channels: int, *, eps: float = 1e-5,
-                 momentum: float = 0.1, dtype=np.float32):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels: int, *, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         # running stats live outside the autodiff tape
@@ -44,8 +38,7 @@ class BatchNorm1d:
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ops.batchnorm1d(x, self.gamma, self.beta,
-                               self.running_mean, self.running_var,
-                               training, momentum=self.momentum, eps=self.eps)
+                               self.running_mean, self.running_var, training)
 
     def params(self) -> dict[str, Tensor]:
         return {"gamma": self.gamma, "beta": self.beta}

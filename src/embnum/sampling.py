@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidWidth
 
+# The widest grid (40 times the paper's h = 100): it bounds the h values held
+# per sampled column before a width from a checkpoint or flag allocates them.
+MAX_H = 4096
+
 
 def sample_inverse_transform(values, h: int) -> np.ndarray:
     """Evaluate the inverse empirical CDF on the grid {i/h : i = 1..h}.
@@ -25,8 +29,8 @@ def sample_inverse_transform(values, h: int) -> np.ndarray:
     Output is a non-decreasing vector of h values, each taken from the input,
     computed deterministically with exact quantile-boundary arithmetic.
     """
-    if not isinstance(h, (int, np.integer)) or h < 1:
-        raise InvalidWidth(f"h must be a positive integer, got {h!r}")
+    if not isinstance(h, (int, np.integer)) or not 1 <= h <= MAX_H:
+        raise InvalidWidth(f"h must be an integer from 1 to {MAX_H}, got {h!r}")
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise EmptyInput("value list is empty")

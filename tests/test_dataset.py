@@ -312,6 +312,13 @@ class TestSynthetic:
         with pytest.raises(InvalidSpec):
             FamilySpec(family="normal", scale=0.0)
 
+    @pytest.mark.parametrize("scale", [1e18, 1e300, float("inf")])
+    def test_counts_mean_stays_drawable(self, scale):
+        FamilySpec(family="normal", scale=scale)
+        FamilySpec(family="counts", scale=1e17)
+        with pytest.raises(InvalidSpec):
+            FamilySpec(family="counts", scale=scale)
+
     def test_spec_from_json_round_trip(self):
         text = """
         {"label_count": 2, "source_count": 3, "rows_min": 4, "rows_max": 8,

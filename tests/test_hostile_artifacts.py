@@ -107,10 +107,11 @@ def paths(doc, prefix=()):
 
 
 def replaced(doc, path, value):
+    """doc with the value at path set; the last key of path may be new."""
     if not path:
         return value
     out = dict(doc) if isinstance(doc, dict) else list(doc)
-    out[path[0]] = replaced(doc[path[0]], path[1:], value)
+    out[path[0]] = replaced(doc[path[0]], path[1:], value) if path[1:] else value
     return out
 
 
@@ -138,8 +139,9 @@ def assert_named_outcome(proc) -> None:
         assert proc.stderr.split(":", 1)[0] in NAMED_ERRORS, proc.stderr
 
 
-# Each probe once escaped as a raw TypeError, or as a MemoryError after
-# building the network block by block.
+# Each probe once escaped as a raw TypeError, as a MemoryError after
+# building the network block by block or allocating a 10**9-wide grid, or as
+# numpy's ValueError for a Poisson mean it cannot draw.
 @pytest.mark.parametrize("name, path, value, error", [
     ("model.bin", ("arch", "stem_channels"), 1.5, "MalformedCheckpoint"),
     ("model.bin", ("arch", "k"), 8.0, "MalformedCheckpoint"),
@@ -148,6 +150,8 @@ def assert_named_outcome(proc) -> None:
     ("embnum.bin", ("record_meta", 0, "label"), None, "MalformedStore"),
     ("semantictyper.bin", ("record_meta", 0, "source"), {}, "MalformedStore"),
     ("dsl.bin", ("record_meta", 2, "label"), {"a": 1}, "MalformedStore"),
+    ("model.bin", ("arch", "h"), 10**9, "InvalidWidth"),
+    ("spec.json", ("family_pool", 2, "scale"), 1e300, "InvalidSpec"),
 ])
 def test_known_escapes_are_named_errors(base, name, path, value, error):
     doc, payload = read_doc(base, name)

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
+import sys
 import time
 from dataclasses import FrozenInstanceError
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +438,23 @@ class TestReportJson:
             assert set(pc) == {"labeled_sources", "mean_mrr", "mean_seconds",
                                "experiments"}
         assert report_from_json(text) == report
+
+
+def test_overall_mrr_matches_the_benchmark_copy(desk_reports, monkeypatch):
+    """perfbench keeps its own overall MRR; it must not drift from the report's."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # workloads imports its sibling pace
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    report = desk_reports["semantictyper"]
+    uneven = dataclasses.replace(report, per_count=tuple(  # desk MRRs are all 1.0
+        dataclasses.replace(pc, mean_mrr=1.0 / (pc.labeled_sources + 2))
+        for pc in report.per_count))
+    for report in [*desk_reports.values(), uneven]:
+        assert report.overall_mrr == workloads.overall_mrr(report)
 
 
 class TestStorePersistence:

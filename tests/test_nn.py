@@ -446,16 +446,18 @@ class TestGradientsNumerically:
 
 class TestLayers:
     def test_conv_layer_param_shapes(self):
-        layer = Conv1d(2, 4, kernel=3, stride=1, padding=1, bias=True)
+        layer = Conv1d(2, 4, kernel=3, stride=1, padding=1)
         params = layer.params()
         assert params["weight"].data.shape == (4, 2, 3)
-        assert params["bias"].data.shape == (4,)
         out = layer(Tensor(np.zeros((1, 2, 5), dtype=np.float32)))
         assert out.data.shape == (1, 4, 5)
 
     def test_conv_layer_without_bias(self):
-        layer = Conv1d(1, 1, kernel=3, stride=1, padding=0, bias=False)
-        assert "bias" not in layer.params()
+        layer = Conv1d(1, 1, kernel=3, stride=1, padding=0)
+        assert list(layer.params()) == ["weight"]
+        layer.weight.data[...] = 1.0
+        out = layer(Tensor(np.array([[[1.0, 2.0, 3.0, 4.0]]], dtype=np.float32)))
+        assert out.data.tolist() == [[[6.0, 9.0]]]
 
     def test_batchnorm_layer_state(self):
         layer = BatchNorm1d(3)

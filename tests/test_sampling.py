@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embnum.errors import EmptyInput, InvalidWidth
-from embnum.sampling import sample_inverse_transform
+from embnum.sampling import MAX_H, sample_inverse_transform
 from oracles import inverse_transform_oracle, sample_unique_reference
 
 finite_floats = st.floats(
@@ -45,10 +45,13 @@ class TestFrozenExamples:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("h", [0, -1, 2.5, "3"])
+    @pytest.mark.parametrize("h", [0, -1, 2.5, "3", MAX_H + 1, 10**9])
     def test_bad_width(self, h):
         with pytest.raises(InvalidWidth):
             sample_inverse_transform([1.0], h)
+
+    def test_widest_grid(self):
+        assert sample_inverse_transform([2.0, 1.0], MAX_H).tolist() == [1.0] * 2048 + [2.0] * 2048
 
     def test_empty_values(self):
         with pytest.raises(EmptyInput):

@@ -1,9 +1,55 @@
+import json
+import struct
 import sys
 import threading
+import zlib
 
+import numpy as np
 import pytest
 
-from embnum._serial import atomic_write_bytes
+from embnum._serial import atomic_write_bytes, pack_framed, unpack_framed
+from embnum.errors import ChecksumMismatch
+
+MAGIC = b"TEST"
+
+
+def frame(shape: list[int], payload: bytes) -> bytes:
+    """A version-1 frame with one float32 array "x" declared as shape, over
+    payload, with a valid CRC."""
+    text = json.dumps({"arrays": [{"name": "x", "shape": shape, "dtype": "<f4"}]}).encode()
+    body = MAGIC + struct.pack("<II", 1, len(text)) + text + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_pack_framed_writes_the_documented_layout():
+    a = np.array([[1.5, -2.0]], dtype=np.float32)
+    b = np.arange(3, dtype=np.float64)[::-1]  # not contiguous
+    manifest = json.dumps({"arrays": [{"dtype": "<f4", "name": "a", "shape": [1, 2]},
+                                      {"dtype": "<f8", "name": "b", "shape": [3]}],
+                           "kind": "k"}, sort_keys=True, separators=(",", ":")).encode()
+    body = (MAGIC + struct.pack("<II", 7, len(manifest)) + manifest
+            + a.tobytes() + np.ascontiguousarray(b).tobytes())
+    blob = pack_framed(MAGIC, 7, {"kind": "k"}, {"a": a, "b": b})
+    assert blob == body + struct.pack("<I", zlib.crc32(body))
+    meta, arrays = unpack_framed(blob, MAGIC, 7)
+    assert meta["kind"] == "k"
+    assert arrays["a"].tolist() == a.tolist() and arrays["b"].tolist() == [2.0, 1.0, 0.0]
+
+
+def test_frame_round_trips():
+    [x] = unpack_framed(frame([1], struct.pack("<f", 1.5)), MAGIC, 1)[1].values()
+    assert x.tolist() == [1.5] and x.flags.writeable
+
+
+# A CRC-valid frame whose last array runs into the trailer once read the
+# CRC as data; bytes left before the trailer were once ignored.
+@pytest.mark.parametrize("shape, payload", [
+    ([2], struct.pack("<f", 1.5)),
+    ([1], struct.pack("<ff", 1.5, 2.5)),
+], ids=["runs-into-trailer", "unread-bytes"])
+def test_arrays_must_end_at_the_trailer(shape, payload):
+    with pytest.raises(ChecksumMismatch):
+        unpack_framed(frame(shape, payload), MAGIC, 1)
 
 
 def test_concurrent_writers_of_one_path_do_not_collide(tmp_path):
