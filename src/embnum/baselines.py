@@ -19,6 +19,8 @@ import numpy as np
 from . import _serial
 from .errors import EmptyInput, MalformedDslModel, SingleClassTraining
 
+DSL_ITERS, DSL_LR = 500, 0.5  # dsl_train's gradient-descent steps and rate
+
 
 class PackedColumns:
     """Stored columns laid end to end, each sorted once, for scoring one
@@ -141,8 +143,7 @@ class LogisticModel:
         return np.array([np.dot(self.weights, row) for row in features]) + self.bias
 
 
-def dsl_train(pairs: list[tuple[tuple, bool]], iters: int = 500,
-              lr: float = 0.5) -> LogisticModel:
+def dsl_train(pairs: list[tuple[tuple, bool]]) -> LogisticModel:
     """Full-batch gradient descent on logistic loss; deterministic in the
     given pair order.  pairs: [((values_a, values_b), same_label), ...];
     each run of pairs sharing one values_a object is scored as one store."""
@@ -159,10 +160,10 @@ def dsl_train(pairs: list[tuple[tuple, bool]], iters: int = 500,
     w = np.zeros(3)
     bias = 0.0
     n = len(y)
-    for _ in range(iters):
+    for _ in range(DSL_ITERS):
         resid = _sigmoid(x @ w + bias) - y
-        w = w - lr * (x.T @ resid) / n
-        bias = bias - lr * float(resid.mean())
+        w = w - DSL_LR * (x.T @ resid) / n
+        bias = bias - DSL_LR * float(resid.mean())
     return LogisticModel(weights=w, bias=bias)
 
 

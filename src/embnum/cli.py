@@ -7,6 +7,7 @@ Output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -21,8 +22,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="start from a fixture's configs; 'desk' is "
                         "embnum.fixtures.desk_arch() and desk_train_config()")
     for f in dataclasses.fields(embnet.ArchConfig) + dataclasses.fields(metric.TrainConfig):
-        if f.name != "block_counts":
-            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=None)
 
 
 def _configs(args) -> tuple[embnet.ArchConfig, metric.TrainConfig]:
@@ -149,8 +149,8 @@ def _cmd_label(args) -> int:
     store = labeling.load_store(Path(args.store))
     query = dataset.load_attribute_csv(args.query)
     ranking = labeling.rank(store, query)
-    for entry in ranking.entries[: args.top]:
-        print(f"{entry.label},{entry.source},{entry.score!r}")
+    csv.writer(sys.stdout, lineterminator="\n").writerows(
+        [e.label, e.source, repr(e.score)] for e in ranking.entries[: args.top])
     return 0
 
 

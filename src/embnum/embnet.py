@@ -2,7 +2,7 @@
 
 Maps an h-length sorted quantile vector to a k-dimensional embedding through
 a ResNet-18-shaped stack adapted to one spatial dimension: a 7-wide strided
-stem, four stages of two-conv residual blocks with channel doubling and
+stem, four stages of two two-conv residual blocks with channel doubling and
 stride-2 entries, global average pooling, and a final affine projection.
 The stem's channel count sets every stage's width, so the same topology runs
 at desk scale.
@@ -30,18 +30,29 @@ class ArchConfig:
     h: int = 100
     k: int = 100
     stem_channels: int = 64
-    block_counts: tuple[int, int, int, int] = (2, 2, 2, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "block_counts", tuple(self.block_counts))
-        if len(self.block_counts) != 4 or min(self.h, self.k, self.stem_channels,
-                                              *self.block_counts) < 1:
-            raise InvalidArch(f"every field must be >= 1, with 4 block_counts: {self}")
+        if min(self.h, self.k, self.stem_channels) < 1:
+            raise InvalidArch(f"every field must be >= 1: {self}")
 
     @property
     def stage_channels(self) -> tuple[int, int, int, int]:
         c = self.stem_channels
         return (c, 2 * c, 4 * c, 8 * c)
+
+
+def block_plan(arch: ArchConfig):
+    """(stage, block, in channels, out channels, stride) of every residual
+    block in order: two per stage, the first of stages 1-3 strided by 2."""
+    in_ch = arch.stem_channels
+    for i, out_ch in enumerate(arch.stage_channels):
+        for j in range(2):
+            yield i, j, in_ch, out_ch, 2 if i > 0 and j == 0 else 1
+            in_ch = out_ch
+
+
+def _projects(in_channels: int, out_channels: int, stride: int) -> bool:
+    return stride != 1 or in_channels != out_channels  # the shortcut changes shape
 
 
 class BasicBlock:
@@ -51,17 +62,15 @@ class BasicBlock:
     projection conv + batch norm.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int, *,
-                 dtype=np.float32):
-        self.conv1 = Conv1d(in_channels, out_channels, 3, stride=stride,
-                            padding=1, dtype=dtype)
-        self.bn1 = BatchNorm1d(out_channels, dtype=dtype)
-        self.conv2 = Conv1d(out_channels, out_channels, 3, padding=1, dtype=dtype)
-        self.bn2 = BatchNorm1d(out_channels, dtype=dtype)
+    def __init__(self, in_channels: int, out_channels: int, stride: int):
+        self.conv1 = Conv1d(in_channels, out_channels, 3, stride=stride, padding=1)
+        self.bn1 = BatchNorm1d(out_channels)
+        self.conv2 = Conv1d(out_channels, out_channels, 3, padding=1)
+        self.bn2 = BatchNorm1d(out_channels)
         self.proj_conv = self.proj_bn = None
-        if stride != 1 or in_channels != out_channels:
-            self.proj_conv = Conv1d(in_channels, out_channels, 1, stride=stride, dtype=dtype)
-            self.proj_bn = BatchNorm1d(out_channels, dtype=dtype)
+        if _projects(in_channels, out_channels, stride):
+            self.proj_conv = Conv1d(in_channels, out_channels, 1, stride=stride)
+            self.proj_bn = BatchNorm1d(out_channels)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         y = ops.relu(self.bn1(self.conv1(x), training))
@@ -82,20 +91,14 @@ class BasicBlock:
 
 
 class ResNet1d:
-    def __init__(self, arch: ArchConfig, *, dtype=np.float32):
+    def __init__(self, arch: ArchConfig):
         chans = arch.stage_channels
-        self.stem_conv = Conv1d(1, chans[0], 7, stride=2, padding=3, dtype=dtype)
-        self.stem_bn = BatchNorm1d(chans[0], dtype=dtype)
-        self.stages: list[list[BasicBlock]] = []
-        in_ch = chans[0]
-        for stage_idx, (out_ch, count) in enumerate(zip(chans, arch.block_counts)):
-            blocks = []
-            for block_idx in range(count):
-                stride = 2 if (stage_idx > 0 and block_idx == 0) else 1
-                blocks.append(BasicBlock(in_ch, out_ch, stride, dtype=dtype))
-                in_ch = out_ch
-            self.stages.append(blocks)
-        self.fc = Linear(chans[3], arch.k, dtype=dtype)
+        self.stem_conv = Conv1d(1, chans[0], 7, stride=2, padding=3)
+        self.stem_bn = BatchNorm1d(chans[0])
+        self.stages: list[list[BasicBlock]] = [[] for _ in chans]
+        for stage, _, in_ch, out_ch, stride in block_plan(arch):
+            self.stages[stage].append(BasicBlock(in_ch, out_ch, stride))
+        self.fc = Linear(chans[3], arch.k)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         y = ops.relu(self.stem_bn(self.stem_conv(x), training))
@@ -197,7 +200,6 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
         )
     with no_grad():
         out = model.net(Tensor(x[:, None, :]), training=False).data
-    out = np.asarray(out, dtype=np.float32)
     return out[0] if single else out
 
 
@@ -221,21 +223,18 @@ def state_shapes(arch: ArchConfig):
 
     chans = arch.stage_channels
     yield from conv_bn("stem_conv", "stem_bn", (chans[0], 1, 7))
-    in_ch = chans[0]
-    for i, (out_ch, count) in enumerate(zip(chans, arch.block_counts)):
-        for j in range(count):
-            p = f"stage{i}.{j}."
-            yield from conv_bn(p + "conv1", p + "bn1", (out_ch, in_ch, 3))
-            yield from conv_bn(p + "conv2", p + "bn2", (out_ch, out_ch, 3))
-            if i > 0 and j == 0:  # the strided entry block projects its shortcut
-                yield from conv_bn(p + "proj_conv", p + "proj_bn", (out_ch, in_ch, 1))
-            in_ch = out_ch
+    for stage, block, in_ch, out_ch, stride in block_plan(arch):
+        p = f"stage{stage}.{block}."
+        yield from conv_bn(p + "conv1", p + "bn1", (out_ch, in_ch, 3))
+        yield from conv_bn(p + "conv2", p + "bn2", (out_ch, out_ch, 3))
+        if _projects(in_ch, out_ch, stride):
+            yield from conv_bn(p + "proj_conv", p + "proj_bn", (out_ch, in_ch, 1))
     yield "fc.weight", (arch.k, chans[3])
     yield "fc.bias", (arch.k,)
 
 
 CHECKPOINT = {"kind": str, "arrays?": list, "training_meta": dict,
-              "arch": {"h": int, "k": int, "stem_channels": int, "block_counts": [int] * 4}}
+              "arch": {"h": int, "k": int, "stem_channels": int}}
 
 
 def model_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> Model:
@@ -243,9 +242,7 @@ def model_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> Model:
     MalformedCheckpoint, arrays that are not its arch's state_shapes InvalidArch."""
     _serial.check(manifest, CHECKPOINT, MalformedCheckpoint, "checkpoint")
     arch = ArchConfig(**manifest["arch"])
-    # a block holds 10 or 15 arrays, so the file's own size bounds the walk
-    if sum(arch.block_counts) > len(arrays) or dict(state_shapes(arch)) != {
-            name: a.shape for name, a in arrays.items()}:
+    if dict(state_shapes(arch)) != {name: a.shape for name, a in arrays.items()}:
         raise InvalidArch("checkpoint arrays do not match its architecture")
     model = Model(arch=arch, net=ResNet1d(arch), training_meta=manifest["training_meta"])
     model.load_state(arrays)

@@ -15,6 +15,8 @@ nothing to score and is left out of the report.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -373,9 +375,10 @@ def load_store(path: Path) -> FeatureStore:
 
 def export_embeddings_csv(model: Model, dataset: Dataset) -> str:
     """CSV of every attribute's embedding: label, source, e0..e{k-1}."""
-    header = "label,source," + ",".join(f"e{i}" for i in range(model.arch.k))
     attrs = sorted(dataset.attributes, key=lambda a: (a.label, a.source))
     embs = _featurize("embnum", model, [a.values for a in attrs])
-    lines = [header] + [f"{a.label},{a.source}," + ",".join(repr(float(v)) for v in e)
-                        for a, e in zip(attrs, embs)]
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [["label", "source"] + [f"e{i}" for i in range(model.arch.k)]]
+        + [[a.label, a.source] + [repr(float(v)) for v in e] for a, e in zip(attrs, embs)])
+    return out.getvalue()

@@ -74,9 +74,9 @@ class TripletBatch:
 
 def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
     """Hardest positive (max distance) and hardest negative (min distance)
-    per anchor, ties broken by lowest batch index.  The masks make every
-    positive another row of the anchor's label and every negative a row of
-    another label, given finite distances, as train's float32 ones are."""
+    per anchor, ties broken by lowest batch index.  Each is picked among the
+    masked rows only, so every positive is another row of the anchor's label
+    and every negative a row of another label, infinite distances included."""
     labels = np.asarray(labels)
     emb = np.asarray(embeddings, dtype=np.float64)
     dist = np.stack([distances(emb, row) for row in emb])
@@ -87,10 +87,9 @@ def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
     if not valid.any():
         raise DegenerateBatch("batch has no anchor with both a positive and a negative")
     anchors = np.flatnonzero(valid)
-    pos_d = np.where(pos_mask[anchors], dist[anchors], -np.inf)
-    neg_d = np.where(neg_mask[anchors], dist[anchors], np.inf)
-    positives = np.argmax(pos_d, axis=1)
-    negatives = np.argmin(neg_d, axis=1)
+    # per row, the masked columns sort first, then by distance, then by index
+    positives = np.lexsort((-dist[anchors], ~pos_mask[anchors]))[:, 0]
+    negatives = np.lexsort((dist[anchors], ~neg_mask[anchors]))[:, 0]
     return TripletBatch(anchors=anchors, positives=positives, negatives=negatives)
 
 
@@ -118,9 +117,8 @@ def training_mrr(embeddings: np.ndarray, labels) -> float:
     _, codes = np.unique(np.asarray(labels), return_inverse=True)
     rr = np.zeros(len(emb))
     for i, row in enumerate(emb):
-        dist = distances(emb, row)
-        dist[i] = np.inf  # every other distance is finite, so self ranks last
-        order = np.lexsort((codes, dist))[:-1]
+        order = np.lexsort((codes, distances(emb, row)))
+        order = order[order != i]  # by index: an inf stand-in for self can tie
         hits = np.flatnonzero(codes[order] == codes[i])
         if hits.size:
             rr[i] = 1.0 / (hits[0] + 1.0)

@@ -1,4 +1,4 @@
-"""Parameterized layers: thin containers pairing Tensors with the ops.
+"""Parameterized layers: thin containers pairing float32 Tensors with the ops.
 
 Conv and linear weights start at zero; embnet.init_weights draws them."""
 
@@ -15,10 +15,10 @@ class Conv1d:
     norm, which absorbs any offset."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0, *, dtype=np.float32):
+                 stride: int = 1, padding: int = 0):
         self.stride = stride
         self.padding = padding
-        self.weight = Tensor(np.zeros((out_channels, in_channels, kernel), dtype=dtype),
+        self.weight = Tensor(np.zeros((out_channels, in_channels, kernel), np.float32),
                              requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -29,12 +29,12 @@ class Conv1d:
 
 
 class BatchNorm1d:
-    def __init__(self, channels: int, *, dtype=np.float32):
-        self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+    def __init__(self, channels: int):
+        self.gamma = Tensor(np.ones(channels, np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         # running stats live outside the autodiff tape
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+        self.running_mean = np.zeros(channels, np.float32)
+        self.running_var = np.ones(channels, np.float32)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ops.batchnorm1d(x, self.gamma, self.beta,
@@ -48,10 +48,10 @@ class BatchNorm1d:
 
 
 class Linear:
-    def __init__(self, in_features: int, out_features: int, *, dtype=np.float32):
-        self.weight = Tensor(np.zeros((out_features, in_features), dtype=dtype),
+    def __init__(self, in_features: int, out_features: int):
+        self.weight = Tensor(np.zeros((out_features, in_features), np.float32),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features, np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.linear(x, self.weight, self.bias)

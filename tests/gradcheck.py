@@ -16,11 +16,23 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from embnum.nn import Tensor, no_grad, ops
+from embnum.nn import BatchNorm1d, Tensor, no_grad, ops
 from oracles import padded_windows
 
 STEP = 1e-3
 RTOL = 1e-3
+
+
+def as_float64(module):
+    """Cast a block's or network's parameters and batch-norm buffers to
+    float64 in place, so finite differences run at float64; returns it."""
+    for mod in module.modules().values():
+        for p in mod.params().values():
+            p.data = p.data.astype(np.float64)
+        if isinstance(mod, BatchNorm1d):
+            mod.running_mean = mod.running_mean.astype(np.float64)
+            mod.running_var = mod.running_var.astype(np.float64)
+    return module
 
 
 @contextmanager

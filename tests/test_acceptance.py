@@ -32,7 +32,7 @@ from embnum.labeling import (
 from embnum.metric import mine_batch_hard, triplet_loss
 from embnum.nn import BatchNorm1d, Tensor, ops
 from embnum.sampling import sample_inverse_transform
-from gradcheck import check_gradients, check_network
+from gradcheck import as_float64, check_gradients, check_network
 from oracles import (
     inverse_transform_oracle,
     jaccard_oracle,
@@ -202,7 +202,7 @@ def _misc_configs(rng):
 
 
 def _block_config(rng, c_in, c_out, stride, training):
-    block = BasicBlock(c_in, c_out, stride, dtype=np.float64)
+    block = as_float64(BasicBlock(c_in, c_out, stride))
     init_weights(block, rng)
     params, buffers = _module_state(block.modules())
     length = 8
@@ -217,8 +217,8 @@ def _block_config(rng, c_in, c_out, stride, training):
 
 
 def _resnet_config(rng, training):
-    arch = ArchConfig(h=16, k=4, stem_channels=4, block_counts=(1, 1, 1, 1))
-    net = ResNet1d(arch, dtype=np.float64)
+    arch = ArchConfig(h=16, k=4, stem_channels=4)
+    net = as_float64(ResNet1d(arch))
     init_weights(net, rng)
     proj = rng.standard_normal((2, arch.k))
     x = Tensor(rng.standard_normal((2, 1, arch.h)), requires_grad=True)

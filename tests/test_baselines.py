@@ -233,12 +233,6 @@ class TestDslTraining:
         for (a, b), same in separable_pairs():
             assert (dsl_score(model, a, b) > 0.5) == same
 
-    def test_zero_iterations_is_indifferent(self):
-        model = dsl_train(separable_pairs(), iters=0)
-        assert model.weights.tolist() == [0.0, 0.0, 0.0]
-        assert model.bias == 0.0
-        assert dsl_score(model, [1.0], [99.0]) == 0.5
-
     def test_deterministic(self):
         m1 = dsl_train(separable_pairs())
         m2 = dsl_train(separable_pairs())

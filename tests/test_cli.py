@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import struct
 import zlib
@@ -14,7 +16,7 @@ from embnum.dataset import (
     load_dataset,
     write_dataset,
 )
-from embnum.embnet import ArchConfig
+from embnum.embnet import ArchConfig, build_model, save_model
 from embnum.fixtures import desk_arch, desk_train_config
 from embnum.metric import TrainConfig
 
@@ -465,7 +467,35 @@ class TestConfigs:
         _add_model_flags(p)
         flags = set(vars(p.parse_args([]))) - {"preset"}
         names = {f.name for c in (ArchConfig, TrainConfig) for f in fields(c)}
-        assert flags == names - {"block_counts"}
+        assert flags == names
+
+
+class TestCsvOutputs:
+    def test_names_with_commas_and_quotes_read_back(self, tmp_path, capsys):
+        labels = ["a,b", 'say "hi"']
+        data = tmp_path / "data"
+        for source in ("s0", "s1"):
+            (data / source).mkdir(parents=True)
+            for label, body in zip(labels, ("1\n2\n3\n", "40\n50\n")):
+                (data / source / f"{label}.csv").write_text(body)
+        model, store, query = tmp_path / "m.bin", tmp_path / "s.bin", tmp_path / "q.csv"
+        save_model(build_model(ArchConfig(h=8, k=4, stem_channels=1), seed=0), model)
+        query.write_text("2\n3\n")
+        assert main(["index", str(data), "--method", "semantictyper", "--out", str(store)]) == 0
+        capsys.readouterr()
+
+        assert main(["export-embeddings", str(model), str(data)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["label", "source", "e0", "e1", "e2", "e3"]
+        assert [row[:2] for row in rows[1:]] == [[lab, src] for lab in labels
+                                                 for src in ("s0", "s1")]
+        assert all(len(row) == 6 for row in rows)
+
+        assert main(["label", str(store), str(query), "--top", "4"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[:2] for row in rows] == [["a,b", "s0"], ["a,b", "s1"],
+                                             ['say "hi"', "s0"], ['say "hi"', "s1"]]
+        assert all(len(row) == 3 for row in rows)
 
 
 class TestUsageErrors:

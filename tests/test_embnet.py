@@ -38,7 +38,7 @@ from embnum.errors import (
 from embnum.fixtures import desk_arch, efficiency_spec
 from embnum.nn import Conv1d, Linear, Tensor
 
-TINY = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
+TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
 
 class TestArchConfig:
@@ -56,8 +56,6 @@ class TestArchConfig:
             {"h": 0},
             {"k": 0},
             {"stem_channels": 0},
-            {"block_counts": (2, 2, 2)},
-            {"block_counts": (2, 2, 2, 0)},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -80,10 +78,7 @@ class TestBuild:
         m = build_model(TINY, seed=9)
         assert m.training_meta == {"epochs_seen": 0, "best_mrr": 0.0, "seed": 9}
 
-    @pytest.mark.parametrize("arch", [
-        ArchConfig(), desk_arch(),
-        ArchConfig(h=16, k=5, stem_channels=3, block_counts=(1, 3, 1, 2)),
-    ], ids=["default", "desk", "uneven"])
+    @pytest.mark.parametrize("arch", [ArchConfig(), desk_arch()], ids=["default", "desk"])
     def test_state_shapes_are_the_built_layout(self, arch):
         # checkpoints are checked against state_shapes before any net is built
         state = build_model(arch, seed=0).state_dict()
@@ -105,9 +100,9 @@ class TestBuild:
         assert not any(name.endswith("conv1.bias") for name in m.net.named_params())
 
     def test_init_weights_fills_he_uniform_bounds(self):
-        net = ResNet1d(ArchConfig(h=16, k=8, stem_channels=16, block_counts=(1, 1, 1, 1)))
+        net = ResNet1d(ArchConfig(h=16, k=8, stem_channels=16))
         layers = [m for m in net.modules().values() if isinstance(m, (Conv1d, Linear))]
-        assert len(layers) == 1 + 2 * 4 + 3 + 1  # stem, block convs, projections, fc
+        assert len(layers) == 1 + 2 * 8 + 3 + 1  # stem, block convs, projections, fc
         assert not any(layer.weight.data.any() for layer in layers)  # zero until drawn
         init_weights(net, np.random.default_rng(0))
         for layer in layers:

@@ -51,7 +51,7 @@ from embnum.labeling import (
 from oracles import (count_experiments_oracle, dsl_logit, dsl_score, ks_pairwise,
                      mrr_oracle, report_from_json)
 
-TINY = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
+TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ from embnum.nn import ops
 from oracles import (conv1d_reference, distance_oracle, maxpool1d_reference,
                      parse_history_csv, relu_reference, sample_unique_reference)
 
-TINY_ARCH = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
+TINY_ARCH = ArchConfig(h=16, k=8, stem_channels=4)
 TINY_CFG = TrainConfig(epochs=2, batch_labels=2, samples_per_label=2, seed=0)
 QUARTER_GRID = st.integers(-20, 20).map(lambda v: v / 4)
 
@@ -97,6 +97,12 @@ class TestMining:
         a0 = batch.anchors.tolist().index(0)
         assert batch.positives[a0] == 1
 
+    def test_infinite_distances_keep_the_masks(self):
+        # 1e200 squared overflows, so every distance to row 2 is inf
+        batch = mine_batch_hard([[0.0], [0.0], [1e200]], ["A", "A", "B"])
+        assert batch.positives.tolist() == [1, 0]
+        assert batch.negatives.tolist() == [2, 2]
+
     def test_singleton_label_is_skipped_not_fatal(self):
         emb = np.array([[0.0], [0.2], [9.0]])
         batch = mine_batch_hard(emb, ["A", "A", "B"])
@@ -156,6 +162,10 @@ class TestTrainingMrr:
         emb = np.array([[0.0], [1.0], [-1.0]])
         # row 0 is 1 away from B and from A; A ranks first, as labeling ranks it
         assert training_mrr(emb, ["A", "B", "A"]) == pytest.approx(2.0 / 3.0)
+
+    def test_infinite_distances_never_rank_the_query_itself(self):
+        # every distance is inf; no row has another of its label
+        assert training_mrr([[0.0], [1e200], [-1e200]], ["B", "A", "C"]) == 0.0
 
     @given(
         st.integers(2, 9).flatmap(

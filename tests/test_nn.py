@@ -542,12 +542,12 @@ class TestKinkTracing:
 
     def test_network_forward_records_every_kinked_op(self):
         relu, maxpool1d = ops.relu, ops.maxpool1d
-        arch = ArchConfig(h=16, k=8, stem_channels=4, block_counts=(1, 1, 1, 1))
+        arch = ArchConfig(h=16, k=8, stem_channels=4)
         model = build_model(arch, seed=0)
         buf = []
         with trace_kinks(buf), no_grad():
             model.net(Tensor(np.ones((2, 1, arch.h), dtype=np.float32)), training=False)
-        # the stem's relu and maxpool, then two relus per residual block
-        relus = 1 + 2 * sum(arch.block_counts)
+        # the stem's relu and maxpool, then two relus in each of 8 residual blocks
+        relus = 1 + 2 * 8
         assert [a.dtype.kind for a in buf] == ["b", "i"] + ["b"] * (relus - 1)
         assert (ops.relu, ops.maxpool1d) == (relu, maxpool1d)
