@@ -7,7 +7,7 @@ Statistical baselines (KS ranking and a logistic KS/MW/Jaccard combination)
 share the same labeling and benchmark harness.
 """
 
-from . import baselines, cli, dataset, embnet, labeling, metric, nn, sampling
+from . import baselines, dataset, embnet, labeling, metric, nn, sampling
 from .dataset import (Dataset, FamilySpec, NumericAttribute, SyntheticSpec,
                       generate_synthetic, load_dataset, write_dataset)
 from .embnet import (ArchConfig, Model, build_model, embed, load_model,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchConfig", "BenchmarkReport", "Dataset", "EmbnumError", "FamilySpec",
     "FeatureStore", "Model", "NumericAttribute", "RankingList", "SyntheticSpec",
-    "TrainConfig", "assign_label", "baselines", "build_model", "cli", "dataset",
+    "TrainConfig", "assign_label", "baselines", "build_model", "dataset",
     "embed", "embnet", "generate_synthetic", "index_labeled", "label_queries",
     "labeling", "load_dataset", "load_model", "load_store", "metric",
     "mine_batch_hard", "mrr", "nn", "normalize_input", "preprocess", "rank",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +19,17 @@ from . import _serial
 from .errors import EmptyInput, MalformedDslModel, SingleClassTraining
 
 DSL_ITERS, DSL_LR = 500, 0.5  # dsl_train's gradient-descent steps and rate
+SCORE_CHUNK = 1 << 17  # stored values gathered per pass of PackedColumns.statistics
 
 
 class PackedColumns:
-    """Stored columns laid end to end, each sorted once, for scoring one
-    query against all of them in a single vectorized pass.  A column scores
-    the same, bit for bit, alone or in any store: counts are exact integers
-    and no arithmetic crosses a column boundary."""
+    """Stored columns laid end to end, each sorted once, for scoring a batch
+    of queries against all of them in a few vectorized passes.  A query
+    visits only the run of each column from the last value below min(q) to
+    the first value above max(q): beyond that run |F_q - F_r| only falls, and
+    each value above max(q) adds m to the Mann-Whitney counts.  A column
+    scores the same, bit for bit, alone or in any store or batch: counts are
+    exact integers and no arithmetic crosses a column boundary."""
 
     def __init__(self, columns):
         cols = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
@@ -52,50 +55,107 @@ class PackedColumns:
         sub.values, sub.cdf = self.values[rows], self.cdf[rows]
         return sub
 
-    def statistics(self, query) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(KS, MW, numeric Jaccard) of the query q against every column r:
+    def statistics(self, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(KS, MW, numeric Jaccard) of each query q against every column r:
         sup |F_q - F_r|; U / (m*n) with U = #(x < y) + ties/2 over x in q,
-        y in r; and range overlap / range union, 1.0 for coinciding points."""
-        q = np.asarray(query, dtype=np.float64).ravel()
-        if q.size == 0:
+        y in r; and range overlap / range union, 1.0 for coinciding points.
+        Given a sequence of value arrays, each statistic is a (queries,
+        columns) array; given one query's values, a (columns,) array.
+
+        The runs of every (query, column) pair are gathered and scored in
+        chunks of at most SCORE_CHUNK stored values, or one longer run."""
+        single = len(queries) == 0 or np.ndim(queries[0]) == 0
+        qs = [np.sort(np.asarray(q, dtype=np.float64).ravel())
+              for q in ([queries] if single else queries)]
+        if not qs or any(q.size == 0 for q in qs):
             raise EmptyInput("statistic inputs must be non-empty")
-        m, starts = q.size, self.starts
-        qs = np.sort(q)
-        # stored points: |F_q(r_j) - F_r(r_j)| with F_q(r_j) = #(q <= r_j) / m
-        counts = np.searchsorted(qs, self.values, side="right")
-        le = np.add.reduceat(counts, starts)
-        gap = counts / m
-        del counts
-        gap -= self.cdf
-        np.abs(gap, out=gap)
-        # query points: F_q - F_r peaks at the last query value below r_j,
-        # where F_q = #(q < r_j) / m and F_r is the previous stored value's
-        counts = np.searchsorted(qs, self.values, side="left")
-        lt = np.add.reduceat(counts, starts)
-        below = counts / m
-        below[1:] -= self.cdf[:-1]
-        below[starts] = counts[starts] / m
-        del counts
-        np.maximum(gap, below, out=gap)
-        ks = np.maximum.reduceat(gap, starts)
+        n_q, n_c = len(qs), self.sizes.size
+        m = np.array([q.size for q in qs])
+        tops = np.cumsum(m)
+        q_lo, q_hi = np.concatenate(qs)[[tops - m, tops - 1]]
+        ends = self.starts + self.sizes
+        lo, hi = self._bisect(q_lo, q_hi)
+        first = np.maximum(lo - 1, self.starts).ravel()   # last value below min(q)
+        last = np.minimum(hi, ends - 1)                   # first value above max(q)
+        bounds = np.concatenate([[0], np.cumsum(last.ravel() - first + 1)])
+        cuts = [0]   # runs [a, b) of one chunk, at least one run each
+        while cuts[-1] < n_q * n_c:
+            a = cuts[-1]
+            cuts.append(max(a + 1, int(np.searchsorted(bounds, bounds[a] + SCORE_CHUNK,
+                                                       "right")) - 1))
+        ks, lt, le = (np.concatenate(part).reshape(n_q, n_c) for part in zip(
+            *(self._score_runs(qs, m, first, bounds, a, b) for a, b in zip(cuts, cuts[1:]))))
 
         # U counts pairs with the query value below the stored one; above one
         # half the complement is rounded, so MW(q, r) + MW(r, q) == 1.0
-        num2x = lt + le
-        den2x = 2 * m * self.sizes
+        num2x = lt + le + 2 * m[:, None] * (ends - 1 - last)   # values past the run
+        den2x = 2 * m[:, None] * self.sizes
         mw = np.where(2 * num2x <= den2x, num2x / den2x,
                       1.0 - (den2x - num2x) / den2x)
 
         # the sign of a zero bound never reaches the result: the ratio only
         # sees nonzero widths, and a zero overlap is clamped to +0.0; a
         # zero-width union means both ranges are the same single point
-        lo, hi = self.values[starts], self.values[starts + self.sizes - 1]
-        union = np.maximum(hi, qs[-1]) - np.minimum(lo, qs[0])
-        overlap = np.minimum(hi, qs[-1]) - np.maximum(lo, qs[0])
+        r_lo, r_hi = self.values[self.starts], self.values[ends - 1]
+        q_lo, q_hi = q_lo[:, None], q_hi[:, None]
+        union = np.maximum(r_hi, q_hi) - np.minimum(r_lo, q_lo)
+        overlap = np.minimum(r_hi, q_hi) - np.maximum(r_lo, q_lo)
         overlap = np.where(overlap > 0.0, overlap, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jaccard = np.where(union == 0.0, 1.0, overlap / union)
-        return ks, mw, jaccard
+        jaccard = np.divide(overlap, union, out=np.ones_like(union), where=union != 0.0)
+        return (ks[0], mw[0], jaccard[0]) if single else (ks, mw, jaccard)
+
+    def _bisect(self, q_lo, q_hi) -> tuple[np.ndarray, np.ndarray]:
+        """(queries, columns) global indices of the first value >= q_lo and
+        of the first value > q_hi in each column: one bisection over
+        column-length arrays, a column's last index capping every probe."""
+        n_q = q_lo.size
+        targets = np.concatenate([q_lo, q_hi])[:, None]
+        cap = self.starts + self.sizes - 1
+        pos = np.repeat((self.starts - 1)[None], 2 * n_q, axis=0)  # last index below
+        ahead = np.empty(pos.shape, dtype=bool)
+        step = 1 << (int(self.sizes.max()).bit_length() - 1)
+        while step:
+            probe = np.minimum(pos + step, cap)
+            seen = self.values[probe]
+            np.less(seen[:n_q], targets[:n_q], out=ahead[:n_q])
+            np.less_equal(seen[n_q:], targets[n_q:], out=ahead[n_q:])
+            np.copyto(pos, probe, where=ahead)
+            step >>= 1
+        return pos[:n_q] + 1, pos[n_q:] + 1
+
+    def _score_runs(self, qs, m, first, bounds, a, b):
+        """(max gap, #(q < r_j) sum, #(q <= r_j) sum) over each of the flat
+        (query, column) runs [a, b): one gather, one searchsorted per query
+        and side, and one pass over the chunk."""
+        n_c = self.sizes.size
+        lengths = np.diff(bounds[a : b + 1])
+        offsets = bounds[a:b] - bounds[a]
+        idx = np.repeat(first[a:b] - offsets, lengths) + np.arange(offsets[-1] + lengths[-1])
+        seen = self.values[idx]
+        n_le, n_lt = np.empty((2, idx.size), dtype=np.intp)
+        q0 = a // n_c
+        cuts = bounds[np.clip(np.arange(q0, (b - 1) // n_c + 2) * n_c, a, b)] - bounds[a]
+        for q, i, j in zip(qs[q0:], cuts.tolist(), cuts[1:].tolist()):
+            n_le[i:j] = q.searchsorted(seen[i:j], "right")
+            n_lt[i:j] = q.searchsorted(seen[i:j], "left")
+        run_m = m[np.arange(a, b) // n_c]
+        m_at = np.repeat(run_m.astype(np.float64), lengths)
+        cdf = self.cdf[idx]
+        # stored points: |F_q(r_j) - F_r(r_j)| with F_q(r_j) = #(q <= r_j) / m
+        gap = n_le / m_at
+        gap -= cdf
+        np.abs(gap, out=gap)
+        # query points: F_q - F_r peaks at the last query value below r_j,
+        # where F_q = #(q < r_j) / m and F_r is the previous stored value's:
+        # the run's own, or at its head the one before (none at a column start)
+        below = n_lt / m_at
+        below[1:] -= cdf[:-1]
+        head = first[a:b]
+        before = np.where(head == self.starts[np.arange(a, b) % n_c], 0.0, self.cdf[head - 1])
+        below[offsets] = n_lt[offsets] / run_m - before
+        np.maximum(gap, below, out=gap)
+        return (np.maximum.reduceat(gap, offsets), np.add.reduceat(n_lt, offsets),
+                np.add.reduceat(n_le, offsets))
 
 
 def features_from_statistics(ks, mw, jaccard) -> np.ndarray:
@@ -145,15 +205,19 @@ class LogisticModel:
 
 def dsl_train(pairs: list[tuple[tuple, bool]]) -> LogisticModel:
     """Full-batch gradient descent on logistic loss; deterministic in the
-    given pair order.  pairs: [((values_a, values_b), same_label), ...];
-    each run of pairs sharing one values_a object is scored as one store."""
+    given pair order.  pairs: [((values_a, values_b), same_label), ...]; the
+    distinct values_a objects are scored as one batch against a store of
+    the distinct values_b objects, in one call."""
     if not pairs:
         raise SingleClassTraining("no training pairs")
-    blocks = []
-    for _, run in groupby(pairs, key=lambda pair: id(pair[0][0])):
-        firsts, seconds = zip(*(ab for ab, _ in run))
-        blocks.append(features_from_statistics(*PackedColumns(seconds).statistics(firsts[0])))
-    x = np.concatenate(blocks)
+    firsts, seconds = {}, {}   # id -> (position, values)
+    for (a, b), _ in pairs:
+        firsts.setdefault(id(a), (len(firsts), a))
+        seconds.setdefault(id(b), (len(seconds), b))
+    stats = PackedColumns([b for _, b in seconds.values()]).statistics(
+        [a for _, a in firsts.values()])
+    at = ([firsts[id(a)][0] for (a, _), _ in pairs], [seconds[id(b)][0] for (_, b), _ in pairs])
+    x = features_from_statistics(*(s[at] for s in stats))
     y = np.array([1.0 if same else 0.0 for _, same in pairs])
     if y.min() == y.max():
         raise SingleClassTraining("training pairs must include both classes")
@@ -197,8 +261,7 @@ def load_dsl_model(path: Path) -> LogisticModel:
 
 def make_training_pairs(dataset) -> list[tuple[tuple, bool]]:
     """All unordered attribute pairs with a same-label flag, in the
-    dataset's attribute order (deterministic).  Pairs that share their first
-    attribute come consecutively, so dsl_train scores them as one store."""
+    dataset's attribute order (deterministic)."""
     attrs = dataset.attributes
     pairs = []
     for i in range(len(attrs)):

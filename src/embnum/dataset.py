@@ -84,11 +84,15 @@ class Dataset:
         return [a for a in self.attributes if a.source == source]
 
 
-def format_value(v: float) -> str:
-    """Shortest decimal form that parses back to the same float."""
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(float(v))
+def format_values(values) -> list[str]:
+    """Each value's shortest decimal form that parses back to the same float:
+    an integer form below 1e16 in magnitude, else repr; no Python call per
+    value besides repr and str."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    out = np.array(list(map(repr, v.tolist())), dtype=object)
+    whole = (v == np.trunc(v)) & (np.abs(v) < 1e16)
+    out[whole] = list(map(str, v[whole].astype(np.int64).tolist()))
+    return out.tolist()
 
 
 def _parse_attribute_file(path: Path, source: str, label: str) -> NumericAttribute:
@@ -153,7 +157,7 @@ def write_dataset(dataset: Dataset, root_path) -> Path:
     for attr in dataset.attributes:
         src_dir = root / attr.source
         src_dir.mkdir(exist_ok=True)
-        body = "\n".join(format_value(v) for v in attr.values) + "\n"
+        body = "\n".join(format_values(attr.values)) + "\n"
         _serial.atomic_write_text(src_dir / f"{attr.label}.csv", body)
     return root
 

@@ -83,17 +83,31 @@ class FeatureStore:
     def subset(self, keep: np.ndarray) -> FeatureStore:
         """The records where the boolean mask `keep` is set, under this
         store's scorers.  A raw-value subset takes its presorted columns
-        from this store's pack instead of sorting them again."""
+        from this store's pack instead of sorting them again, and every
+        subset its tie keys."""
         sub = FeatureStore(self.method, [r for r, k in zip(self.records, keep) if k],
                            self.model, self.dsl_model)
         if self.method != "embnum":
             sub.__dict__["packed_columns"] = self.packed_columns.take(keep)  # fills the cache
+        sub.__dict__["tie_rank"] = self.tie_rank[keep]
         return sub
 
     @cached_property
-    def tie_break(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sources, labels) arrays that break score ties, as lexsort keys."""
-        return np.array([r.source for r in self.records]), np.array(self.labels)
+    def tie_rank(self) -> np.ndarray:
+        """One integer key per record that orders records by (label, source),
+        the key that breaks score ties: each record's place in that order.  A
+        subset keeps its store's keys, which order its records the same."""
+        order = np.lexsort((np.array([r.source for r in self.records]), np.array(self.labels)))
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        return place
+
+    @cached_property
+    def label_codes(self) -> tuple[dict[str, int], np.ndarray]:
+        """({label: code}, each record's label code), to match labels as integers."""
+        code_of: dict[str, int] = {}
+        codes = np.array([code_of.setdefault(label, len(code_of)) for label in self.labels])
+        return code_of, codes
 
 
 @dataclass(frozen=True)
@@ -141,20 +155,26 @@ def _featurize(method: str, model: Model | None, columns: list) -> list[np.ndarr
             for row in embed(model, np.stack(vectors[i : i + EMBED_CHUNK]))]
 
 
-def _order(store: FeatureStore, feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every record against one featurized query: (record indices best first,
-    display scores).  Keys ascend; key ties break by (label, source)."""
+def _scores(store: FeatureStore, features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, display scores) of every record against each featurized query,
+    one row per query; raw-value stores score the whole batch in one call."""
     if store.method == "embnum":
-        keys = display = distances(store.embedding_matrix, feature)
+        keys = display = np.array([distances(store.embedding_matrix, f) for f in features])
     else:
-        ks, mw, jaccard = store.packed_columns.statistics(feature)
+        ks, mw, jaccard = store.packed_columns.statistics(features)
         if store.method == "semantictyper":
             keys, display = ks, 1.0 - ks
         else:
-            logits = store.dsl_model.logits(features_from_statistics(ks, mw, jaccard))
+            feats = features_from_statistics(ks.ravel(), mw.ravel(), jaccard.ravel())
+            logits = store.dsl_model.logits(feats).reshape(ks.shape)
             keys, display = -logits, _sigmoid(logits)
-    sources, labels = store.tie_break
-    return np.lexsort((sources, labels, keys)), display
+    return keys, display
+
+
+def _order(store: FeatureStore, keys: np.ndarray) -> np.ndarray:
+    """Record indices best first for one query's keys.  Keys ascend; key
+    ties break by (label, source)."""
+    return np.lexsort((store.tie_rank, keys))
 
 
 def rank(store: FeatureStore, query) -> RankingList:
@@ -162,12 +182,11 @@ def rank(store: FeatureStore, query) -> RankingList:
     if not store.records:
         raise EmptyStore("cannot rank against an empty store")
     values = query.values if isinstance(query, NumericAttribute) else query
-    [feature] = _featurize(store.method, store.model, [values])
-    order, display = _order(store, feature)
-    entries = tuple(
-        RankEntry(store.records[i].label, store.records[i].source, float(display[i]))
-        for i in order
-    )
+    keys, display = _scores(store, _featurize(store.method, store.model, [values]))
+    order = _order(store, keys[0])
+    records = store.records
+    entries = tuple(RankEntry(records[i].label, records[i].source, score)
+                    for i, score in zip(order.tolist(), display[0][order].tolist()))
     return RankingList(method=store.method, entries=entries)
 
 
@@ -205,28 +224,31 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]
     """Label a batch of queries against one store, timing the whole batch.
 
     Queries whose label the store lacks are counted as excluded.  The rest
-    go through the same two steps as rank(): one _featurize() call for the
-    whole batch (one embedding batch for embnum, the raw values otherwise),
+    go through the same steps as rank(): one _featurize() and one _scores()
+    call for the whole batch (one embedding batch for embnum; one
+    PackedColumns.statistics call, in chunks of stored values, otherwise),
     then _order() per query, so every rank equals rank()'s first-correct
-    position.  The clock covers those two steps only; a fresh store's
-    embedding matrix or presorted columns are built before it starts.
+    position.  The clock covers those steps only; a fresh store's embedding
+    matrix or presorted columns and its tie and label codes are built before
+    it starts.
     """
     if not queries:
         raise NoQueries("no query attributes")
     if not store.records:
         raise EmptyStore("cannot label against an empty store")
-    store_labels = set(store.labels)
-    kept = [a for a in queries if a.label in store_labels]
-    labels = store.tie_break[1]
-    # building the store-side array is store construction, not labeling
+    code_of, codes = store.label_codes
+    kept = [a for a in queries if a.label in code_of]
+    # building the store-side arrays is store construction, not labeling
+    _ = store.tie_rank
     _ = store.embedding_matrix if store.method == "embnum" else store.packed_columns
 
     t0 = time.perf_counter()
-    features = _featurize(store.method, store.model, [a.values for a in kept])
     ranks = []
-    for attr, feature in zip(kept, features):
-        order, _ = _order(store, feature)
-        ranks.append(int(np.flatnonzero(labels[order] == attr.label)[0]) + 1)
+    if kept:
+        keys, _ = _scores(store, _featurize(store.method, store.model, [a.values for a in kept]))
+        for attr, row in zip(kept, keys):
+            hits = codes[_order(store, row)] == code_of[attr.label]
+            ranks.append(int(hits.argmax()) + 1)
     seconds = time.perf_counter() - t0
     return LabelingResult(ranks=ranks, excluded=len(queries) - len(kept), seconds=seconds)
 

@@ -84,6 +84,14 @@ def distance_oracle(a, b) -> float:
     return math.dist([float(v) for v in a], [float(v) for v in b])
 
 
+def format_value(v: float) -> str:
+    """One value's shortest decimal form that parses back to the same float,
+    one Python call per value: the integer form below 1e16, else repr."""
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(float(v))
+
+
 def mrr_oracle(ranks) -> float:
     return math.fsum(1.0 / r for r in ranks) / len(ranks)
 

@@ -17,7 +17,7 @@ from embnum.baselines import (
     pair_features,
     save_dsl_model,
 )
-from embnum import fixtures
+from embnum import baselines, fixtures
 from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
 from embnum.errors import EmptyInput, SingleClassTraining
 from oracles import (dsl_logit, dsl_score, features_pairwise, jaccard_oracle,
@@ -39,6 +39,27 @@ column = st.one_of(samples, gridded, point,
 # ragged stores; sizes from 1 upward
 stores = st.lists(column, min_size=1, max_size=8)
 weights = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4, max_size=4)
+
+
+def _other_zero(v: float) -> float:
+    """The zero of the other sign for a zero, else v itself."""
+    return -v if v == 0.0 else v
+
+
+@st.composite
+def ranged_batches(draw):
+    """(store, queries): a batch of queries, and a store whose columns lie
+    wholly below the first query's range, wholly above it, or on both sides
+    with no value inside, tying its min and max (of either zero sign)."""
+    queries = draw(st.lists(column, min_size=1, max_size=4))
+    lo, hi = min(queries[0]), max(queries[0])
+    below = st.lists(st.sampled_from([lo, _other_zero(lo), lo - 1.0, lo - 2.5]),
+                     min_size=1, max_size=6)
+    above = st.lists(st.sampled_from([hi, _other_zero(hi), hi + 1.0, hi + 2.5]),
+                     min_size=1, max_size=6)
+    around = st.tuples(below, above).map(lambda ba: ba[0] + ba[1])
+    store = draw(st.lists(st.one_of(below, above, around, column), min_size=1, max_size=8))
+    return store, queries
 
 
 def same_bits(got, want) -> bool:
@@ -186,6 +207,25 @@ class TestPackedColumns:
         for name in ("sizes", "starts", "values", "cdf"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    @given(ranged_batches(), st.sampled_from([1, 3, 1 << 17]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_of_a_batch_equals_the_pairwise_statistics(self, batch, chunk):
+        columns, queries = batch
+        pack = PackedColumns(columns)
+        saved = baselines.SCORE_CHUNK
+        baselines.SCORE_CHUNK = chunk   # 1 and 3 split runs across chunks
+        try:
+            got = pack.statistics(queries)
+        finally:
+            baselines.SCORE_CHUNK = saved
+        for stat, fn in zip(got, (ks_pairwise, mw_pairwise, jaccard_pairwise)):
+            assert stat.shape == (len(queries), len(columns))
+            for row, query in zip(stat, queries):
+                assert same_bits(row, [fn(query, c) for c in columns])
+        for row, query in enumerate(queries):
+            for stat, single in zip(got, pack.statistics(query)):
+                assert same_bits(single, stat[row]) and single.shape == (len(columns),)
 
     def test_hand_cases(self):
         ks, mw, jac = PackedColumns([[1.0, 2.0], [10.0, 11.0], [2.0]]).statistics([1.0, 2.0])

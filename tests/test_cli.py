@@ -2,13 +2,18 @@ import argparse
 import csv
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import embnum
 from embnum.cli import _add_model_flags, _configs, build_parser, main
 from embnum.dataset import (
     SyntheticSpec,
@@ -152,9 +157,9 @@ class TestIndexAndLabel:
         ds = load_dataset(data_dir)
         attr = ds.attributes[0]
         q = tmp_path / "query.csv"
-        from embnum.dataset import format_value
+        from embnum.dataset import format_values
 
-        q.write_text("\n".join(format_value(v) for v in attr.values) + "\n")
+        q.write_text("\n".join(format_values(attr.values)) + "\n")
         assert main(["label", str(store), str(q), "--top", "3"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 3
@@ -521,3 +526,13 @@ class TestUsageErrors:
             main(["train", "--help"])
         assert exc.value.code == 0
         assert "desk" in capsys.readouterr().out
+
+    def test_module_run_writes_nothing_to_stderr(self):
+        """`python -m embnum.cli` runs the module once: the package does not
+        import it first, which would make runpy warn on every run."""
+        env = {**os.environ, "PYTHONPATH": str(Path(embnum.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "embnum.cli", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert "usage" in proc.stdout
+        assert proc.stderr == ""

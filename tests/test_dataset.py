@@ -12,7 +12,7 @@ from embnum.dataset import (
     SyntheticSpec,
     dataset_fingerprint,
     default_family_pool,
-    format_value,
+    format_values,
     generate_synthetic,
     load_attribute_csv,
     load_dataset,
@@ -21,6 +21,7 @@ from embnum.dataset import (
     write_dataset,
 )
 from embnum.errors import EmptyAttribute, InvalidSpec, MalformedValue, MissingDirectory
+from oracles import format_value
 
 
 def tiny_dataset() -> Dataset:
@@ -107,13 +108,28 @@ class TestRoundTrip:
                     min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_format_value_parses_back_exactly(self, values):
-        for v in values:
-            assert float(format_value(v)) == v
+        for v, text in zip(values, format_values(values)):
+            assert float(text) == v
 
     def test_format_value_prefers_integer_form(self):
-        assert format_value(3.0) == "3"
-        assert format_value(-17.0) == "-17"
-        assert format_value(0.1) == "0.1"
+        assert format_values([3.0, -17.0, 0.1, -0.0]) == ["3", "-17", "0.1", "0"]
+
+    @given(values=st.lists(st.one_of(
+        st.floats(),
+        st.integers(-2**60, 2**60).map(float),
+        st.sampled_from([-0.0, 0.0, 2.0**53 + 1, 1e16, -1e16, np.nextafter(1e16, 0.0),
+                         np.nextafter(-1e16, 0.0), np.nextafter(1e16, np.inf),
+                         np.nextafter(-1e16, -np.inf)])), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_written_body_is_the_per_value_format(self, values, tmp_path_factory):
+        """write_dataset's file body is the per-value oracle's, byte for byte."""
+        want = "\n".join(map(format_value, values)) + "\n"
+        assert "\n".join(format_values(values)) + "\n" == want
+        if values and all(np.isfinite(values)):
+            root = write_dataset(Dataset([NumericAttribute(values=values, label="a",
+                                                           source="s")]),
+                                 tmp_path_factory.mktemp("body"))
+            assert (root / "s" / "a.csv").read_text() == want
 
 
 class TestParsing:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import embnum.baselines as baselines_mod
 import embnum.labeling as labeling_mod
 from embnum import _serial
 from embnum.baselines import (LogisticModel, PackedColumns, dsl_model_to_doc, dsl_train,
@@ -267,6 +268,21 @@ class TestLabelQueries:
             assert result.excluded == 0
             assert result.seconds >= 0.0
 
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    def test_batches_spanning_several_chunks_agree_with_rank(self, tiny_dataset, chunk,
+                                                             monkeypatch):
+        """A chunk of a few stored values splits the batch between queries
+        and inside one query's columns; every rank stays rank()'s."""
+        monkeypatch.setattr(baselines_mod, "SCORE_CHUNK", chunk)
+        dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+        queries = tiny_dataset.by_source("s0") + tiny_dataset.by_source("s2")
+        for method in ("semantictyper", "dsl"):
+            store = index_labeled(tiny_dataset, method, dsl_model=dsl_model)
+            assert store.packed_columns.values.size > 3 * chunk
+            result = label_queries(store, queries)
+            assert result.ranks == [rank_of_first_correct(rank(store, q), q.label)
+                                    for q in queries]
+
     def test_unknown_label_is_excluded(self, tiny_model):
         store = two_record_store()
         queries = [
@@ -390,6 +406,19 @@ class TestBenchmark:
         strip = lambda r: [(pc.labeled_sources, pc.mean_mrr, pc.experiments)
                            for pc in r.per_count]
         assert strip(sliced) == strip(sorted_again)
+
+    def test_a_subset_breaks_ties_as_a_fresh_store(self):
+        """Equal keys everywhere: the order is the tie-break alone, and a
+        subset's inherited tie keys give the order its own would."""
+        names = [("b", "s2"), ("a", "s3"), ("c", "s0"), ("a", "s1"), ("b", "s0"), ("a", "s0")]
+        store = FeatureStore("semantictyper", [StoreRecord(label, source, np.array([1.0, 2.0]))
+                                               for label, source in names])
+        keep = np.array([True, True, False, True, True, False])
+        fresh = FeatureStore("semantictyper", [r for r, k in zip(store.records, keep) if k])
+        want = rank(fresh, [1.0, 2.0]).entries
+        assert [(e.label, e.source) for e in want] == [("a", "s1"), ("a", "s3"), ("b", "s0"),
+                                                      ("b", "s2")]
+        assert rank(store.subset(keep), [1.0, 2.0]).entries == want
 
     def test_too_few_sources(self):
         ds = generate_synthetic(SyntheticSpec(
