@@ -38,7 +38,10 @@ def parse_args(argv):
                     help="override the fixture's epoch count")
     ap.add_argument("--skip", action="append", default=[], choices=METHODS,
                     help="method to leave out (repeatable)")
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if set(args.skip) >= set(METHODS):
+        ap.error("--skip leaves no method to run")
+    return args
 
 
 def main(argv=None) -> int:
@@ -50,38 +53,37 @@ def main(argv=None) -> int:
     print(f"protocol: {expected_experiments(len(dataset.sources))} experiments "
           f"per method\n")
 
-    cfg = desk_train_config()
-    if args.epochs is not None:
-        cfg = dataclasses.replace(cfg, epochs=args.epochs)
-    t0 = time.perf_counter()
-    model, history = train(dataset, desk_arch(), cfg)
-    train_s = time.perf_counter() - t0
-    best = model.training_meta["best_mrr"]
-    print(f"trained {cfg.epochs} epochs in {train_s:.1f}s, "
-          f"best in-sample MRR {best:.4f} at epoch {model.training_meta['epochs_seen']}")
-
     methods = [m for m in METHODS if m not in args.skip]
+    model = None
+    if "embnum" in methods:
+        cfg = desk_train_config()
+        if args.epochs is not None:
+            cfg = dataclasses.replace(cfg, epochs=args.epochs)
+        t0 = time.perf_counter()
+        model, history = train(dataset, desk_arch(), cfg)
+        train_s = time.perf_counter() - t0
+        best = model.training_meta["best_mrr"]
+        print(f"trained {cfg.epochs} epochs in {train_s:.1f}s, best in-sample MRR "
+              f"{best:.4f} at epoch {model.training_meta['epochs_seen']}")
+
     reports = {}
     for method in methods:
         t0 = time.perf_counter()
-        kwargs = {"model": model} if method == "embnum" else {}
-        reports[method] = run_benchmark(dataset, method, **kwargs)
+        reports[method] = run_benchmark(dataset, method, model=model)
         print(f"benchmarked {method:14s} in {time.perf_counter() - t0:6.1f}s")
 
-    counts = [pc.labeled_sources for pc in reports[methods[0]].per_count]
     print("\nMRR by number of labeled sources")
     print("labeled  " + "  ".join(f"{m:>14s}" for m in methods))
-    for i, count in enumerate(counts):
-        row = "  ".join(f"{reports[m].per_count[i].mean_mrr:14.4f}"
-                        for m in methods)
-        print(f"{count:7d}  {row}")
+    for row in zip(*(reports[m].per_count for m in methods)):
+        print(f"{row[0].labeled_sources:7d}  " + "  ".join(f"{pc.mean_mrr:14.4f}" for pc in row))
     row = "  ".join(f"{reports[m].overall_mrr:14.4f}" for m in methods)
     print(f"overall  {row}")
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        save_model(model, args.out / "metric.bin")
-        atomic_write_text(args.out / "history.csv", history_to_csv(history))
+        if model is not None:
+            save_model(model, args.out / "metric.bin")
+            atomic_write_text(args.out / "history.csv", history_to_csv(history))
         for method, report in reports.items():
             atomic_write_text(args.out / f"report_{method}.json", report_to_json(report))
         print(f"\nartifacts written to {args.out}/")

@@ -1,9 +1,10 @@
 """Framed binary container used by model checkpoints and feature stores.
 
 Layout: 4 magic bytes, u32 LE format version, u32 LE manifest length, UTF-8
-JSON manifest, the float32 little-endian array payloads concatenated in
-manifest order, then a u32 LE CRC-32 over every preceding byte.  The manifest
-carries array names and shapes plus arbitrary caller metadata, so the file is
+JSON manifest, the little-endian array payloads (float32 "<f4", or float64
+"<f8" such as a raw-value store's values) concatenated in manifest order,
+then a u32 LE CRC-32 over every preceding byte.  The manifest carries array
+names, shapes and dtypes plus arbitrary caller metadata, so the file is
 readable without this library.
 """
 

@@ -101,10 +101,6 @@ class EmptyStore(EmbnumError):
     pass
 
 
-class EmptyRanking(EmbnumError):
-    pass
-
-
 class NoQueries(EmbnumError):
     pass
 

@@ -33,8 +33,8 @@ from .baselines import (DSL_WEIGHTS, LogisticModel, PackedColumns, _sigmoid,
 from .baselines import ks_statistic, pair_features  # noqa: F401
 from .dataset import Dataset, NumericAttribute, dataset_fingerprint
 from .embnet import CHECKPOINT, Model, embed, model_frame, model_from_frame, preprocess
-from .errors import (EmptyInput, EmptyLabeledData, EmptyRanking, EmptyStore, InvalidSpec,
-                     MalformedStore, MissingModel, NoQueries, TooFewSources)
+from .errors import (EmptyInput, EmptyLabeledData, EmptyStore, InvalidSpec, MalformedStore,
+                     MissingModel, NoQueries, TooFewSources)
 from .metric import distances
 
 STORE_MAGIC = b"EMBS"
@@ -117,10 +117,20 @@ class RankEntry:
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankingList:
-    method: str
-    entries: tuple[RankEntry, ...]
+    """One query's ranking: every store record's index best first, the display
+    scores in that order, and the (label, source, score) rows, built on first read."""
+
+    store: FeatureStore
+    order: np.ndarray
+    scores: np.ndarray
+
+    @cached_property
+    def entries(self) -> tuple[RankEntry, ...]:
+        records = self.store.records
+        return tuple(RankEntry(records[i].label, records[i].source, score)
+                     for i, score in zip(self.order.tolist(), self.scores.tolist()))
 
 
 def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
@@ -155,9 +165,11 @@ def _featurize(method: str, model: Model | None, columns: list) -> list[np.ndarr
             for row in embed(model, np.stack(vectors[i : i + EMBED_CHUNK]))]
 
 
-def _scores(store: FeatureStore, features: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, display scores) of every record against each featurized query,
-    one row per query; raw-value stores score the whole batch in one call."""
+def _orders(store: FeatureStore, columns: list) -> tuple[np.ndarray, np.ndarray]:
+    """(orders, display scores) of the store against each query column, one row
+    per query.  An order row lists record indices best first: keys ascend, and
+    key ties break by (label, source); raw-value stores score in one call."""
+    features = _featurize(store.method, store.model, columns)
     if store.method == "embnum":
         keys = display = np.array([distances(store.embedding_matrix, f) for f in features])
     else:
@@ -168,13 +180,14 @@ def _scores(store: FeatureStore, features: list[np.ndarray]) -> tuple[np.ndarray
             feats = features_from_statistics(ks.ravel(), mw.ravel(), jaccard.ravel())
             logits = store.dsl_model.logits(feats).reshape(ks.shape)
             keys, display = -logits, _sigmoid(logits)
-    return keys, display
+    return np.lexsort((np.broadcast_to(store.tie_rank, keys.shape), keys)), display
 
 
-def _order(store: FeatureStore, keys: np.ndarray) -> np.ndarray:
-    """Record indices best first for one query's keys.  Keys ascend; key
-    ties break by (label, source)."""
-    return np.lexsort((store.tie_rank, keys))
+def _first_correct(store: FeatureStore, orders: np.ndarray, labels: list[str]) -> np.ndarray:
+    """1-based position of each order row's first record with that row's label."""
+    code_of, codes = store.label_codes
+    want = np.array([code_of[label] for label in labels])
+    return (codes[orders] == want[:, None]).argmax(axis=1) + 1
 
 
 def rank(store: FeatureStore, query) -> RankingList:
@@ -182,25 +195,18 @@ def rank(store: FeatureStore, query) -> RankingList:
     if not store.records:
         raise EmptyStore("cannot rank against an empty store")
     values = query.values if isinstance(query, NumericAttribute) else query
-    keys, display = _scores(store, _featurize(store.method, store.model, [values]))
-    order = _order(store, keys[0])
-    records = store.records
-    entries = tuple(RankEntry(records[i].label, records[i].source, score)
-                    for i, score in zip(order.tolist(), display[0][order].tolist()))
-    return RankingList(method=store.method, entries=entries)
+    orders, display = _orders(store, [values])
+    return RankingList(store, orders[0], display[0][orders[0]])
 
 
 def assign_label(ranking: RankingList) -> str:
-    if not ranking.entries:
-        raise EmptyRanking("ranking has no entries")
-    return ranking.entries[0].label
+    return ranking.store.records[ranking.order[0]].label
 
 
 def rank_of_first_correct(ranking: RankingList, true_label: str) -> int | None:
-    for pos, entry in enumerate(ranking.entries, start=1):
-        if entry.label == true_label:
-            return pos
-    return None
+    if true_label not in ranking.store.label_codes[0]:
+        return None
+    return int(_first_correct(ranking.store, ranking.order[None], [true_label])[0])
 
 
 def mrr(ranks: list[int]) -> float:
@@ -219,25 +225,22 @@ class LabelingResult:
     seconds: float        # wall-clock labeling time, query featurization included
 
 
-def label_queries(store: FeatureStore, queries: list[NumericAttribute]
-                  ) -> LabelingResult:
+def label_queries(store: FeatureStore, queries: list[NumericAttribute]) -> LabelingResult:
     """Label a batch of queries against one store, timing the whole batch.
 
     Queries whose label the store lacks are counted as excluded.  The rest
-    go through the same steps as rank(): one _featurize() and one _scores()
-    call for the whole batch (one embedding batch for embnum; one
-    PackedColumns.statistics call, in chunks of stored values, otherwise),
-    then _order() per query, so every rank equals rank()'s first-correct
-    position.  The clock covers those steps only; a fresh store's embedding
-    matrix or presorted columns and its tie and label codes are built before
-    it starts.
+    are ranked as rank() ranks one query, in one _orders() call for the whole
+    batch (one embedding batch for embnum; one PackedColumns.statistics call,
+    in chunks of stored values, otherwise; one lexsort over every query's
+    keys), and _first_correct() reads every rank off those orders.  The clock
+    covers those two calls only; a fresh store's embedding matrix or
+    presorted columns and its tie and label codes are built before it starts.
     """
     if not queries:
         raise NoQueries("no query attributes")
     if not store.records:
         raise EmptyStore("cannot label against an empty store")
-    code_of, codes = store.label_codes
-    kept = [a for a in queries if a.label in code_of]
+    kept = [a for a in queries if a.label in store.label_codes[0]]
     # building the store-side arrays is store construction, not labeling
     _ = store.tie_rank
     _ = store.embedding_matrix if store.method == "embnum" else store.packed_columns
@@ -245,10 +248,8 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]
     t0 = time.perf_counter()
     ranks = []
     if kept:
-        keys, _ = _scores(store, _featurize(store.method, store.model, [a.values for a in kept]))
-        for attr, row in zip(kept, keys):
-            hits = codes[_order(store, row)] == code_of[attr.label]
-            ranks.append(int(hits.argmax()) + 1)
+        orders, _ = _orders(store, [a.values for a in kept])
+        ranks = _first_correct(store, orders, [a.label for a in kept]).tolist()
     seconds = time.perf_counter() - t0
     return LabelingResult(ranks=ranks, excluded=len(queries) - len(kept), seconds=seconds)
 

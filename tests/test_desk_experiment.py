@@ -2,6 +2,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 from oracles import report_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,3 +43,23 @@ def test_reports_load_with_report_from_json(tmp_path, capsys):
         report = report_from_json(p.read_text())
         assert p.name == f"report_{report.method}.json"
         assert report.total_experiments == 186  # 6 sources
+
+
+def test_skipping_every_method_is_a_usage_error_before_any_work(monkeypatch, capsys):
+    script = load_script()
+    monkeypatch.setattr(script, "generate_synthetic", lambda spec: pytest.fail("data built"))
+    skip_all = [arg for m in script.METHODS for arg in ("--skip", m)]
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(skip_all)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--skip leaves no method to run" in captured.err
+
+
+def test_no_training_without_embnum(tmp_path, monkeypatch, capsys):
+    script = load_script()
+    monkeypatch.setattr(script, "train", lambda *args: pytest.fail("trained a model"))
+    assert script.main(["--out", str(tmp_path), "--skip", "embnum", "--skip", "dsl"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report_semantictyper.json"]
+    assert "semantictyper" in mrr_columns(capsys.readouterr().out)

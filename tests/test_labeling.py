@@ -20,7 +20,6 @@ from embnum.errors import (
     ChecksumMismatch,
     EmptyInput,
     EmptyLabeledData,
-    EmptyRanking,
     EmptyStore,
     InvalidSpec,
     MalformedStore,
@@ -66,8 +65,8 @@ def tiny_model():
     return build_model(TINY, seed=0)
 
 
-def pairwise_ranking(store: FeatureStore, values) -> RankingList:
-    """The ranking the pairwise scorers give, one stored column at a time."""
+def pairwise_ranking(store: FeatureStore, values) -> tuple[RankEntry, ...]:
+    """The ranking entries the pairwise scorers give, one stored column at a time."""
     if store.method == "semantictyper":
         keys = [ks_pairwise(values, r.feature) for r in store.records]
         shown = [1.0 - k for k in keys]
@@ -76,8 +75,7 @@ def pairwise_ranking(store: FeatureStore, values) -> RankingList:
         shown = [dsl_score(store.dsl_model, values, r.feature) for r in store.records]
     recs = store.records
     order = sorted(range(len(recs)), key=lambda i: (keys[i], recs[i].label, recs[i].source))
-    return RankingList(method=store.method, entries=tuple(
-        RankEntry(recs[i].label, recs[i].source, shown[i]) for i in order))
+    return tuple(RankEntry(recs[i].label, recs[i].source, shown[i]) for i in order)
 
 
 def two_record_store(method="semantictyper", **kwargs) -> FeatureStore:
@@ -204,7 +202,7 @@ class TestRank:
             store = dataclasses.replace(store, records=replacement)
             fresh = FeatureStore(method=method, records=list(replacement),
                                  model=store.model, dsl_model=store.dsl_model)
-            assert rank(store, query) == rank(fresh, query)
+            assert rank(store, query).entries == rank(fresh, query).entries
 
     def test_records_cannot_be_reassigned(self):
         # rank caches arrays derived from the records, so they are fixed
@@ -217,25 +215,22 @@ class TestRank:
         store = index_labeled(tiny_dataset, "embnum", model=tiny_model)
         q = tiny_dataset.attributes[7]
         r1, r2 = rank(store, q), rank(store, q)
-        assert r1 == r2
+        assert "entries" not in vars(r1)   # rows are built only when read
+        assert r1.entries == r2.entries
         assert len(r1.entries) == len(store.records)
         assert len({(e.label, e.source) for e in r1.entries}) == len(store.records)
 
 
 class TestAssignment:
     def test_assign_takes_top_label(self):
-        ranking = RankingList(method="semantictyper", entries=(
-            RankEntry("y2", "s0", 0.9),
-            RankEntry("y1", "s0", 0.5),
-            RankEntry("y3", "s0", 0.1),
-        ))
+        store = FeatureStore("semantictyper", [StoreRecord(label, "s0", np.array([1.0]))
+                                               for label in ("y1", "y2", "y3")])
+        ranking = RankingList(store, np.array([1, 0, 2]), np.array([0.9, 0.5, 0.1]))
+        assert ranking.entries == (RankEntry("y2", "s0", 0.9), RankEntry("y1", "s0", 0.5),
+                                   RankEntry("y3", "s0", 0.1))
         assert assign_label(ranking) == "y2"
         assert rank_of_first_correct(ranking, "y3") == 3
         assert rank_of_first_correct(ranking, "missing") is None
-
-    def test_empty_ranking_rejected(self):
-        with pytest.raises(EmptyRanking):
-            assign_label(RankingList(method="semantictyper", entries=()))
 
 
 class TestMrr:
@@ -282,6 +277,30 @@ class TestLabelQueries:
             result = label_queries(store, queries)
             assert result.ranks == [rank_of_first_correct(rank(store, q), q.label)
                                     for q in queries]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_tied_batch_follows_label_then_source(self, tiny_model, method, monkeypatch):
+        """Every record ties for every query of the batch, so each query's
+        order is the (label, source) tie-break alone, in label_queries as in
+        rank."""
+        if method == "embnum":  # plant 1-d embeddings, as in test_embedding_toy_ordering
+            monkeypatch.setattr(labeling_mod, "preprocess",
+                                lambda values, arch: np.asarray(values, dtype=np.float32))
+            monkeypatch.setattr(labeling_mod, "embed",
+                                lambda model, x: np.asarray(x, dtype=np.float32))
+            feature = np.array([0.0], dtype=np.float32)
+        else:
+            feature = np.array([1.0, 2.0])
+        names = [("b", "s1"), ("c", "s0"), ("a", "s2"), ("b", "s0"), ("a", "s1")]
+        store = FeatureStore(method, [StoreRecord(label, source, feature)
+                                      for label, source in names], model=tiny_model,
+                             dsl_model=LogisticModel(weights=np.array([-4.0, 0.5, 1.0]),
+                                                     bias=0.25))
+        queries = [NumericAttribute(values=[v], label=label, source="q")
+                   for v, label in [(0.5, "b"), (1.5, "c"), (7.0, "a")]]
+        for q in queries:
+            assert [(e.label, e.source) for e in rank(store, q).entries] == sorted(names)
+        assert label_queries(store, queries).ranks == [3, 5, 1]
 
     def test_unknown_label_is_excluded(self, tiny_model):
         store = two_record_store()
@@ -533,7 +552,7 @@ class TestStorePersistence:
         save_store(store, p)
         loaded = load_store(p)
         q = tiny_dataset.attributes[0]
-        assert rank(loaded, q) == rank(store, q)
+        assert rank(loaded, q).entries == rank(store, q).entries
 
 
     @pytest.mark.parametrize("method", ["semantictyper", "dsl"])
@@ -551,7 +570,7 @@ class TestStorePersistence:
         save_store(store, p)
         loaded = load_store(p)
         for q in ds.attributes:
-            assert rank(loaded, q) == pairwise_ranking(store, q.values)
+            assert rank(loaded, q).entries == pairwise_ranking(store, q.values)
 
     @pytest.mark.parametrize("missing", ["method", "record_meta", "values"])
     def test_missing_manifest_key_is_malformed_store(self, tiny_dataset, tmp_path, missing):
