@@ -111,11 +111,11 @@ def unpack_framed(blob: bytes, magic: bytes, version: int
     offset = 12 + mlen
     try:
         manifest = json.loads(blob[12 : 12 + mlen].decode("utf-8"))
-        check(manifest["arrays"], [{"name": str, "shape": [int], "dtype?": str}],
+        check(manifest["arrays"], [{"name": str, "shape": [int], "dtype": str}],
               ChecksumMismatch, "manifest.arrays")
         for entry in manifest["arrays"]:
             shape = tuple(entry["shape"])
-            tag = entry.get("dtype", "<f4")
+            tag = entry["dtype"]
             if tag not in ("<f4", "<f8"):
                 raise ValueError(f"unknown dtype {tag!r}")
             dtype = np.dtype(tag)

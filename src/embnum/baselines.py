@@ -60,13 +60,11 @@ class PackedColumns:
         sup |F_q - F_r|; U / (m*n) with U = #(x < y) + ties/2 over x in q,
         y in r; and range overlap / range union, 1.0 for coinciding points.
         Given a sequence of value arrays, each statistic is a (queries,
-        columns) array; given one query's values, a (columns,) array.
+        columns) array.
 
         The runs of every (query, column) pair are gathered and scored in
         chunks of at most SCORE_CHUNK stored values, or one longer run."""
-        single = len(queries) == 0 or np.ndim(queries[0]) == 0
-        qs = [np.sort(np.asarray(q, dtype=np.float64).ravel())
-              for q in ([queries] if single else queries)]
+        qs = [np.sort(np.asarray(q, dtype=np.float64).ravel()) for q in queries]
         if not qs or any(q.size == 0 for q in qs):
             raise EmptyInput("statistic inputs must be non-empty")
         n_q, n_c = len(qs), self.sizes.size
@@ -102,7 +100,7 @@ class PackedColumns:
         overlap = np.minimum(r_hi, q_hi) - np.maximum(r_lo, q_lo)
         overlap = np.where(overlap > 0.0, overlap, 0.0)
         jaccard = np.divide(overlap, union, out=np.ones_like(union), where=union != 0.0)
-        return (ks[0], mw[0], jaccard[0]) if single else (ks, mw, jaccard)
+        return ks, mw, jaccard
 
     def _bisect(self, q_lo, q_hi) -> tuple[np.ndarray, np.ndarray]:
         """(queries, columns) global indices of the first value >= q_lo and
@@ -165,22 +163,22 @@ def features_from_statistics(ks, mw, jaccard) -> np.ndarray:
 
 def ks_statistic(a, b) -> float:
     """sup_x |F_a(x) - F_b(x)|."""
-    return float(PackedColumns([b]).statistics(a)[0][0])
+    return float(PackedColumns([b]).statistics([a])[0][0, 0])
 
 
 def mw_statistic(a, b) -> float:
     """P(x < y) + P(x == y)/2 for x in a, y in b; mw(a, b) + mw(b, a) == 1.0."""
-    return float(PackedColumns([b]).statistics(a)[1][0])
+    return float(PackedColumns([b]).statistics([a])[1][0, 0])
 
 
 def numeric_jaccard(a, b) -> float:
     """Overlap of the value ranges divided by their union's width."""
-    return float(PackedColumns([b]).statistics(a)[2][0])
+    return float(PackedColumns([b]).statistics([a])[2][0, 0])
 
 
 def pair_features(a, b) -> np.ndarray:
     """The three DSL features of one pair."""
-    return features_from_statistics(*PackedColumns([b]).statistics(a))[0]
+    return features_from_statistics(*(s[0] for s in PackedColumns([b]).statistics([a])))[0]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

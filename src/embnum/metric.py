@@ -2,7 +2,7 @@
 
 Each step embeds a batch of P labels x K sampled attributes, mines the
 hardest positive and hardest negative inside the batch for every anchor, and
-descends the margin loss max(0, alpha + d_pos - d_neg) averaged over the
+descends the margin loss max(0, ALPHA + d_pos - d_neg) averaged over the
 triplets that are still violating the margin.  After every epoch the model is
 scored by mean reciprocal rank on the training attributes themselves, ranked
 as labeling ranks a store, and the best-scoring parameters are the ones
@@ -21,37 +21,36 @@ from .errors import DegenerateBatch, InsufficientSamples, InvalidSpec, NonFinite
 from .nn import SGD, Tensor, ops
 
 
+# The triplet margin and SGD schedule, the same for every run.
+ALPHA = 0.2
+LR0 = 0.01
+LR_STEP = 10
+LR_DECAY = 0.1
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-5
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    alpha: float = 0.2
-    lr0: float = 0.01
-    lr_step: int = 10
-    lr_decay: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-5
     epochs: int = 100
     batch_labels: int = 8       # P
     samples_per_label: int = 4  # K
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise InvalidSpec(f"alpha must be positive, got {self.alpha}")
+        if self.epochs <= 0:
+            raise InvalidSpec(f"epochs must be positive, got {self.epochs}")
         if self.batch_labels < 2:
             raise InvalidSpec(f"batch_labels must be >= 2, got {self.batch_labels}")
         if self.samples_per_label < 2:
             raise InvalidSpec(f"samples_per_label must be >= 2, got {self.samples_per_label}")
-        for name in ("lr0", "lr_step", "lr_decay", "epochs"):
-            if getattr(self, name) <= 0:
-                raise InvalidSpec(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("momentum", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise InvalidSpec(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
 
-def lr_at(cfg: TrainConfig, epoch: int) -> float:
-    """Step schedule: lr0 * lr_decay ** floor(epoch / lr_step), epoch 0-based."""
-    return cfg.lr0 * cfg.lr_decay ** (epoch // cfg.lr_step)
+def lr_at(epoch: int) -> float:
+    """Step schedule: LR0 * LR_DECAY ** floor(epoch / LR_STEP), epoch 0-based."""
+    return LR0 * LR_DECAY ** (epoch // LR_STEP)
 
 
 def distances(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -154,8 +153,8 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
     label_list = sorted(by_label)
 
     model = build_model(arch, seed=cfg.seed)
-    opt = SGD(model.net.named_params(), lr=cfg.lr0,
-              momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    opt = SGD(model.net.named_params(), lr=LR0,
+              momentum=MOMENTUM, weight_decay=WEIGHT_DECAY)
     rng = np.random.default_rng(cfg.seed)
 
     history: list[dict] = []
@@ -164,7 +163,7 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
     best_meta = dict(model.training_meta)
 
     for epoch in range(cfg.epochs):
-        opt.lr = lr_at(cfg, epoch)
+        opt.lr = lr_at(epoch)
         losses: list[float] = []
         order = rng.permutation(len(label_list))
         for start in range(0, len(order), cfg.batch_labels):
@@ -183,9 +182,9 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
             if not np.all(np.isfinite(emb.data)):
                 raise NonFiniteLoss(
                     f"non-finite embeddings at epoch {epoch}, step {start // cfg.batch_labels}; "
-                    "the optimizer likely diverged (try a lower lr0)"
+                    "the optimizer likely diverged"
                 )
-            loss = triplet_loss(emb, mine_batch_hard(emb.data, labels[idx_arr]), cfg.alpha)
+            loss = triplet_loss(emb, mine_batch_hard(emb.data, labels[idx_arr]), ALPHA)
             if loss is None:
                 continue  # margin satisfied everywhere; nothing to descend
             loss_val = float(loss.data)

@@ -182,15 +182,16 @@ class TestPackedColumns:
     @given(stores, column)
     @settings(max_examples=300, deadline=None)
     def test_every_statistic_equals_the_pairwise_one(self, columns, query):
-        got = PackedColumns(columns).statistics(query)
+        got = PackedColumns(columns).statistics([query])
         for stat, fn in zip(got, (ks_pairwise, mw_pairwise, jaccard_pairwise)):
-            assert same_bits(stat, [fn(query, c) for c in columns])
+            assert same_bits(stat[0], [fn(query, c) for c in columns])
 
     @given(stores, column, weights)
     @settings(max_examples=200, deadline=None)
     def test_dsl_logits_equal_the_pairwise_logit(self, columns, query, wb):
         model = LogisticModel(weights=np.array(wb[:3]), bias=wb[3])
-        feats = features_from_statistics(*PackedColumns(columns).statistics(query))
+        stats = PackedColumns(columns).statistics([query])
+        feats = features_from_statistics(*(s[0] for s in stats))
         want = [dsl_logit(model, query, c) for c in columns]
         assert same_bits(feats, [features_pairwise(query, c) for c in columns])
         assert same_bits(model.logits(feats), want)
@@ -224,14 +225,14 @@ class TestPackedColumns:
             for row, query in zip(stat, queries):
                 assert same_bits(row, [fn(query, c) for c in columns])
         for row, query in enumerate(queries):
-            for stat, single in zip(got, pack.statistics(query)):
-                assert same_bits(single, stat[row]) and single.shape == (len(columns),)
+            for stat, single in zip(got, pack.statistics([query])):
+                assert same_bits(single[0], stat[row]) and single.shape == (1, len(columns))
 
     def test_hand_cases(self):
-        ks, mw, jac = PackedColumns([[1.0, 2.0], [10.0, 11.0], [2.0]]).statistics([1.0, 2.0])
-        assert ks.tolist() == [0.0, 1.0, 0.5]
-        assert mw.tolist() == [0.5, 1.0, 0.75]
-        assert jac.tolist() == [1.0, 0.0, 0.0]
+        ks, mw, jac = PackedColumns([[1.0, 2.0], [10.0, 11.0], [2.0]]).statistics([[1.0, 2.0]])
+        assert ks.tolist() == [[0.0, 1.0, 0.5]]
+        assert mw.tolist() == [[0.5, 1.0, 0.75]]
+        assert jac.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):

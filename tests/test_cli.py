@@ -132,6 +132,11 @@ class TestTrain:
             tmp_path / "m2.bin.history.csv"
         ).read_text()
 
+    def test_negative_seed_is_invalid_spec(self, data_dir, tmp_path, capsys):
+        assert main(["train", str(data_dir), "--out", str(tmp_path / "m.bin"),
+                     "--seed", "-1"]) == 1
+        assert "InvalidSpec" in capsys.readouterr().err
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "nope"), "--out",
                      str(tmp_path / "m.bin")] + TRAIN_FLAGS)
@@ -512,6 +517,12 @@ class TestUsageErrors:
     def test_missing_required_flag_exits_2(self, data_dir):
         with pytest.raises(SystemExit) as exc:
             main(["index", str(data_dir)])  # --method and --out required
+        assert exc.value.code == 2
+
+    def test_training_hyperparameter_flag_exits_2(self, data_dir, tmp_path):
+        # the margin and SGD schedule are metric constants, not TrainConfig fields
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(data_dir), "--out", str(tmp_path / "m.bin"), "--lr0", "0.5"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("top", ["0", "-1"])

@@ -212,23 +212,20 @@ class TestTrainingMrr:
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
-        assert (cfg.alpha, cfg.lr0, cfg.lr_step, cfg.lr_decay) == (0.2, 0.01, 10, 0.1)
-        assert (cfg.momentum, cfg.weight_decay, cfg.epochs) == (0.9, 1e-5, 100)
-        assert (cfg.batch_labels, cfg.samples_per_label) == (8, 4)
+        assert (cfg.epochs, cfg.batch_labels, cfg.samples_per_label, cfg.seed) == (100, 8, 4, 0)
+        assert (metric_mod.ALPHA, metric_mod.LR0, metric_mod.LR_STEP) == (0.2, 0.01, 10)
+        assert (metric_mod.LR_DECAY, metric_mod.MOMENTUM, metric_mod.WEIGHT_DECAY) == (0.1, 0.9, 1e-5)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"alpha": 0.0},
-            {"alpha": -0.1},
             {"batch_labels": 1},
+            {"batch_labels": 0},
             {"samples_per_label": 1},
-            {"lr0": 0.0},
-            {"lr_step": 0},
-            {"lr_decay": 0.0},
+            {"samples_per_label": 0},
             {"epochs": 0},
-            {"momentum": -0.1},
-            {"weight_decay": -1e-3},
+            {"epochs": -1},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -236,12 +233,11 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
     def test_lr_schedule_steps_at_boundaries(self):
-        cfg = TrainConfig(lr0=0.01, lr_step=10, lr_decay=0.1)
-        assert lr_at(cfg, 0) == 0.01
-        assert lr_at(cfg, 9) == 0.01
-        assert lr_at(cfg, 10) == pytest.approx(0.001)
-        assert lr_at(cfg, 19) == pytest.approx(0.001)
-        assert lr_at(cfg, 20) == pytest.approx(0.0001)
+        assert lr_at(0) == 0.01
+        assert lr_at(9) == 0.01
+        assert lr_at(10) == pytest.approx(0.001)
+        assert lr_at(19) == pytest.approx(0.001)
+        assert lr_at(20) == pytest.approx(0.0001)
 
 
 class TestTrainValidation:
@@ -273,7 +269,7 @@ class TestTrainLoop:
             assert row["epoch"] == epoch
             assert np.isfinite(row["mean_loss"])
             assert 0.0 <= row["train_mrr"] <= 1.0
-            assert row["lr"] == lr_at(TINY_CFG, epoch)
+            assert row["lr"] == lr_at(epoch)
 
     def test_deterministic_rerun(self):
         ds = tiny_training_set()

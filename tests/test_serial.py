@@ -13,10 +13,11 @@ from embnum.errors import ChecksumMismatch
 MAGIC = b"TEST"
 
 
-def frame(shape: list[int], payload: bytes) -> bytes:
-    """A version-1 frame with one float32 array "x" declared as shape, over
-    payload, with a valid CRC."""
-    text = json.dumps({"arrays": [{"name": "x", "shape": shape, "dtype": "<f4"}]}).encode()
+def frame(shape: list[int], payload: bytes, dtype: str | None = "<f4") -> bytes:
+    """A version-1 frame with one array "x" declared as shape and dtype (no
+    dtype field when None), over payload, with a valid CRC."""
+    entry = {"name": "x", "shape": shape, **({"dtype": dtype} if dtype else {})}
+    text = json.dumps({"arrays": [entry]}).encode()
     body = MAGIC + struct.pack("<II", 1, len(text)) + text + payload
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -50,6 +51,13 @@ def test_frame_round_trips():
 def test_arrays_must_end_at_the_trailer(shape, payload):
     with pytest.raises(ChecksumMismatch):
         unpack_framed(frame(shape, payload), MAGIC, 1)
+
+
+# pack_framed names every array's dtype; an entry without one was once read
+# as float32.
+def test_an_entry_without_a_dtype_is_malformed():
+    with pytest.raises(ChecksumMismatch):
+        unpack_framed(frame([1], struct.pack("<f", 1.5), dtype=None), MAGIC, 1)
 
 
 def test_concurrent_writers_of_one_path_do_not_collide(tmp_path):
