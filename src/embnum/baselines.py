@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,9 @@ SCORE_CHUNK = 1 << 17  # stored values gathered per pass of PackedColumns.statis
 
 
 class PackedColumns:
-    """Stored columns laid end to end, each sorted once, for scoring a batch
-    of queries against all of them in a few vectorized passes.  A query
+    """Stored columns laid end to end, each sorted once as the pack is built,
+    for scoring a batch of queries against all of them in a few vectorized
+    passes.  Each column's CDF at its values is built on first use.  A query
     visits only the run of each column from the last value below min(q) to
     the first value above max(q): beyond that run |F_q - F_r| only falls, and
     each value above max(q) adds m to the Mann-Whitney counts.  A column
@@ -38,16 +40,19 @@ class PackedColumns:
         self.sizes = np.array([c.size for c in cols])
         self.starts = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
         self.values = np.empty(int(self.sizes.sum()))
-        self.cdf = np.empty_like(self.values)   # F_r(r_j) within each column
         for c, s in zip(cols, self.starts):
-            r = np.sort(c)
-            self.values[s : s + r.size] = r
-            self.cdf[s : s + r.size] = np.searchsorted(r, r, side="right") / r.size
+            self.values[s : s + c.size] = np.sort(c)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """F_r(r_j) at each stored value r_j, within its column r."""
+        return np.concatenate([np.searchsorted(r, r, side="right") / r.size
+                               for r in np.split(self.values, self.starts[1:])])
 
     def take(self, keep: np.ndarray) -> PackedColumns:
         """The columns where the boolean mask `keep` is set, sliced out of
         this pack without sorting again: bit for bit the arrays that packing
-        those columns afresh gives."""
+        those columns afresh gives, this pack's CDF built once and sliced."""
         sub = copy.copy(self)
         sub.sizes = self.sizes[keep]
         sub.starts = np.concatenate([[0], np.cumsum(sub.sizes)[:-1]])

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain error (named on stderr), 2 usage error.
+Exit codes: 0 success, 1 domain error (named on stderr; a failed read or
+write is IoError, an allocation the host refuses OutOfMemory), 2 usage error.
 Output files are written atomically.
 """
 
@@ -141,7 +142,7 @@ def _cmd_index(args) -> int:
     model, dsl_model = _load_scorers(args)
     store = labeling.index_labeled(ds, args.method, model=model, dsl_model=dsl_model)
     labeling.save_store(store, Path(args.out))
-    print(f"indexed {len(store.records)} attributes ({args.method}) into {args.out}")
+    print(f"indexed {len(store.labels)} attributes ({args.method}) into {args.out}")
     return 0
 
 
@@ -200,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"IoError: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"OutOfMemory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -48,66 +48,54 @@ EMBED_CHUNK = 512  # columns per embed() call
 class StoreRecord:
     label: str
     source: str
-    feature: np.ndarray  # (k,) float32 embedding, or raw float64 values
+    feature: np.ndarray  # (k,) float32 embedding, or one column's sorted values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureStore:
-    """An immutable store, so the arrays derived from its records are
-    computed once, on first use."""
+    """Labeled attributes as the arrays their scorer reads: one label and one
+    source per attribute, in object arrays of str (a numpy str array would
+    drop trailing NULs), and one feature block, the (n, k) float32 embedding
+    matrix for embnum or a PackedColumns of the raw values otherwise.
+    Construction refuses an empty store and builds the tie_rank and
+    label_codes every ranking reads; the store is immutable, so they stay its
+    own."""
 
     method: str
-    records: tuple[StoreRecord, ...]
+    labels: np.ndarray
+    sources: np.ndarray
+    features: np.ndarray | PackedColumns
     model: Model | None = None               # embnum query-side embedder
     dsl_model: LogisticModel | None = None   # dsl feature weights
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidSpec(f"unknown method {self.method!r}; expected one of {METHODS}")
-        object.__setattr__(self, "records", tuple(self.records))
-
-    @property
-    def labels(self) -> list[str]:
-        return [r.label for r in self.records]
-
-    @cached_property
-    def embedding_matrix(self) -> np.ndarray:
-        """(n, k) float64 stack of stored embeddings (embnum only)."""
-        return np.stack([r.feature for r in self.records]).astype(np.float64)
+        if not len(self.labels):
+            raise EmptyStore("a store needs at least one record")
+        # tie_rank: each record's place in (label, source) order, the key that
+        # breaks score ties; label_codes: ({label: code}, each record's code)
+        code_of: dict[str, int] = {}
+        codes = np.array([code_of.setdefault(x, len(code_of)) for x in self.labels.tolist()])
+        object.__setattr__(self, "tie_rank", np.lexsort((self.sources, self.labels)).argsort())
+        object.__setattr__(self, "label_codes", (code_of, codes))
 
     @cached_property
-    def packed_columns(self) -> PackedColumns:
-        """Stored raw values, presorted once (semantictyper and dsl only)."""
-        return PackedColumns([r.feature for r in self.records])
+    def records(self) -> tuple[StoreRecord, ...]:
+        """Read-only (label, source, feature) rows in attribute order: float32
+        embeddings, or each column's sorted values.  The package itself reads
+        the arrays; this view is for callers that walk a store row by row."""
+        rows = self.features if self.method == "embnum" else np.split(
+            self.features.values, self.features.starts[1:])
+        return tuple(map(StoreRecord, self.labels.tolist(), self.sources.tolist(), rows))
 
     def subset(self, keep: np.ndarray) -> FeatureStore:
         """The records where the boolean mask `keep` is set, under this
         store's scorers.  A raw-value subset takes its presorted columns
-        from this store's pack instead of sorting them again, and every
-        subset its tie keys."""
-        sub = FeatureStore(self.method, [r for r, k in zip(self.records, keep) if k],
-                           self.model, self.dsl_model)
-        if self.method != "embnum":
-            sub.__dict__["packed_columns"] = self.packed_columns.take(keep)  # fills the cache
-        sub.__dict__["tie_rank"] = self.tie_rank[keep]
-        return sub
-
-    @cached_property
-    def tie_rank(self) -> np.ndarray:
-        """One integer key per record that orders records by (label, source),
-        the key that breaks score ties: each record's place in that order.  A
-        subset keeps its store's keys, which order its records the same."""
-        order = np.lexsort((np.array([r.source for r in self.records]), np.array(self.labels)))
-        place = np.empty_like(order)
-        place[order] = np.arange(order.size)
-        return place
-
-    @cached_property
-    def label_codes(self) -> tuple[dict[str, int], np.ndarray]:
-        """({label: code}, each record's label code), to match labels as integers."""
-        code_of: dict[str, int] = {}
-        codes = np.array([code_of.setdefault(label, len(code_of)) for label in self.labels])
-        return code_of, codes
+        from this store's pack instead of sorting them again."""
+        features = self.features[keep] if self.method == "embnum" else self.features.take(keep)
+        return FeatureStore(self.method, self.labels[keep], self.sources[keep], features,
+                            self.model, self.dsl_model)
 
 
 @dataclass(frozen=True)
@@ -128,9 +116,8 @@ class RankingList:
 
     @cached_property
     def entries(self) -> tuple[RankEntry, ...]:
-        records = self.store.records
-        return tuple(RankEntry(records[i].label, records[i].source, score)
-                     for i, score in zip(self.order.tolist(), self.scores.tolist()))
+        return tuple(map(RankEntry, self.store.labels[self.order].tolist(),
+                         self.store.sources[self.order].tolist(), self.scores.tolist()))
 
 
 def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
@@ -147,22 +134,24 @@ def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
         dsl_model = dsl_train(make_training_pairs(labeled))
     attrs = labeled.attributes
     features = _featurize(method, model, [a.values for a in attrs])
-    records = [StoreRecord(a.label, a.source, f) for a, f in zip(attrs, features)]
-    return FeatureStore(method=method, records=records, model=model, dsl_model=dsl_model)
+    return FeatureStore(method, np.array([a.label for a in attrs], dtype=object),
+                        np.array([a.source for a in attrs], dtype=object),
+                        features if method == "embnum" else PackedColumns(features),
+                        model, dsl_model)
 
 
-def _featurize(method: str, model: Model | None, columns: list) -> list[np.ndarray]:
-    """Per-column features: float32 embeddings, computed as one batch in
-    chunks of EMBED_CHUNK columns, for embnum; raw float64 values otherwise.
-    A column holding NaN or an infinity is EmptyInput under every method."""
+def _featurize(method: str, model: Model | None, columns: list):
+    """The (n, k) float32 embedding matrix, embedded EMBED_CHUNK columns at a
+    time, for embnum; each column's float64 values otherwise.  A column
+    holding NaN or an infinity is EmptyInput under every method."""
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     if not all(np.isfinite(c).all() for c in columns):
         raise EmptyInput("value list contains non-finite entries")
     if method != "embnum":
         return columns
     vectors = [preprocess(c, model.arch) for c in columns]
-    return [row for i in range(0, len(vectors), EMBED_CHUNK)
-            for row in embed(model, np.stack(vectors[i : i + EMBED_CHUNK]))]
+    return np.concatenate([embed(model, np.stack(vectors[i : i + EMBED_CHUNK]))
+                           for i in range(0, len(vectors), EMBED_CHUNK)])
 
 
 def _orders(store: FeatureStore, columns: list) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +160,10 @@ def _orders(store: FeatureStore, columns: list) -> tuple[np.ndarray, np.ndarray]
     key ties break by (label, source); raw-value stores score in one call."""
     features = _featurize(store.method, store.model, columns)
     if store.method == "embnum":
-        keys = display = np.array([distances(store.embedding_matrix, f) for f in features])
+        matrix = store.features.astype(np.float64)
+        keys = display = np.array([distances(matrix, f) for f in features])
     else:
-        ks, mw, jaccard = store.packed_columns.statistics(features)
+        ks, mw, jaccard = store.features.statistics(features)
         if store.method == "semantictyper":
             keys, display = ks, 1.0 - ks
         else:
@@ -192,15 +182,13 @@ def _first_correct(store: FeatureStore, orders: np.ndarray, labels: list[str]) -
 
 def rank(store: FeatureStore, query) -> RankingList:
     """Total ordering of every store record against one query."""
-    if not store.records:
-        raise EmptyStore("cannot rank against an empty store")
     values = query.values if isinstance(query, NumericAttribute) else query
     orders, display = _orders(store, [values])
     return RankingList(store, orders[0], display[0][orders[0]])
 
 
 def assign_label(ranking: RankingList) -> str:
-    return ranking.store.records[ranking.order[0]].label
+    return ranking.store.labels[ranking.order[0]]
 
 
 def rank_of_first_correct(ranking: RankingList, true_label: str) -> int | None:
@@ -233,17 +221,14 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]) -> Label
     batch (one embedding batch for embnum; one PackedColumns.statistics call,
     in chunks of stored values, otherwise; one lexsort over every query's
     keys), and _first_correct() reads every rank off those orders.  The clock
-    covers those two calls only; a fresh store's embedding matrix or
-    presorted columns and its tie and label codes are built before it starts.
+    covers those two calls only; a raw-value store's column CDF, which its
+    pack builds on first use, is built before it starts.
     """
     if not queries:
         raise NoQueries("no query attributes")
-    if not store.records:
-        raise EmptyStore("cannot label against an empty store")
     kept = [a for a in queries if a.label in store.label_codes[0]]
-    # building the store-side arrays is store construction, not labeling
-    _ = store.tie_rank
-    _ = store.embedding_matrix if store.method == "embnum" else store.packed_columns
+    if store.method != "embnum":
+        _ = store.features.cdf   # store construction, not labeling
 
     t0 = time.perf_counter()
     ranks = []
@@ -302,14 +287,14 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
         raise TooFewSources(f"benchmark needs >= 2 sources, got {d}")
     full = index_labeled(dataset, method, model=model, dsl_model=dsl_model)
 
-    sources = sorted(dataset.sources)
+    sources, stored = sorted(dataset.sources), full.sources.tolist()
     by_count: dict[int, list[tuple[float, float]]] = {}
     for held in sources:
         queries = sorted(dataset.by_source(held), key=lambda a: a.label)
         others = [s for s in sources if s != held]
         for mask in range(1, 2 ** len(others)):
             chosen = {others[i] for i in range(len(others)) if mask >> i & 1}
-            store = full.subset(np.array([r.source in chosen for r in full.records]))
+            store = full.subset(np.array([s in chosen for s in stored]))
             result = label_queries(store, queries)
             if result.ranks:
                 by_count.setdefault(len(chosen), []).append((mrr(result.ranks), result.seconds))
@@ -338,23 +323,23 @@ def report_to_json(report: BenchmarkReport) -> str:
 def save_store(store: FeatureStore, path: Path) -> None:
     """One frame per store.  An embnum store holds its model's checkpoint
     manifest under "model", the model's arrays under a "model." prefix and
-    one (n, k) "embeddings" array; a raw store holds every record's values
-    end to end in one "values" array, with each record's row count in
-    record_meta."""
-    records = store.records
+    one (n, k) "embeddings" array; a raw store holds its pack's values, each
+    record's sorted ascending, end to end in one "values" array, with each
+    record's row count in record_meta."""
     meta: dict = {
         "kind": "feature-store",
         "method": store.method,
-        "record_meta": [{"label": r.label, "source": r.source} for r in records],
+        "record_meta": [{"label": label, "source": source} for label, source
+                        in zip(store.labels.tolist(), store.sources.tolist())],
     }
     if store.method == "embnum":
         meta["model"], model_arrays = model_frame(store.model)
         arrays = {f"model.{name}": a for name, a in model_arrays.items()}
-        arrays["embeddings"] = np.stack([r.feature for r in records]).astype(np.float32)
+        arrays["embeddings"] = np.asarray(store.features, dtype=np.float32)
     else:
-        for m, r in zip(meta["record_meta"], records):
-            m["rows"] = len(r.feature)
-        arrays = {"values": np.concatenate([np.empty(0), *(r.feature for r in records)])}
+        for m, n in zip(meta["record_meta"], store.features.sizes.tolist()):
+            m["rows"] = n
+        arrays = {"values": store.features.values}
         if store.method == "dsl":
             meta["dsl_model"] = dsl_model_to_doc(store.dsl_model)
     _serial.atomic_write_bytes(Path(path), _serial.pack_framed(
@@ -368,12 +353,15 @@ STORE = {"kind": str, "method": str, "arrays": list,
 
 def load_store(path: Path) -> FeatureStore:
     """Inverse of save_store.  The manifest must match STORE, and the arrays
-    besides the model's must fit its records, else MalformedStore."""
+    besides the model's must fit its records, else MalformedStore; a store of
+    no records is EmptyStore.  Raw values load in any order: packing sorts them."""
     manifest, arrays = _serial.unpack_framed(Path(path).read_bytes(),
                                              STORE_MAGIC, STORE_VERSION)
     _serial.check(manifest, STORE, MalformedStore, "store")
     method, rec_meta = manifest["method"], manifest["record_meta"]
-    rows = [m.get("rows", -1) for m in rec_meta]
+    if not rec_meta:
+        raise EmptyStore(f"{path}: the store holds no records")
+    rows = [m.get("rows", 0) for m in rec_meta]
     model = dsl_model = None
     if method == "embnum":
         model = model_from_frame(manifest.get("model"), {
@@ -381,8 +369,8 @@ def load_store(path: Path) -> FeatureStore:
             for name, a in arrays.items() if name.startswith("model.")})
         want = {"embeddings": (len(rec_meta), model.arch.k)}
     else:
-        if min(rows, default=0) < 0:
-            raise MalformedStore(f"{path}: every {method} record needs a row count >= 0")
+        if min(rows) < 1:
+            raise MalformedStore(f"{path}: every {method} record needs a row count >= 1")
         want = {"values": (sum(rows),)}
         if method == "dsl":
             dsl_model = dsl_model_from_doc(manifest.get("dsl_model"))
@@ -391,9 +379,10 @@ def load_store(path: Path) -> FeatureStore:
         raise MalformedStore(f"{path}: {len(rec_meta)} {method} records need arrays "
                              f"{want}, but the store holds {got}")
     features = (arrays["embeddings"] if method == "embnum" else
-                [arrays["values"][end - n : end] for n, end in zip(rows, np.cumsum(rows))])
-    records = [StoreRecord(m["label"], m["source"], f) for m, f in zip(rec_meta, features)]
-    return FeatureStore(method=method, records=records, model=model, dsl_model=dsl_model)
+                PackedColumns(np.split(arrays["values"], np.cumsum(rows)[:-1])))
+    return FeatureStore(method, np.array([m["label"] for m in rec_meta], dtype=object),
+                        np.array([m["source"] for m in rec_meta], dtype=object),
+                        features, model, dsl_model)
 
 
 def export_embeddings_csv(model: Model, dataset: Dataset) -> str:

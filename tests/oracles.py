@@ -7,6 +7,8 @@ the exception: the pairwise scorers, numpy code scoring one pair at a time,
 and the np.pad / sliding_window_view window ops with the np.unique sampler
 and the one-GEMM-per-8-row-tile product.  Each states what the library's
 faster form must equal bit for bit.
+
+store_of, at the end, is no oracle: it builds small stores for tests.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from embnum.baselines import _sigmoid
+from embnum.baselines import PackedColumns, _sigmoid
 from embnum.errors import EmptyInput
-from embnum.labeling import BenchmarkReport, PerCount
+from embnum.labeling import BenchmarkReport, FeatureStore, PerCount, StoreRecord
 from embnum.nn.tensor import make
 
 
@@ -318,3 +320,21 @@ def report_from_json(text: str) -> BenchmarkReport:
         per_count=tuple(PerCount(**pc) for pc in doc["per_count"]),
         total_experiments=doc["total_experiments"],
     )
+
+
+def store_of(method: str, rows, model=None, dsl_model=None) -> FeatureStore:
+    """A store of (label, source, feature) rows or StoreRecords, laid out as
+    index_labeled lays it out: float32 embeddings stacked for embnum, raw
+    values packed otherwise.  No rows give no feature block, which the store
+    refuses before it reads one."""
+    rows = [(r.label, r.source, r.feature) if isinstance(r, StoreRecord) else r for r in rows]
+    labels = np.array([r[0] for r in rows], dtype=object)
+    sources = np.array([r[1] for r in rows], dtype=object)
+    features = [r[2] for r in rows]
+    if not rows:
+        features = None
+    elif method == "embnum":
+        features = np.array(features, dtype=np.float32).reshape(len(rows), -1)
+    else:
+        features = PackedColumns(features)
+    return FeatureStore(method, labels, sources, features, model, dsl_model)

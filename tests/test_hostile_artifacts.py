@@ -32,7 +32,8 @@ from embnum.labeling import STORE_MAGIC, STORE_VERSION, index_labeled, save_stor
 ADDRESS_SPACE = 1536 * 2**20
 CLI = "import sys; from embnum.cli import main; sys.exit(main(sys.argv[1:]))"
 NAMED_ERRORS = {name for name, cls in vars(errors).items()
-                if isinstance(cls, type) and issubclass(cls, errors.EmbnumError)} | {"IoError"}
+                if isinstance(cls, type) and issubclass(cls, errors.EmbnumError)} | {
+                    "IoError", "OutOfMemory"}
 DATA_SPEC = {"label_count": 3, "source_count": 3, "rows_min": 6, "rows_max": 10, "seed": 11}
 FRAMES = {"model.bin": (MODEL_MAGIC, MODEL_VERSION), "embnum.bin": (STORE_MAGIC, STORE_VERSION),
           "semantictyper.bin": (STORE_MAGIC, STORE_VERSION),
@@ -118,17 +119,22 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
+def run_cli(argv: list[str]):
+    """Run one command in a child whose address space is capped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(embnum.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_cap_address_space)
+
+
 def run_capped(base: Path, name: str, doc, payload, command: list[str]):
     """Write the edited artifact and run one command on it in a capped child."""
     with tempfile.TemporaryDirectory(dir=base) as tmp:
         artifact = Path(tmp) / name
         write_doc(artifact, name, doc, payload)
-        argv = [a.format(artifact=artifact, base=base, out=Path(tmp) / "out") for a in command]
-        env = {**os.environ, "PYTHONPATH": str(Path(embnum.__file__).parents[1]),
-               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        return subprocess.run([sys.executable, "-c", CLI, *argv], env=env,
-                              capture_output=True, text=True, timeout=120,
-                              preexec_fn=_cap_address_space)
+        return run_cli([a.format(artifact=artifact, base=base, out=Path(tmp) / "out")
+                        for a in command])
 
 
 def assert_named_outcome(proc) -> None:
@@ -158,6 +164,15 @@ def test_known_escapes_are_named_errors(base, name, path, value, error):
     proc = run_capped(base, name, replaced(doc, path, value), payload, COMMANDS[name][0])
     assert proc.returncode == 1 and proc.stderr.startswith(f"{error}: "), proc.stderr
     assert str(path[-1]) in proc.stderr
+
+
+def test_an_allocation_past_the_cap_is_out_of_memory(base, tmp_path):
+    # one training batch of 3 labels x 10**9 samples asks for far more
+    # than the child may map
+    proc = run_cli(["train", str(base / "data"), "--out", str(tmp_path / "m.bin"),
+                    "--samples-per-label", "1000000000", "--h", "16", "--k", "4",
+                    "--stem-channels", "1", "--epochs", "1"])
+    assert proc.returncode == 1 and proc.stderr.startswith("OutOfMemory: "), proc.stderr
 
 
 SMALL_VALUES = st.one_of(

@@ -34,7 +34,6 @@ from embnum.labeling import (
     FeatureStore,
     RankEntry,
     RankingList,
-    StoreRecord,
     assign_label,
     expected_experiments,
     export_embeddings_csv,
@@ -49,7 +48,7 @@ from embnum.labeling import (
     save_store,
 )
 from oracles import (count_experiments_oracle, dsl_logit, dsl_score, ks_pairwise,
-                     mrr_oracle, report_from_json)
+                     mrr_oracle, report_from_json, store_of)
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
@@ -79,11 +78,8 @@ def pairwise_ranking(store: FeatureStore, values) -> tuple[RankEntry, ...]:
 
 
 def two_record_store(method="semantictyper", **kwargs) -> FeatureStore:
-    records = [
-        StoreRecord("near", "s0", np.array([0.0, 1.0])),
-        StoreRecord("far", "s0", np.array([10.0, 11.0])),
-    ]
-    return FeatureStore(method=method, records=records, **kwargs)
+    return store_of(method, [("near", "s0", np.array([0.0, 1.0])),
+                             ("far", "s0", np.array([10.0, 11.0]))], **kwargs)
 
 
 class TestIndexing:
@@ -95,10 +91,11 @@ class TestIndexing:
             assert rec.feature.dtype == np.float32
 
     def test_baseline_store_keeps_raw_values(self, tiny_dataset):
+        # each column's values, sorted ascending as the pack holds them
         store = index_labeled(tiny_dataset, "semantictyper")
         by_key = {(a.source, a.label): a for a in tiny_dataset.attributes}
         for rec in store.records:
-            assert np.array_equal(rec.feature, by_key[(rec.source, rec.label)].values)
+            assert np.array_equal(rec.feature, np.sort(by_key[(rec.source, rec.label)].values))
 
     def test_indexing_is_repeatable(self, tiny_dataset, tiny_model):
         s1 = index_labeled(tiny_dataset, "embnum", model=tiny_model)
@@ -122,7 +119,7 @@ class TestIndexing:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidSpec):
-            FeatureStore(method="cosine", records=[])
+            store_of("cosine", [])
 
 
 class TestRank:
@@ -147,9 +144,9 @@ class TestRank:
                             lambda values, arch: np.asarray(values, dtype=np.float32))
         monkeypatch.setattr(labeling_mod, "embed",
                             lambda model, x: np.asarray(x, dtype=np.float32))
-        store = FeatureStore(method="embnum", records=[
-            StoreRecord("a", "s0", np.array([0.0], dtype=np.float32)),
-            StoreRecord("b", "s0", np.array([1.0], dtype=np.float32)),
+        store = store_of("embnum", [
+            ("a", "s0", np.array([0.0], dtype=np.float32)),
+            ("b", "s0", np.array([1.0], dtype=np.float32)),
         ], model=tiny_model)
         ranking = rank(store, np.array([0.2]))
         assert [e.label for e in ranking.entries] == ["a", "b"]
@@ -158,10 +155,10 @@ class TestRank:
 
     def test_ties_break_by_label_then_source(self):
         vals = np.array([1.0, 2.0])
-        store = FeatureStore(method="semantictyper", records=[
-            StoreRecord("y2", "s1", vals),
-            StoreRecord("y1", "s9", vals),
-            StoreRecord("y1", "s0", vals),
+        store = store_of("semantictyper", [
+            ("y2", "s1", vals),
+            ("y1", "s9", vals),
+            ("y1", "s0", vals),
         ])
         ranking = rank(store, vals)  # every record ties at KS = 0
         assert [(e.label, e.source) for e in ranking.entries] == [
@@ -169,15 +166,15 @@ class TestRank:
         ]
 
     def test_single_record_store(self):
-        store = FeatureStore(method="semantictyper",
-                             records=[StoreRecord("x", "s0", np.array([1.0]))])
+        store = store_of("semantictyper", [("x", "s0", np.array([1.0]))])
         ranking = rank(store, np.array([5.0]))
         assert len(ranking.entries) == 1
 
     def test_empty_store_rejected(self):
-        store = FeatureStore(method="semantictyper", records=[])
-        with pytest.raises(EmptyStore):
-            rank(store, np.array([1.0]))
+        # refused as it is built, so rank and label_queries never see one
+        for method in METHODS:
+            with pytest.raises(EmptyStore):
+                store_of(method, [])
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("query", [[np.nan, 1.0], [np.inf, 2.0], [1.0, -np.inf]],
@@ -191,25 +188,28 @@ class TestRank:
     @pytest.mark.parametrize("method", ["embnum", "semantictyper", "dsl"])
     def test_reassigned_records_rank_like_a_fresh_store(self, tiny_dataset, tiny_model,
                                                         method):
-        # rank caches the embedding matrix / packed columns; a store whose
-        # records are replaced must not see them, whether the count changes or not
+        # a store builds its tie and label codes, and its pack its CDF, once;
+        # a store whose arrays are replaced must not see the old ones, whether
+        # the count changes or not
         dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
         store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
         records = list(store.records)
         query = tiny_dataset.attributes[0]
         rank(store, query)
         for replacement in (records[10:] + records[:10], records[3:4], records[5:12]):
-            store = dataclasses.replace(store, records=replacement)
-            fresh = FeatureStore(method=method, records=list(replacement),
-                                 model=store.model, dsl_model=store.dsl_model)
+            arrays = store_of(method, replacement)
+            store = dataclasses.replace(store, labels=arrays.labels, sources=arrays.sources,
+                                        features=arrays.features)
+            fresh = store_of(method, replacement, model=store.model, dsl_model=store.dsl_model)
             assert rank(store, query).entries == rank(fresh, query).entries
 
     def test_records_cannot_be_reassigned(self):
-        # rank caches arrays derived from the records, so they are fixed
+        # the tie and label codes are derived from the arrays, so they are fixed
         store = two_record_store()
         rank(store, np.array([1.0]))
-        with pytest.raises(FrozenInstanceError):
-            store.records = []
+        for name in ("labels", "sources", "features", "records"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(store, name, getattr(two_record_store(), name))
 
     def test_total_order_and_repeatability(self, tiny_dataset, tiny_model):
         store = index_labeled(tiny_dataset, "embnum", model=tiny_model)
@@ -223,8 +223,8 @@ class TestRank:
 
 class TestAssignment:
     def test_assign_takes_top_label(self):
-        store = FeatureStore("semantictyper", [StoreRecord(label, "s0", np.array([1.0]))
-                                               for label in ("y1", "y2", "y3")])
+        store = store_of("semantictyper", [(label, "s0", np.array([1.0]))
+                                           for label in ("y1", "y2", "y3")])
         ranking = RankingList(store, np.array([1, 0, 2]), np.array([0.9, 0.5, 0.1]))
         assert ranking.entries == (RankEntry("y2", "s0", 0.9), RankEntry("y1", "s0", 0.5),
                                    RankEntry("y3", "s0", 0.1))
@@ -273,7 +273,7 @@ class TestLabelQueries:
         queries = tiny_dataset.by_source("s0") + tiny_dataset.by_source("s2")
         for method in ("semantictyper", "dsl"):
             store = index_labeled(tiny_dataset, method, dsl_model=dsl_model)
-            assert store.packed_columns.values.size > 3 * chunk
+            assert store.features.values.size > 3 * chunk
             result = label_queries(store, queries)
             assert result.ranks == [rank_of_first_correct(rank(store, q), q.label)
                                     for q in queries]
@@ -292,10 +292,9 @@ class TestLabelQueries:
         else:
             feature = np.array([1.0, 2.0])
         names = [("b", "s1"), ("c", "s0"), ("a", "s2"), ("b", "s0"), ("a", "s1")]
-        store = FeatureStore(method, [StoreRecord(label, source, feature)
-                                      for label, source in names], model=tiny_model,
-                             dsl_model=LogisticModel(weights=np.array([-4.0, 0.5, 1.0]),
-                                                     bias=0.25))
+        store = store_of(method, [(label, source, feature) for label, source in names],
+                         model=tiny_model,
+                         dsl_model=LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25))
         queries = [NumericAttribute(values=[v], label=label, source="q")
                    for v, label in [(0.5, "b"), (1.5, "c"), (7.0, "a")]]
         for q in queries:
@@ -322,23 +321,20 @@ class TestLabelQueries:
         assert result.ranks == []
         assert result.excluded == len(queries)
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", ["semantictyper", "dsl"])
     def test_store_side_arrays_are_built_before_the_clock(self, tiny_dataset, tiny_model,
                                                           method, monkeypatch):
-        """A fresh store's presort or embedding stack is store construction,
-        which the labeling time leaves out."""
-        def slowly(build):
-            def slow(*args):
-                time.sleep(0.2)
-                return build(*args)
-            return slow
+        """A fresh raw-value store's column CDF, which its pack builds on
+        first use, is store construction, which the labeling time leaves out."""
+        build = PackedColumns.cdf.func
 
-        if method == "embnum":
-            slow = cached_property(slowly(FeatureStore.embedding_matrix.func))
-            slow.__set_name__(FeatureStore, "embedding_matrix")
-            monkeypatch.setattr(FeatureStore, "embedding_matrix", slow)
-        else:
-            monkeypatch.setattr(PackedColumns, "__init__", slowly(PackedColumns.__init__))
+        def slow(pack):
+            time.sleep(0.2)
+            return build(pack)
+
+        cdf = cached_property(slow)
+        cdf.__set_name__(PackedColumns, "cdf")
+        monkeypatch.setattr(PackedColumns, "cdf", cdf)
         dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
         store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
         t0 = time.perf_counter()
@@ -351,8 +347,7 @@ class TestLabelQueries:
         with pytest.raises(NoQueries):
             label_queries(store, [])
         with pytest.raises(EmptyStore):
-            label_queries(FeatureStore(method="semantictyper", records=[]),
-                          tiny_dataset.by_source("s0"))
+            label_queries(store_of("semantictyper", []), tiny_dataset.by_source("s0"))
 
 
 class TestBenchmark:
@@ -404,7 +399,8 @@ class TestBenchmark:
     def test_subset_stores_slice_the_full_stores_sorted_columns(self, method,
                                                                  monkeypatch):
         # one sort per call, and every per-count result a store that sorts
-        # its own columns gives
+        # its own columns gives; sorting again packs the full store and then
+        # every subset afresh
         ds = generate_synthetic(SyntheticSpec(
             label_count=4, source_count=4, rows_min=5, rows_max=30, seed=6))
         dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
@@ -416,24 +412,24 @@ class TestBenchmark:
         assert len(packs) == 1
 
         def fresh(self, keep):
-            return FeatureStore(self.method, [r for r, k in zip(self.records, keep) if k],
-                                self.model, self.dsl_model)
+            return store_of(self.method, [r for r, k in zip(self.records, keep) if k],
+                            self.model, self.dsl_model)
 
         monkeypatch.setattr(FeatureStore, "subset", fresh)
         sorted_again = run_benchmark(ds, method, dsl_model=dsl_model)
-        assert len(packs) == 1 + sorted_again.total_experiments
+        assert len(packs) == 1 + 1 + sorted_again.total_experiments
         strip = lambda r: [(pc.labeled_sources, pc.mean_mrr, pc.experiments)
                            for pc in r.per_count]
         assert strip(sliced) == strip(sorted_again)
 
     def test_a_subset_breaks_ties_as_a_fresh_store(self):
         """Equal keys everywhere: the order is the tie-break alone, and a
-        subset's inherited tie keys give the order its own would."""
+        subset's tie keys give the order a fresh store's would."""
         names = [("b", "s2"), ("a", "s3"), ("c", "s0"), ("a", "s1"), ("b", "s0"), ("a", "s0")]
-        store = FeatureStore("semantictyper", [StoreRecord(label, source, np.array([1.0, 2.0]))
-                                               for label, source in names])
+        store = store_of("semantictyper", [(label, source, np.array([1.0, 2.0]))
+                                           for label, source in names])
         keep = np.array([True, True, False, True, True, False])
-        fresh = FeatureStore("semantictyper", [r for r, k in zip(store.records, keep) if k])
+        fresh = store_of("semantictyper", [r for r, k in zip(store.records, keep) if k])
         want = rank(fresh, [1.0, 2.0]).entries
         assert [(e.label, e.source) for e in want] == [("a", "s1"), ("a", "s3"), ("b", "s0"),
                                                       ("b", "s2")]
@@ -586,23 +582,54 @@ class TestStorePersistence:
             load_store(p)
 
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method, edit, error", [
+        *(pytest.param(m, "extra-record", MalformedStore, id=m) for m in METHODS),
+        # a raw record of no values, its rows moved to the next: the arrays
+        # still fit, but the record cannot be scored
+        *(pytest.param(m, "zero-rows", MalformedStore, id=f"{m}-zero-rows")
+          for m in ("semantictyper", "dsl")),
+        # no records, and arrays of no rows to fit them
+        *(pytest.param(m, "no-records", EmptyStore, id=f"{m}-no-records") for m in METHODS),
+    ])
     def test_record_count_must_match_the_arrays(self, tiny_dataset, tiny_model, tmp_path,
-                                                method):
+                                                method, edit, error):
         dsl_model = LogisticModel(weights=np.array([1.5, -0.5, 2.0]), bias=0.25)
         store = index_labeled(tiny_dataset, method, model=tiny_model, dsl_model=dsl_model)
         p = tmp_path / "store.bin"
         save_store(store, p)
         manifest, arrays = _serial.unpack_framed(p.read_bytes(), STORE_MAGIC, STORE_VERSION)
-        manifest["record_meta"].append({"label": "extra", "source": "s9", "rows": 1})
+        meta = manifest["record_meta"]
+        if edit == "extra-record":
+            meta.append({"label": "extra", "source": "s9", "rows": 1})
+        elif edit == "zero-rows":
+            meta[0]["rows"], meta[1]["rows"] = 0, meta[0]["rows"] + meta[1]["rows"]
+        else:
+            meta.clear()
+            name = "embeddings" if method == "embnum" else "values"
+            arrays[name] = arrays[name][:0]
         del manifest["arrays"]
         p.write_bytes(_serial.pack_framed(STORE_MAGIC, STORE_VERSION, manifest, arrays))
-        with pytest.raises(MalformedStore):
+        with pytest.raises(error):
             load_store(p)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_labels_and_sources_keep_every_character(self, tiny_model, tmp_path, method):
+        # "a" and "a\0" are two labels, which a numpy str array would merge
+        ds = Dataset([NumericAttribute(values=[1.0, 2.0], label="a", source="s0"),
+                      NumericAttribute(values=[5.0, 9.0], label="a\0", source="s0\0")])
+        dsl_model = LogisticModel(weights=np.array([1.5, -0.5, 2.0]), bias=0.25)
+        store = index_labeled(ds, method, model=tiny_model, dsl_model=dsl_model)
+        save_store(store, tmp_path / "store.bin")
+        for s in (store, load_store(tmp_path / "store.bin")):
+            top = rank(s, [5.0, 9.0]).entries[0]
+            assert (top.label, top.source) == ("a\0", "s0\0")
+            assert [(r.label, r.source) for r in s.records] == [("a", "s0"), ("a\0", "s0\0")]
+            assert label_queries(s, ds.attributes[::-1]).ranks == [1, 1]
 
     def test_file_layout(self, tiny_dataset, tiny_model, tmp_path):
         # one manifest: the model's checkpoint manifest and "model."-prefixed
-        # arrays for embnum, one values array plus per-record row counts otherwise
+        # arrays for embnum, one values array plus per-record row counts
+        # otherwise, each record's values sorted ascending
         p = tmp_path / "store.bin"
         save_store(index_labeled(tiny_dataset, "embnum", model=tiny_model), p)
         manifest, arrays = _serial.unpack_framed(p.read_bytes(), STORE_MAGIC, STORE_VERSION)
@@ -617,7 +644,7 @@ class TestStorePersistence:
         assert [m["rows"] for m in manifest["record_meta"]] == [
             a.values.size for a in tiny_dataset.attributes]
         assert np.array_equal(arrays["values"],
-                              np.concatenate([a.values for a in tiny_dataset.attributes]))
+                              np.concatenate([np.sort(a.values) for a in tiny_dataset.attributes]))
 
 
 class TestEmbeddingExport:

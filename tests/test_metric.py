@@ -15,8 +15,7 @@ from embnum.errors import (
     NonFiniteLoss,
 )
 from embnum.fixtures import desk_arch, desk_train_config, overlapping_spec
-from embnum.labeling import (FeatureStore, StoreRecord, rank, rank_of_first_correct,
-                             run_benchmark)
+from embnum.labeling import rank, rank_of_first_correct, run_benchmark
 from embnum.metric import (
     TrainConfig,
     distances,
@@ -31,7 +30,7 @@ import embnum.labeling as labeling_mod
 import embnum.metric as metric_mod
 from embnum.nn import ops
 from oracles import (conv1d_reference, distance_oracle, maxpool1d_reference,
-                     parse_history_csv, relu_reference, sample_unique_reference)
+                     parse_history_csv, relu_reference, sample_unique_reference, store_of)
 
 TINY_ARCH = ArchConfig(h=16, k=8, stem_channels=4)
 TINY_CFG = TrainConfig(epochs=2, batch_labels=2, samples_per_label=2, seed=0)
@@ -189,9 +188,8 @@ class TestTrainingMrr:
             mp.setattr(labeling_mod, "embed",
                        lambda model, x: np.asarray(x, dtype=np.float32))
             for i, label in enumerate(labels):
-                store = FeatureStore(method="embnum", model=model, records=[
-                    StoreRecord(labels[j], f"s{j}", emb[j])
-                    for j in range(len(labels)) if j != i])
+                store = store_of("embnum", [(labels[j], f"s{j}", emb[j])
+                                            for j in range(len(labels)) if j != i], model=model)
                 first = rank_of_first_correct(rank(store, emb[i]), label)
                 rr.append(1.0 / first if first else 0.0)
         assert training_mrr(emb, labels) == np.mean(rr)

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from embnum import dataset, embnet, labeling
+from embnum.baselines import LogisticModel
+from oracles import store_of
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -59,10 +61,36 @@ def test_every_package_name_the_benchmark_reads_exists():
 
 
 def test_a_ranking_reads_as_label_source_score_entries():
-    store = labeling.FeatureStore("semantictyper", [
-        labeling.StoreRecord("far", "s1", np.array([9.0])),
-        labeling.StoreRecord("near", "s0", np.array([1.0]))])
+    store = store_of("semantictyper", [("far", "s1", np.array([9.0])),
+                                       ("near", "s0", np.array([1.0]))])
     ranking = labeling.rank(store, [1.0])
     assert [(e.label, e.source, e.score) for e in ranking.entries] == [
         ("near", "s0", 1.0), ("far", "s1", 0.0)]
     assert labeling.rank_of_first_correct(ranking, "far") == 2
+
+
+@pytest.mark.parametrize("method", labeling.METHODS)
+def test_store_records_read_as_the_benchmark_gates_read_them(method, tmp_path):
+    """The serve gates walk `store.records` by attribute index and compare
+    each embnum row with the column embedded alone; a view out of order, or
+    of other bytes, would make every serve run come out incorrect."""
+    ds = dataset.generate_synthetic(dataset.SyntheticSpec(
+        label_count=4, source_count=3, rows_min=5, rows_max=12, seed=5))
+    arch = embnet.ArchConfig(h=16, k=4, stem_channels=2)
+    model = embnet.build_model(arch, seed=0)
+    dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+    indexed = labeling.index_labeled(ds, method, model=model, dsl_model=dsl_model)
+    labeling.save_store(indexed, tmp_path / "store.bin")
+    keep = np.array([a.source != "s1" for a in ds.attributes])
+    for store, attrs in [(indexed, ds.attributes),
+                         (labeling.load_store(tmp_path / "store.bin"), ds.attributes),
+                         (indexed.subset(keep), [a for a in ds.attributes if a.source != "s1"])]:
+        assert len(store.records) == len(attrs)
+        for record, attr in zip(store.records, attrs):
+            assert (record.label, record.source) == (attr.label, attr.source)
+            if method == "embnum":
+                alone = embnet.embed(model, embnet.preprocess(attr.values, arch))
+                assert record.feature.dtype == np.float32
+                assert record.feature.tobytes() == alone.tobytes()
+            else:
+                assert np.array_equal(record.feature, np.sort(attr.values))
