@@ -98,11 +98,17 @@ class PackedColumns:
 
         # the sign of a zero bound never reaches the result: the ratio only
         # sees nonzero widths, and a zero overlap is clamped to +0.0; a
-        # zero-width union means both ranges are the same single point
+        # zero-width union means both ranges are the same single point.  Only
+        # where the union overflows do both widths come from halved bounds:
+        # halving rounds subnormal bounds, by 2.5e-324 at most, which only a
+        # union far below 1e308 would notice
         r_lo, r_hi = self.values[self.starts], self.values[ends - 1]
         q_lo, q_hi = q_lo[:, None], q_hi[:, None]
-        union = np.maximum(r_hi, q_hi) - np.minimum(r_lo, q_lo)
-        overlap = np.minimum(r_hi, q_hi) - np.maximum(r_lo, q_lo)
+        top, bottom = np.maximum(r_hi, q_hi), np.minimum(r_lo, q_lo)
+        with np.errstate(over="ignore"):
+            scale = np.where(np.isinf(top - bottom), 0.5, 1.0)
+        union = top * scale - bottom * scale
+        overlap = np.minimum(r_hi, q_hi) * scale - np.maximum(r_lo, q_lo) * scale
         overlap = np.where(overlap > 0.0, overlap, 0.0)
         jaccard = np.divide(overlap, union, out=np.ones_like(union), where=union != 0.0)
         return ks, mw, jaccard

@@ -23,6 +23,7 @@ from .sampling import sample_inverse_transform
 
 MODEL_MAGIC = b"EMBN"
 MODEL_VERSION = 1
+EMBED_CHUNK = 512  # rows per forward pass of embed()
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def preprocess(values: np.ndarray, arch: ArchConfig) -> np.ndarray:
 
 
 def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """Eval-mode forward pass.
+    """Eval-mode forward pass, at most EMBED_CHUNK rows at a time.
 
     Accepts one h-vector or a (batch, h) stack; returns float32 embeddings
     with matching leading shape.  Batching never changes the numbers.
@@ -199,8 +200,23 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
             f"expected input width {model.arch.h}, got shape {np.asarray(inputs).shape}"
         )
     with no_grad():
-        out = model.net(Tensor(x[:, None, :]), training=False).data
+        out = np.concatenate([model.net(Tensor(x[i : i + EMBED_CHUNK, None, :]), False).data
+                              for i in range(0, max(len(x), 1), EMBED_CHUNK)])
     return out[0] if single else out
+
+
+def distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Exact float64 Euclidean distances, (queries, n), from n (k,) points to
+    each query row, one row of n * k differences at a time; a (k,) query gives
+    an (n,) row.  Mining, training MRR and labeling all rank by it.  Squares
+    underflow for points under about 1e-154 apart (to exactly 0 under 1e-162);
+    distinct float32 embeddings are at least 1.4e-45 apart, far above either."""
+    points, block = np.asarray(points, dtype=np.float64), np.atleast_2d(queries)
+    out = np.empty((len(block), len(points)))
+    for row, query in zip(out, block.astype(np.float64)):
+        diff = points - query
+        np.sqrt(np.einsum("ij,ij->i", diff, diff), out=row)
+    return out[0] if np.ndim(queries) == 1 else out
 
 
 def model_frame(model: Model) -> tuple[dict, dict[str, np.ndarray]]:

@@ -32,16 +32,14 @@ from .baselines import (DSL_WEIGHTS, LogisticModel, PackedColumns, _sigmoid,
 # perfbench/spans.py patches these by their labeling names, so keep them bound
 from .baselines import ks_statistic, pair_features  # noqa: F401
 from .dataset import Dataset, NumericAttribute, dataset_fingerprint
-from .embnet import CHECKPOINT, Model, embed, model_frame, model_from_frame, preprocess
+from .embnet import CHECKPOINT, Model, distances, embed, model_frame, model_from_frame, preprocess
 from .errors import (EmptyInput, EmptyLabeledData, EmptyStore, InvalidSpec, MalformedStore,
                      MissingModel, NoQueries, TooFewSources)
-from .metric import distances
 
 STORE_MAGIC = b"EMBS"
 STORE_VERSION = 2
 
 METHODS = ("embnum", "semantictyper", "dsl")
-EMBED_CHUNK = 512  # columns per embed() call
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,11 @@ class FeatureStore:
     source per attribute, in object arrays of str (a numpy str array would
     drop trailing NULs), and one feature block, the (n, k) float32 embedding
     matrix for embnum or a PackedColumns of the raw values otherwise.
-    Construction refuses an empty store and builds the tie_rank and
-    label_codes every ranking reads; the store is immutable, so they stay its
-    own."""
+    Construction refuses an empty store (EmptyStore), an embnum store without
+    its model or a dsl store without its weights (MissingModel), and labels,
+    sources and feature rows of unequal counts (InvalidSpec).  It builds the
+    tie_rank and label_codes every ranking reads; the store is immutable, so
+    they stay its own."""
 
     method: str
     labels: np.ndarray
@@ -73,6 +73,14 @@ class FeatureStore:
             raise InvalidSpec(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not len(self.labels):
             raise EmptyStore("a store needs at least one record")
+        if self.method == "embnum" and self.model is None:
+            raise MissingModel("an embnum store needs the model that embeds its queries")
+        if self.method == "dsl" and self.dsl_model is None:
+            raise MissingModel("a dsl store needs its logistic weights")
+        rows = len(self.features) if self.method == "embnum" else self.features.sizes.size
+        if not len(self.labels) == len(self.sources) == rows:
+            raise InvalidSpec(f"{len(self.labels)} labels and {len(self.sources)} sources "
+                              f"for {rows} feature rows")
         # tie_rank: each record's place in (label, source) order, the key that
         # breaks score ties; label_codes: ({label: code}, each record's code)
         code_of: dict[str, int] = {}
@@ -141,17 +149,14 @@ def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
 
 
 def _featurize(method: str, model: Model | None, columns: list):
-    """The (n, k) float32 embedding matrix, embedded EMBED_CHUNK columns at a
-    time, for embnum; each column's float64 values otherwise.  A column
-    holding NaN or an infinity is EmptyInput under every method."""
+    """The (n, k) float32 embedding matrix for embnum, each column's float64
+    values otherwise; a column holding NaN or an infinity is EmptyInput."""
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     if not all(np.isfinite(c).all() for c in columns):
         raise EmptyInput("value list contains non-finite entries")
     if method != "embnum":
         return columns
-    vectors = [preprocess(c, model.arch) for c in columns]
-    return np.concatenate([embed(model, np.stack(vectors[i : i + EMBED_CHUNK]))
-                           for i in range(0, len(vectors), EMBED_CHUNK)])
+    return embed(model, np.stack([preprocess(c, model.arch) for c in columns]))
 
 
 def _orders(store: FeatureStore, columns: list) -> tuple[np.ndarray, np.ndarray]:
@@ -160,8 +165,7 @@ def _orders(store: FeatureStore, columns: list) -> tuple[np.ndarray, np.ndarray]
     key ties break by (label, source); raw-value stores score in one call."""
     features = _featurize(store.method, store.model, columns)
     if store.method == "embnum":
-        matrix = store.features.astype(np.float64)
-        keys = display = np.array([distances(matrix, f) for f in features])
+        keys = display = distances(store.features, features)
     else:
         ks, mw, jaccard = store.features.statistics(features)
         if store.method == "semantictyper":

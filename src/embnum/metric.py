@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .embnet import ArchConfig, Model, build_model, embed, preprocess
+from .embnet import ArchConfig, Model, build_model, distances, embed, preprocess
 from .errors import DegenerateBatch, InsufficientSamples, InvalidSpec, NonFiniteLoss
 from .nn import SGD, Tensor, ops
 
@@ -53,17 +53,6 @@ def lr_at(epoch: int) -> float:
     return LR0 * LR_DECAY ** (epoch // LR_STEP)
 
 
-def distances(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Exact float64 Euclidean distance from each row of an (n, k) matrix to
-    one (k,) query: the one distance that triplet mining, training MRR and
-    labeling all rank by.  A row equal to the query is exactly 0 away.  The
-    squared differences underflow for float64 points closer than about
-    1e-154 (inexact below that, exactly 0 below about 1e-162); distinct
-    float32 embeddings differ by at least 1.4e-45, far above either."""
-    diff = np.asarray(matrix, dtype=np.float64) - np.asarray(query, dtype=np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 @dataclass
 class TripletBatch:
     anchors: np.ndarray
@@ -76,11 +65,10 @@ def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
     per anchor, ties broken by lowest batch index.  Each is picked among the
     masked rows only, so every positive is another row of the anchor's label
     and every negative a row of another label, infinite distances included."""
-    labels = np.asarray(labels)
-    emb = np.asarray(embeddings, dtype=np.float64)
-    dist = np.stack([distances(emb, row) for row in emb])
+    labels = np.asarray(labels, dtype=object)
+    dist = distances(embeddings, embeddings)
     same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(len(emb), dtype=bool)
+    pos_mask = same & ~np.eye(len(dist), dtype=bool)
     neg_mask = ~same
     valid = pos_mask.any(axis=1) & neg_mask.any(axis=1)
     if not valid.any():
@@ -113,7 +101,7 @@ def training_mrr(embeddings: np.ndarray, labels) -> float:
     (0 when there is none) is averaged in input order.  One row of distances
     is held at a time, so memory grows as n * k, not n * n * k."""
     emb = np.asarray(embeddings, dtype=np.float64)
-    _, codes = np.unique(np.asarray(labels), return_inverse=True)
+    _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     rr = np.zeros(len(emb))
     for i, row in enumerate(emb):
         order = np.lexsort((codes, distances(emb, row)))
@@ -149,8 +137,8 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
 
     # sample once per attribute, reused every epoch
     vectors = np.stack([preprocess(a.values, arch) for a in dataset.attributes])
-    labels = np.array([a.label for a in dataset.attributes])
-    label_list = sorted(by_label)
+    label_list, labels = np.unique(np.array([a.label for a in dataset.attributes], dtype=object),
+                                   return_inverse=True)  # sorted: ties still go by label
 
     model = build_model(arch, seed=cfg.seed)
     opt = SGD(model.net.named_params(), lr=LR0,

@@ -71,14 +71,15 @@ def mw_oracle(a, b) -> float:
 
 
 def jaccard_oracle(a, b) -> float:
-    """Interval overlap / interval union of the two value ranges."""
-    lo_a, hi_a = min(a), max(a)
-    lo_b, hi_b = min(b), max(b)
+    """Interval overlap / interval union of the two value ranges, in exact
+    rationals until the end, so no width overflows or rounds."""
+    lo_a, hi_a = Fraction(float(min(a))), Fraction(float(max(a)))
+    lo_b, hi_b = Fraction(float(min(b))), Fraction(float(max(b)))
     inter = min(hi_a, hi_b) - max(lo_a, lo_b)
     union = max(hi_a, hi_b) - min(lo_a, lo_b)
-    if union == 0.0:
-        return 1.0 if (lo_a, hi_a) == (lo_b, hi_b) else 0.0
-    return max(inter, 0.0) / union
+    if union == 0:
+        return 1.0  # both ranges are the same single point
+    return float(max(inter, Fraction(0)) / union)
 
 
 def distance_oracle(a, b) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,21 @@ class TestNumericJaccard:
 
     def test_point_inside_interval_scores_zero_overlap_width(self):
         assert numeric_jaccard([2.0], [1.0, 3.0]) == 0.0
+
+    def test_ranges_wider_than_the_float64_maximum(self):
+        # the union's width overflows; the widths' ratio does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numeric_jaccard([-1e308, 1e308], [-1e308, 1e308]) == 1.0
+            assert numeric_jaccard([-1e308, 0.0], [-1e308, 1e308]) == 0.5
+            assert numeric_jaccard([-1e308, 0.0], [1e308]) == 0.0
+        for a, b in [([-1e308, 1e308], [-1e308, 1e308]), ([-1e308, 0.0], [-1e308, 1e308])]:
+            assert numeric_jaccard(a, b) == jaccard_oracle(a, b)
+
+    def test_subnormal_bounds_keep_their_width(self):
+        assert numeric_jaccard([0.0], [5e-324]) == 0.0
+        assert numeric_jaccard([0.0, 5e-324], [5e-324, 1e-323]) == 0.0
+        assert numeric_jaccard([0.0, 1e-323], [5e-324, 1e-323]) == 0.5
 
     @given(samples, samples)
     @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from embnum import _serial, embnet
 from embnum.dataset import generate_synthetic
 from embnum.embnet import (
+    EMBED_CHUNK,
     MODEL_MAGIC,
     MODEL_VERSION,
     ArchConfig,
@@ -190,13 +191,27 @@ class TestEmbed:
             single = np.stack([embed(m, row) for row in x])
             for n in sizes:
                 assert embed(m, x[:n]).tobytes() == single[:n].tobytes()
-        # and a full-width batch larger than one EMBED_CHUNK, whose stage-2
+        # and a full-width batch larger than one embnet.EMBED_CHUNK, which
+        # embed runs as a full chunk and a short one; a full chunk's stage-2
         # and stage-3 products run as one GEMM over thousands of rows
         x = np.concatenate([x, rng.standard_normal((520 - len(x), arch.h)).astype(np.float32)])
         full = embed(m, x)
         assert full[: len(single)].tobytes() == single.tobytes()
         for i in (*range(len(single), len(x), 7), len(x) - 1):
             assert full[i].tobytes() == embed(m, x[i]).tobytes()
+
+    def test_the_network_never_sees_more_than_one_chunk(self, monkeypatch):
+        m = build_model(TINY, seed=0)
+        x = np.random.default_rng(5).standard_normal((1100, 16)).astype(np.float32)
+        net, rows = m.net, []
+
+        def spy(batch, training):
+            rows.append(batch.data.shape[0])
+            return net(batch, training)
+
+        monkeypatch.setattr(m, "net", spy)
+        assert embed(m, x).shape == (1100, TINY.k)
+        assert rows == [EMBED_CHUNK, EMBED_CHUNK, 1100 - 2 * EMBED_CHUNK]
 
     def test_full_width_embedding_bits_are_pinned(self):
         # sha256 of the float32 embeddings of the first 64 efficiency-fixture

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import sys
@@ -176,6 +177,28 @@ class TestRank:
             with pytest.raises(EmptyStore):
                 store_of(method, [])
 
+    def test_embnum_store_without_a_model_rejected(self):
+        with pytest.raises(MissingModel):
+            store_of("embnum", [("x", "s0", np.array([1.0], dtype=np.float32))])
+
+    def test_dsl_store_without_weights_rejected(self):
+        with pytest.raises(MissingModel):
+            store_of("dsl", [("x", "s0", np.array([1.0]))])
+
+    def test_labels_must_match_the_feature_rows(self):
+        with pytest.raises(InvalidSpec, match="3 labels"):
+            FeatureStore("semantictyper", np.array(["a", "b", "c"], dtype=object),
+                         np.array(["s0", "s0", "s0"], dtype=object),
+                         PackedColumns([[1.0], [2.0]]))
+
+    def test_a_dsl_store_ranks_a_copy_of_a_range_wider_than_float64_first(self):
+        wide = np.array([-1e308, 0.0, 1e308])   # its width overflows to inf
+        store = store_of("dsl", [("narrow", "s0", np.array([0.0, 1.0, 2.0])),
+                                 ("wide", "s1", wide)],
+                         dsl_model=LogisticModel(weights=np.ones(3), bias=0.0))
+        top = rank(store, wide).entries[0]
+        assert (top.label, top.score) == ("wide", pytest.approx(1.0 / (1.0 + np.exp(-3.0))))
+
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("query", [[np.nan, 1.0], [np.inf, 2.0], [1.0, -np.inf]],
                              ids=["nan", "inf", "neg-inf"])
@@ -197,10 +220,9 @@ class TestRank:
         query = tiny_dataset.attributes[0]
         rank(store, query)
         for replacement in (records[10:] + records[:10], records[3:4], records[5:12]):
-            arrays = store_of(method, replacement)
-            store = dataclasses.replace(store, labels=arrays.labels, sources=arrays.sources,
-                                        features=arrays.features)
             fresh = store_of(method, replacement, model=store.model, dsl_model=store.dsl_model)
+            store = dataclasses.replace(store, labels=fresh.labels, sources=fresh.sources,
+                                        features=fresh.features)
             assert rank(store, query).entries == rank(fresh, query).entries
 
     def test_records_cannot_be_reassigned(self):
@@ -665,3 +687,17 @@ class TestEmbeddingExport:
         want = embed(tiny_model, preprocess(attr.values, tiny_model.arch))
         got = np.array([float(v) for v in first[2:]], dtype=np.float32)
         assert got.tobytes() == want.tobytes()
+
+
+def test_the_store_imports_nothing_from_the_trainer():
+    """labeling must not depend on metric, so that training can later rank
+    through labeling without an import cycle."""
+    tree = ast.parse(Path(labeling_mod.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert [name for name in sorted(imported) if "metric" in name.split(".")] == []

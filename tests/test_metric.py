@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
-from embnum.embnet import ArchConfig, build_model, model_to_bytes, preprocess
+from embnum.embnet import ArchConfig, build_model, distances, model_to_bytes, preprocess
 from embnum.errors import (
     DegenerateBatch,
     InsufficientSamples,
@@ -18,7 +18,6 @@ from embnum.fixtures import desk_arch, desk_train_config, overlapping_spec
 from embnum.labeling import rank, rank_of_first_correct, run_benchmark
 from embnum.metric import (
     TrainConfig,
-    distances,
     history_to_csv,
     lr_at,
     mine_batch_hard,
@@ -57,13 +56,20 @@ class TestDistances:
     def test_pairwise_matches_pointwise(self):
         rng = np.random.default_rng(0)
         e = rng.standard_normal((5, 3))
-        d = np.stack([distances(e, row) for row in e])
+        d = distances(e, e)
         assert d.shape == (5, 5)
+        assert d.tobytes() == np.stack([distances(e, row) for row in e]).tobytes()
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
         for i in range(5):
             for j in range(5):
                 assert d[i, j] == pytest.approx(distance_oracle(e[i], e[j]))
+
+    def test_a_query_block_gives_one_row_per_query(self):
+        points = np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32)
+        assert distances(points, np.zeros((0, 2))).shape == (0, 2)
+        got = distances(points, [[0.0, 4.0], [3.0, 0.0]])
+        assert got.tolist() == [[4.0, 3.0], [3.0, 4.0]]
 
 
 class TestMining:
@@ -101,6 +107,13 @@ class TestMining:
         batch = mine_batch_hard([[0.0], [0.0], [1e200]], ["A", "A", "B"])
         assert batch.positives.tolist() == [1, 0]
         assert batch.negatives.tolist() == [2, 2]
+
+    def test_labels_keep_trailing_nuls(self):
+        # "a" and "a\0" are two labels, as every store keeps them
+        with pytest.raises(DegenerateBatch):
+            mine_batch_hard([[0.0], [1.0], [5.0]], ["a", "a\0", "b"])
+        batch = mine_batch_hard([[0.0], [1.0], [5.0], [6.0]], ["a", "a\0", "b", "b"])
+        assert batch.anchors.tolist() == [2, 3]
 
     def test_singleton_label_is_skipped_not_fatal(self):
         emb = np.array([[0.0], [0.2], [9.0]])
@@ -156,6 +169,10 @@ class TestTrainingMrr:
     def test_singleton_label_scores_zero(self):
         emb = np.array([[0.0], [9.0]])
         assert training_mrr(emb, ["A", "B"]) == 0.0
+
+    def test_labels_keep_trailing_nuls(self):
+        # no row has another of its label once "a\0" differs from "a"
+        assert training_mrr([[0.0], [1.0], [5.0]], ["a", "a\0", "b"]) == 0.0
 
     def test_distance_ties_break_by_label(self):
         emb = np.array([[0.0], [1.0], [-1.0]])
