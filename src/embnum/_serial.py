@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 import uuid
 import zlib
 from pathlib import Path
@@ -43,7 +44,8 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def check(doc, schema, error: type[Exception], where: str) -> None:
     """Raise error, naming the first bad field under where, unless doc matches
-    schema: a type (int and float never take a bool; float also takes an int),
+    schema: a type (int and float never take a bool; float also takes an int,
+    and only a finite number that a float64 holds),
     a list ([s] takes any length, a longer list one entry per item) or a dict
     (every key, bar those ending in "?", and no other)."""
     if isinstance(schema, dict):
@@ -63,9 +65,19 @@ def check(doc, schema, error: type[Exception], where: str) -> None:
             check(item, schema[min(i, len(schema) - 1)], error, f"{where}[{i}]")
     else:
         ok = (isinstance(doc, (int, float) if schema is float else schema)
-              and not isinstance(doc, bool))
+              and not isinstance(doc, bool)
+              and (schema is not float or abs(doc) <= sys.float_info.max))
     if not ok:
         raise error(f"{where} is malformed: {doc!r:.80}")
+
+
+def check_finite(arrays: dict[str, np.ndarray], error: type[Exception],
+                 where: str) -> None:
+    """Raise error, naming the first array that holds a NaN or an infinity;
+    one array's mask is held at a time."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise error(f"{where}: array {name!r} holds a NaN or an infinity")
 
 
 def _dtype_tag(arr: np.ndarray) -> str:

@@ -255,11 +255,13 @@ CHECKPOINT = {"kind": str, "arrays?": list, "training_meta": dict,
 
 def model_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> Model:
     """Inverse of model_frame: a manifest that is not CHECKPOINT is
-    MalformedCheckpoint, arrays that are not its arch's state_shapes InvalidArch."""
+    MalformedCheckpoint, arrays that are not its arch's state_shapes InvalidArch,
+    and an array holding a NaN or an infinity MalformedCheckpoint."""
     _serial.check(manifest, CHECKPOINT, MalformedCheckpoint, "checkpoint")
     arch = ArchConfig(**manifest["arch"])
     if dict(state_shapes(arch)) != {name: a.shape for name, a in arrays.items()}:
         raise InvalidArch("checkpoint arrays do not match its architecture")
+    _serial.check_finite(arrays, MalformedCheckpoint, "checkpoint")
     model = Model(arch=arch, net=ResNet1d(arch), training_meta=manifest["training_meta"])
     model.load_state(arrays)
     return model

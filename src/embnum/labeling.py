@@ -356,13 +356,16 @@ STORE = {"kind": str, "method": str, "arrays": list,
 
 
 def load_store(path: Path) -> FeatureStore:
-    """Inverse of save_store.  The manifest must match STORE, and the arrays
-    besides the model's must fit its records, else MalformedStore; a store of
-    no records is EmptyStore.  Raw values load in any order: packing sorts them."""
+    """Inverse of save_store.  The manifest must match STORE and name one of
+    METHODS, and the arrays besides the model's must fit its records and be
+    finite, else MalformedStore; a store of no records is EmptyStore.  Raw
+    values load in any order: packing sorts them."""
     manifest, arrays = _serial.unpack_framed(Path(path).read_bytes(),
                                              STORE_MAGIC, STORE_VERSION)
     _serial.check(manifest, STORE, MalformedStore, "store")
     method, rec_meta = manifest["method"], manifest["record_meta"]
+    if method not in METHODS:
+        raise MalformedStore(f"{path}: unknown method {method!r}; expected one of {METHODS}")
     if not rec_meta:
         raise EmptyStore(f"{path}: the store holds no records")
     rows = [m.get("rows", 0) for m in rec_meta]
@@ -382,6 +385,7 @@ def load_store(path: Path) -> FeatureStore:
     if got != want:
         raise MalformedStore(f"{path}: {len(rec_meta)} {method} records need arrays "
                              f"{want}, but the store holds {got}")
+    _serial.check_finite({name: arrays[name] for name in want}, MalformedStore, str(path))
     features = (arrays["embeddings"] if method == "embnum" else
                 PackedColumns(np.split(arrays["values"], np.cumsum(rows)[:-1])))
     return FeatureStore(method, np.array([m["label"] for m in rec_meta], dtype=object),

@@ -146,9 +146,7 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
     rng = np.random.default_rng(cfg.seed)
 
     history: list[dict] = []
-    best_mrr = -1.0
-    best_snap = _snapshot(model)
-    best_meta = dict(model.training_meta)
+    best_mrr = -1.0  # every epoch's MRR is >= 0, so epoch 0 always sets the best
 
     for epoch in range(cfg.epochs):
         opt.lr = lr_at(epoch)

@@ -26,6 +26,10 @@ from .tensor import Tensor, make
 # single-query ranking pays for.
 _TILE_ROWS = 8
 
+# Batch norm: the running statistics' update rate, and the variance floor.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 _ONE_GEMM_WIDTH = 256
 """Output width from which a float32 product runs as one GEMM over all whole
 tiles instead of one GEMM per tile.
@@ -146,8 +150,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
-                training: bool, momentum: float = 0.1,
-                eps: float = 1e-5) -> Tensor:
+                training: bool) -> Tensor:
     """Per-channel normalization over the (batch, length) axes.
 
     In training mode the batch statistics (biased variance) both normalize
@@ -156,14 +159,14 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     if training:
         mean = x.data.mean(axis=(0, 2))
         var = x.data.var(axis=(0, 2))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         mean = running_mean
         var = running_var
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
     y = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
     out = make(y.astype(x.data.dtype, copy=False), (x, gamma, beta))

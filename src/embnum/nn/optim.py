@@ -15,15 +15,6 @@ import numpy as np
 from .tensor import Tensor
 
 
-def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
-             lr: float, momentum: float, weight_decay: float
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """One update; returns (new_param, new_velocity) without mutating inputs."""
-    g = grad + weight_decay * param
-    v = momentum * velocity + g
-    return param - lr * v, v
-
-
 class SGD:
     def __init__(self, named_params: dict[str, Tensor], lr: float,
                  momentum: float = 0.0, weight_decay: float = 0.0):
@@ -41,10 +32,9 @@ class SGD:
                 warnings.warn(f"parameter {name!r} has no gradient; treating as zero",
                               stacklevel=2)
                 grad = np.zeros_like(p.data)
-            new_p, new_v = sgd_step(p.data, grad, self.velocity[name],
-                                    self.lr, self.momentum, self.weight_decay)
-            p.data = new_p.astype(p.data.dtype, copy=False)
-            self.velocity[name] = new_v.astype(p.data.dtype, copy=False)
+            v = self.momentum * self.velocity[name] + (grad + self.weight_decay * p.data)
+            self.velocity[name] = v.astype(p.data.dtype, copy=False)
+            p.data = (p.data - self.lr * v).astype(p.data.dtype, copy=False)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -41,14 +41,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -103,19 +95,15 @@ class Tensor:
             out._backward = lambda g, a=self: a.accumulate(g)
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            _check_same_shape(self, other)
-            out = make(self.data - other.data, (self, other))
-            if out.requires_grad:
-                def back(g, a=self, b=other):
-                    a.accumulate(g)
-                    b.accumulate(-g)
-                out._backward = back
-            return out
-        return self + (-other)
+        _check_same_shape(self, other)
+        out = make(self.data - other.data, (self, other))
+        if out.requires_grad:
+            def back(g, a=self, b=other):
+                a.accumulate(g)
+                b.accumulate(-g)
+            out._backward = back
+        return out
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -131,8 +119,6 @@ class Tensor:
         if out.requires_grad:
             out._backward = lambda g, a=self, c=other: a.accumulate(g * c)
         return out
-
-    __rmul__ = __mul__
 
     def sqrt(self):
         out = make(np.sqrt(self.data), (self,))

@@ -8,6 +8,7 @@ one at a time.
 """
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -145,9 +146,12 @@ def assert_named_outcome(proc) -> None:
 
 
 # Each probe once escaped as a raw TypeError, as a MemoryError after
-# allocating a 10**9-wide grid, or as numpy's ValueError for a Poisson mean
-# it cannot draw.  The two block_counts probes stand for files written while
-# the network's depth was a field; the depth is fixed, so they are refused.
+# allocating a 10**9-wide grid, as numpy's ValueError for a Poisson mean it
+# cannot draw, or as an OverflowError from an int past the float64 range; a
+# NaN or an infinity in a float field once loaded and ranked with nan scores,
+# and an unknown method was InvalidSpec.  The two block_counts probes stand
+# for files written while the network's depth was a field; the depth is
+# fixed, so they are refused.
 @pytest.mark.parametrize("name, path, value, error", [
     ("model.bin", ("arch", "stem_channels"), 1.5, "MalformedCheckpoint"),
     ("model.bin", ("arch", "k"), 8.0, "MalformedCheckpoint"),
@@ -158,12 +162,45 @@ def assert_named_outcome(proc) -> None:
     ("dsl.bin", ("record_meta", 2, "label"), {"a": 1}, "MalformedStore"),
     ("model.bin", ("arch", "h"), 10**9, "InvalidWidth"),
     ("spec.json", ("family_pool", 2, "scale"), 1e300, "InvalidSpec"),
+    ("spec.json", ("family_pool", 0, "location"), float("nan"), "InvalidSpec"),
+    ("weights.json", (0,), float("nan"), "MalformedDslModel"),
+    pytest.param("weights.json", (1,), 10**400, "MalformedDslModel", id="weights-int-past-float64"),
+    ("dsl.bin", ("dsl_model", 3), float("inf"), "MalformedStore"),
+    ("semantictyper.bin", ("method",), "bogus", "MalformedStore"),
 ])
 def test_known_escapes_are_named_errors(base, name, path, value, error):
     doc, payload = read_doc(base, name)
     proc = run_capped(base, name, replaced(doc, path, value), payload, COMMANDS[name][0])
     assert proc.returncode == 1 and proc.stderr.startswith(f"{error}: "), proc.stderr
     assert str(path[-1]) in proc.stderr
+
+
+def with_element(doc, payload: bytes, array: str, value: float) -> bytes:
+    """A framed file's payload with the first element of one array set."""
+    offset = 0
+    for entry in doc["arrays"]:
+        dtype = np.dtype(entry["dtype"])
+        if entry["name"] == array:
+            return (payload[:offset] + np.array(value, dtype).tobytes()
+                    + payload[offset + dtype.itemsize:])
+        offset += dtype.itemsize * math.prod(entry["shape"])
+    raise KeyError(array)
+
+
+# A CRC-valid frame whose arrays hold a NaN or an infinity once loaded, and
+# gave nan embeddings or nan scores in tie order.
+@pytest.mark.parametrize("name, array, value, error", [
+    ("model.bin", "fc.bias", float("nan"), "MalformedCheckpoint"),
+    ("embnum.bin", "embeddings", float("inf"), "MalformedStore"),
+    ("semantictyper.bin", "values", float("nan"), "MalformedStore"),
+    ("dsl.bin", "values", float("-inf"), "MalformedStore"),
+])
+def test_non_finite_payloads_are_named_errors(base, name, array, value, error):
+    doc, payload = read_doc(base, name)
+    proc = run_capped(base, name, doc, with_element(doc, payload, array, value),
+                      COMMANDS[name][0])
+    assert proc.returncode == 1 and proc.stderr.startswith(f"{error}: "), proc.stderr
+    assert array in proc.stderr
 
 
 def test_an_allocation_past_the_cap_is_out_of_memory(base, tmp_path):

@@ -1,6 +1,9 @@
 import ast
 import dataclasses
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 import time
 from dataclasses import FrozenInstanceError
@@ -701,3 +704,18 @@ def test_the_store_imports_nothing_from_the_trainer():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert [name for name in sorted(imported) if "metric" in name.split(".")] == []
+
+
+def test_imports_load_only_the_modules_they_need():
+    """In a fresh interpreter, the package root loads no submodule, and the
+    store loads neither the trainer nor the CLI; the AST check above cannot
+    see imports that the package root makes."""
+    code = ("import json, sys, embnum\n"
+            "root = sorted(m for m in sys.modules if m.startswith('embnum.'))\n"
+            "import embnum.labeling\n"
+            "print(json.dumps([root, 'embnum.metric' in sys.modules, 'embnum.cli' in sys.modules]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(labeling_mod.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], False, False]

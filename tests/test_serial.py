@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from embnum._serial import atomic_write_bytes, pack_framed, unpack_framed
+from embnum._serial import atomic_write_bytes, check, pack_framed, unpack_framed
 from embnum.errors import ChecksumMismatch
 
 MAGIC = b"TEST"
@@ -51,6 +51,21 @@ def test_frame_round_trips():
 def test_arrays_must_end_at_the_trailer(shape, payload):
     with pytest.raises(ChecksumMismatch):
         unpack_framed(frame(shape, payload), MAGIC, 1)
+
+
+# A float field takes an int or a float that a float64 holds finitely; a
+# NaN or an infinity once passed, and an int past the float64 range reached
+# float() as a raw OverflowError.
+@pytest.mark.parametrize("value, ok", [
+    (1.5, True), (-3, True), (sys.float_info.max, True), (-sys.float_info.max, True),
+    (float("nan"), False), (float("inf"), False), (float("-inf"), False), (10**400, False),
+])
+def test_a_float_field_must_be_finite(value, ok):
+    if ok:
+        check({"x": value}, {"x": float}, ValueError, "doc")
+    else:
+        with pytest.raises(ValueError, match=r"doc\.x is malformed"):
+            check({"x": value}, {"x": float}, ValueError, "doc")
 
 
 # pack_framed names every array's dtype; an entry without one was once read
