@@ -197,6 +197,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("label_count", "source_count", "rows_min", "rows_max"):
+            if getattr(self, name) >= 2**63:  # numpy's int64 draws stop there
+                raise InvalidSpec(f"{name} must be below 2**63")
         if self.label_count < 1 or self.source_count < 1:
             raise InvalidSpec("label_count and source_count must be positive")
         if self.rows_min < 1 or self.rows_min > self.rows_max:

@@ -276,6 +276,9 @@ def model_from_bytes(blob: bytes) -> Model:
 
 
 def save_model(model: Model, path: Path) -> None:
+    """Write model's checkpoint; an array holding a NaN or an infinity is
+    MalformedCheckpoint, as load_model would find it, and nothing is written."""
+    _serial.check_finite(model.state_dict(), MalformedCheckpoint, str(path))
     _serial.atomic_write_bytes(Path(path), model_to_bytes(model))
 
 

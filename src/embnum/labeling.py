@@ -33,8 +33,9 @@ from .baselines import (DSL_WEIGHTS, LogisticModel, PackedColumns, _sigmoid,
 from .baselines import ks_statistic, pair_features  # noqa: F401
 from .dataset import Dataset, NumericAttribute, dataset_fingerprint
 from .embnet import CHECKPOINT, Model, distances, embed, model_frame, model_from_frame, preprocess
-from .errors import (EmptyInput, EmptyLabeledData, EmptyStore, InvalidSpec, MalformedStore,
-                     MissingModel, NoQueries, TooFewSources)
+from .errors import (EmptyInput, EmptyLabeledData, EmptyStore, InvalidArch, InvalidSpec,
+                     MalformedCheckpoint, MalformedStore, MissingModel, NoQueries,
+                     TooFewSources)
 
 STORE_MAGIC = b"EMBS"
 STORE_VERSION = 2
@@ -329,7 +330,9 @@ def save_store(store: FeatureStore, path: Path) -> None:
     manifest under "model", the model's arrays under a "model." prefix and
     one (n, k) "embeddings" array; a raw store holds its pack's values, each
     record's sorted ascending, end to end in one "values" array, with each
-    record's row count in record_meta."""
+    record's row count in record_meta.  An array holding a NaN or an
+    infinity is MalformedStore, as load_store would find it, and nothing is
+    written."""
     meta: dict = {
         "kind": "feature-store",
         "method": store.method,
@@ -346,6 +349,7 @@ def save_store(store: FeatureStore, path: Path) -> None:
         arrays = {"values": store.features.values}
         if store.method == "dsl":
             meta["dsl_model"] = dsl_model_to_doc(store.dsl_model)
+    _serial.check_finite(arrays, MalformedStore, str(path))
     _serial.atomic_write_bytes(Path(path), _serial.pack_framed(
         STORE_MAGIC, STORE_VERSION, meta, arrays))
 
@@ -358,8 +362,9 @@ STORE = {"kind": str, "method": str, "arrays": list,
 def load_store(path: Path) -> FeatureStore:
     """Inverse of save_store.  The manifest must match STORE and name one of
     METHODS, and the arrays besides the model's must fit its records and be
-    finite, else MalformedStore; a store of no records is EmptyStore.  Raw
-    values load in any order: packing sorts them."""
+    finite, else MalformedStore, as is a fault of an embnum store's embedded
+    checkpoint; a store of no records is EmptyStore.  Raw values load in any
+    order: packing sorts them."""
     manifest, arrays = _serial.unpack_framed(Path(path).read_bytes(),
                                              STORE_MAGIC, STORE_VERSION)
     _serial.check(manifest, STORE, MalformedStore, "store")
@@ -371,9 +376,12 @@ def load_store(path: Path) -> FeatureStore:
     rows = [m.get("rows", 0) for m in rec_meta]
     model = dsl_model = None
     if method == "embnum":
-        model = model_from_frame(manifest.get("model"), {
-            name.removeprefix("model."): a
-            for name, a in arrays.items() if name.startswith("model.")})
+        try:
+            model = model_from_frame(manifest.get("model"), {
+                name.removeprefix("model."): a
+                for name, a in arrays.items() if name.startswith("model.")})
+        except (MalformedCheckpoint, InvalidArch) as exc:
+            raise MalformedStore(f"{path}: {exc}") from None
         want = {"embeddings": (len(rec_meta), model.arch.k)}
     else:
         if min(rows) < 1:

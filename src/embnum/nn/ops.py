@@ -10,9 +10,14 @@ shape, never on how many rows are batched with it.  The backward passes use
 plain GEMM, which is deterministic from run to run but not batch invariant;
 training needs no more than that.
 
-conv1d and maxpool1d read their windows through _windows: one contiguous
-padded copy of the input, written with slice assignments, and a strided
-(B, C, L_out, K) view over it.
+conv1d returns a transposed view of a channels-last (B, L, C) product, and
+batch norm and relu keep whatever layout they are given, so most maps
+reach the next conv1d as such views.  conv1d builds its (B*L_out, C_in*K)
+im2col matrix one kernel tap at a time from the input's (B, L, C) view,
+writing zeros where a tap reads padding, and scatters the matrix's gradient
+back tap by tap in the same order; no padded copy of the input is made.
+maxpool1d reads its windows through _windows: one contiguous padded copy
+of the input and a strided (B, C, L_out, K) view over it.
 """
 
 from __future__ import annotations
@@ -71,6 +76,13 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _out_len(length: int, k: int, stride: int, padding: int) -> int:
+    out_len = (length + 2 * padding - k) // stride + 1
+    if out_len <= 0:
+        raise ValueError(f"output would be empty: L={length} pad={padding} K={k}")
+    return out_len
+
+
 def _windows(x: np.ndarray, k: int, stride: int, padding: int,
              fill: float) -> np.ndarray:
     """(B, C, L_out, k) view of x's length-k windows, `stride` apart, after
@@ -78,9 +90,7 @@ def _windows(x: np.ndarray, k: int, stride: int, padding: int,
     The view reads a fresh contiguous copy, never x itself."""
     b, c, length = x.shape
     padded = length + 2 * padding
-    out_len = (padded - k) // stride + 1
-    if out_len <= 0:
-        raise ValueError(f"output would be empty: L={length} pad={padding} K={k}")
+    out_len = _out_len(length, k, stride, padding)
     xp = np.empty((b, c, padded), dtype=x.dtype)
     xp[:, :, :padding] = fill
     xp[:, :, padding : padding + length] = x
@@ -91,10 +101,13 @@ def _windows(x: np.ndarray, k: int, stride: int, padding: int,
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = make(np.where(mask, x.data, 0), (x,))
+    """max(x, 0), with NaN, -inf and -0.0 all mapped to +0.0: fmax drops the
+    NaN and adding 0 turns -0.0 into +0.0.  The result keeps x's layout."""
+    y = np.fmax(x.data, 0)
+    y += 0
+    out = make(y, (x,))
     if out.requires_grad:
-        out._backward = lambda g, a=x, m=mask: a.accumulate(g * m)
+        out._backward = lambda g, a=x, m=x.data > 0: a.accumulate(g * m)
     return out
 
 
@@ -105,8 +118,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     x: (B, C_in, L), weight: (C_out, C_in, K), bias: (C_out,) or None.
     Output length is (L + 2*padding - K) // stride + 1.
 
-    The zero-padded windows (_windows) are materialized as a contiguous
-    (B*L_out, C_in*K) block.
+    The (B*L_out, C_in*K) im2col block, columns c_in-major and k-minor, is
+    filled one tap kk at a time from x's (B, L, C_in) view: output position t
+    reads input position t*stride + kk - padding, or zero where that falls
+    in the padding.
     The forward product goes through _tiled_matmul (8-row GEMM tiles, or
     one GEMM over them for float32 layers of 256 or more output channels), so
     each output's summation order is independent of batch size; the backward
@@ -116,9 +131,18 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     c_out, c_in_w, k = weight.data.shape
     if c_in != c_in_w:
         raise ValueError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
-    sw = _windows(x.data, k, stride, padding, 0.0)
-    out_len = sw.shape[2]
-    col = np.ascontiguousarray(sw.transpose(0, 2, 1, 3).reshape(b * out_len, c_in * k))
+    out_len = _out_len(length, k, stride, padding)
+    x_blc = x.data.transpose(0, 2, 1)
+    col4 = np.empty((b, out_len, c_in, k), dtype=x.data.dtype)
+    for kk in range(k):
+        # output positions lo..hi-1 read inside x; the rest read padding
+        lo = max(0, -((kk - padding) // stride))
+        hi = max(lo, min(out_len, (length - 1 + padding - kk) // stride + 1))
+        start = lo * stride + kk - padding
+        col4[:, :lo, :, kk] = 0.0
+        col4[:, lo:hi, :, kk] = x_blc[:, start : start + stride * (hi - lo) : stride]
+        col4[:, hi:, :, kk] = 0.0
+    col = col4.reshape(b * out_len, c_in * k)
     wf = weight.data.reshape(c_out, c_in * k)
     y = _tiled_matmul(col, wf.T).reshape(b, out_len, c_out).transpose(0, 2, 1)
     if bias is not None:
@@ -136,13 +160,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 bt.accumulate(g.sum(axis=(0, 2)))
             if xt.requires_grad:
                 gcol = (g2 @ wt.data.reshape(c_out, c_in * k)).reshape(
-                    b, out_len, c_in, k).transpose(0, 2, 3, 1)
-                gxp = np.zeros((b, c_in, padded_len), dtype=g.dtype)
+                    b, out_len, c_in, k)
+                gxp = np.zeros((b, padded_len, c_in), dtype=g.dtype)
                 for kk in range(k):
-                    gxp[:, :, kk : kk + stride * out_len : stride] += gcol[:, :, kk]
-                if padding:
-                    gxp = gxp[:, :, padding : padded_len - padding]
-                xt.accumulate(gxp)
+                    gxp[:, kk : kk + stride * out_len : stride] += gcol[:, :, :, kk]
+                xt.accumulate(gxp[:, padding : padding + length].transpose(0, 2, 1))
 
         out._backward = back
     return out
@@ -154,7 +176,10 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     """Per-channel normalization over the (batch, length) axes.
 
     In training mode the batch statistics (biased variance) both normalize
-    the activations and update the running buffers in place.
+    the activations and update the running buffers in place.  The output is
+    (x - mean) * inv * gamma + beta in that order, with (C, 1) parameters
+    broadcast over x in its own layout; when no tape keeps xhat, the scale
+    and shift run in place in xhat's fresh buffer.
     """
     if training:
         mean = x.data.mean(axis=(0, 2))
@@ -167,9 +192,15 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         mean = running_mean
         var = running_var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
-    y = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
-    out = make(y.astype(x.data.dtype, copy=False), (x, gamma, beta))
+    xhat = x.data - mean[:, None]
+    xhat *= inv[:, None]
+    out = make(xhat, (x, gamma, beta))
+    if out.requires_grad:
+        out.data = gamma.data[:, None] * xhat + beta.data[:, None]
+    else:
+        xhat *= gamma.data[:, None]
+        xhat += beta.data[:, None]
+    out.data = out.data.astype(x.data.dtype, copy=False)
     if out.requires_grad:
 
         def back(g, xt=x, gt=gamma, bt=beta, xh=xhat, iv=inv, train=training):

@@ -4,9 +4,10 @@ Each function here recomputes a result by a different route than the
 production code (pure-Python loops, Fraction arithmetic, brute-force pair
 counting) so that agreement is evidence, not tautology.  Two sections are
 the exception: the pairwise scorers, numpy code scoring one pair at a time,
-and the np.pad / sliding_window_view window ops with the np.unique sampler
-and the one-GEMM-per-8-row-tile product.  Each states what the library's
-faster form must equal bit for bit.
+and the np.pad / sliding_window_view window ops with the np.where relu,
+the out-of-place batch norm, the np.unique sampler and the
+one-GEMM-per-8-row-tile product.  Each states what the library's faster
+form must equal bit for bit.
 
 store_of, at the end, is no oracle: it builds small stores for tests.
 """
@@ -23,6 +24,7 @@ import numpy as np
 from embnum.baselines import PackedColumns, _sigmoid
 from embnum.errors import EmptyInput
 from embnum.labeling import BenchmarkReport, FeatureStore, PerCount, StoreRecord
+from embnum.nn.ops import BN_EPS, BN_MOMENTUM
 from embnum.nn.tensor import make
 
 
@@ -188,8 +190,9 @@ def dsl_score(model, a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# window ops through np.pad and sliding_window_view, products as one GEMM per
-# 8-row tile, sampling through np.unique
+# window ops through np.pad and sliding_window_view, relu through np.where,
+# batch norm out of place, products as one GEMM per 8-row tile, sampling
+# through np.unique
 
 
 def tiled_matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,6 +262,43 @@ def conv1d_reference(x, weight, bias=None, stride: int = 1, padding: int = 0):
                 if padding:
                     gxp = gxp[:, :, padding : padded_len - padding]
                 xt.accumulate(gxp)
+
+        out._backward = back
+    return out
+
+
+def batchnorm1d_reference(x, gamma, beta, running_mean, running_var, training: bool):
+    """ops.batchnorm1d out of place, parameters broadcast as (1, C, 1)."""
+    if training:
+        mean = x.data.mean(axis=(0, 2))
+        var = x.data.var(axis=(0, 2))
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
+    else:
+        mean = running_mean
+        var = running_var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
+    y = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    out = make(y.astype(x.data.dtype, copy=False), (x, gamma, beta))
+    if out.requires_grad:
+
+        def back(g, xt=x, gt=gamma, bt=beta, xh=xhat, iv=inv, train=training):
+            if bt.requires_grad:
+                bt.accumulate(g.sum(axis=(0, 2)))
+            if gt.requires_grad:
+                gt.accumulate((g * xh).sum(axis=(0, 2)))
+            if xt.requires_grad:
+                if train:
+                    n = g.shape[0] * g.shape[2]
+                    sum_g = g.sum(axis=(0, 2), keepdims=True)
+                    sum_gx = (g * xh).sum(axis=(0, 2), keepdims=True)
+                    scale = (gt.data * iv)[None, :, None] / n
+                    xt.accumulate(scale * (n * g - sum_g - xh * sum_gx))
+                else:
+                    xt.accumulate(g * (gt.data * iv)[None, :, None])
 
         out._backward = back
     return out

@@ -7,9 +7,11 @@ a huge allocation fails there instead of exhausting the host.  Children run
 one at a time.
 """
 
+import dataclasses
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -25,10 +27,11 @@ from hypothesis import strategies as st
 
 import embnum
 from embnum import errors
-from embnum.baselines import LogisticModel, save_dsl_model
+from embnum.baselines import LogisticModel, PackedColumns, save_dsl_model
 from embnum.dataset import SyntheticSpec, generate_synthetic, write_dataset
-from embnum.embnet import MODEL_MAGIC, MODEL_VERSION, ArchConfig, build_model, save_model
-from embnum.labeling import STORE_MAGIC, STORE_VERSION, index_labeled, save_store
+from embnum.embnet import (MODEL_MAGIC, MODEL_VERSION, ArchConfig, build_model, load_model,
+                           save_model)
+from embnum.labeling import STORE_MAGIC, STORE_VERSION, index_labeled, load_store, save_store
 
 ADDRESS_SPACE = 1536 * 2**20
 CLI = "import sys; from embnum.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -146,10 +149,11 @@ def assert_named_outcome(proc) -> None:
 
 
 # Each probe once escaped as a raw TypeError, as a MemoryError after
-# allocating a 10**9-wide grid, as numpy's ValueError for a Poisson mean it
-# cannot draw, or as an OverflowError from an int past the float64 range; a
-# NaN or an infinity in a float field once loaded and ranked with nan scores,
-# and an unknown method was InvalidSpec.  The two block_counts probes stand
+# allocating a 10**9-wide grid, as numpy's ValueError for a Poisson mean or a
+# row count past int64 that it cannot draw, or as an OverflowError from an int
+# past the float64 range; a source count past int64 generated columns until
+# memory ran out; a NaN or an infinity in a float field once loaded and
+# ranked with nan scores, and an unknown method was InvalidSpec.  The two block_counts probes stand
 # for files written while the network's depth was a field; the depth is
 # fixed, so they are refused.
 @pytest.mark.parametrize("name, path, value, error", [
@@ -167,6 +171,8 @@ def assert_named_outcome(proc) -> None:
     pytest.param("weights.json", (1,), 10**400, "MalformedDslModel", id="weights-int-past-float64"),
     ("dsl.bin", ("dsl_model", 3), float("inf"), "MalformedStore"),
     ("semantictyper.bin", ("method",), "bogus", "MalformedStore"),
+    ("spec.json", ("rows_max",), 10**30, "InvalidSpec"),
+    ("spec.json", ("source_count",), 2**63, "InvalidSpec"),
 ])
 def test_known_escapes_are_named_errors(base, name, path, value, error):
     doc, payload = read_doc(base, name)
@@ -201,6 +207,40 @@ def test_non_finite_payloads_are_named_errors(base, name, array, value, error):
                       COMMANDS[name][0])
     assert proc.returncode == 1 and proc.stderr.startswith(f"{error}: "), proc.stderr
     assert array in proc.stderr
+
+
+# A fault of an embnum store's embedded checkpoint was MalformedCheckpoint
+# or InvalidArch, without the store's path.
+@pytest.mark.parametrize("fault", ["non-finite array", "arrays unlike the arch"])
+def test_embedded_checkpoint_faults_are_store_errors(base, fault):
+    doc, payload = read_doc(base, "embnum.bin")
+    if fault == "non-finite array":
+        payload = with_element(doc, payload, "model.fc.bias", float("nan"))
+    else:
+        doc = replaced(doc, ("model", "arch", "k"), 8)
+    proc = run_capped(base, "embnum.bin", doc, payload, COMMANDS["embnum.bin"][0])
+    assert proc.returncode == 1 and proc.stderr.startswith("MalformedStore: "), proc.stderr
+    assert "embnum.bin: checkpoint" in proc.stderr, proc.stderr
+
+
+def test_non_finite_arrays_are_refused_before_writing(base, tmp_path):
+    model = load_model(base / "model.bin")
+    model.net.fc.bias.data[0] = np.nan
+    path = tmp_path / "model.bin"
+    with pytest.raises(errors.MalformedCheckpoint, match=re.escape(f"{path}: array 'fc.bias'")):
+        save_model(model, path)
+    store, raw = load_store(base / "embnum.bin"), load_store(base / "semantictyper.bin")
+    embeddings = store.features.copy()
+    embeddings[0, 0] = np.inf
+    columns = np.split(raw.features.values.copy(), raw.features.starts[1:])
+    columns[0][0] = np.nan
+    stores = {"nan-model.bin": dataclasses.replace(store, model=model),
+              "inf-embedding.bin": dataclasses.replace(store, features=embeddings),
+              "nan-values.bin": dataclasses.replace(raw, features=PackedColumns(columns))}
+    for name, bad in stores.items():
+        with pytest.raises(errors.MalformedStore, match=re.escape(f"{tmp_path / name}: array")):
+            save_store(bad, tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_allocation_past_the_cap_is_out_of_memory(base, tmp_path):

@@ -12,8 +12,8 @@ from embnum.fixtures import desk_arch
 from embnum.nn import SGD, Conv1d, BatchNorm1d, Linear, Tensor, no_grad
 from embnum.nn import ops
 from gradcheck import check_gradients, trace_kinks
-from oracles import (conv1d_reference, maxpool1d_reference, relu_reference,
-                     tiled_matmul_reference)
+from oracles import (batchnorm1d_reference, conv1d_reference, maxpool1d_reference,
+                     relu_reference, tiled_matmul_reference)
 
 
 def T(data, grad=True):
@@ -252,10 +252,12 @@ def _bits(a: np.ndarray) -> tuple:
 
 
 @st.composite
-def window_cases(draw):
+def window_cases(draw, specials=False):
     """Shape, dtype and data for one window op call.  Values come in halves
-    with signed zeros, so maxpool windows hold ties and -0.0 beside 0.0;
-    one case in two reads the input through a non-contiguous view."""
+    with signed zeros, so maxpool windows hold ties and -0.0 beside 0.0,
+    and with `specials` also NaN and +-inf.  The input is contiguous, a
+    strided view, or a channels-last (B, L, C) array seen through
+    .transpose(0, 2, 1), as conv1d returns its output."""
     k = draw(st.sampled_from([1, 3, 7]))
     padding = draw(st.integers(0, 3))
     length = draw(st.integers(max(1, k - 2 * padding), 12))
@@ -269,14 +271,25 @@ def window_cases(draw):
     shape = (case["b"], case["c_in"], 2 * length)
     base = (np.round(rng.standard_normal(shape) * 2) / 2).astype(case["dtype"])
     base[rng.random(shape) < 0.2] = -0.0
-    case["x"] = base[:, :, ::2] if draw(st.booleans()) else np.ascontiguousarray(base[:, :, :length])
+    if specials:
+        spots = rng.random(shape) < 0.2
+        base[spots] = rng.choice([np.nan, np.inf, -np.inf], size=int(spots.sum()))
+    layout = draw(st.sampled_from(["contiguous", "strided", "channels-last"]))
+    if layout == "strided":
+        case["x"] = base[:, :, ::2]
+    else:
+        x = np.ascontiguousarray(base[:, :, :length])
+        if layout == "channels-last":
+            x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        case["x"] = x
     case["rng"] = rng
     return case
 
 
 class TestMatchesReferenceOps:
-    """conv1d, maxpool1d and relu equal their np.pad / sliding_window_view
-    forms in tests/oracles.py bit for bit, forward and backward."""
+    """conv1d, maxpool1d, relu and batchnorm1d equal their np.pad /
+    sliding_window_view / np.where / out-of-place forms in tests/oracles.py
+    bit for bit, forward and backward."""
 
     @given(window_cases())
     @settings(max_examples=150, deadline=None)
@@ -306,7 +319,7 @@ class TestMatchesReferenceOps:
             runs.append([_bits(a) for a in (y.data, xt.grad)])
         assert runs[0] == runs[1]
 
-    @given(window_cases())
+    @given(window_cases(specials=True))
     @settings(max_examples=50, deadline=None)
     def test_relu(self, case):
         runs = []
@@ -315,6 +328,25 @@ class TestMatchesReferenceOps:
             y = op(xt)
             (y * 3.0).sum().backward()
             runs.append([_bits(a) for a in (y.data, xt.grad)])
+        assert runs[0] == runs[1]
+
+    @given(window_cases(), st.booleans(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_batchnorm1d(self, case, training, tape):
+        rng, dtype, c = case["rng"], case["dtype"], case["c_in"]
+        params = [rng.standard_normal(c).astype(dtype) for _ in range(2)]
+        stats = [rng.standard_normal(c).astype(dtype), rng.random(c).astype(dtype) + 0.5]
+        runs = []
+        for op in (ops.batchnorm1d, batchnorm1d_reference):
+            xt, gt, bt = (Tensor(a, requires_grad=tape) for a in [case["x"]] + params)
+            rm, rv = (a.copy() for a in stats)
+            y = op(xt, gt, bt, rm, rv, training)
+            run = [_bits(a) for a in (y.data, rm, rv)]
+            if tape:
+                g = np.random.default_rng(1).standard_normal(y.data.shape).astype(dtype)
+                (y * Tensor(g)).sum().backward()
+                run += [_bits(t.grad) for t in (xt, gt, bt)]
+            runs.append(run)
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("op", [
