@@ -203,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"IoError: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"OutOfMemory: {exc}", file=sys.stderr)
+        print(f"OutOfMemory: {str(exc) or 'the host refused an allocation'}", file=sys.stderr)
         return 1
 
 

@@ -187,6 +187,11 @@ class FamilySpec:
             raise InvalidSpec(f"a counts family's scale must be at most 1e17, got {self.scale}")
 
 
+# The most values a spec may ask for, label_count * source_count * rows_max:
+# 8 GB as float64, four orders of magnitude past the largest fixture.
+MAX_SPEC_VALUES = 10**9
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     label_count: int
@@ -204,6 +209,10 @@ class SyntheticSpec:
             raise InvalidSpec("label_count and source_count must be positive")
         if self.rows_min < 1 or self.rows_min > self.rows_max:
             raise InvalidSpec("need 1 <= rows_min <= rows_max")
+        values = self.label_count * self.source_count * self.rows_max
+        if values > MAX_SPEC_VALUES:
+            raise InvalidSpec(f"label_count * source_count * rows_max is {values}, "
+                              f"above MAX_SPEC_VALUES ({MAX_SPEC_VALUES})")
         if self.family_pool is not None:
             object.__setattr__(self, "family_pool", tuple(self.family_pool))
             if self.label_count > len(self.family_pool):

@@ -29,6 +29,9 @@ LR_DECAY = 0.1
 MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-5
 
+# Rows ranked at once by training_mrr, each against all n rows.
+MRR_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -97,18 +100,25 @@ def triplet_loss(emb: Tensor, mined: TripletBatch, alpha: float) -> Tensor | Non
 
 def training_mrr(embeddings: np.ndarray, labels) -> float:
     """Each row queries all the others, ranked as labeling ranks a store: by
-    distance, ties by label.  The reciprocal rank of the first same-label hit
-    (0 when there is none) is averaged in input order.  One row of distances
-    is held at a time, so memory grows as n * k, not n * n * k."""
+    distance, ties by label, then by index.  The reciprocal rank of the first
+    same-label hit (0 when there is none) is averaged in input order.  Rows
+    are ranked MRR_BLOCK at a time, so memory grows as n * MRR_BLOCK, not
+    n * n."""
     emb = np.asarray(embeddings, dtype=np.float64)
     _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     rr = np.zeros(len(emb))
-    for i, row in enumerate(emb):
-        order = np.lexsort((codes, distances(emb, row)))
-        order = order[order != i]  # by index: an inf stand-in for self can tie
-        hits = np.flatnonzero(codes[order] == codes[i])
-        if hits.size:
-            rr[i] = 1.0 / (hits[0] + 1.0)
+    for lo in range(0, len(emb), MRR_BLOCK):
+        rows = np.arange(lo, min(lo + MRR_BLOCK, len(emb)))
+        dist = distances(emb, emb[rows])
+        order = np.lexsort((np.broadcast_to(codes, dist.shape), dist))
+        is_self = order == rows[:, None]  # by index: an inf stand-in for self can tie
+        hit = codes[order] == codes[rows][:, None]
+        hit &= ~is_self
+        first = hit.argmax(axis=1)
+        # the position among the others: one less when self sorted ahead
+        first -= is_self.argmax(axis=1) < first
+        found = hit.any(axis=1)
+        rr[rows[found]] = 1.0 / (first[found] + 1.0)
     return float(rr.mean())
 
 

@@ -16,8 +16,9 @@ reach the next conv1d as such views.  conv1d builds its (B*L_out, C_in*K)
 im2col matrix one kernel tap at a time from the input's (B, L, C) view,
 writing zeros where a tap reads padding, and scatters the matrix's gradient
 back tap by tap in the same order; no padded copy of the input is made.
-maxpool1d reads its windows through _windows: one contiguous padded copy
-of the input and a strided (B, C, L_out, K) view over it.
+maxpool1d takes its max the same way, one tap at a time from strided
+slices of the input, where padded taps are -inf and never win, and scatters
+its gradient back tap by tap.
 """
 
 from __future__ import annotations
@@ -83,21 +84,13 @@ def _out_len(length: int, k: int, stride: int, padding: int) -> int:
     return out_len
 
 
-def _windows(x: np.ndarray, k: int, stride: int, padding: int,
-             fill: float) -> np.ndarray:
-    """(B, C, L_out, k) view of x's length-k windows, `stride` apart, after
-    `padding` positions of `fill` are added at both ends of the last axis.
-    The view reads a fresh contiguous copy, never x itself."""
-    b, c, length = x.shape
-    padded = length + 2 * padding
-    out_len = _out_len(length, k, stride, padding)
-    xp = np.empty((b, c, padded), dtype=x.dtype)
-    xp[:, :, :padding] = fill
-    xp[:, :, padding : padding + length] = x
-    xp[:, :, padding + length :] = fill
-    sb, sc, sl = xp.strides
-    return np.ndarray((b, c, out_len, k), dtype=xp.dtype, buffer=xp,
-                      strides=(sb, sc, sl * stride, sl))
+def _tap_span(kk: int, length: int, out_len: int, stride: int,
+              padding: int) -> tuple[int, int, int]:
+    """(lo, hi, start) for kernel tap kk: output positions lo..hi-1 read the
+    input at start, start + stride, ...; the others read padding."""
+    lo = max(0, -((kk - padding) // stride))
+    hi = max(lo, min(out_len, (length - 1 + padding - kk) // stride + 1))
+    return lo, hi, lo * stride + kk - padding
 
 
 def relu(x: Tensor) -> Tensor:
@@ -135,10 +128,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     x_blc = x.data.transpose(0, 2, 1)
     col4 = np.empty((b, out_len, c_in, k), dtype=x.data.dtype)
     for kk in range(k):
-        # output positions lo..hi-1 read inside x; the rest read padding
-        lo = max(0, -((kk - padding) // stride))
-        hi = max(lo, min(out_len, (length - 1 + padding - kk) // stride + 1))
-        start = lo * stride + kk - padding
+        lo, hi, start = _tap_span(kk, length, out_len, stride, padding)
         col4[:, :lo, :, kk] = 0.0
         col4[:, lo:hi, :, kk] = x_blc[:, start : start + stride * (hi - lo) : stride]
         col4[:, hi:, :, kk] = 0.0
@@ -176,23 +166,27 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     """Per-channel normalization over the (batch, length) axes.
 
     In training mode the batch statistics (biased variance) both normalize
-    the activations and update the running buffers in place.  The output is
-    (x - mean) * inv * gamma + beta in that order, with (C, 1) parameters
-    broadcast over x in its own layout; when no tape keeps xhat, the scale
-    and shift run in place in xhat's fresh buffer.
+    the activations and update the running buffers in place.  They are
+    numpy's own mean and var arithmetic, one pass each: the channel sums
+    divided by n, then the summed squares of x - mean, whose buffer becomes
+    xhat.  The output is (x - mean) * inv * gamma + beta in that order, with
+    (C, 1) parameters broadcast over x in its own layout; when no tape keeps
+    xhat, the scale and shift run in place in xhat's buffer.
     """
     if training:
-        mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        n = x.data.shape[0] * x.data.shape[2]
+        mean = np.add.reduce(x.data, axis=(0, 2), keepdims=True)
+        mean /= n
+        xhat = x.data - mean
+        var = np.square(xhat).sum(axis=(0, 2)) / n
         running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean
+        running_mean += BN_MOMENTUM * mean.ravel()
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var
     else:
-        mean = running_mean
+        xhat = x.data - running_mean[:, None]
         var = running_var
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = x.data - mean[:, None]
     xhat *= inv[:, None]
     out = make(xhat, (x, gamma, beta))
     if out.requires_grad:
@@ -204,40 +198,54 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     if out.requires_grad:
 
         def back(g, xt=x, gt=gamma, bt=beta, xh=xhat, iv=inv, train=training):
-            if bt.requires_grad:
-                bt.accumulate(g.sum(axis=(0, 2)))
-            if gt.requires_grad:
-                gt.accumulate((g * xh).sum(axis=(0, 2)))
+            sum_g = g.sum(axis=(0, 2))
+            sum_gx = (g * xh).sum(axis=(0, 2))
+            bt.accumulate(sum_g)
+            gt.accumulate(sum_gx)
             if xt.requires_grad:
                 if train:
                     n = g.shape[0] * g.shape[2]
-                    sum_g = g.sum(axis=(0, 2), keepdims=True)
-                    sum_gx = (g * xh).sum(axis=(0, 2), keepdims=True)
-                    scale = (gt.data * iv)[None, :, None] / n
-                    xt.accumulate(scale * (n * g - sum_g - xh * sum_gx))
+                    scale = (gt.data * iv)[:, None] / n
+                    xt.accumulate(scale * (n * g - sum_g[:, None] - xh * sum_gx[:, None]))
                 else:
-                    xt.accumulate(g * (gt.data * iv)[None, :, None])
+                    xt.accumulate(g * (gt.data * iv)[:, None])
 
         out._backward = back
     return out
 
 
 def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """Max over sliding windows; padded positions are -inf and never win."""
+    """Max over sliding windows; padded positions are -inf and never win.
+
+    The max is taken one tap at a time from strided slices of x, and the
+    index keeps the first maximum, a NaN counting as above every number and
+    the first NaN winning, as np.argmax picks.  The backward adds each
+    window's gradient into its input position tap by tap in reversed order,
+    so each position sums its windows in the order np.add.at would.
+    """
     b, c, length = x.data.shape
-    sw = _windows(x.data, kernel, stride, padding, -np.inf)
-    idx = np.argmax(sw, axis=3)
-    y = np.take_along_axis(sw, idx[..., None], axis=3)[..., 0]
+    out_len = _out_len(length, kernel, stride, padding)
+    spans = [_tap_span(kk, length, out_len, stride, padding) for kk in range(kernel)]
+    y = np.full((b, c, out_len), -np.inf, dtype=x.data.dtype)
+    idx = np.zeros((b, c, out_len), dtype=np.intp)
+    for kk, (lo, hi, start) in enumerate(spans):
+        tap = x.data[:, :, start : start + stride * (hi - lo) : stride]
+        best = y[:, :, lo:hi]
+        wins = np.less_equal(tap, best)
+        np.logical_not(wins, out=wins)  # above best, or a NaN
+        wins &= best == best  # a NaN already held keeps its place
+        np.copyto(best, tap, where=wins)
+        np.copyto(idx[:, :, lo:hi], kk, where=wins)
     out = make(y, (x,))
     if out.requires_grad:
 
         def back(g, xt=x, am=idx):
-            gxp = np.zeros((b, c, length + 2 * padding), dtype=g.dtype)
-            bb, cc, tt = np.indices(am.shape)
-            np.add.at(gxp, (bb, cc, tt * stride + am), g)
-            if padding:
-                gxp = gxp[:, :, padding : padding + length]
-            xt.accumulate(gxp)
+            gx = np.zeros((b, c, length), dtype=g.dtype)
+            for kk in reversed(range(kernel)):
+                lo, hi, start = spans[kk]
+                gx[:, :, start : start + stride * (hi - lo) : stride] += np.where(
+                    am[:, :, lo:hi] == kk, g[:, :, lo:hi], 0)
+            xt.accumulate(gx)
 
         out._backward = back
     return out

@@ -47,12 +47,16 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     def accumulate(self, g) -> None:
-        """Add g into this node's gradient buffer (no-op if grad not needed)."""
+        """Add g into this node's gradient buffer (no-op if grad not needed).
+
+        The first g is written as g + 0.0 into a buffer of the data's dtype
+        and layout, the bits of adding it into zeros: -0.0 becomes +0.0."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from a scalar; visits each node exactly once."""

@@ -2,12 +2,12 @@
 
 Each function here recomputes a result by a different route than the
 production code (pure-Python loops, Fraction arithmetic, brute-force pair
-counting) so that agreement is evidence, not tautology.  Two sections are
-the exception: the pairwise scorers, numpy code scoring one pair at a time,
-and the np.pad / sliding_window_view window ops with the np.where relu,
+counting) so that agreement is evidence, not tautology.  Three sections are
+the exception: the pairwise scorers, numpy code scoring one pair at a time;
+the np.pad / sliding_window_view window ops with the np.where relu,
 the out-of-place batch norm, the np.unique sampler and the
-one-GEMM-per-8-row-tile product.  Each states what the library's faster
-form must equal bit for bit.
+one-GEMM-per-8-row-tile product; and the training MRR ranked one row at a
+time.  Each states what the library's faster form must equal bit for bit.
 
 store_of, at the end, is no oracle: it builds small stores for tests.
 """
@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from embnum.baselines import PackedColumns, _sigmoid
+from embnum.embnet import distances
 from embnum.errors import EmptyInput
 from embnum.labeling import BenchmarkReport, FeatureStore, PerCount, StoreRecord
 from embnum.nn.ops import BN_EPS, BN_MOMENTUM
@@ -335,6 +336,27 @@ def sample_unique_reference(values, h: int) -> np.ndarray:
     i = np.arange(1, h + 1, dtype=np.int64)
     thresholds = (i * arr.size + h - 1) // h
     return support[np.searchsorted(cum_count, thresholds, side="left")]
+
+
+# ---------------------------------------------------------------------------
+# training MRR, one query row at a time
+
+
+def training_mrr_reference(embeddings: np.ndarray, labels) -> float:
+    """Each row queries all the others, ranked as labeling ranks a store: by
+    distance, ties by label.  The reciprocal rank of the first same-label hit
+    (0 when there is none) is averaged in input order.  One row of distances
+    is held at a time, so memory grows as n * k, not n * n * k."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
+    rr = np.zeros(len(emb))
+    for i, row in enumerate(emb):
+        order = np.lexsort((codes, distances(emb, row)))
+        order = order[order != i]  # by index: an inf stand-in for self can tie
+        hits = np.flatnonzero(codes[order] == codes[i])
+        if hits.size:
+            rr[i] = 1.0 / (hits[0] + 1.0)
+    return float(rr.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,16 @@ class TestTrain:
         assert code == 1
         assert "MissingDirectory" in capsys.readouterr().err
 
+    def test_a_memory_error_without_a_message_still_says_what_failed(
+            self, data_dir, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(embnum.metric, "train", refuse)
+        assert main(["train", str(data_dir), "--out", str(tmp_path / "m.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OutOfMemory: ") and err.removeprefix("OutOfMemory: ").strip(), err
+
 
 @pytest.fixture()
 def trained_paths(data_dir, tmp_path):

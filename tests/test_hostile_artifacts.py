@@ -151,8 +151,8 @@ def assert_named_outcome(proc) -> None:
 # Each probe once escaped as a raw TypeError, as a MemoryError after
 # allocating a 10**9-wide grid, as numpy's ValueError for a Poisson mean or a
 # row count past int64 that it cannot draw, or as an OverflowError from an int
-# past the float64 range; a source count past int64 generated columns until
-# memory ran out; a NaN or an infinity in a float field once loaded and
+# past the float64 range; a source count past int64, or one of 10**12 that
+# int64 holds, generated columns until memory ran out; a NaN or an infinity in a float field once loaded and
 # ranked with nan scores, and an unknown method was InvalidSpec.  The two block_counts probes stand
 # for files written while the network's depth was a field; the depth is
 # fixed, so they are refused.
@@ -173,6 +173,7 @@ def assert_named_outcome(proc) -> None:
     ("semantictyper.bin", ("method",), "bogus", "MalformedStore"),
     ("spec.json", ("rows_max",), 10**30, "InvalidSpec"),
     ("spec.json", ("source_count",), 2**63, "InvalidSpec"),
+    pytest.param("spec.json", ("source_count",), 10**12, "InvalidSpec", id="spec-values-past-the-cap"),
 ])
 def test_known_escapes_are_named_errors(base, name, path, value, error):
     doc, payload = read_doc(base, name)
@@ -250,6 +251,7 @@ def test_an_allocation_past_the_cap_is_out_of_memory(base, tmp_path):
                     "--samples-per-label", "1000000000", "--h", "16", "--k", "4",
                     "--stem-channels", "1", "--epochs", "1"])
     assert proc.returncode == 1 and proc.stderr.startswith("OutOfMemory: "), proc.stderr
+    assert proc.stderr.removeprefix("OutOfMemory: ").strip(), proc.stderr
 
 
 SMALL_VALUES = st.one_of(

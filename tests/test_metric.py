@@ -29,7 +29,8 @@ import embnum.labeling as labeling_mod
 import embnum.metric as metric_mod
 from embnum.nn import ops
 from oracles import (conv1d_reference, distance_oracle, maxpool1d_reference,
-                     parse_history_csv, relu_reference, sample_unique_reference, store_of)
+                     parse_history_csv, relu_reference, sample_unique_reference, store_of,
+                     training_mrr_reference)
 
 TINY_ARCH = ArchConfig(h=16, k=8, stem_channels=4)
 TINY_CFG = TrainConfig(epochs=2, batch_labels=2, samples_per_label=2, seed=0)
@@ -210,6 +211,36 @@ class TestTrainingMrr:
                 first = rank_of_first_correct(rank(store, emb[i]), label)
                 rr.append(1.0 / first if first else 0.0)
         assert training_mrr(emb, labels) == np.mean(rr)
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 1e200]),
+                                   st.sampled_from([-1.0, 0.0, 0.5])),
+                         min_size=n, max_size=n),
+                st.lists(st.sampled_from("ABCDE"), min_size=n, max_size=n),
+            )
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_equal_the_row_at_a_time_ranking(self, block, case):
+        # few distinct points, so duplicates tie with self at distance 0;
+        # 1e200 gives inf distances; five labels over few rows leave singletons
+        points, labels = case
+        emb = np.array(points)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric_mod, "MRR_BLOCK", block)
+            got = training_mrr(emb, labels)
+        assert got.hex() == training_mrr_reference(emb, labels).hex()
+
+    def test_rows_past_one_block_equal_the_row_at_a_time_ranking(self):
+        rng = np.random.default_rng(3)
+        n = 2 * metric_mod.MRR_BLOCK + 3
+        emb = np.round(rng.standard_normal((n, 2)) * 2) / 2  # duplicates on a grid
+        labels = [f"l{i}" for i in rng.integers(0, n // 3, size=n)]
+        got = training_mrr(emb, labels)
+        assert got.hex() == training_mrr_reference(emb, labels).hex()
 
     def test_memory_grows_with_rows_not_pairs(self):
         rng = np.random.default_rng(0)

@@ -68,6 +68,22 @@ class TestTensorBasics:
         y.backward()
         assert x.grad.tolist() == [2.0, 0.0, 1.0]
 
+    @pytest.mark.parametrize("data, grads", [
+        (np.ones(3), [np.array([-0.0, 1.5, -0.0])]),
+        (np.ones(3, dtype=np.float32), [np.array([1 / 3, -0.0, 1e-50])]),
+        (np.ones((3, 2)).T, [np.array([[-0.0], [2.5]])]),
+        (np.ones(3, dtype=np.float32), [np.array([-0.0, 1.0, 2.0]),
+                                        np.array([-0.0, -1.0, 1 / 3])]),
+    ], ids=["negative-zero", "float64-into-float32", "broadcast", "second-accumulate"])
+    def test_accumulate_gives_the_bits_of_adding_into_zeros(self, data, grads):
+        x = Tensor(data, requires_grad=True)
+        expected = np.zeros_like(data)
+        for g in grads:
+            x.accumulate(g)
+            expected += g
+        assert (x.grad.dtype, x.grad.strides) == (expected.dtype, expected.strides)
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_no_grad_prunes_tape(self):
         x = T([1.0])
         with no_grad():
@@ -306,9 +322,10 @@ class TestMatchesReferenceOps:
             runs.append([_bits(a) for a in (y.data, xt.grad, wt.grad, bt.grad)])
         assert runs[0] == runs[1]
 
-    @given(window_cases())
-    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(lambda specials: window_cases(specials=specials)))
+    @settings(max_examples=200, deadline=None)
     def test_maxpool1d(self, case):
+        # with specials, the first NaN of a window wins, as np.argmax picks it
         runs = []
         for op in (ops.maxpool1d, maxpool1d_reference):
             xt = Tensor(case["x"], requires_grad=True)
