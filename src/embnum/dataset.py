@@ -127,7 +127,8 @@ def load_attribute_csv(path) -> NumericAttribute:
     by its file stem and sourced as "query"."""
     p = Path(path)
     if not p.is_file():
-        raise MissingDirectory(f"attribute file {p} does not exist")
+        raise MissingDirectory(f"attribute file {p} "
+                               + ("is not a file" if p.exists() else "does not exist"))
     return _parse_attribute_file(p, "query", p.stem)
 
 

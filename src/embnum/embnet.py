@@ -24,6 +24,7 @@ from .sampling import sample_inverse_transform
 MODEL_MAGIC = b"EMBN"
 MODEL_VERSION = 1
 EMBED_CHUNK = 512  # rows per forward pass of embed()
+DISTANCE_BUDGET = 1 << 16  # float64 differences held per block of distances()
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,22 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
 
 def distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Exact float64 Euclidean distances, (queries, n), from n (k,) points to
-    each query row, one row of n * k differences at a time; a (k,) query gives
-    an (n,) row.  Mining, training MRR and labeling all rank by it.  Squares
-    underflow for points under about 1e-154 apart (to exactly 0 under 1e-162);
-    distinct float32 embeddings are at least 1.4e-45 apart, far above either."""
-    points, block = np.asarray(points, dtype=np.float64), np.atleast_2d(queries)
+    each query row; a (k,) query gives an (n,) row.  Mining, training MRR and
+    labeling all rank by it.  Query rows go a block at a time, as many as keep
+    the block's differences within DISTANCE_BUDGET float64 values (at least
+    one row), through one buffer allocated per call; each block sums its
+    squares with one einsum, which gives every row the bits of summing it
+    alone.  Squares underflow for points under about 1e-154 apart (to
+    exactly 0 under 1e-162); distinct float32 embeddings are at least
+    1.4e-45 apart, far above either."""
+    points = np.asarray(points, dtype=np.float64)
+    block = np.atleast_2d(queries).astype(np.float64)
     out = np.empty((len(block), len(points)))
-    for row, query in zip(out, block.astype(np.float64)):
-        diff = points - query
-        np.sqrt(np.einsum("ij,ij->i", diff, diff), out=row)
+    step = max(1, DISTANCE_BUDGET // max(points.size, 1))
+    diff = np.empty((min(step, len(block)), *points.shape))
+    for lo in range(0, len(block), step):
+        rows = np.subtract(points, block[lo : lo + step, None], out=diff[: len(block) - lo])
+        np.sqrt(np.einsum("qij,qij->qi", rows, rows), out=out[lo : lo + step])
     return out[0] if np.ndim(queries) == 1 else out
 
 

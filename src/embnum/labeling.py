@@ -151,13 +151,14 @@ def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
 
 def _featurize(method: str, model: Model | None, columns: list):
     """The (n, k) float32 embedding matrix for embnum, each column's float64
-    values otherwise; a column holding NaN or an infinity is EmptyInput."""
+    values otherwise; a column holding NaN or an infinity is EmptyInput, which
+    for embnum sampling raises."""
+    if method == "embnum":
+        return embed(model, np.stack([preprocess(c, model.arch) for c in columns]))
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     if not all(np.isfinite(c).all() for c in columns):
         raise EmptyInput("value list contains non-finite entries")
-    if method != "embnum":
-        return columns
-    return embed(model, np.stack([preprocess(c, model.arch) for c in columns]))
+    return columns
 
 
 def _orders(store: FeatureStore, columns: list) -> tuple[np.ndarray, np.ndarray]:

@@ -3,12 +3,13 @@
 All ops take (batch, channels, length) arrays.  The forward passes of
 conv1d and linear run through _tiled_matmul, whose GEMM calls are chosen by
 the layer's shape alone: narrow layers call GEMM on fixed tiles of exactly
-_TILE_ROWS rows, and float32 layers at least _ONE_GEMM_WIDTH outputs wide
-make one call over all whole tiles; either way the tail tile is zero-padded
-to _TILE_ROWS rows.  So each output row's bits depend only on the layer's
-shape, never on how many rows are batched with it.  The backward passes use
-plain GEMM, which is deterministic from run to run but not batch invariant;
-training needs no more than that.
+_TILE_ROWS rows, the zero-padded tail tile among them, in one batched
+matmul call; float32 layers at least _ONE_GEMM_WIDTH outputs wide make one
+call over all whole tiles and one 8-row call for the zero-padded tail.  So
+each output row's bits depend only on the layer's shape, never on how many
+rows are batched with it.  The backward passes use plain GEMM, which is
+deterministic from run to run but not batch invariant; training needs no
+more than that.
 
 conv1d returns a transposed view of a channels-last (B, L, C) product, and
 batch norm and relu keep whatever layout they are given, so most maps
@@ -16,12 +17,18 @@ reach the next conv1d as such views.  conv1d builds its (B*L_out, C_in*K)
 im2col matrix one kernel tap at a time from the input's (B, L, C) view,
 writing zeros where a tap reads padding, and scatters the matrix's gradient
 back tap by tap in the same order; no padded copy of the input is made.
-maxpool1d takes its max the same way, one tap at a time from strided
-slices of the input, where padded taps are -inf and never win, and scatters
-its gradient back tap by tap.
+The matrix is allocated in whole tiles of rows, so its tail tile needs no
+copy.  maxpool1d takes its max the same way, one tap at a time from
+strided slices of the input, where padded taps are -inf and never win, and
+scatters its gradient back tap by tap; it keeps the index of each window's
+winning tap only when a tape needs it for that backward.  Both ops take
+each tap's span of output positions from _tap_spans, computed once per
+shape.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -52,45 +59,54 @@ not a multiple of 8 changes the bits with the row count.
 """
 
 
-def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D a, each row's bits fixed by the shapes alone.
+def _tiled_matmul(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndarray:
+    """a[:m] @ b for 2-D a (all of a by default), each row's bits fixed by
+    the shapes alone.
 
     A narrow layer calls GEMM on exactly _TILE_ROWS rows at a time, because
     one GEMM over all its rows, even padded to a multiple of the tile, is
-    not batch invariant on OpenBLAS.  A float32 layer at least
-    _ONE_GEMM_WIDTH wide makes one call over all whole tiles.  Both send the
-    last m % _TILE_ROWS rows through one zero-padded tile.
+    not batch invariant on OpenBLAS; the whole tiles and the zero-padded
+    tail tile go through one batched per-tile matmul call.  A float32 layer
+    at least _ONE_GEMM_WIDTH wide makes one call over all whole tiles and
+    sends the last m % _TILE_ROWS rows through one zero-padded 8-row GEMM of
+    their own.  Rows of a past m, up to the next whole tile, must be zeros,
+    as conv1d leaves them; where a stops at m, the padding is copied in.
     """
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.empty((m, n), dtype=np.result_type(a, b))
+    m = len(a) if m is None else m
+    k, n = b.shape
+    tiles = -(-m // _TILE_ROWS)
+    rows = tiles * _TILE_ROWS
     full = m - m % _TILE_ROWS
-    if full and n >= _ONE_GEMM_WIDTH and out.dtype == np.float32:
-        np.matmul(a[:full], b, out=out[:full])
-    elif full:
-        np.matmul(a[:full].reshape(-1, _TILE_ROWS, k), b,
-                  out=out[:full].reshape(-1, _TILE_ROWS, n))
-    if full < m:
-        tail = np.zeros((_TILE_ROWS, k), dtype=a.dtype)
-        tail[: m - full] = a[full:]
-        out[full:] = (tail @ b)[: m - full]
-    return out
+    out = np.empty((rows, n), dtype=np.result_type(a, b))
+    if len(a) < rows:
+        a = np.concatenate([a[:m], np.zeros((rows - m, k), dtype=a.dtype)])
+    if n >= _ONE_GEMM_WIDTH and out.dtype == np.float32:
+        if full:
+            np.matmul(a[:full], b, out=out[:full])
+        if full < m:
+            np.matmul(a[full:rows], b, out=out[full:])
+    else:
+        np.matmul(a[:rows].reshape(tiles, _TILE_ROWS, k), b,
+                  out=out.reshape(tiles, _TILE_ROWS, n))
+    return out[:m]
 
 
-def _out_len(length: int, k: int, stride: int, padding: int) -> int:
+@functools.lru_cache(maxsize=64)
+def _tap_spans(length: int, k: int, stride: int,
+               padding: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(out_len, spans) of a k-wide window op over `length` positions, once
+    per shape: spans[kk] is (lo, hi, start) for kernel tap kk, where output
+    positions lo..hi-1 read the input at start, start + stride, ... and the
+    others read padding."""
     out_len = (length + 2 * padding - k) // stride + 1
     if out_len <= 0:
         raise ValueError(f"output would be empty: L={length} pad={padding} K={k}")
-    return out_len
-
-
-def _tap_span(kk: int, length: int, out_len: int, stride: int,
-              padding: int) -> tuple[int, int, int]:
-    """(lo, hi, start) for kernel tap kk: output positions lo..hi-1 read the
-    input at start, start + stride, ...; the others read padding."""
-    lo = max(0, -((kk - padding) // stride))
-    hi = max(lo, min(out_len, (length - 1 + padding - kk) // stride + 1))
-    return lo, hi, lo * stride + kk - padding
+    spans = []
+    for kk in range(k):
+        lo = max(0, -((kk - padding) // stride))
+        hi = max(lo, min(out_len, (length - 1 + padding - kk) // stride + 1))
+        spans.append((lo, hi, lo * stride + kk - padding))
+    return out_len, tuple(spans)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -124,17 +140,22 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     c_out, c_in_w, k = weight.data.shape
     if c_in != c_in_w:
         raise ValueError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
-    out_len = _out_len(length, k, stride, padding)
+    out_len, spans = _tap_spans(length, k, stride, padding)
+    m = b * out_len
     x_blc = x.data.transpose(0, 2, 1)
-    col4 = np.empty((b, out_len, c_in, k), dtype=x.data.dtype)
-    for kk in range(k):
-        lo, hi, start = _tap_span(kk, length, out_len, stride, padding)
-        col4[:, :lo, :, kk] = 0.0
+    # whole tiles of rows, so _tiled_matmul pads the tail with no copy
+    col = np.empty((-(-m // _TILE_ROWS) * _TILE_ROWS, c_in * k), dtype=x.data.dtype)
+    if len(col) > m:
+        col[m:] = 0.0
+    col4 = col[:m].reshape(b, out_len, c_in, k)
+    for kk, (lo, hi, start) in enumerate(spans):
+        if lo:
+            col4[:, :lo, :, kk] = 0.0
         col4[:, lo:hi, :, kk] = x_blc[:, start : start + stride * (hi - lo) : stride]
-        col4[:, hi:, :, kk] = 0.0
-    col = col4.reshape(b * out_len, c_in * k)
+        if hi < out_len:
+            col4[:, hi:, :, kk] = 0.0
     wf = weight.data.reshape(c_out, c_in * k)
-    y = _tiled_matmul(col, wf.T).reshape(b, out_len, c_out).transpose(0, 2, 1)
+    y = _tiled_matmul(col, wf.T, m).reshape(b, out_len, c_out).transpose(0, 2, 1)
     if bias is not None:
         y = y + bias.data[None, :, None]
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -142,8 +163,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if out.requires_grad:
         padded_len = length + 2 * padding
 
-        def back(g, xt=x, wt=weight, bt=bias, win=col):
-            g2 = g.transpose(0, 2, 1).reshape(b * out_len, c_out)
+        def back(g, xt=x, wt=weight, bt=bias, win=col[:m]):
+            g2 = g.transpose(0, 2, 1).reshape(m, c_out)
             if wt.requires_grad:
                 wt.accumulate((g2.T @ win).reshape(c_out, c_in, k))
             if bt is not None and bt.requires_grad:
@@ -219,15 +240,16 @@ def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
 
     The max is taken one tap at a time from strided slices of x, and the
     index keeps the first maximum, a NaN counting as above every number and
-    the first NaN winning, as np.argmax picks.  The backward adds each
+    the first NaN winning, as np.argmax picks; it is built only when a tape
+    needs it, and the max is the same either way.  The backward adds each
     window's gradient into its input position tap by tap in reversed order,
     so each position sums its windows in the order np.add.at would.
     """
     b, c, length = x.data.shape
-    out_len = _out_len(length, kernel, stride, padding)
-    spans = [_tap_span(kk, length, out_len, stride, padding) for kk in range(kernel)]
+    out_len, spans = _tap_spans(length, kernel, stride, padding)
     y = np.full((b, c, out_len), -np.inf, dtype=x.data.dtype)
-    idx = np.zeros((b, c, out_len), dtype=np.intp)
+    out = make(y, (x,))
+    idx = np.zeros((b, c, out_len), dtype=np.intp) if out.requires_grad else None
     for kk, (lo, hi, start) in enumerate(spans):
         tap = x.data[:, :, start : start + stride * (hi - lo) : stride]
         best = y[:, :, lo:hi]
@@ -235,8 +257,8 @@ def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
         np.logical_not(wins, out=wins)  # above best, or a NaN
         wins &= best == best  # a NaN already held keeps its place
         np.copyto(best, tap, where=wins)
-        np.copyto(idx[:, :, lo:hi], kk, where=wins)
-    out = make(y, (x,))
+        if idx is not None:
+            np.copyto(idx[:, :, lo:hi], kk, where=wins)
     if out.requires_grad:
 
         def back(g, xt=x, am=idx):

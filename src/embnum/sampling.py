@@ -12,7 +12,14 @@ CDF step are resolved exactly: F^{-1}(i/h) is the ceil(i*n/h)-th smallest
 value, read from one sort of the column.  Each pick is then replaced by the
 first member of its run of equal values, so a column that mixes -0.0 and 0.0
 always yields the one that sorts first.
+
+The same sort checks finiteness: NaN and +inf sort last and -inf first, so
+a column is finite when both ends of its sorted copy are.  The grid's
+integers i = 1..MAX_H are built once at import, and each call reads its
+first h.
 """
+
+import math
 
 import numpy as np
 
@@ -21,6 +28,7 @@ from .errors import EmptyInput, InvalidWidth
 # The widest grid (40 times the paper's h = 100): it bounds the h values held
 # per sampled column before a width from a checkpoint or flag allocates them.
 MAX_H = 4096
+_GRID = np.arange(1, MAX_H + 1, dtype=np.int64)
 
 
 def sample_inverse_transform(values, h: int) -> np.ndarray:
@@ -34,11 +42,12 @@ def sample_inverse_transform(values, h: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise EmptyInput("value list is empty")
-    if not np.all(np.isfinite(arr)):
-        raise EmptyInput("value list contains non-finite entries")
     ordered = np.sort(arr)
-    i = np.arange(1, h + 1, dtype=np.int64)
-    # min{v : count(v) / n >= i / h}  <=>  count(v) >= ceil(i * n / h)
-    thresholds = (i * arr.size + h - 1) // h
-    picks = ordered[thresholds - 1]
-    return ordered[np.searchsorted(ordered, picks, side="left")]
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+        raise EmptyInput("value list contains non-finite entries")
+    # min{v : count(v) / n >= i / h}  <=>  count(v) >= ceil(i * n / h), the
+    # value at 0-based index ceil(i * n / h) - 1 = (i * n - 1) // h
+    picks = _GRID[:h] * arr.size
+    picks -= 1
+    picks //= h
+    return ordered[np.searchsorted(ordered, ordered[picks], side="left")]

@@ -6,8 +6,9 @@ counting) so that agreement is evidence, not tautology.  Three sections are
 the exception: the pairwise scorers, numpy code scoring one pair at a time;
 the np.pad / sliding_window_view window ops with the np.where relu,
 the out-of-place batch norm, the np.unique sampler and the
-one-GEMM-per-8-row-tile product; and the training MRR ranked one row at a
-time.  Each states what the library's faster form must equal bit for bit.
+one-GEMM-per-8-row-tile product; and the distances and training MRR taken
+one query row at a time.  Each states what the library's faster form must
+equal bit for bit.
 
 store_of, at the end, is no oracle: it builds small stores for tests.
 """
@@ -22,7 +23,6 @@ from fractions import Fraction
 import numpy as np
 
 from embnum.baselines import PackedColumns, _sigmoid
-from embnum.embnet import distances
 from embnum.errors import EmptyInput
 from embnum.labeling import BenchmarkReport, FeatureStore, PerCount, StoreRecord
 from embnum.nn.ops import BN_EPS, BN_MOMENTUM
@@ -339,7 +339,21 @@ def sample_unique_reference(values, h: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# training MRR, one query row at a time
+# distances and training MRR, one query row at a time
+
+
+def distances_reference(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Exact float64 Euclidean distances, (queries, n), from n (k,) points to
+    each query row, one row of n * k differences at a time; a (k,) query gives
+    an (n,) row.  Mining, training MRR and labeling all rank by it.  Squares
+    underflow for points under about 1e-154 apart (to exactly 0 under 1e-162);
+    distinct float32 embeddings are at least 1.4e-45 apart, far above either."""
+    points, block = np.asarray(points, dtype=np.float64), np.atleast_2d(queries)
+    out = np.empty((len(block), len(points)))
+    for row, query in zip(out, block.astype(np.float64)):
+        diff = points - query
+        np.sqrt(np.einsum("ij,ij->i", diff, diff), out=row)
+    return out[0] if np.ndim(queries) == 1 else out
 
 
 def training_mrr_reference(embeddings: np.ndarray, labels) -> float:
@@ -351,7 +365,7 @@ def training_mrr_reference(embeddings: np.ndarray, labels) -> float:
     _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     rr = np.zeros(len(emb))
     for i, row in enumerate(emb):
-        order = np.lexsort((codes, distances(emb, row)))
+        order = np.lexsort((codes, distances_reference(emb, row)))
         order = order[order != i]  # by index: an inf stand-in for self can tie
         hits = np.flatnonzero(codes[order] == codes[i])
         if hits.size:

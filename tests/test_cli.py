@@ -267,6 +267,17 @@ class TestIndexAndLabel:
                      "--out", str(tmp_path / "s.bin")]) == 1
         assert "MalformedValue" in capsys.readouterr().err
 
+    def test_label_directory_query_is_not_a_file(self, data_dir, tmp_path, capsys):
+        store = tmp_path / "s.bin"
+        assert main(["index", str(data_dir), "--method", "semantictyper",
+                     "--out", str(store)]) == 0
+        capsys.readouterr()
+        assert main(["label", str(store), str(data_dir)]) == 1
+        assert (f"MissingDirectory: attribute file {data_dir} is not a file\n"
+                == capsys.readouterr().err)
+        assert main(["label", str(store), str(tmp_path / "ghost.csv")]) == 1
+        assert "ghost.csv does not exist" in capsys.readouterr().err
+
     def test_label_missing_store_is_io_error(self, tmp_path, capsys):
         q = tmp_path / "q.csv"
         q.write_text("1\n")

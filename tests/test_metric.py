@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
@@ -28,13 +28,14 @@ import embnum.embnet as embnet_mod
 import embnum.labeling as labeling_mod
 import embnum.metric as metric_mod
 from embnum.nn import ops
-from oracles import (conv1d_reference, distance_oracle, maxpool1d_reference,
-                     parse_history_csv, relu_reference, sample_unique_reference, store_of,
-                     training_mrr_reference)
+from oracles import (conv1d_reference, distance_oracle, distances_reference,
+                     maxpool1d_reference, parse_history_csv, relu_reference,
+                     sample_unique_reference, store_of, training_mrr_reference)
 
 TINY_ARCH = ArchConfig(h=16, k=8, stem_channels=4)
 TINY_CFG = TrainConfig(epochs=2, batch_labels=2, samples_per_label=2, seed=0)
 QUARTER_GRID = st.integers(-20, 20).map(lambda v: v / 4)
+COORDS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1e200])
 
 
 def tiny_training_set(labels=4, sources=3, seed=0) -> Dataset:
@@ -71,6 +72,29 @@ class TestDistances:
         assert distances(points, np.zeros((0, 2))).shape == (0, 2)
         got = distances(points, [[0.0, 4.0], [3.0, 0.0]])
         assert got.tolist() == [[4.0, 3.0], [3.0, 4.0]]
+
+    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(COORDS, min_size=k, max_size=k), max_size=6),
+        st.lists(st.lists(COORDS, min_size=k, max_size=k), max_size=6),
+        st.just(k))), st.booleans(), st.floats(0.0, 4.0))
+    @settings(max_examples=300, deadline=None)
+    @example(([], [[1.0] * 3] * 2, 3), False, 0.5)  # no points: (2, 0)
+    @example(([[1.0] * 3] * 4, [], 3), False, 2.0)  # no queries: (0, 4)
+    def test_blocks_equal_the_row_at_a_time_distances(self, case, one_query, rows):
+        # few distinct coordinates, so points tie and queries equal points;
+        # 1e200 gives inf distances; either side may hold no rows
+        points, queries, k = case
+        points = np.array(points, dtype=np.float64).reshape(-1, k)
+        queries = np.array(queries, dtype=np.float64).reshape(-1, k)
+        if one_query and len(queries):
+            queries = queries[0]
+        # a budget from below one row's n * k differences up to four rows
+        budget = max(1, int(rows * points.size))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embnet_mod, "DISTANCE_BUDGET", budget)
+            got = distances(points, queries)
+        want = distances_reference(points, queries)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class TestMining:

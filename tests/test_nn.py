@@ -307,19 +307,39 @@ class TestMatchesReferenceOps:
     sliding_window_view / np.where / out-of-place forms in tests/oracles.py
     bit for bit, forward and backward."""
 
+    @staticmethod
+    def _conv1d_runs(x, w, bias, stride, padding):
+        runs = []
+        for op in (ops.conv1d, conv1d_reference):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, bias))
+            y = op(xt, wt, bt, stride=stride, padding=padding)
+            g = np.random.default_rng(1).standard_normal(y.data.shape).astype(x.dtype)
+            (y * Tensor(g)).sum().backward()
+            runs.append([_bits(a) for a in (y.data, xt.grad, wt.grad, bt.grad)])
+        return runs
+
     @given(window_cases())
     @settings(max_examples=150, deadline=None)
     def test_conv1d(self, case):
         rng, dtype = case["rng"], case["dtype"]
         w = rng.standard_normal((case["c_out"], case["c_in"], case["k"])).astype(dtype)
         bias = rng.standard_normal(case["c_out"]).astype(dtype)
-        runs = []
-        for op in (ops.conv1d, conv1d_reference):
-            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (case["x"], w, bias))
-            y = op(xt, wt, bt, stride=case["stride"], padding=case["padding"])
-            g = np.random.default_rng(1).standard_normal(y.data.shape).astype(dtype)
-            (y * Tensor(g)).sum().backward()
-            runs.append([_bits(a) for a in (y.data, xt.grad, wt.grad, bt.grad)])
+        runs = self._conv1d_runs(case["x"], w, bias, case["stride"], case["padding"])
+        assert runs[0] == runs[1]
+
+    # (B, L): B * L_out rows of im2col, with k=3, stride 1, padding 1
+    @pytest.mark.parametrize("c_out, b, length", [
+        *((4, b, length) for b, length in [(1, 7), (1, 8), (1, 9), (3, 5), (2, 8), (17, 1)]),
+        # wide layers: at most 15 rows, so the whole tiles are one 8-row GEMM
+        # and the bits hold on every OpenBLAS kernel set
+        *((256, b, length) for b, length in [(1, 7), (1, 8), (1, 9), (3, 5)]),
+    ])
+    def test_conv1d_tail_tiles(self, c_out, b, length):
+        rng = np.random.default_rng(b * 100 + length)
+        x = rng.standard_normal((b, 3, length)).astype(np.float32)
+        w = rng.standard_normal((c_out, 3, 3)).astype(np.float32)
+        bias = rng.standard_normal(c_out).astype(np.float32)
+        runs = self._conv1d_runs(x, w, bias, 1, 1)
         assert runs[0] == runs[1]
 
     @given(st.booleans().flatmap(lambda specials: window_cases(specials=specials)))
@@ -335,6 +355,13 @@ class TestMatchesReferenceOps:
                 (y * Tensor(g)).sum().backward()
             runs.append([_bits(a) for a in (y.data, xt.grad)])
         assert runs[0] == runs[1]
+        # with no tape, the same forward bits and no index
+        untaped = [ops.maxpool1d(Tensor(case["x"]), case["k"], case["stride"], case["padding"])]
+        with no_grad():
+            untaped.append(ops.maxpool1d(Tensor(case["x"], requires_grad=True),
+                                         case["k"], case["stride"], case["padding"]))
+        for y in untaped:
+            assert (_bits(y.data), y.requires_grad, y._backward) == (runs[0][0], False, None)
 
     @given(window_cases(specials=True))
     @settings(max_examples=50, deadline=None)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embnum.errors import EmptyInput, InvalidWidth
@@ -58,10 +58,14 @@ class TestErrors:
             sample_inverse_transform([], 4)
 
     def test_non_finite_values(self):
-        with pytest.raises(EmptyInput):
-            sample_inverse_transform([1.0, float("nan")], 4)
-        with pytest.raises(EmptyInput):
-            sample_inverse_transform([float("inf")], 4)
+        # first, middle, last and alone: the sorted copy's ends decide, as
+        # NaN and +inf sort last and -inf first
+        for bad in (np.nan, -np.inf, np.inf):
+            for column in ([bad, 2.0, -1.0, 0.5], [2.0, -1.0, bad, 0.5, 3.0],
+                           [2.0, -1.0, 0.5, bad], [bad]):
+                with pytest.raises(EmptyInput,
+                                   match="^value list contains non-finite entries$"):
+                    sample_inverse_transform(column, 4)
 
 
 class TestProperties:
@@ -73,6 +77,8 @@ class TestProperties:
 
     @given(zero_heavy_lists, widths)
     @settings(max_examples=300, deadline=None)
+    @example([0.0, -0.0, 1.5, -0.0, 0.0], 50)  # h above the column length
+    @example([-0.0, 0.0] * 20 + [1.5, -2.0, 0.0], 7)  # h below it
     def test_matches_unique_reference_bitwise(self, values, h):
         got = sample_inverse_transform(values, h)
         want = sample_unique_reference(values, h)
