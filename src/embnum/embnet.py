@@ -148,11 +148,16 @@ class Model:
         return state
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy every parameter and buffer in from arrays, which hold exactly
-        this model's array names and shapes."""
-        for name, p in self.net.named_params().items():
-            p.data = arrays[name].astype(p.data.dtype)
-        for name, buf in self.net.named_buffers().items():
+        """Copy every parameter and buffer in from arrays, into the buffers
+        the layers allocated, so each keeps its layout (ops.conv_weight).
+        Unless arrays hold exactly this model's names and shapes, InvalidArch
+        names the first that differs and nothing is copied."""
+        state = self.state_dict()
+        shapes = {name: np.shape(a) for name, a in arrays.items()}
+        for name in sorted(state.keys() | shapes.keys()):
+            if name not in state or shapes.get(name) != state[name].shape:
+                raise InvalidArch(f"state array {name!r} is missing, extra or misshapen")
+        for name, buf in state.items():
             np.copyto(buf, arrays[name])
 
 

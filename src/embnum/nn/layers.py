@@ -12,13 +12,14 @@ from .tensor import Tensor
 
 class Conv1d:
     """A convolution without bias: every conv in the network feeds a batch
-    norm, which absorbs any offset."""
+    norm, which absorbs any offset.  The weight's layout comes from
+    ops.conv_weight; code that replaces it must copy into its buffer."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0):
         self.stride = stride
         self.padding = padding
-        self.weight = Tensor(np.zeros((out_channels, in_channels, kernel), np.float32),
+        self.weight = Tensor(ops.conv_weight(out_channels, in_channels, kernel),
                              requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -7,9 +7,12 @@ _TILE_ROWS rows, the zero-padded tail tile among them, in one batched
 matmul call; float32 layers at least _ONE_GEMM_WIDTH outputs wide make one
 call over all whole tiles and one 8-row call for the zero-padded tail.  So
 each output row's bits depend only on the layer's shape, never on how many
-rows are batched with it.  The backward passes use plain GEMM, which is
-deterministic from run to run but not batch invariant; training needs no
-more than that.
+rows are batched with it.  A conv at least _ONE_GEMM_WIDTH wide holds its
+weight in the layout its forward GEMM reads (conv_weight), so OpenBLAS packs
+it from contiguous rows; narrower layers read a transposed view, whose bits
+their small-matrix kernel depends on.  The backward passes use plain GEMM,
+which is deterministic from run to run but not batch invariant; training
+needs no more than that.
 
 conv1d returns a transposed view of a channels-last (B, L, C) product, and
 batch norm and relu keep whatever layout they are given, so most maps
@@ -59,6 +62,24 @@ not a multiple of 8 changes the bits with the row count.
 """
 
 
+def conv_weight(c_out: int, c_in: int, k: int) -> np.ndarray:
+    """A zeroed float32 (c_out, c_in, k) conv weight in the layout its
+    forward product reads.
+
+    A layer at least _ONE_GEMM_WIDTH wide stores its weight as (c_in*k,
+    c_out) rows, so that conv1d's wf.T reaches the one-GEMM branch
+    C-contiguous and OpenBLAS packs it without a strided gather.  Its bits
+    are the transposed view's at every row count tested (1-17, 513, 2,200
+    and 3,850) under the SkylakeX, Haswell, Sandybridge and Nehalem kernels.
+    A narrower layer keeps C order: its 8-row tiles run the small-matrix
+    kernel, whose sums depend on B's layout, so it reads the transposed view
+    it always has.
+    """
+    if c_out >= _ONE_GEMM_WIDTH:
+        return np.zeros((c_in * k, c_out), np.float32).T.reshape(c_out, c_in, k)
+    return np.zeros((c_out, c_in, k), np.float32)
+
+
 def _tiled_matmul(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndarray:
     """a[:m] @ b for 2-D a (all of a by default), each row's bits fixed by
     the shapes alone.
@@ -69,7 +90,9 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndar
     tail tile go through one batched per-tile matmul call.  A float32 layer
     at least _ONE_GEMM_WIDTH wide makes one call over all whole tiles and
     sends the last m % _TILE_ROWS rows through one zero-padded 8-row GEMM of
-    their own.  Rows of a past m, up to the next whole tile, must be zeros,
+    their own; there b may be C-contiguous or a transposed view, with equal
+    bits, and conv_weight gives wide convs the contiguous one, which packs
+    faster.  Rows of a past m, up to the next whole tile, must be zeros,
     as conv1d leaves them; where a stops at m, the padding is copied in.
     """
     m = len(a) if m is None else m

@@ -37,7 +37,9 @@ from embnum.errors import (
     WidthMismatch,
 )
 from embnum.fixtures import desk_arch, efficiency_spec
-from embnum.nn import Conv1d, Linear, Tensor
+from embnum.labeling import index_labeled, load_store, save_store
+from embnum.metric import TrainConfig, train
+from embnum.nn import Conv1d, Linear, Tensor, ops
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
@@ -381,3 +383,40 @@ class TestCheckpointFormat:
         c = build_model(TINY, seed=0)
         c.net.fc.bias.data[0] += 1e-3
         assert model_to_bytes(a) != model_to_bytes(c)
+
+
+class TestWeightLayout:
+    """A conv at least ops._ONE_GEMM_WIDTH wide holds its weight as (c_in*k,
+    c_out) rows, the operand conv1d's forward product reads; narrower convs
+    and fc hold C order.  Loading and training keep the layout."""
+
+    @staticmethod
+    def _assert_layouts(model):
+        wide = 0
+        for name, mod in model.net.modules().items():
+            w = mod.weight.data if isinstance(mod, (Conv1d, Linear)) else None
+            if isinstance(mod, Conv1d) and w.shape[0] >= ops._ONE_GEMM_WIDTH:
+                assert w.reshape(w.shape[0], -1).T.flags.c_contiguous, name
+                wide += 1
+            elif w is not None:
+                assert w.flags.c_contiguous, name
+        assert wide == 10  # every conv of stages 2 and 3 of the full-width net
+
+    def test_the_layout_survives_loading_and_training(self, desk_dataset, tmp_path):
+        model = build_model(ArchConfig(), seed=0)
+        self._assert_layouts(model)
+        self._assert_layouts(model_from_bytes(model_to_bytes(model)))
+        save_store(index_labeled(desk_dataset, "embnum", model), tmp_path / "e.store")
+        self._assert_layouts(load_store(tmp_path / "e.store").model)
+        cfg = TrainConfig(epochs=2, batch_labels=10, samples_per_label=3, seed=0)
+        self._assert_layouts(train(desk_dataset, ArchConfig(), cfg)[0])
+
+    def test_load_state_refuses_a_wrong_shape_and_copies_nothing(self):
+        model = build_model(ArchConfig(), seed=0)
+        before = model_to_bytes(model)
+        arrays = {name: a + 1 for name, a in model.state_dict().items()}
+        arrays["stage3.1.conv2.weight"] = arrays["stage3.1.conv2.weight"][:, :, :2]
+        with pytest.raises(InvalidArch, match="stage3.1.conv2.weight"):
+            model.load_state(arrays)
+        assert model_to_bytes(model) == before
+        self._assert_layouts(model)

@@ -1,5 +1,10 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,7 +246,9 @@ class TestTiledMatmulMatchesTiles:
     @staticmethod
     def _check(k, n, rows, dtype=np.float32):
         rng = np.random.default_rng(k * 10_007 + n)
-        # the weight enters transposed, as conv1d and linear pass it
+        # the weight enters transposed, as linear and narrow convs pass it;
+        # a wide conv passes it C-contiguous, with the same bits (see
+        # test_weight_layout_keeps_the_bits)
         b = rng.standard_normal((n, k)).astype(dtype).T
         a = rng.standard_normal((max(rows), k)).astype(dtype)
         for m in rows:
@@ -261,6 +268,80 @@ class TestTiledMatmulMatchesTiles:
     def test_float64_keeps_tiles_at_any_width(self):
         for n in (256, 300, 512):
             self._check(64, n, (*range(1, 71), 513), dtype=np.float64)
+
+    def test_weight_layout_keeps_the_bits(self):
+        # ops.conv_weight stores a wide conv's weight so that conv1d passes
+        # it C-contiguous; that must give the transposed view's bits, which
+        # narrow layers still read, on whatever kernel set OpenBLAS loaded
+        shapes = {(k, n) for k, n in _product_shapes(ArchConfig())
+                  if n >= ops._ONE_GEMM_WIDTH}
+        shapes |= {(k, n) for k in (3, 128, 768, 1536) for n in (256, 512, 1024)}
+        rows = (*range(1, 18), 513, 2200, 3850)
+        for k, n in sorted(shapes):
+            rng = np.random.default_rng(k * 10_007 + n)
+            b = rng.standard_normal((n, k)).astype(np.float32).T
+            a = rng.standard_normal((max(rows), k)).astype(np.float32)
+            c = np.ascontiguousarray(b)
+            for m in rows:
+                assert (ops._tiled_matmul(a[:m], c).tobytes()
+                        == ops._tiled_matmul(a[:m], b).tobytes()), (k, n, m)
+
+
+def openblas_corename() -> str | None:
+    """The kernel set numpy's bundled OpenBLAS loaded, as the library names
+    it, or None where no such library is found."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        except OSError:
+            continue
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
+# The CPU flag each OpenBLAS kernel set needs: forcing a set the CPU lacks
+# kills the process with an illegal instruction.
+KERNEL_SETS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx",
+               "Nehalem": "sse4_2"}
+
+
+@pytest.fixture(scope="module")
+def kernel_set_children():
+    """One child process per kernel set whose CPU flag /proc/cpuinfo lists,
+    all started at once, each forced to its set by OPENBLAS_CORETYPE; each
+    prints the core name its OpenBLAS loaded, then runs the weight layout
+    check."""
+    cpuinfo = Path("/proc/cpuinfo")
+    cpu_flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
+    code = ("import test_nn; print(test_nn.openblas_corename(), flush=True); "
+            "test_nn.TestTiledMatmulMatchesTiles().test_weight_layout_keeps_the_bits()")
+    children = {core: subprocess.Popen(
+        [sys.executable, "-c", code], cwd=tests.parent,
+        env=dict(env, OPENBLAS_CORETYPE=core), text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for core, flag in KERNEL_SETS.items() if flag in cpu_flags}
+    yield children
+    for proc in children.values():
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.mark.parametrize("core", KERNEL_SETS)
+def test_weight_layout_keeps_the_bits_on_every_kernel_set(core, kernel_set_children):
+    proc = kernel_set_children.get(core)
+    if proc is None:
+        pytest.skip(f"/proc/cpuinfo lists no {KERNEL_SETS[core]}, which {core} needs")
+    out, err = proc.communicate(timeout=300)
+    loaded = out.partition("\n")[0]
+    if loaded != core:
+        pytest.skip(f"OpenBLAS loaded {loaded or 'nothing'} instead of {core}")
+    assert proc.returncode == 0, out[-3000:] + err[-3000:]
 
 
 def _bits(a: np.ndarray) -> tuple:
