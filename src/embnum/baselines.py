@@ -26,12 +26,14 @@ SCORE_CHUNK = 1 << 17  # stored values gathered per pass of PackedColumns.statis
 class PackedColumns:
     """Stored columns laid end to end, each sorted once as the pack is built,
     for scoring a batch of queries against all of them in a few vectorized
-    passes.  Each column's CDF at its values is built on first use.  A query
-    visits only the run of each column from the last value below min(q) to
-    the first value above max(q): beyond that run |F_q - F_r| only falls, and
-    each value above max(q) adds m to the Mann-Whitney counts.  A column
-    scores the same, bit for bit, alone or in any store or batch: counts are
-    exact integers and no arithmetic crosses a column boundary."""
+    passes; like an embedding matrix, it has a length, rows (each column's
+    sorted values) and boolean-mask indexing.  Each column's CDF at its
+    values is built on first use.  A query visits only the run of each
+    column from the last value below min(q) to the first value above max(q):
+    beyond that run |F_q - F_r| only falls, and each value above max(q) adds
+    m to the Mann-Whitney counts.  A column scores the same, bit for bit,
+    alone or in any store or batch: counts are exact integers and no
+    arithmetic crosses a column boundary."""
 
     def __init__(self, columns):
         cols = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
@@ -43,13 +45,18 @@ class PackedColumns:
         for c, s in zip(cols, self.starts):
             self.values[s : s + c.size] = np.sort(c)
 
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __iter__(self):
+        return iter(np.split(self.values, self.starts[1:]))
+
     @cached_property
     def cdf(self) -> np.ndarray:
         """F_r(r_j) at each stored value r_j, within its column r."""
-        return np.concatenate([np.searchsorted(r, r, side="right") / r.size
-                               for r in np.split(self.values, self.starts[1:])])
+        return np.concatenate([np.searchsorted(r, r, side="right") / r.size for r in self])
 
-    def take(self, keep: np.ndarray) -> PackedColumns:
+    def __getitem__(self, keep: np.ndarray) -> PackedColumns:
         """The columns where the boolean mask `keep` is set, sliced out of
         this pack without sorting again: bit for bit the arrays that packing
         those columns afresh gives, this pack's CDF built once and sliced."""
@@ -65,7 +72,8 @@ class PackedColumns:
         sup |F_q - F_r|; U / (m*n) with U = #(x < y) + ties/2 over x in q,
         y in r; and range overlap / range union, 1.0 for coinciding points.
         Given a sequence of value arrays, each statistic is a (queries,
-        columns) array.
+        columns) array.  A query that is empty or holds NaN or an infinity
+        (which its sort puts at an end) is EmptyInput.
 
         The runs of every (query, column) pair are gathered and scored in
         chunks of at most SCORE_CHUNK stored values, or one longer run."""
@@ -76,6 +84,8 @@ class PackedColumns:
         m = np.array([q.size for q in qs])
         tops = np.cumsum(m)
         q_lo, q_hi = np.concatenate(qs)[[tops - m, tops - 1]]
+        if not np.isfinite([q_lo, q_hi]).all():
+            raise EmptyInput("value list contains non-finite entries")
         ends = self.starts + self.sizes
         lo, hi = self._bisect(q_lo, q_hi)
         first = np.maximum(lo - 1, self.starts).ravel()   # last value below min(q)

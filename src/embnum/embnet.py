@@ -213,8 +213,8 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
 
 def distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Exact float64 Euclidean distances, (queries, n), from n (k,) points to
-    each query row; a (k,) query gives an (n,) row.  Mining, training MRR and
-    labeling all rank by it.  Query rows go a block at a time, as many as keep
+    each row of a (queries, k) block.  Mining, training MRR and labeling all
+    rank by it.  Query rows go a block at a time, as many as keep
     the block's differences within DISTANCE_BUDGET float64 values (at least
     one row), through one buffer allocated per call; each block sums its
     squares with one einsum, which gives every row the bits of summing it
@@ -222,14 +222,14 @@ def distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     exactly 0 under 1e-162); distinct float32 embeddings are at least
     1.4e-45 apart, far above either."""
     points = np.asarray(points, dtype=np.float64)
-    block = np.atleast_2d(queries).astype(np.float64)
+    block = np.asarray(queries, dtype=np.float64)
     out = np.empty((len(block), len(points)))
     step = max(1, DISTANCE_BUDGET // max(points.size, 1))
     diff = np.empty((min(step, len(block)), *points.shape))
     for lo in range(0, len(block), step):
         rows = np.subtract(points, block[lo : lo + step, None], out=diff[: len(block) - lo])
         np.sqrt(np.einsum("qij,qij->qi", rows, rows), out=out[lo : lo + step])
-    return out[0] if np.ndim(queries) == 1 else out
+    return out
 
 
 def model_frame(model: Model) -> tuple[dict, dict[str, np.ndarray]]:

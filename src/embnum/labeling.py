@@ -5,6 +5,8 @@ A FeatureStore indexes labeled attributes under one scoring method:
   semantictyper - raw values, ranked by ascending KS statistic
   dsl           - raw values, ranked by a trained logistic combination of
                   KS / MW / range-overlap features
+Both feature blocks answer len(), iteration and a boolean mask alike; the
+method only chooses a scorer, the model it needs and the file's arrays.
 
 The benchmark holds out each source in turn and labels it against every
 non-empty subset of the remaining sources, timing only the labeling side
@@ -33,7 +35,7 @@ from .baselines import (DSL_WEIGHTS, LogisticModel, PackedColumns, _sigmoid,
 from .baselines import ks_statistic, pair_features  # noqa: F401
 from .dataset import Dataset, NumericAttribute, dataset_fingerprint
 from .embnet import CHECKPOINT, Model, distances, embed, model_frame, model_from_frame, preprocess
-from .errors import (EmptyInput, EmptyLabeledData, EmptyStore, InvalidArch, InvalidSpec,
+from .errors import (EmptyLabeledData, EmptyStore, InvalidArch, InvalidSpec,
                      MalformedCheckpoint, MalformedStore, MissingModel, NoQueries,
                      TooFewSources)
 
@@ -55,12 +57,12 @@ class FeatureStore:
     """Labeled attributes as the arrays their scorer reads: one label and one
     source per attribute, in object arrays of str (a numpy str array would
     drop trailing NULs), and one feature block, the (n, k) float32 embedding
-    matrix for embnum or a PackedColumns of the raw values otherwise.
-    Construction refuses an empty store (EmptyStore), an embnum store without
-    its model or a dsl store without its weights (MissingModel), and labels,
-    sources and feature rows of unequal counts (InvalidSpec).  It builds the
-    tie_rank and label_codes every ranking reads; the store is immutable, so
-    they stay its own."""
+    matrix for embnum or a PackedColumns of the raw values otherwise, each
+    with one row per attribute.  Construction refuses an empty store
+    (EmptyStore), an embnum store without its model or a dsl store without
+    its weights (MissingModel), and labels, sources and feature rows of
+    unequal counts (InvalidSpec).  It builds the tie_rank and label_codes
+    every ranking reads; the store is immutable, so they stay its own."""
 
     method: str
     labels: np.ndarray
@@ -78,10 +80,9 @@ class FeatureStore:
             raise MissingModel("an embnum store needs the model that embeds its queries")
         if self.method == "dsl" and self.dsl_model is None:
             raise MissingModel("a dsl store needs its logistic weights")
-        rows = len(self.features) if self.method == "embnum" else self.features.sizes.size
-        if not len(self.labels) == len(self.sources) == rows:
+        if not len(self.labels) == len(self.sources) == len(self.features):
             raise InvalidSpec(f"{len(self.labels)} labels and {len(self.sources)} sources "
-                              f"for {rows} feature rows")
+                              f"for {len(self.features)} feature rows")
         # tie_rank: each record's place in (label, source) order, the key that
         # breaks score ties; label_codes: ({label: code}, each record's code)
         code_of: dict[str, int] = {}
@@ -94,17 +95,15 @@ class FeatureStore:
         """Read-only (label, source, feature) rows in attribute order: float32
         embeddings, or each column's sorted values.  The package itself reads
         the arrays; this view is for callers that walk a store row by row."""
-        rows = self.features if self.method == "embnum" else np.split(
-            self.features.values, self.features.starts[1:])
-        return tuple(map(StoreRecord, self.labels.tolist(), self.sources.tolist(), rows))
+        return tuple(map(StoreRecord, self.labels.tolist(), self.sources.tolist(),
+                         self.features))
 
     def subset(self, keep: np.ndarray) -> FeatureStore:
         """The records where the boolean mask `keep` is set, under this
         store's scorers.  A raw-value subset takes its presorted columns
         from this store's pack instead of sorting them again."""
-        features = self.features[keep] if self.method == "embnum" else self.features.take(keep)
-        return FeatureStore(self.method, self.labels[keep], self.sources[keep], features,
-                            self.model, self.dsl_model)
+        return FeatureStore(self.method, self.labels[keep], self.sources[keep],
+                            self.features[keep], self.model, self.dsl_model)
 
 
 @dataclass(frozen=True)
@@ -142,34 +141,28 @@ def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
     if method == "dsl" and dsl_model is None:
         dsl_model = dsl_train(make_training_pairs(labeled))
     attrs = labeled.attributes
-    features = _featurize(method, model, [a.values for a in attrs])
+    columns = [a.values for a in attrs]
     return FeatureStore(method, np.array([a.label for a in attrs], dtype=object),
                         np.array([a.source for a in attrs], dtype=object),
-                        features if method == "embnum" else PackedColumns(features),
+                        _embed(model, columns) if method == "embnum" else PackedColumns(columns),
                         model, dsl_model)
 
 
-def _featurize(method: str, model: Model | None, columns: list):
-    """The (n, k) float32 embedding matrix for embnum, each column's float64
-    values otherwise; a column holding NaN or an infinity is EmptyInput, which
-    for embnum sampling raises."""
-    if method == "embnum":
-        return embed(model, np.stack([preprocess(c, model.arch) for c in columns]))
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    if not all(np.isfinite(c).all() for c in columns):
-        raise EmptyInput("value list contains non-finite entries")
-    return columns
+def _embed(model: Model, columns: list) -> np.ndarray:
+    """The (n, k) float32 embedding matrix of the columns; a column holding
+    NaN or an infinity is EmptyInput, which sampling raises."""
+    return embed(model, np.stack([preprocess(c, model.arch) for c in columns]))
 
 
 def _orders(store: FeatureStore, columns: list) -> tuple[np.ndarray, np.ndarray]:
     """(orders, display scores) of the store against each query column, one row
     per query.  An order row lists record indices best first: keys ascend, and
-    key ties break by (label, source); raw-value stores score in one call."""
-    features = _featurize(store.method, store.model, columns)
+    key ties break by (label, source); raw-value stores score in one call.
+    Every scorer refuses a query holding NaN or an infinity (EmptyInput)."""
     if store.method == "embnum":
-        keys = display = distances(store.features, features)
+        keys = display = distances(store.features, _embed(store.model, columns))
     else:
-        ks, mw, jaccard = store.features.statistics(features)
+        ks, mw, jaccard = store.features.statistics(columns)
         if store.method == "semantictyper":
             keys, display = ks, 1.0 - ks
         else:
@@ -405,7 +398,7 @@ def load_store(path: Path) -> FeatureStore:
 def export_embeddings_csv(model: Model, dataset: Dataset) -> str:
     """CSV of every attribute's embedding: label, source, e0..e{k-1}."""
     attrs = sorted(dataset.attributes, key=lambda a: (a.label, a.source))
-    embs = _featurize("embnum", model, [a.values for a in attrs])
+    embs = _embed(model, [a.values for a in attrs])
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(
         [["label", "source"] + [f"e{i}" for i in range(model.arch.k)]]

@@ -56,18 +56,12 @@ def lr_at(epoch: int) -> float:
     return LR0 * LR_DECAY ** (epoch // LR_STEP)
 
 
-@dataclass
-class TripletBatch:
-    anchors: np.ndarray
-    positives: np.ndarray
-    negatives: np.ndarray
-
-
-def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
-    """Hardest positive (max distance) and hardest negative (min distance)
-    per anchor, ties broken by lowest batch index.  Each is picked among the
-    masked rows only, so every positive is another row of the anchor's label
-    and every negative a row of another label, infinite distances included."""
+def mine_batch_hard(embeddings: np.ndarray, labels) -> tuple[np.ndarray, ...]:
+    """(anchors, positives, negatives) row indices: the hardest positive (max
+    distance) and hardest negative (min distance) of each row that has both,
+    ties broken by lowest batch index.  Each is picked among the masked rows
+    only, so every positive is another row of the anchor's label and every
+    negative a row of another label, infinite distances included."""
     labels = np.asarray(labels, dtype=object)
     dist = distances(embeddings, embeddings)
     same = labels[:, None] == labels[None, :]
@@ -80,14 +74,16 @@ def mine_batch_hard(embeddings: np.ndarray, labels) -> TripletBatch:
     # per row, the masked columns sort first, then by distance, then by index
     positives = np.lexsort((-dist[anchors], ~pos_mask[anchors]))[:, 0]
     negatives = np.lexsort((dist[anchors], ~neg_mask[anchors]))[:, 0]
-    return TripletBatch(anchors=anchors, positives=positives, negatives=negatives)
+    return anchors, positives, negatives
 
 
-def triplet_loss(emb: Tensor, mined: TripletBatch, alpha: float) -> Tensor | None:
-    """max(0, alpha + d_pos - d_neg) averaged over the mined triplets that
-    violate the margin; None when none does."""
-    diff_p = emb.gather_rows(mined.anchors) - emb.gather_rows(mined.positives)
-    diff_n = emb.gather_rows(mined.anchors) - emb.gather_rows(mined.negatives)
+def triplet_loss(emb: Tensor, mined: tuple[np.ndarray, ...], alpha: float) -> Tensor | None:
+    """max(0, alpha + d_pos - d_neg) averaged over those of mine_batch_hard's
+    (anchors, positives, negatives) triplets that violate the margin; None
+    when none does."""
+    anchors, positives, negatives = mined
+    diff_p = emb.gather_rows(anchors) - emb.gather_rows(positives)
+    diff_n = emb.gather_rows(anchors) - emb.gather_rows(negatives)
     # tiny floor keeps sqrt differentiable when a distance hits 0
     d_pos = ((diff_p * diff_p).sum(axis=1) + 1e-12).sqrt()
     d_neg = ((diff_n * diff_n).sum(axis=1) + 1e-12).sqrt()

@@ -143,11 +143,11 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation along the last axis.
+def conv1d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation along the last axis, with no bias term: every conv
+    of the network feeds a batch norm, whose shift takes its place.
 
-    x: (B, C_in, L), weight: (C_out, C_in, K), bias: (C_out,) or None.
+    x: (B, C_in, L), weight: (C_out, C_in, K).
     Output length is (L + 2*padding - K) // stride + 1.
 
     The (B*L_out, C_in*K) im2col block, columns c_in-major and k-minor, is
@@ -179,19 +179,14 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             col4[:, hi:, :, kk] = 0.0
     wf = weight.data.reshape(c_out, c_in * k)
     y = _tiled_matmul(col, wf.T, m).reshape(b, out_len, c_out).transpose(0, 2, 1)
-    if bias is not None:
-        y = y + bias.data[None, :, None]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = make(y, parents)
+    out = make(y, (x, weight))
     if out.requires_grad:
         padded_len = length + 2 * padding
 
-        def back(g, xt=x, wt=weight, bt=bias, win=col[:m]):
+        def back(g, xt=x, wt=weight, win=col[:m]):
             g2 = g.transpose(0, 2, 1).reshape(m, c_out)
             if wt.requires_grad:
                 wt.accumulate((g2.T @ win).reshape(c_out, c_in, k))
-            if bt is not None and bt.requires_grad:
-                bt.accumulate(g.sum(axis=(0, 2)))
             if xt.requires_grad:
                 gcol = (g2 @ wt.data.reshape(c_out, c_in * k)).reshape(
                     b, out_len, c_in, k)

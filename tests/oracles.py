@@ -232,7 +232,7 @@ def relu_reference(x):
     return out
 
 
-def conv1d_reference(x, weight, bias=None, stride: int = 1, padding: int = 0):
+def conv1d_reference(x, weight, *, stride: int = 1, padding: int = 0):
     """ops.conv1d's forward and backward over padded_windows."""
     b, c_in, length = x.data.shape
     c_out, _, k = weight.data.shape
@@ -241,19 +241,14 @@ def conv1d_reference(x, weight, bias=None, stride: int = 1, padding: int = 0):
     col = np.ascontiguousarray(sw.transpose(0, 2, 1, 3).reshape(b * out_len, c_in * k))
     wf = weight.data.reshape(c_out, c_in * k)
     y = tiled_matmul_reference(col, wf.T).reshape(b, out_len, c_out).transpose(0, 2, 1)
-    if bias is not None:
-        y = y + bias.data[None, :, None]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = make(y, parents)
+    out = make(y, (x, weight))
     if out.requires_grad:
         padded_len = length + 2 * padding
 
-        def back(g, xt=x, wt=weight, bt=bias, win=col):
+        def back(g, xt=x, wt=weight, win=col):
             g2 = g.transpose(0, 2, 1).reshape(b * out_len, c_out)
             if wt.requires_grad:
                 wt.accumulate((g2.T @ win).reshape(c_out, c_in, k))
-            if bt is not None and bt.requires_grad:
-                bt.accumulate(g.sum(axis=(0, 2)))
             if xt.requires_grad:
                 gcol = (g2 @ wt.data.reshape(c_out, c_in * k)).reshape(
                     b, out_len, c_in, k).transpose(0, 2, 3, 1)

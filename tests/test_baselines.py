@@ -220,11 +220,46 @@ class TestPackedColumns:
                                            max_size=len(columns))))
         if not keep.any():
             keep[data.draw(st.integers(0, len(columns) - 1))] = True
-        got = PackedColumns(columns).take(keep)
+        got = PackedColumns(columns)[keep]
         want = PackedColumns([c for c, k in zip(columns, keep) if k])
         for name in ("sizes", "starts", "values", "cdf"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    @given(stores, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_length_rows_and_mask_read_the_packed_arrays(self, columns, data):
+        # a pack answers len, iteration and a mask as the embedding matrix
+        # does; the mask slices sizes, values and CDF as they are stored
+        pack = PackedColumns(columns)
+        assert len(pack) == pack.sizes.size == len(columns)
+        rows = list(pack)
+        assert [r.size for r in rows] == pack.sizes.tolist()
+        for row, c in zip(rows, columns):
+            want = np.sort(np.asarray(c, dtype=np.float64))
+            assert (row.dtype, row.tobytes()) == (want.dtype, want.tobytes())
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(columns),
+                                           max_size=len(columns))))
+        if not keep.any():
+            keep[:] = True
+        got = pack[keep]
+        kept_rows = np.repeat(keep, pack.sizes)
+        sizes = pack.sizes[keep]
+        want = {"sizes": sizes, "starts": np.concatenate([[0], np.cumsum(sizes)[:-1]]),
+                "values": pack.values[kept_rows], "cdf": pack.cdf[kept_rows]}
+        assert len(got) == int(keep.sum())
+        for name, b in want.items():
+            a = getattr(got, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg-inf"])
+    def test_non_finite_query_rejected(self, bad):
+        pack, query = PackedColumns([[1.0, 2.0], [3.0]]), [0.5, bad, 2.0]
+        for score in (lambda: pack.statistics([[1.0], query]),
+                      lambda: ks_statistic(query, [1.0, 2.0]),
+                      lambda: pair_features(query, [1.0, 2.0])):
+            with pytest.raises(EmptyInput, match="^value list contains non-finite entries$"):
+                score()
 
     @given(ranged_batches(), st.sampled_from([1, 3, 1 << 17]))
     @settings(max_examples=300, deadline=None)

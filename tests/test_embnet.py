@@ -46,7 +46,7 @@ TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
 class TestArchConfig:
     def test_defaults(self):
-        arch = ArchConfig()
+        arch = ArchConfig(stem_channels=64)
         assert arch.h == 100 and arch.k == 100
         assert arch.stage_channels == (64, 128, 256, 512)
 
@@ -81,7 +81,7 @@ class TestBuild:
         m = build_model(TINY, seed=9)
         assert m.training_meta == {"epochs_seen": 0, "best_mrr": 0.0, "seed": 9}
 
-    @pytest.mark.parametrize("arch", [ArchConfig(), desk_arch()], ids=["default", "desk"])
+    @pytest.mark.parametrize("arch", [ArchConfig(stem_channels=64), desk_arch()], ids=["default", "desk"])
     def test_state_shapes_are_the_built_layout(self, arch):
         # checkpoints are checked against state_shapes before any net is built
         state = build_model(arch, seed=0).state_dict()
@@ -187,7 +187,7 @@ class TestEmbed:
         # and batches on both sides of the forward pass's 8-row GEMM tile,
         # for the tiny and the full-width network
         sizes = (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 130)
-        for arch in (TINY, ArchConfig()):
+        for arch in (TINY, ArchConfig(stem_channels=64)):
             m = build_model(arch, seed=3)
             x = rng.standard_normal((max(sizes), arch.h)).astype(np.float32)
             single = np.stack([embed(m, row) for row in x])
@@ -218,7 +218,7 @@ class TestEmbed:
     def test_full_width_embedding_bits_are_pinned(self):
         # sha256 of the float32 embeddings of the first 64 efficiency-fixture
         # columns under the full-width network, seed 0
-        arch = ArchConfig()
+        arch = ArchConfig(stem_channels=64)
         columns = generate_synthetic(efficiency_spec()).attributes[:64]
         x = np.stack([preprocess(a.values, arch) for a in columns])
         digest = hashlib.sha256(embed(build_model(arch, 0), x).tobytes()).hexdigest()
@@ -403,16 +403,16 @@ class TestWeightLayout:
         assert wide == 10  # every conv of stages 2 and 3 of the full-width net
 
     def test_the_layout_survives_loading_and_training(self, desk_dataset, tmp_path):
-        model = build_model(ArchConfig(), seed=0)
+        model = build_model(ArchConfig(stem_channels=64), seed=0)
         self._assert_layouts(model)
         self._assert_layouts(model_from_bytes(model_to_bytes(model)))
         save_store(index_labeled(desk_dataset, "embnum", model), tmp_path / "e.store")
         self._assert_layouts(load_store(tmp_path / "e.store").model)
         cfg = TrainConfig(epochs=2, batch_labels=10, samples_per_label=3, seed=0)
-        self._assert_layouts(train(desk_dataset, ArchConfig(), cfg)[0])
+        self._assert_layouts(train(desk_dataset, ArchConfig(stem_channels=64), cfg)[0])
 
     def test_load_state_refuses_a_wrong_shape_and_copies_nothing(self):
-        model = build_model(ArchConfig(), seed=0)
+        model = build_model(ArchConfig(stem_channels=64), seed=0)
         before = model_to_bytes(model)
         arrays = {name: a + 1 for name, a in model.state_dict().items()}
         arrays["stage3.1.conv2.weight"] = arrays["stage3.1.conv2.weight"][:, :, :2]

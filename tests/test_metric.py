@@ -49,18 +49,19 @@ def tiny_training_set(labels=4, sources=3, seed=0) -> Dataset:
 
 class TestDistances:
     def test_euclidean_hand_cases(self):
-        got = distances(np.array([[3.0, 4.0], [2.0, 2.0], [0.0, 0.0]]), np.array([0.0, 0.0]))
-        assert got.tolist() == [5.0, np.sqrt(8.0), 0.0]
+        got = distances(np.array([[3.0, 4.0], [2.0, 2.0], [0.0, 0.0]]), np.array([[0.0, 0.0]]))
+        assert got.tolist() == [[5.0, np.sqrt(8.0), 0.0]]
         assert distances(np.array([[1.0, 0.0]]),
-                         np.array([0.0, 1.0]))[0] == pytest.approx(np.sqrt(2))
-        assert distances(np.array([[2.0]]), np.array([2.0])).tolist() == [0.0]
+                         np.array([[0.0, 1.0]]))[0, 0] == pytest.approx(np.sqrt(2))
+        assert distances(np.array([[2.0]]), np.array([[2.0]])).tolist() == [[0.0]]
 
     def test_pairwise_matches_pointwise(self):
         rng = np.random.default_rng(0)
         e = rng.standard_normal((5, 3))
         d = distances(e, e)
         assert d.shape == (5, 5)
-        assert d.tobytes() == np.stack([distances(e, row) for row in e]).tobytes()
+        assert d.tobytes() == np.concatenate([distances(e, e[i : i + 1])
+                                              for i in range(5)]).tobytes()
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
         for i in range(5):
@@ -76,18 +77,16 @@ class TestDistances:
     @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
         st.lists(st.lists(COORDS, min_size=k, max_size=k), max_size=6),
         st.lists(st.lists(COORDS, min_size=k, max_size=k), max_size=6),
-        st.just(k))), st.booleans(), st.floats(0.0, 4.0))
+        st.just(k))), st.floats(0.0, 4.0))
     @settings(max_examples=300, deadline=None)
-    @example(([], [[1.0] * 3] * 2, 3), False, 0.5)  # no points: (2, 0)
-    @example(([[1.0] * 3] * 4, [], 3), False, 2.0)  # no queries: (0, 4)
-    def test_blocks_equal_the_row_at_a_time_distances(self, case, one_query, rows):
+    @example(([], [[1.0] * 3] * 2, 3), 0.5)  # no points: (2, 0)
+    @example(([[1.0] * 3] * 4, [], 3), 2.0)  # no queries: (0, 4)
+    def test_blocks_equal_the_row_at_a_time_distances(self, case, rows):
         # few distinct coordinates, so points tie and queries equal points;
         # 1e200 gives inf distances; either side may hold no rows
         points, queries, k = case
         points = np.array(points, dtype=np.float64).reshape(-1, k)
         queries = np.array(queries, dtype=np.float64).reshape(-1, k)
-        if one_query and len(queries):
-            queries = queries[0]
         # a budget from below one row's n * k differences up to four rows
         budget = max(1, int(rows * points.size))
         with pytest.MonkeyPatch.context() as mp:
@@ -101,11 +100,11 @@ class TestMining:
     def test_two_cluster_example(self):
         emb = np.array([[0.0], [0.1], [1.0], [1.05]])
         labels = ["A", "A", "B", "B"]
-        batch = mine_batch_hard(emb, labels)
-        assert batch.anchors.tolist() == [0, 1, 2, 3]
-        assert batch.positives.tolist() == [1, 0, 3, 2]
+        anchors, positives, negatives = mine_batch_hard(emb, labels)
+        assert anchors.tolist() == [0, 1, 2, 3]
+        assert positives.tolist() == [1, 0, 3, 2]
         # hardest negative is the nearest other-label point
-        assert batch.negatives.tolist() == [2, 2, 1, 1]
+        assert negatives.tolist() == [2, 2, 1, 1]
 
     def test_all_same_label_degenerate(self):
         with pytest.raises(DegenerateBatch):
@@ -117,34 +116,34 @@ class TestMining:
 
     def test_equidistant_negatives_take_lowest_index(self):
         emb = np.array([[0.0], [0.0], [-1.0], [1.0]])
-        batch = mine_batch_hard(emb, ["A", "A", "B", "C"])
-        a0 = batch.anchors.tolist().index(0)
-        assert batch.negatives[a0] == 2
+        anchors, _, negatives = mine_batch_hard(emb, ["A", "A", "B", "C"])
+        a0 = anchors.tolist().index(0)
+        assert negatives[a0] == 2
 
     def test_tied_positives_take_lowest_index(self):
         emb = np.array([[0.0], [0.0], [0.0], [5.0]])
-        batch = mine_batch_hard(emb, ["A", "A", "A", "B"])
-        a0 = batch.anchors.tolist().index(0)
-        assert batch.positives[a0] == 1
+        anchors, positives, _ = mine_batch_hard(emb, ["A", "A", "A", "B"])
+        a0 = anchors.tolist().index(0)
+        assert positives[a0] == 1
 
     def test_infinite_distances_keep_the_masks(self):
         # 1e200 squared overflows, so every distance to row 2 is inf
-        batch = mine_batch_hard([[0.0], [0.0], [1e200]], ["A", "A", "B"])
-        assert batch.positives.tolist() == [1, 0]
-        assert batch.negatives.tolist() == [2, 2]
+        _, positives, negatives = mine_batch_hard([[0.0], [0.0], [1e200]], ["A", "A", "B"])
+        assert positives.tolist() == [1, 0]
+        assert negatives.tolist() == [2, 2]
 
     def test_labels_keep_trailing_nuls(self):
         # "a" and "a\0" are two labels, as every store keeps them
         with pytest.raises(DegenerateBatch):
             mine_batch_hard([[0.0], [1.0], [5.0]], ["a", "a\0", "b"])
-        batch = mine_batch_hard([[0.0], [1.0], [5.0], [6.0]], ["a", "a\0", "b", "b"])
-        assert batch.anchors.tolist() == [2, 3]
+        anchors, _, _ = mine_batch_hard([[0.0], [1.0], [5.0], [6.0]], ["a", "a\0", "b", "b"])
+        assert anchors.tolist() == [2, 3]
 
     def test_singleton_label_is_skipped_not_fatal(self):
         emb = np.array([[0.0], [0.2], [9.0]])
-        batch = mine_batch_hard(emb, ["A", "A", "B"])
+        anchors, _, _ = mine_batch_hard(emb, ["A", "A", "B"])
         # index 2 has no positive, so only the two A rows anchor
-        assert batch.anchors.tolist() == [0, 1]
+        assert anchors.tolist() == [0, 1]
 
     # Points lie on a quarter grid in [-5, 5]: every difference and square is
     # exact there, so math.dist and the sum of squares round each distance
@@ -175,9 +174,7 @@ class TestMining:
             hardest_neg = min(neg, key=lambda j: (dist[i][j], j))
             expected.append((i, hardest_pos, hardest_neg))
         assume(expected)
-        batch = mine_batch_hard(emb, lab)
-        got = list(zip(batch.anchors.tolist(), batch.positives.tolist(),
-                       batch.negatives.tolist()))
+        got = list(zip(*(rows.tolist() for rows in mine_batch_hard(emb, lab))))
         assert got == expected
 
 

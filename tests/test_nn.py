@@ -116,13 +116,10 @@ class TestOpForwardOracles:
     def test_conv_stride_padding_bias(self):
         x = T(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
         w = T(np.array([[[1.0, 1.0]]]))
-        b = T(np.array([10.0]))
         strided = ops.conv1d(x, w, stride=2)
         assert strided.data.tolist() == [[[3.0, 7.0]]]
         padded = ops.conv1d(x, w, padding=1)
         assert padded.data.tolist() == [[[1.0, 3.0, 5.0, 7.0, 4.0]]]
-        biased = ops.conv1d(x, w, bias=b)
-        assert biased.data.tolist() == [[[13.0, 15.0, 17.0]]]
 
     def test_conv_multi_channel_reduction(self):
         x = T(np.ones((1, 2, 3)))
@@ -255,7 +252,7 @@ class TestTiledMatmulMatchesTiles:
             got = ops._tiled_matmul(a[:m], b)
             assert got.tobytes() == tiled_matmul_reference(a[:m], b).tobytes(), (k, n, m)
 
-    @pytest.mark.parametrize("arch", [ArchConfig(), desk_arch()], ids=["full", "desk"])
+    @pytest.mark.parametrize("arch", [ArchConfig(stem_channels=64), desk_arch()], ids=["full", "desk"])
     def test_every_layer_of_the_network(self, arch):
         for k, n in sorted(_product_shapes(arch)):
             self._check(k, n, self.ROWS)
@@ -273,7 +270,7 @@ class TestTiledMatmulMatchesTiles:
         # ops.conv_weight stores a wide conv's weight so that conv1d passes
         # it C-contiguous; that must give the transposed view's bits, which
         # narrow layers still read, on whatever kernel set OpenBLAS loaded
-        shapes = {(k, n) for k, n in _product_shapes(ArchConfig())
+        shapes = {(k, n) for k, n in _product_shapes(ArchConfig(stem_channels=64))
                   if n >= ops._ONE_GEMM_WIDTH}
         shapes |= {(k, n) for k in (3, 128, 768, 1536) for n in (256, 512, 1024)}
         rows = (*range(1, 18), 513, 2200, 3850)
@@ -389,14 +386,14 @@ class TestMatchesReferenceOps:
     bit for bit, forward and backward."""
 
     @staticmethod
-    def _conv1d_runs(x, w, bias, stride, padding):
+    def _conv1d_runs(x, w, stride, padding):
         runs = []
         for op in (ops.conv1d, conv1d_reference):
-            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, bias))
-            y = op(xt, wt, bt, stride=stride, padding=padding)
+            xt, wt = (Tensor(a, requires_grad=True) for a in (x, w))
+            y = op(xt, wt, stride=stride, padding=padding)
             g = np.random.default_rng(1).standard_normal(y.data.shape).astype(x.dtype)
             (y * Tensor(g)).sum().backward()
-            runs.append([_bits(a) for a in (y.data, xt.grad, wt.grad, bt.grad)])
+            runs.append([_bits(a) for a in (y.data, xt.grad, wt.grad)])
         return runs
 
     @given(window_cases())
@@ -404,8 +401,7 @@ class TestMatchesReferenceOps:
     def test_conv1d(self, case):
         rng, dtype = case["rng"], case["dtype"]
         w = rng.standard_normal((case["c_out"], case["c_in"], case["k"])).astype(dtype)
-        bias = rng.standard_normal(case["c_out"]).astype(dtype)
-        runs = self._conv1d_runs(case["x"], w, bias, case["stride"], case["padding"])
+        runs = self._conv1d_runs(case["x"], w, case["stride"], case["padding"])
         assert runs[0] == runs[1]
 
     # (B, L): B * L_out rows of im2col, with k=3, stride 1, padding 1
@@ -419,8 +415,7 @@ class TestMatchesReferenceOps:
         rng = np.random.default_rng(b * 100 + length)
         x = rng.standard_normal((b, 3, length)).astype(np.float32)
         w = rng.standard_normal((c_out, 3, 3)).astype(np.float32)
-        bias = rng.standard_normal(c_out).astype(np.float32)
-        runs = self._conv1d_runs(x, w, bias, 1, 1)
+        runs = self._conv1d_runs(x, w, 1, 1)
         assert runs[0] == runs[1]
 
     @given(st.booleans().flatmap(lambda specials: window_cases(specials=specials)))
@@ -501,16 +496,15 @@ class TestGradientsNumerically:
         proj = rng.standard_normal((2, 3, 3))
 
         def fwd(ts):
-            x, w, b = ts
-            y = ops.conv1d(x, w, bias=b, stride=2, padding=1)
+            x, w = ts
+            y = ops.conv1d(x, w, stride=2, padding=1)
             return (y * Tensor(proj)).sum()
 
         arrays = [rng.standard_normal((2, 2, 6)),
-                  rng.standard_normal((3, 2, 3)),
-                  rng.standard_normal(3)]
-        # 6 + 6 + 3 coords, conv is smooth so none skipped
+                  rng.standard_normal((3, 2, 3))]
+        # 6 + 6 coords, conv is smooth so none skipped
         checked, skipped = check_gradients(fwd, arrays, rng, coords_per_array=6)
-        assert (checked, skipped) == (15, 0)
+        assert (checked, skipped) == (12, 0)
 
     def test_batchnorm_train_grads(self):
         rng = np.random.default_rng(3)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from embnum import dataset, embnet, labeling
+from embnum import baselines, dataset, embnet, fixtures, labeling, metric
+from embnum.nn import ops
 from embnum.baselines import LogisticModel
 from oracles import store_of
 
@@ -49,14 +50,43 @@ def test_a_built_network_records_every_layer_span(spans):
         "stem": 2, "stage0": 2, "stage1": 2, "stage2": 2, "stage3": 2, "fc": 1}
 
 
+def test_a_traced_forward_counts_every_conv_product(spans, monkeypatch):
+    # _op_cost reads conv1d's operands from its positional arguments, so a
+    # forward through a small network must count 2 * B * C_out * L_out *
+    # C_in * K for each conv it runs, from the shapes each call saw
+    shapes = []
+    conv1d = ops.conv1d
+
+    def seen(x, weight, **kwargs):
+        out = conv1d(x, weight, **kwargs)
+        shapes.append((x.data.shape, weight.data.shape, out.data.shape))
+        return out
+
+    monkeypatch.setattr(ops, "conv1d", seen)
+    rec = spans.Recorder()
+    with spans.Instrumented(rec) as inst:
+        arch = embnet.ArchConfig(h=16, k=4, stem_channels=2)
+        model = embnet.build_model(arch, seed=0)
+        embnet.embed(model, np.stack([embnet.preprocess(np.arange(n, dtype=float), arch)
+                                      for n in (5, 9, 12)]))
+    assert inst.broken == []
+    convs = sum(p.data.ndim == 3 for p in model.net.named_params().values())
+    assert len(shapes) == rec.calls["nn.ops.conv1d"] == convs
+    assert rec.counts["nn.ops.conv1d.flop"] == sum(
+        2.0 * b * c_out * l_out * c_in * k
+        for (b, _, _), (c_out, c_in, k), (_, _, l_out) in shapes)
+
+
 def test_every_package_name_the_benchmark_reads_exists():
-    modules = {"dataset": dataset, "embnet": embnet, "labeling": labeling}
+    modules = {"baselines": baselines, "dataset": dataset, "embnet": embnet,
+               "fixtures": fixtures, "labeling": labeling, "metric": metric}
     read = {(node.value.id, node.attr)
             for path in PERFBENCH.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in modules}
     assert ("labeling", "rank_of_first_correct") in read
+    assert {m for m, _ in read} == set(modules)
     assert [f"{m}.{name}" for m, name in sorted(read) if not hasattr(modules[m], name)] == []
 
 
