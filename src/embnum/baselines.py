@@ -217,9 +217,11 @@ class LogisticModel:
     bias: float
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        """weights . row + bias for each row, one np.dot per row, since a
-        matrix product is free to sum the three terms in another order."""
-        return np.array([np.dot(self.weights, row) for row in features]) + self.bias
+        """row . weights + bias for each row of an (n, 3) block: one stacked
+        (1, 3) x (3,) product per row, which makes the dot call np.dot makes
+        for that row alone, and so sums the three terms in its order; a
+        single (n, 3) x (3,) product is free to sum them in another."""
+        return np.matmul(features[:, None, :], self.weights)[:, 0] + self.bias
 
 
 def dsl_train(pairs: list[tuple[tuple, bool]]) -> LogisticModel:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _serial
 from .errors import InvalidArch, MalformedCheckpoint, WidthMismatch
-from .nn import BatchNorm1d, Conv1d, Linear, Tensor, no_grad, ops
+from .nn import BatchNorm1d, Conv1d, Linear, Tensor, ops
 from .sampling import sample_inverse_transform
 
 MODEL_MAGIC = b"EMBN"
@@ -101,8 +101,13 @@ class ResNet1d:
         for stage, _, in_ch, out_ch, stride in block_plan(arch):
             self.stages[stage].append(BasicBlock(in_ch, out_ch, stride))
         self.fc = Linear(chans[3], arch.k)
+        # infer's frozen forward; a training-mode forward or Model.load_state,
+        # the only writers of the running statistics, drops it
+        self.plan = None
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
+        if training:
+            self.plan = None
         y = ops.relu(self.stem_bn(self.stem_conv(x), training))
         y = ops.maxpool1d(y, kernel=3, stride=2, padding=1)
         for blocks in self.stages:
@@ -110,6 +115,14 @@ class ResNet1d:
                 y = block(y, training)
         y = ops.global_avgpool1d(y)
         return self.fc(y)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """self(Tensor(x), training=False).data, bit for bit, for a (B, 1, h)
+        array, run on plain arrays by a plan that _freeze builds once per
+        state."""
+        if self.plan is None:
+            self.plan = _freeze(self)
+        return self.plan(x)
 
     def modules(self) -> dict[str, object]:
         out: dict[str, object] = {"stem_conv": self.stem_conv, "stem_bn": self.stem_bn}
@@ -136,6 +149,59 @@ class ResNet1d:
         return out
 
 
+def _conv_bn(conv: Conv1d, bn: BatchNorm1d) -> tuple:
+    """What one conv and the batch norm after it read in eval mode: views of
+    the layers' own buffers, in the layouts ops.conv1d and ops.batchnorm1d
+    read, and 1 / sqrt(running_var + eps) as batchnorm1d computes it."""
+    w = conv.weight.data
+    inv = 1.0 / np.sqrt(bn.running_var + ops.BN_EPS)
+    return (w.reshape(len(w), -1).T, conv.stride, conv.padding, bn.running_mean[:, None],
+            inv[:, None], bn.gamma.data[:, None], bn.beta.data[:, None])
+
+
+def _conv_bn_forward(layer: tuple, x: np.ndarray) -> np.ndarray:
+    wt, stride, padding, mean, inv, gamma, beta = layer
+    y = ops.conv_forward(x, wt, stride, padding)[0]
+    y -= mean
+    y *= inv
+    y *= gamma
+    y += beta
+    return y
+
+
+def _relu_(y: np.ndarray) -> np.ndarray:
+    np.fmax(y, 0, out=y)
+    y += 0
+    return y
+
+
+def _freeze(net: ResNet1d):
+    """net's eval-mode forward as a function of one (B, 1, h) float32 array.
+
+    Every op is ops' own array arithmetic in the order the taped forward
+    runs it, so the bits are the same; only the Tensors, the tape and the
+    module calls are gone, and relu and the residual add write in place.
+    The function holds views of the weights, which SGD and init_weights
+    update in place, and the batch norms' inverse deviations, computed here
+    once, so it is stale once the running statistics change.
+    """
+    stem = _conv_bn(net.stem_conv, net.stem_bn)
+    blocks = [(_conv_bn(b.conv1, b.bn1), _conv_bn(b.conv2, b.bn2),
+               None if b.proj_conv is None else _conv_bn(b.proj_conv, b.proj_bn))
+              for stage in net.stages for b in stage]
+    fc_wt, fc_bias = net.fc.weight.data.T, net.fc.bias.data[None, :]
+
+    def forward(x: np.ndarray) -> np.ndarray:
+        y = ops.maxpool_forward(_relu_(_conv_bn_forward(stem, x)), 3, 2, 1)
+        for conv1, conv2, proj in blocks:
+            h = _conv_bn_forward(conv2, _relu_(_conv_bn_forward(conv1, y)))
+            h += y if proj is None else _conv_bn_forward(proj, y)
+            y = _relu_(h)
+        return ops._tiled_matmul(y.mean(axis=2), fc_wt) + fc_bias
+
+    return forward
+
+
 @dataclass(eq=False)
 class Model:
     arch: ArchConfig
@@ -149,14 +215,16 @@ class Model:
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy every parameter and buffer in from arrays, into the buffers
-        the layers allocated, so each keeps its layout (ops.conv_weight).
-        Unless arrays hold exactly this model's names and shapes, InvalidArch
-        names the first that differs and nothing is copied."""
+        the layers allocated, so each keeps its layout (ops.conv_weight),
+        and drop the network's frozen forward.  Unless arrays hold exactly
+        this model's names and shapes, InvalidArch names the first that
+        differs and nothing is copied."""
         state = self.state_dict()
         shapes = {name: np.shape(a) for name, a in arrays.items()}
         for name in sorted(state.keys() | shapes.keys()):
             if name not in state or shapes.get(name) != state[name].shape:
                 raise InvalidArch(f"state array {name!r} is missing, extra or misshapen")
+        self.net.plan = None
         for name, buf in state.items():
             np.copyto(buf, arrays[name])
 
@@ -192,7 +260,9 @@ def preprocess(values: np.ndarray, arch: ArchConfig) -> np.ndarray:
 
 
 def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """Eval-mode forward pass, at most EMBED_CHUNK rows at a time.
+    """Eval-mode forward pass, at most EMBED_CHUNK rows at a time, through
+    the network's frozen plan (ResNet1d.infer), whose bits are the taped
+    forward's.
 
     Accepts one h-vector or a (batch, h) stack; returns float32 embeddings
     with matching leading shape.  Batching never changes the numbers.
@@ -205,9 +275,8 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
         raise WidthMismatch(
             f"expected input width {model.arch.h}, got shape {np.asarray(inputs).shape}"
         )
-    with no_grad():
-        out = np.concatenate([model.net(Tensor(x[i : i + EMBED_CHUNK, None, :]), False).data
-                              for i in range(0, max(len(x), 1), EMBED_CHUNK)])
+    out = np.concatenate([model.net.infer(x[i : i + EMBED_CHUNK, None, :])
+                          for i in range(0, max(len(x), 1), EMBED_CHUNK)])
     return out[0] if single else out
 
 

@@ -16,17 +16,20 @@ needs no more than that.
 
 conv1d returns a transposed view of a channels-last (B, L, C) product, and
 batch norm and relu keep whatever layout they are given, so most maps
-reach the next conv1d as such views.  conv1d builds its (B*L_out, C_in*K)
-im2col matrix one kernel tap at a time from the input's (B, L, C) view,
-writing zeros where a tap reads padding, and scatters the matrix's gradient
-back tap by tap in the same order; no padded copy of the input is made.
-The matrix is allocated in whole tiles of rows, so its tail tile needs no
-copy.  maxpool1d takes its max the same way, one tap at a time from
-strided slices of the input, where padded taps are -inf and never win, and
-scatters its gradient back tap by tap; it keeps the index of each window's
-winning tap only when a tape needs it for that backward.  Both ops take
-each tap's span of output positions from _tap_spans, computed once per
-shape.
+reach the next conv1d as such views.  The forward arithmetic of conv1d and
+maxpool1d lives in array-level helpers, conv_forward and maxpool_forward,
+which the ops call and which embnet's frozen eval forward calls without a
+Tensor, so each is written once.  conv_forward builds its (B*L_out,
+C_in*K) im2col matrix one kernel tap at a time from the input's (B, L, C)
+view, writing zeros where a tap reads padding, and conv1d scatters the
+matrix's gradient back tap by tap in the same order; no padded copy of the
+input is made.  The matrix is allocated in whole tiles of rows, so its tail
+tile needs no copy.  maxpool_forward takes its max the same way, one tap at
+a time from strided slices of the input, where padded taps are -inf and
+never win; maxpool1d has it keep the index of each window's winning tap
+only when a tape needs it for the backward, which scatters the gradient
+back tap by tap.  Both take each tap's span of output positions from
+_tap_spans, computed once per shape.
 """
 
 from __future__ import annotations
@@ -143,31 +146,20 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def conv1d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation along the last axis, with no bias term: every conv
-    of the network feeds a batch norm, whose shift takes its place.
-
-    x: (B, C_in, L), weight: (C_out, C_in, K).
-    Output length is (L + 2*padding - K) // stride + 1.
-
-    The (B*L_out, C_in*K) im2col block, columns c_in-major and k-minor, is
-    filled one tap kk at a time from x's (B, L, C_in) view: output position t
-    reads input position t*stride + kk - padding, or zero where that falls
-    in the padding.
-    The forward product goes through _tiled_matmul (8-row GEMM tiles, or
-    one GEMM over them for float32 layers of 256 or more output channels), so
-    each output's summation order is independent of batch size; the backward
-    products are plain GEMM, deterministic from run to run only.
-    """
-    b, c_in, length = x.data.shape
-    c_out, c_in_w, k = weight.data.shape
-    if c_in != c_in_w:
-        raise ValueError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
+def conv_forward(x: np.ndarray, wt: np.ndarray, stride: int = 1,
+                 padding: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(y, col) for a (B, C_in, L) array x and wt = weight.reshape(C_out,
+    C_in*K).T: y, (B, C_out, L_out), is a transposed view of the channels-last
+    product, and col the (B*L_out, C_in*K) im2col matrix, columns c_in-major
+    and k-minor, where tap kk of output position t reads input position
+    t*stride + kk - padding, or zero in the padding."""
+    b, c_in, length = x.shape
+    k = len(wt) // c_in
     out_len, spans = _tap_spans(length, k, stride, padding)
     m = b * out_len
-    x_blc = x.data.transpose(0, 2, 1)
+    x_blc = x.transpose(0, 2, 1)
     # whole tiles of rows, so _tiled_matmul pads the tail with no copy
-    col = np.empty((-(-m // _TILE_ROWS) * _TILE_ROWS, c_in * k), dtype=x.data.dtype)
+    col = np.empty((-(-m // _TILE_ROWS) * _TILE_ROWS, c_in * k), dtype=x.dtype)
     if len(col) > m:
         col[m:] = 0.0
     col4 = col[:m].reshape(b, out_len, c_in, k)
@@ -177,13 +169,32 @@ def conv1d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> T
         col4[:, lo:hi, :, kk] = x_blc[:, start : start + stride * (hi - lo) : stride]
         if hi < out_len:
             col4[:, hi:, :, kk] = 0.0
-    wf = weight.data.reshape(c_out, c_in * k)
-    y = _tiled_matmul(col, wf.T, m).reshape(b, out_len, c_out).transpose(0, 2, 1)
+    y = _tiled_matmul(col, wt, m).reshape(b, out_len, wt.shape[1]).transpose(0, 2, 1)
+    return y, col[:m]
+
+
+def conv1d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation along the last axis, with no bias term: every conv
+    of the network feeds a batch norm, whose shift takes its place.
+
+    x: (B, C_in, L), weight: (C_out, C_in, K).
+    Output length is (L + 2*padding - K) // stride + 1.
+
+    The forward is conv_forward on weight's (C_in*K, C_out) view, so each
+    output's summation order is independent of batch size; the backward
+    products are plain GEMM, deterministic from run to run only.
+    """
+    b, c_in, length = x.data.shape
+    c_out, c_in_w, k = weight.data.shape
+    if c_in != c_in_w:
+        raise ValueError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
+    y, col = conv_forward(x.data, weight.data.reshape(c_out, c_in * k).T, stride, padding)
     out = make(y, (x, weight))
     if out.requires_grad:
+        m, out_len = len(col), y.shape[2]
         padded_len = length + 2 * padding
 
-        def back(g, xt=x, wt=weight, win=col[:m]):
+        def back(g, xt=x, wt=weight, win=col):
             g2 = g.transpose(0, 2, 1).reshape(m, c_out)
             if wt.requires_grad:
                 wt.accumulate((g2.T @ win).reshape(c_out, c_in, k))
@@ -253,23 +264,21 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     return out
 
 
-def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """Max over sliding windows; padded positions are -inf and never win.
+def maxpool_forward(x: np.ndarray, kernel: int, stride: int, padding: int = 0,
+                    idx: np.ndarray | None = None) -> np.ndarray:
+    """Max over sliding windows of a (B, C, L) array; padded positions are
+    -inf and never win.
 
-    The max is taken one tap at a time from strided slices of x, and the
-    index keeps the first maximum, a NaN counting as above every number and
-    the first NaN winning, as np.argmax picks; it is built only when a tape
-    needs it, and the max is the same either way.  The backward adds each
-    window's gradient into its input position tap by tap in reversed order,
-    so each position sums its windows in the order np.add.at would.
+    The max is taken one tap at a time from strided slices of x, a NaN
+    counting as above every number and the first NaN winning, as np.argmax
+    picks; when idx, a (B, C, L_out) integer array, is given, each window's
+    winning tap is written into it.  The max is the same either way.
     """
-    b, c, length = x.data.shape
+    b, c, length = x.shape
     out_len, spans = _tap_spans(length, kernel, stride, padding)
-    y = np.full((b, c, out_len), -np.inf, dtype=x.data.dtype)
-    out = make(y, (x,))
-    idx = np.zeros((b, c, out_len), dtype=np.intp) if out.requires_grad else None
+    y = np.full((b, c, out_len), -np.inf, dtype=x.dtype)
     for kk, (lo, hi, start) in enumerate(spans):
-        tap = x.data[:, :, start : start + stride * (hi - lo) : stride]
+        tap = x[:, :, start : start + stride * (hi - lo) : stride]
         best = y[:, :, lo:hi]
         wins = np.less_equal(tap, best)
         np.logical_not(wins, out=wins)  # above best, or a NaN
@@ -277,6 +286,19 @@ def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
         np.copyto(best, tap, where=wins)
         if idx is not None:
             np.copyto(idx[:, :, lo:hi], kk, where=wins)
+    return y
+
+
+def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
+    """maxpool_forward on x, keeping each window's winning tap only when a
+    tape needs it.  The backward adds each window's gradient into its input
+    position tap by tap in reversed order, so each position sums its windows
+    in the order np.add.at would.
+    """
+    b, c, length = x.data.shape
+    out_len, spans = _tap_spans(length, kernel, stride, padding)
+    idx = np.zeros((b, c, out_len), dtype=np.intp) if x.requires_grad else None
+    out = make(maxpool_forward(x.data, kernel, stride, padding, idx), (x,))
     if out.requires_grad:
 
         def back(g, xt=x, am=idx):

@@ -34,7 +34,7 @@ class SGD:
                 grad = np.zeros_like(p.data)
             v = self.momentum * self.velocity[name] + (grad + self.weight_decay * p.data)
             self.velocity[name] = v.astype(p.data.dtype, copy=False)
-            p.data = (p.data - self.lr * v).astype(p.data.dtype, copy=False)
+            p.data -= self.lr * v  # in place, so views of p.data see the step
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -10,25 +10,9 @@ matrix products, and how they stay batch invariant, live in ops.py.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from ..errors import NonScalarLoss, ShapeMismatch
-
-_GRAD_ENABLED = True
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording inside the block (forward passes only)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -164,7 +148,7 @@ class Tensor:
 def make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     """Internal node constructor; prunes the tape when no parent needs grads."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
     return out

@@ -321,6 +321,17 @@ class TestDslTraining:
         ds = generate_synthetic(getattr(fixtures, spec)())
         assert dsl_model_to_doc(dsl_train(make_training_pairs(ds))) == PINNED_DSL_DOCS[spec]
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-300])
+    def test_dsl_logits_sum_each_row_as_np_dot_does(self, scale):
+        # labeling scores a whole block at once; each logit must keep the
+        # bits of np.dot on its row alone, signs mixed and magnitudes spread
+        rng = np.random.default_rng(3)
+        model = LogisticModel(weights=rng.standard_normal(3),
+                              bias=float(rng.standard_normal()) * scale)
+        feats = rng.standard_normal((4096, 3)) * scale
+        want = [np.dot(model.weights, row) + model.bias for row in feats]
+        assert same_bits(model.logits(feats), want)
+
     def test_learns_separable_pairs(self):
         model = dsl_train(separable_pairs())
         for (a, b), same in separable_pairs():

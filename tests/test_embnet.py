@@ -39,7 +39,7 @@ from embnum.errors import (
 from embnum.fixtures import desk_arch, efficiency_spec
 from embnum.labeling import index_labeled, load_store, save_store
 from embnum.metric import TrainConfig, train
-from embnum.nn import Conv1d, Linear, Tensor, ops
+from embnum.nn import SGD, Conv1d, Linear, Tensor, ops
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
@@ -205,15 +205,55 @@ class TestEmbed:
     def test_the_network_never_sees_more_than_one_chunk(self, monkeypatch):
         m = build_model(TINY, seed=0)
         x = np.random.default_rng(5).standard_normal((1100, 16)).astype(np.float32)
-        net, rows = m.net, []
+        infer, rows = m.net.infer, []
 
-        def spy(batch, training):
-            rows.append(batch.data.shape[0])
-            return net(batch, training)
+        def spy(chunk):
+            rows.append(chunk.shape[0])
+            return infer(chunk)
 
-        monkeypatch.setattr(m, "net", spy)
+        monkeypatch.setattr(m.net, "infer", spy)
         assert embed(m, x).shape == (1100, TINY.k)
         assert rows == [EMBED_CHUNK, EMBED_CHUNK, 1100 - 2 * EMBED_CHUNK]
+
+    @pytest.mark.parametrize("arch", [desk_arch(), ArchConfig(stem_channels=64)],
+                             ids=["desk", "full"])
+    def test_the_frozen_plan_gives_the_taped_forwards_bits(self, arch):
+        # embed runs a plan frozen from the model's state; it must give the
+        # taped eval forward's bits, and be rebuilt whenever the running
+        # statistics move: on load_state and on a training-mode forward
+        rng = np.random.default_rng(11)
+
+        def randomize_norms(model):
+            for name, a in model.state_dict().items():
+                field = name.rsplit(".", 1)[1]
+                if field == "running_var":
+                    a[...] = rng.uniform(0.25, 4.0, a.shape)
+                elif field in ("gamma", "beta", "running_mean"):
+                    a[...] = rng.normal(0.0, 0.5, a.shape)
+
+        def agree(model):
+            # the taped forward runs embed's chunks: whether a wide layer's
+            # one-GEMM product is batch invariant depends on the BLAS kernels
+            for n in (1, 9, EMBED_CHUNK + 1):
+                x = rng.standard_normal((n, arch.h)).astype(np.float32)
+                taped = [model.net(Tensor(x[i : i + EMBED_CHUNK, None, :]), training=False).data
+                         for i in range(0, n, EMBED_CHUNK)]
+                assert embed(model, x).tobytes() == np.concatenate(taped).tobytes()
+
+        m = build_model(arch, seed=0)
+        randomize_norms(m)
+        agree(m)
+        other = build_model(arch, seed=1)
+        randomize_norms(other)
+        m.load_state(other.state_dict())
+        agree(m)
+        m.net(Tensor(rng.standard_normal((4, 1, arch.h)).astype(np.float32)), training=True)
+        agree(m)
+        # an SGD step after an eval-mode loss moves the weights, in place
+        x = rng.standard_normal((4, 1, arch.h)).astype(np.float32)
+        m.net(Tensor(x), training=False).sum().backward()
+        SGD(m.net.named_params(), lr=0.1).step()
+        agree(m)
 
     def test_full_width_embedding_bits_are_pinned(self):
         # sha256 of the float32 embeddings of the first 64 efficiency-fixture

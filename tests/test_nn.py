@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from embnum.embnet import ArchConfig, ResNet1d, build_model
 from embnum.errors import NonScalarLoss, ShapeMismatch
 from embnum.fixtures import desk_arch
-from embnum.nn import SGD, Conv1d, BatchNorm1d, Linear, Tensor, no_grad
+from embnum.nn import SGD, Conv1d, BatchNorm1d, Linear, Tensor
 from embnum.nn import ops
 from gradcheck import check_gradients, trace_kinks
 from oracles import (batchnorm1d_reference, conv1d_reference, maxpool1d_reference,
@@ -89,20 +89,12 @@ class TestTensorBasics:
         assert (x.grad.dtype, x.grad.strides) == (expected.dtype, expected.strides)
         assert x.grad.tobytes() == expected.tobytes()
 
-    def test_no_grad_prunes_tape(self):
-        x = T([1.0])
-        with no_grad():
-            y = x * 2.0
-        assert not y.requires_grad
-        z = Tensor(np.array([1.0])) * 2.0  # no parent requires grad
-        assert not z.requires_grad
-
     def test_grad_not_tracked_through_detached_result(self):
+        # a result computed from a copy that needs no gradient records no tape
         x = T([1.0])
-        with no_grad():
-            y = x + 1.0
-        out = (y * 3.0).sum() if y.requires_grad else None
-        assert out is None
+        y = Tensor(x.data) + 1.0
+        assert (y.requires_grad, y._parents, y._backward) == (False, (), None)
+        assert (x * 2.0).requires_grad
 
 
 class TestOpForwardOracles:
@@ -432,12 +424,8 @@ class TestMatchesReferenceOps:
             runs.append([_bits(a) for a in (y.data, xt.grad)])
         assert runs[0] == runs[1]
         # with no tape, the same forward bits and no index
-        untaped = [ops.maxpool1d(Tensor(case["x"]), case["k"], case["stride"], case["padding"])]
-        with no_grad():
-            untaped.append(ops.maxpool1d(Tensor(case["x"], requires_grad=True),
-                                         case["k"], case["stride"], case["padding"]))
-        for y in untaped:
-            assert (_bits(y.data), y.requires_grad, y._backward) == (runs[0][0], False, None)
+        y = ops.maxpool1d(Tensor(case["x"]), case["k"], case["stride"], case["padding"])
+        assert (_bits(y.data), y.requires_grad, y._backward) == (runs[0][0], False, None)
 
     @given(window_cases(specials=True))
     @settings(max_examples=50, deadline=None)
@@ -698,7 +686,7 @@ class TestKinkTracing:
         arch = ArchConfig(h=16, k=8, stem_channels=4)
         model = build_model(arch, seed=0)
         buf = []
-        with trace_kinks(buf), no_grad():
+        with trace_kinks(buf):
             model.net(Tensor(np.ones((2, 1, arch.h), dtype=np.float32)), training=False)
         # the stem's relu and maxpool, then two relus in each of 8 residual blocks
         relus = 1 + 2 * 8

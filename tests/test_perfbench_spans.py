@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from embnum import baselines, dataset, embnet, fixtures, labeling, metric
-from embnum.nn import ops
+from embnum.nn import Tensor, ops
 from embnum.baselines import LogisticModel
 from oracles import store_of
 
@@ -37,12 +37,18 @@ def test_every_traced_name_patches_and_restores(spans):
     assert inst.broken == []
 
 
+def taped_forward(model, x):
+    """The taped forward that training runs; embed runs a frozen plan that
+    the per-layer proxies and op wrappers do not see."""
+    return model.net(Tensor(np.atleast_2d(x)[:, None, :]), training=True)
+
+
 def test_a_built_network_records_every_layer_span(spans):
     rec = spans.Recorder()
     with spans.Instrumented(rec) as inst:
         arch = embnet.ArchConfig(h=16, k=4, stem_channels=2)
         model = embnet.build_model(arch, seed=0)
-        embnet.embed(model, embnet.preprocess(np.arange(5.0), arch))
+        taped_forward(model, embnet.preprocess(np.arange(5.0), arch))
     assert inst.broken == []
     # stem_conv and stem_bn, two blocks per stage, one head
     assert {name: rec.calls[f"embnet.{name}"]
@@ -67,8 +73,8 @@ def test_a_traced_forward_counts_every_conv_product(spans, monkeypatch):
     with spans.Instrumented(rec) as inst:
         arch = embnet.ArchConfig(h=16, k=4, stem_channels=2)
         model = embnet.build_model(arch, seed=0)
-        embnet.embed(model, np.stack([embnet.preprocess(np.arange(n, dtype=float), arch)
-                                      for n in (5, 9, 12)]))
+        taped_forward(model, np.stack([embnet.preprocess(np.arange(n, dtype=float), arch)
+                                       for n in (5, 9, 12)]))
     assert inst.broken == []
     convs = sum(p.data.ndim == 3 for p in model.net.named_params().values())
     assert len(shapes) == rec.calls["nn.ops.conv1d"] == convs
