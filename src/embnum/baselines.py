@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,10 @@ class PackedColumns:
     values is built on first use.  A query visits only the run of each
     column from the last value below min(q) to the first value above max(q):
     beyond that run |F_q - F_r| only falls, and each value above max(q) adds
-    m to the Mann-Whitney counts.  A column scores the same, bit for bit,
+    m to the Mann-Whitney counts.  Each visited value r_j costs one binary
+    search in the sorted query, for #(q <= r_j); #(q < r_j) differs only
+    where r_j equals a query value, and is read there from the query's own
+    #(q < q_i), built once per call.  A column scores the same, bit for bit,
     alone or in any store or batch: counts are exact integers and no
     arithmetic crosses a column boundary."""
 
@@ -76,7 +79,9 @@ class PackedColumns:
         (which its sort puts at an end) is EmptyInput.
 
         The runs of every (query, column) pair are gathered and scored in
-        chunks of at most SCORE_CHUNK stored values, or one longer run."""
+        chunks of at most SCORE_CHUNK stored values, or one longer run; a
+        chunk holds about 64 bytes per value, 88 once a value ties a query
+        value: some 8 and 11 MB at SCORE_CHUNK."""
         qs = [np.sort(np.asarray(q, dtype=np.float64).ravel()) for q in queries]
         if not qs or any(q.size == 0 for q in qs):
             raise EmptyInput("statistic inputs must be non-empty")
@@ -96,8 +101,10 @@ class PackedColumns:
             a = cuts[-1]
             cuts.append(max(a + 1, int(np.searchsorted(bounds, bounds[a] + SCORE_CHUNK,
                                                        "right")) - 1))
+        # #(q < q_i) at each index i of query k, built when a value first ties it
+        lt_of = cache(lambda k: qs[k].searchsorted(qs[k], "left"))
         ks, lt, le = (np.concatenate(part).reshape(n_q, n_c) for part in zip(
-            *(self._score_runs(qs, m, first, bounds, a, b) for a, b in zip(cuts, cuts[1:]))))
+            *(self._score_runs(qs, lt_of, first, bounds, a, b) for a, b in zip(cuts, cuts[1:]))))
 
         # U counts pairs with the query value below the stored one; above one
         # half the complement is rounded, so MW(q, r) + MW(r, q) == 1.0
@@ -142,39 +149,57 @@ class PackedColumns:
             step >>= 1
         return pos[:n_q] + 1, pos[n_q:] + 1
 
-    def _score_runs(self, qs, m, first, bounds, a, b):
+    def _score_runs(self, qs, lt_of, first, bounds, a, b):
         """(max gap, #(q < r_j) sum, #(q <= r_j) sum) over each of the flat
-        (query, column) runs [a, b): one gather, one searchsorted per query
-        and side, and one pass over the chunk."""
+        (query, column) runs [a, b): one gather, one binary search per
+        gathered value, and one pass over the chunk.  #(q < r_j) and its
+        quotient are kept apart from #(q <= r_j) only from a query that ties
+        a gathered value on; with no tie, the #(q <= r_j) sums serve both."""
         n_c = self.sizes.size
         lengths = np.diff(bounds[a : b + 1])
         offsets = bounds[a:b] - bounds[a]
         idx = np.repeat(first[a:b] - offsets, lengths) + np.arange(offsets[-1] + lengths[-1])
         seen = self.values[idx]
-        n_le, n_lt = np.empty((2, idx.size), dtype=np.intp)
+        n_le = np.empty(idx.size, dtype=np.intp)
+        f_le = np.empty(idx.size)   # F_q(r_j) = #(q <= r_j) / m
+        n_lt = f_lt = None          # #(q < r_j) and its quotient, once a value ties
         q0 = a // n_c
         cuts = bounds[np.clip(np.arange(q0, (b - 1) // n_c + 2) * n_c, a, b)] - bounds[a]
-        for q, i, j in zip(qs[q0:], cuts.tolist(), cuts[1:].tolist()):
-            n_le[i:j] = q.searchsorted(seen[i:j], "right")
-            n_lt[i:j] = q.searchsorted(seen[i:j], "left")
-        run_m = m[np.arange(a, b) // n_c]
-        m_at = np.repeat(run_m.astype(np.float64), lengths)
+        for k, i, j in zip(range(q0, len(qs)), cuts.tolist(), cuts[1:].tolist()):
+            q = qs[k]
+            le = q.searchsorted(seen[i:j], "right")
+            n_le[i:j] = le
+            np.divide(le, q.size, out=f_le[i:j])
+            # #(q < r_j) differs only where the last query value <= r_j is
+            # r_j itself (== holds for -0.0 and +0.0, as in the search); at
+            # #(q <= r_j) == 0 the index wraps to max(q), which is above r_j
+            top = le - 1   # index of the last query value <= r_j
+            tie = q[top] == seen[i:j]
+            if n_lt is None and tie.any():
+                n_lt, f_lt = np.empty_like(n_le), np.empty_like(f_le)
+                n_lt[:i], f_lt[:i] = n_le[:i], f_le[:i]
+            if n_lt is not None:
+                lt = np.where(tie, lt_of(k)[top], le)
+                n_lt[i:j] = lt
+                np.divide(lt, q.size, out=f_lt[i:j])
+        if n_lt is None:
+            n_lt, f_lt = n_le, f_le
         cdf = self.cdf[idx]
-        # stored points: |F_q(r_j) - F_r(r_j)| with F_q(r_j) = #(q <= r_j) / m
-        gap = n_le / m_at
-        gap -= cdf
-        np.abs(gap, out=gap)
         # query points: F_q - F_r peaks at the last query value below r_j,
         # where F_q = #(q < r_j) / m and F_r is the previous stored value's:
         # the run's own, or at its head the one before (none at a column start)
-        below = n_lt / m_at
-        below[1:] -= cdf[:-1]
+        below = np.empty(idx.size)
+        np.subtract(f_lt[1:], cdf[:-1], out=below[1:])
         head = first[a:b]
         before = np.where(head == self.starts[np.arange(a, b) % n_c], 0.0, self.cdf[head - 1])
-        below[offsets] = n_lt[offsets] / run_m - before
+        below[offsets] = f_lt[offsets] - before
+        # stored points: |F_q(r_j) - F_r(r_j)|
+        gap = np.subtract(f_le, cdf, out=f_le)
+        np.abs(gap, out=gap)
         np.maximum(gap, below, out=gap)
-        return (np.maximum.reduceat(gap, offsets), np.add.reduceat(n_lt, offsets),
-                np.add.reduceat(n_le, offsets))
+        le_sums = np.add.reduceat(n_le, offsets)
+        lt_sums = le_sums if n_lt is n_le else np.add.reduceat(n_lt, offsets)
+        return np.maximum.reduceat(gap, offsets), lt_sums, le_sums
 
 
 def features_from_statistics(ks, mw, jaccard) -> np.ndarray:

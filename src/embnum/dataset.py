@@ -140,7 +140,8 @@ def load_dataset(root_path) -> Dataset:
     """
     root = Path(root_path)
     if not root.is_dir():
-        raise MissingDirectory(f"dataset root {root} does not exist")
+        raise MissingDirectory(f"dataset root {root} "
+                               + ("is not a directory" if root.exists() else "does not exist"))
     source_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not source_dirs:
         raise MissingDirectory(f"dataset root {root} contains no source directories")

@@ -1,8 +1,10 @@
+import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embnum.baselines import (
@@ -263,6 +265,15 @@ class TestPackedColumns:
 
     @given(ranged_batches(), st.sampled_from([1, 3, 1 << 17]))
     @settings(max_examples=300, deadline=None)
+    # a query value held 3 times that stored values equal
+    @example(([[1.0, 2.0, 2.0, 3.0], [2.0], [0.0, 2.0, 5.0]], [[0.5, 2.0, 2.0, 2.0, 4.0]]),
+             1 << 17)
+    # -0.0 against +0.0, each way, both in a run and at its head
+    @example(([[-1.0, 0.0, 1.0], [-0.0], [0.0, 0.0]], [[-0.0, 1.0], [-2.0, 0.0, -0.0]]), 3)
+    # every run starts on a value equal to min(q), one run per chunk
+    @example(([[1.0, 2.0, 3.0], [1.0], [1.0, 1.0, 4.0]], [[1.0, 3.0], [1.0, 1.0]]), 1)
+    # stored values below every query value: #(q <= r_j) == 0
+    @example(([[-5.0, -4.0, 1.0, 2.0], [-3.0]], [[0.0, 1.0, 1.5], [0.5]]), 3)
     def test_every_row_of_a_batch_equals_the_pairwise_statistics(self, batch, chunk):
         columns, queries = batch
         pack = PackedColumns(columns)
@@ -279,6 +290,31 @@ class TestPackedColumns:
         for row, query in enumerate(queries):
             for stat, single in zip(got, pack.statistics([query])):
                 assert same_bits(single[0], stat[row]) and single.shape == (1, len(columns))
+
+    @pytest.mark.parametrize("decimals, want", [
+        (None, "c39ad91a4456bf93d01895471ab03efbc6921d3fe723fe8c0b5a2be4fd44d559"),
+        (1, "05c6c7da90255b6e2bd1701a771a67ee6b7d1fb4c3f361b8730e0082047275ae"),
+    ], ids=["raw", "rounded"])
+    def test_efficiency_store_statistics_are_pinned(self, decimals, want):
+        # 20 fresh 1,000-row queries against the 550-column efficiency store;
+        # rounded to one decimal, most values tie.  No BLAS on this path, so
+        # the bits are the same on every kernel set
+        def values(attrs):
+            return [a.values if decimals is None else np.round(a.values, decimals)
+                    for a in attrs]
+
+        store = values(generate_synthetic(fixtures.efficiency_spec()).attributes)
+        fresh = generate_synthetic(dataclasses.replace(fixtures.efficiency_spec(),
+                                                       source_count=1, seed=2027))
+        queries = values(fresh.attributes[10:30])
+        gathered = [sum(min(r.searchsorted(q.max(), "right"), r.size - 1)
+                        - max(r.searchsorted(q.min(), "left") - 1, 0) + 1
+                        for r in map(np.sort, store)) for q in queries]
+        assert max(gathered) > baselines.SCORE_CHUNK   # one query spans chunks
+        digest = hashlib.sha256()
+        for stat in PackedColumns(store).statistics(queries):
+            digest.update(stat.tobytes())
+        assert digest.hexdigest() == want
 
     def test_hand_cases(self):
         ks, mw, jac = PackedColumns([[1.0, 2.0], [10.0, 11.0], [2.0]]).statistics([[1.0, 2.0]])

@@ -143,6 +143,16 @@ class TestTrain:
         assert code == 1
         assert "MissingDirectory" in capsys.readouterr().err
 
+    def test_dataset_root_that_is_a_file(self, tmp_path, capsys):
+        root = tmp_path / "data.csv"
+        root.write_text("1\n")
+        assert main(["train", str(root), "--out", str(tmp_path / "m.bin")] + TRAIN_FLAGS) == 1
+        assert (f"MissingDirectory: dataset root {root} is not a directory\n"
+                == capsys.readouterr().err)
+        assert main(["train", str(tmp_path / "nope"), "--out",
+                     str(tmp_path / "m.bin")] + TRAIN_FLAGS) == 1
+        assert f"dataset root {tmp_path / 'nope'} does not exist" in capsys.readouterr().err
+
     def test_a_memory_error_without_a_message_still_says_what_failed(
             self, data_dir, tmp_path, capsys, monkeypatch):
         def refuse(*args):
