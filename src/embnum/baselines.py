@@ -80,8 +80,7 @@ class PackedColumns:
 
         The runs of every (query, column) pair are gathered and scored in
         chunks of at most SCORE_CHUNK stored values, or one longer run; a
-        chunk holds about 64 bytes per value, 88 once a value ties a query
-        value: some 8 and 11 MB at SCORE_CHUNK."""
+        chunk holds about 64 bytes per value, some 8 MB at SCORE_CHUNK."""
         qs = [np.sort(np.asarray(q, dtype=np.float64).ravel()) for q in queries]
         if not qs or any(q.size == 0 for q in qs):
             raise EmptyInput("statistic inputs must be non-empty")
@@ -152,50 +151,51 @@ class PackedColumns:
     def _score_runs(self, qs, lt_of, first, bounds, a, b):
         """(max gap, #(q < r_j) sum, #(q <= r_j) sum) over each of the flat
         (query, column) runs [a, b): one gather, one binary search per
-        gathered value, and one pass over the chunk.  #(q < r_j) and its
-        quotient are kept apart from #(q <= r_j) only from a query that ties
-        a gathered value on; with no tie, the #(q <= r_j) sums serve both."""
+        gathered value, and one pass over the chunk.  From the first query
+        that ties a gathered value on, #(q < r_j) is kept apart from
+        #(q <= r_j), in the spent index buffer; with no tie, the #(q <= r_j)
+        sums serve both."""
         n_c = self.sizes.size
         lengths = np.diff(bounds[a : b + 1])
         offsets = bounds[a:b] - bounds[a]
         idx = np.repeat(first[a:b] - offsets, lengths) + np.arange(offsets[-1] + lengths[-1])
-        seen = self.values[idx]
+        seen, cdf = self.values[idx], self.cdf[idx]
         n_le = np.empty(idx.size, dtype=np.intp)
-        f_le = np.empty(idx.size)   # F_q(r_j) = #(q <= r_j) / m
-        n_lt = f_lt = None          # #(q < r_j) and its quotient, once a value ties
+        gap = np.empty(idx.size)     # F_q(r_j) = #(q <= r_j) / m, then the gap there
+        below = np.empty(idx.size)   # #(q < r_j) / m, then the gap below r_j
+        n_lt = n_le                  # until a value ties: then idx's buffer
         q0 = a // n_c
         cuts = bounds[np.clip(np.arange(q0, (b - 1) // n_c + 2) * n_c, a, b)] - bounds[a]
         for k, i, j in zip(range(q0, len(qs)), cuts.tolist(), cuts[1:].tolist()):
             q = qs[k]
-            le = q.searchsorted(seen[i:j], "right")
-            n_le[i:j] = le
-            np.divide(le, q.size, out=f_le[i:j])
-            # #(q < r_j) differs only where the last query value <= r_j is
-            # r_j itself (== holds for -0.0 and +0.0, as in the search); at
-            # #(q <= r_j) == 0 the index wraps to max(q), which is above r_j
-            top = le - 1   # index of the last query value <= r_j
+            top = q.searchsorted(seen[i:j], "right")   # #(q <= r_j)
+            n_le[i:j] = top
+            np.divide(top, q.size, out=gap[i:j])
+            top -= 1   # the index of the last query value <= r_j
+            # #(q < r_j) differs only where that value is r_j itself (==
+            # holds for -0.0 and +0.0, as in the search); at #(q <= r_j) == 0
+            # the index wraps to max(q), which is above r_j
             tie = q[top] == seen[i:j]
-            if n_lt is None and tie.any():
-                n_lt, f_lt = np.empty_like(n_le), np.empty_like(f_le)
-                n_lt[:i], f_lt[:i] = n_le[:i], f_le[:i]
-            if n_lt is not None:
-                lt = np.where(tie, lt_of(k)[top], le)
-                n_lt[i:j] = lt
-                np.divide(lt, q.size, out=f_lt[i:j])
-        if n_lt is None:
-            n_lt, f_lt = n_le, f_le
-        cdf = self.cdf[idx]
+            if n_lt is n_le and tie.any():
+                n_lt = idx
+                n_lt[:i] = n_le[:i]
+            if n_lt is n_le:
+                below[i:j] = gap[i:j]
+            else:
+                n_lt[i:j] = n_le[i:j]
+                np.copyto(n_lt[i:j], lt_of(k)[top], where=tie)
+                np.divide(n_lt[i:j], q.size, out=below[i:j])
+        # stored points: |F_q(r_j) - F_r(r_j)|
+        gap -= cdf
+        np.abs(gap, out=gap)
         # query points: F_q - F_r peaks at the last query value below r_j,
         # where F_q = #(q < r_j) / m and F_r is the previous stored value's:
         # the run's own, or at its head the one before (none at a column start)
-        below = np.empty(idx.size)
-        np.subtract(f_lt[1:], cdf[:-1], out=below[1:])
         head = first[a:b]
         before = np.where(head == self.starts[np.arange(a, b) % n_c], 0.0, self.cdf[head - 1])
-        below[offsets] = f_lt[offsets] - before
-        # stored points: |F_q(r_j) - F_r(r_j)|
-        gap = np.subtract(f_le, cdf, out=f_le)
-        np.abs(gap, out=gap)
+        heads = below[offsets] - before
+        below[1:] -= cdf[:-1]
+        below[offsets] = heads
         np.maximum(gap, below, out=gap)
         le_sums = np.add.reduceat(n_le, offsets)
         lt_sums = le_sums if n_lt is n_le else np.add.reduceat(n_lt, offsets)

@@ -265,9 +265,10 @@ class TestPackedColumns:
 
     @given(ranged_batches(), st.sampled_from([1, 3, 1 << 17]))
     @settings(max_examples=300, deadline=None)
-    # a query value held 3 times that stored values equal
-    @example(([[1.0, 2.0, 2.0, 3.0], [2.0], [0.0, 2.0, 5.0]], [[0.5, 2.0, 2.0, 2.0, 4.0]]),
-             1 << 17)
+    # a query value held 3 times that stored values equal, after a query
+    # that ties no stored value in the same chunk
+    @example(([[1.0, 2.0, 2.0, 3.0], [2.0], [0.0, 2.0, 5.0]],
+              [[2.5, 4.5], [0.5, 2.0, 2.0, 2.0, 4.0]]), 1 << 17)
     # -0.0 against +0.0, each way, both in a run and at its head
     @example(([[-1.0, 0.0, 1.0], [-0.0], [0.0, 0.0]], [[-0.0, 1.0], [-2.0, 0.0, -0.0]]), 3)
     # every run starts on a value equal to min(q), one run per chunk
