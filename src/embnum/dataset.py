@@ -86,12 +86,14 @@ class Dataset:
 
 def format_values(values) -> list[str]:
     """Each value's shortest decimal form that parses back to the same float:
-    an integer form below 1e16 in magnitude, else repr; no Python call per
-    value besides repr and str."""
+    an integer form below 1e16 in magnitude ("-0" for -0.0, so the sign of a
+    zero survives), else repr; no Python call per value besides repr and
+    str."""
     v = np.asarray(values, dtype=np.float64).ravel()
     out = np.array(list(map(repr, v.tolist())), dtype=object)
     whole = (v == np.trunc(v)) & (np.abs(v) < 1e16)
     out[whole] = list(map(str, v[whole].astype(np.int64).tolist()))
+    out[(v == 0) & np.signbit(v)] = "-0"
     return out.tolist()
 
 

@@ -53,6 +53,9 @@ def block_plan(arch: ArchConfig):
             in_ch = out_ch
 
 
+POOL = (3, 2, 1)  # the stem's max pool: kernel, stride, padding
+
+
 def _projects(in_channels: int, out_channels: int, stride: int) -> bool:
     return stride != 1 or in_channels != out_channels  # the shortcut changes shape
 
@@ -101,6 +104,8 @@ class ResNet1d:
         for stage, _, in_ch, out_ch, stride in block_plan(arch):
             self.stages[stage].append(BasicBlock(in_ch, out_ch, stride))
         self.fc = Linear(chans[3], arch.k)
+        # the tap spans infer's plan reads at width arch.h, fixed per network
+        self.taps = _plan_taps(self, arch.h)
         # infer's frozen forward; a training-mode forward or Model.load_state,
         # the only writers of the running statistics, drops it
         self.plan = None
@@ -109,7 +114,7 @@ class ResNet1d:
         if training:
             self.plan = None
         y = ops.relu(self.stem_bn(self.stem_conv(x), training))
-        y = ops.maxpool1d(y, kernel=3, stride=2, padding=1)
+        y = ops.maxpool1d(y, *POOL)
         for blocks in self.stages:
             for block in blocks:
                 y = block(y, training)
@@ -118,8 +123,9 @@ class ResNet1d:
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """self(Tensor(x), training=False).data, bit for bit, for a (B, 1, h)
-        array, run on plain arrays by a plan that _freeze builds once per
-        state."""
+        array, run on plain channels-last arrays by a plan that _freeze
+        builds once per state; each activation stays in its conv's GEMM
+        buffer."""
         if self.plan is None:
             self.plan = _freeze(self)
         return self.plan(x)
@@ -149,19 +155,42 @@ class ResNet1d:
         return out
 
 
-def _conv_bn(conv: Conv1d, bn: BatchNorm1d) -> tuple:
-    """What one conv and the batch norm after it read in eval mode: views of
-    the layers' own buffers, in the layouts ops.conv1d and ops.batchnorm1d
-    read, and 1 / sqrt(running_var + eps) as batchnorm1d computes it."""
+def _blocks(net: ResNet1d):
+    return (block for blocks in net.stages for block in blocks)
+
+
+def _conv_taps(conv: Conv1d, length: int) -> tuple:
+    return ops.tap_spans(length, conv.weight.data.shape[2], conv.stride, conv.padding)
+
+
+def _plan_taps(net: ResNet1d, h: int) -> tuple:
+    """The tap spans (ops.tap_spans) that net's eval forward reads at input
+    width h: the stem's, the max pool's, and (conv1, conv2, projection) per
+    block, the projection's None where the shortcut is the identity."""
+    stem = _conv_taps(net.stem_conv, h)
+    pool = ops.tap_spans(stem[0], *POOL)
+    length, blocks = pool[0], []
+    for b in _blocks(net):
+        conv1 = _conv_taps(b.conv1, length)
+        blocks.append((conv1, _conv_taps(b.conv2, conv1[0]),
+                       None if b.proj_conv is None else _conv_taps(b.proj_conv, length)))
+        length = conv1[0]
+    return stem, pool, blocks
+
+
+def _conv_bn(conv: Conv1d, bn: BatchNorm1d, taps: tuple) -> tuple:
+    """What one conv and the batch norm after it read in eval mode: the
+    (C_in*K, C_out) view of the conv's weight that ops.conv1d reads, its tap
+    spans, and (C,) views of the batch norm's running mean, gamma and beta
+    beside 1 / sqrt(running_var + eps) as batchnorm1d computes it."""
     w = conv.weight.data
     inv = 1.0 / np.sqrt(bn.running_var + ops.BN_EPS)
-    return (w.reshape(len(w), -1).T, conv.stride, conv.padding, bn.running_mean[:, None],
-            inv[:, None], bn.gamma.data[:, None], bn.beta.data[:, None])
+    return w.reshape(len(w), -1).T, taps, bn.running_mean, inv, bn.gamma.data, bn.beta.data
 
 
 def _conv_bn_forward(layer: tuple, x: np.ndarray) -> np.ndarray:
-    wt, stride, padding, mean, inv, gamma, beta = layer
-    y = ops.conv_forward(x, wt, stride, padding)[0]
+    wt, taps, mean, inv, gamma, beta = layer
+    y = ops.conv_forward(x, wt, taps)[0]
     y -= mean
     y *= inv
     y *= gamma
@@ -180,24 +209,30 @@ def _freeze(net: ResNet1d):
 
     Every op is ops' own array arithmetic in the order the taped forward
     runs it, so the bits are the same; only the Tensors, the tape and the
-    module calls are gone, and relu and the residual add write in place.
-    The function holds views of the weights, which SGD and init_weights
-    update in place, and the batch norms' inverse deviations, computed here
-    once, so it is stale once the running statistics change.
+    module calls are gone.  Each activation stays channels-last, (B, L, C),
+    in the buffer of whole 8-row tiles that its conv's GEMM wrote: batch
+    norm, relu and the residual add run in place over those contiguous rows
+    with (C,) constants, and the next conv's im2col and the max pool read it
+    as it is.  The tap spans come from net.taps, fixed at construction.  The
+    function holds views of the weights and of gamma and beta, which SGD and
+    init_weights update in place, and the batch norms' inverse deviations,
+    computed here once, so it is stale once the running statistics change.
     """
-    stem = _conv_bn(net.stem_conv, net.stem_bn)
-    blocks = [(_conv_bn(b.conv1, b.bn1), _conv_bn(b.conv2, b.bn2),
-               None if b.proj_conv is None else _conv_bn(b.proj_conv, b.proj_bn))
-              for stage in net.stages for b in stage]
-    fc_wt, fc_bias = net.fc.weight.data.T, net.fc.bias.data[None, :]
+    stem_taps, pool_taps, block_taps = net.taps
+    stem = _conv_bn(net.stem_conv, net.stem_bn, stem_taps)
+    blocks = [(_conv_bn(b.conv1, b.bn1, taps1), _conv_bn(b.conv2, b.bn2, taps2),
+               None if b.proj_conv is None else _conv_bn(b.proj_conv, b.proj_bn, proj_taps))
+              for b, (taps1, taps2, proj_taps) in zip(_blocks(net), block_taps)]
+    fc_wt, fc_bias = net.fc.weight.data.T, net.fc.bias.data
 
     def forward(x: np.ndarray) -> np.ndarray:
-        y = ops.maxpool_forward(_relu_(_conv_bn_forward(stem, x)), 3, 2, 1)
+        y = _relu_(_conv_bn_forward(stem, x.transpose(0, 2, 1)))
+        y = ops.maxpool_forward(y, pool_taps)
         for conv1, conv2, proj in blocks:
             h = _conv_bn_forward(conv2, _relu_(_conv_bn_forward(conv1, y)))
             h += y if proj is None else _conv_bn_forward(proj, y)
             y = _relu_(h)
-        return ops._tiled_matmul(y.mean(axis=2), fc_wt) + fc_bias
+        return ops._tiled_matmul(y.mean(axis=1), fc_wt) + fc_bias
 
     return forward
 

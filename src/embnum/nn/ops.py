@@ -1,6 +1,6 @@
 """Differentiable layer operations for 1-D feature maps.
 
-All ops take (batch, channels, length) arrays.  The forward passes of
+The Tensor ops take (batch, channels, length) arrays.  The forward passes of
 conv1d and linear run through _tiled_matmul, whose GEMM calls are chosen by
 the layer's shape alone: narrow layers call GEMM on fixed tiles of exactly
 _TILE_ROWS rows, the zero-padded tail tile among them, in one batched
@@ -14,22 +14,25 @@ their small-matrix kernel depends on.  The backward passes use plain GEMM,
 which is deterministic from run to run but not batch invariant; training
 needs no more than that.
 
-conv1d returns a transposed view of a channels-last (B, L, C) product, and
-batch norm and relu keep whatever layout they are given, so most maps
-reach the next conv1d as such views.  The forward arithmetic of conv1d and
-maxpool1d lives in array-level helpers, conv_forward and maxpool_forward,
-which the ops call and which embnet's frozen eval forward calls without a
-Tensor, so each is written once.  conv_forward builds its (B*L_out,
-C_in*K) im2col matrix one kernel tap at a time from the input's (B, L, C)
-view, writing zeros where a tap reads padding, and conv1d scatters the
-matrix's gradient back tap by tap in the same order; no padded copy of the
-input is made.  The matrix is allocated in whole tiles of rows, so its tail
-tile needs no copy.  maxpool_forward takes its max the same way, one tap at
-a time from strided slices of the input, where padded taps are -inf and
-never win; maxpool1d has it keep the index of each window's winning tap
-only when a tape needs it for the backward, which scatters the gradient
-back tap by tap.  Both take each tap's span of output positions from
-_tap_spans, computed once per shape.
+The forward arithmetic of conv1d and maxpool1d lives in array-level
+helpers, conv_forward and maxpool_forward, which the ops call and which
+embnet's frozen eval forward calls without a Tensor, so each is written
+once.  Both work channels-last: they read a (B, L, C) array and return one.
+conv_forward builds its (B*L_out, C_in*K) im2col matrix, allocated zeroed in
+whole tiles of rows, one kernel tap at a time from the input, writing only
+the positions that the tap reads; conv1d scatters the matrix's gradient back
+tap by tap in the same order, and no padded copy of the input is made.  Its
+product stays in the buffer of whole tiles that the GEMM wrote, so the eval
+forward runs batch norm, relu and the residual add over contiguous rows with
+(C,) constants.  maxpool_forward takes its max the same way, one tap at a
+time from strided slices of the input, where padded taps are -inf and never
+win; maxpool1d has it keep the index of each window's winning tap only when
+a tape needs it for the backward, which scatters the gradient back tap by
+tap.  Each tap's span of output positions comes from tap_spans, cached per
+shape for the ops and fixed once per network for the eval forward.  conv1d and
+maxpool1d return (B, C, L_out) views of the channels-last results, and batch
+norm and relu keep whatever layout they are given, so in training most maps
+also reach the next conv1d channels-last.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndar
     their own; there b may be C-contiguous or a transposed view, with equal
     bits, and conv_weight gives wide convs the contiguous one, which packs
     faster.  Rows of a past m, up to the next whole tile, must be zeros,
-    as conv1d leaves them; where a stops at m, the padding is copied in.
+    as conv_forward leaves them; where a stops at m, the padding is copied in.
     """
     m = len(a) if m is None else m
     k, n = b.shape
@@ -118,12 +121,12 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndar
 
 
 @functools.lru_cache(maxsize=64)
-def _tap_spans(length: int, k: int, stride: int,
-               padding: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """(out_len, spans) of a k-wide window op over `length` positions, once
-    per shape: spans[kk] is (lo, hi, start) for kernel tap kk, where output
-    positions lo..hi-1 read the input at start, start + stride, ... and the
-    others read padding."""
+def tap_spans(length: int, k: int, stride: int,
+              padding: int) -> tuple[int, tuple[tuple[int, int, slice], ...]]:
+    """(out_len, spans) of a k-wide window op over `length` positions, cached
+    per shape: spans[kk] is (lo, hi, src) for kernel tap kk, where output
+    positions lo..hi-1 read the input positions that the slice src selects
+    and the others read padding."""
     out_len = (length + 2 * padding - k) // stride + 1
     if out_len <= 0:
         raise ValueError(f"output would be empty: L={length} pad={padding} K={k}")
@@ -131,7 +134,8 @@ def _tap_spans(length: int, k: int, stride: int,
     for kk in range(k):
         lo = max(0, -((kk - padding) // stride))
         hi = max(lo, min(out_len, (length - 1 + padding - kk) // stride + 1))
-        spans.append((lo, hi, lo * stride + kk - padding))
+        start = lo * stride + kk - padding
+        spans.append((lo, hi, slice(start, start + stride * (hi - lo), stride)))
     return out_len, tuple(spans)
 
 
@@ -146,31 +150,26 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def conv_forward(x: np.ndarray, wt: np.ndarray, stride: int = 1,
-                 padding: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(y, col) for a (B, C_in, L) array x and wt = weight.reshape(C_out,
-    C_in*K).T: y, (B, C_out, L_out), is a transposed view of the channels-last
-    product, and col the (B*L_out, C_in*K) im2col matrix, columns c_in-major
-    and k-minor, where tap kk of output position t reads input position
-    t*stride + kk - padding, or zero in the padding."""
-    b, c_in, length = x.shape
-    k = len(wt) // c_in
-    out_len, spans = _tap_spans(length, k, stride, padding)
+def conv_forward(x: np.ndarray, wt: np.ndarray,
+                 taps: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(y, col) for a channels-last (B, L, C_in) array x, wt = weight.reshape(
+    C_out, C_in*K).T and taps = tap_spans(L, K, stride, padding).
+
+    col is the (B*L_out, C_in*K) im2col matrix, columns c_in-major and
+    k-minor, where tap kk of output position t reads input position
+    t*stride + kk - padding, or zero in the padding.  It is allocated zeroed
+    in whole tiles of rows, so each tap writes only the positions it reads
+    and _tiled_matmul pads the tail with no copy.  y, (B, L_out, C_out), is
+    the product's channels-last rows, contiguous in the buffer of whole tiles
+    that the GEMM wrote."""
+    b, _, c_in = x.shape
+    out_len, spans = taps
     m = b * out_len
-    x_blc = x.transpose(0, 2, 1)
-    # whole tiles of rows, so _tiled_matmul pads the tail with no copy
-    col = np.empty((-(-m // _TILE_ROWS) * _TILE_ROWS, c_in * k), dtype=x.dtype)
-    if len(col) > m:
-        col[m:] = 0.0
-    col4 = col[:m].reshape(b, out_len, c_in, k)
-    for kk, (lo, hi, start) in enumerate(spans):
-        if lo:
-            col4[:, :lo, :, kk] = 0.0
-        col4[:, lo:hi, :, kk] = x_blc[:, start : start + stride * (hi - lo) : stride]
-        if hi < out_len:
-            col4[:, hi:, :, kk] = 0.0
-    y = _tiled_matmul(col, wt, m).reshape(b, out_len, wt.shape[1]).transpose(0, 2, 1)
-    return y, col[:m]
+    col = np.zeros((-(-m // _TILE_ROWS) * _TILE_ROWS, c_in * len(spans)), dtype=x.dtype)
+    col4 = col[:m].reshape(b, out_len, c_in, len(spans))
+    for kk, (lo, hi, src) in enumerate(spans):
+        col4[:, lo:hi, :, kk] = x[:, src]
+    return _tiled_matmul(col, wt, m).reshape(b, out_len, wt.shape[1]), col[:m]
 
 
 def conv1d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> Tensor:
@@ -188,10 +187,11 @@ def conv1d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> T
     c_out, c_in_w, k = weight.data.shape
     if c_in != c_in_w:
         raise ValueError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
-    y, col = conv_forward(x.data, weight.data.reshape(c_out, c_in * k).T, stride, padding)
-    out = make(y, (x, weight))
+    y, col = conv_forward(x.data.transpose(0, 2, 1), weight.data.reshape(c_out, c_in * k).T,
+                          tap_spans(length, k, stride, padding))
+    out = make(y.transpose(0, 2, 1), (x, weight))
     if out.requires_grad:
-        m, out_len = len(col), y.shape[2]
+        m, out_len = len(col), y.shape[1]
         padded_len = length + 2 * padding
 
         def back(g, xt=x, wt=weight, win=col):
@@ -264,49 +264,51 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     return out
 
 
-def maxpool_forward(x: np.ndarray, kernel: int, stride: int, padding: int = 0,
-                    idx: np.ndarray | None = None) -> np.ndarray:
-    """Max over sliding windows of a (B, C, L) array; padded positions are
-    -inf and never win.
+def maxpool_forward(x: np.ndarray, taps: tuple, idx: np.ndarray | None = None) -> np.ndarray:
+    """Max over the sliding windows that taps = tap_spans(L, kernel, stride,
+    padding) gives, along axis 1 of a channels-last (B, L, C) array, into a
+    new (B, L_out, C) array; padded positions are -inf and never win.
 
     The max is taken one tap at a time from strided slices of x, a NaN
     counting as above every number and the first NaN winning, as np.argmax
-    picks; when idx, a (B, C, L_out) integer array, is given, each window's
+    picks; when idx, a (B, L_out, C) integer array, is given, each window's
     winning tap is written into it.  The max is the same either way.
     """
-    b, c, length = x.shape
-    out_len, spans = _tap_spans(length, kernel, stride, padding)
-    y = np.full((b, c, out_len), -np.inf, dtype=x.dtype)
-    for kk, (lo, hi, start) in enumerate(spans):
-        tap = x[:, :, start : start + stride * (hi - lo) : stride]
-        best = y[:, :, lo:hi]
+    b, _, c = x.shape
+    out_len, spans = taps
+    y = np.full((b, out_len, c), -np.inf, dtype=x.dtype)
+    for kk, (lo, hi, src) in enumerate(spans):
+        tap = x[:, src]
+        best = y[:, lo:hi]
         wins = np.less_equal(tap, best)
         np.logical_not(wins, out=wins)  # above best, or a NaN
         wins &= best == best  # a NaN already held keeps its place
         np.copyto(best, tap, where=wins)
         if idx is not None:
-            np.copyto(idx[:, :, lo:hi], kk, where=wins)
+            np.copyto(idx[:, lo:hi], kk, where=wins)
     return y
 
 
 def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """maxpool_forward on x, keeping each window's winning tap only when a
-    tape needs it.  The backward adds each window's gradient into its input
-    position tap by tap in reversed order, so each position sums its windows
-    in the order np.add.at would.
+    """maxpool_forward on x's (B, L, C) view, keeping each window's winning
+    tap only when a tape needs it; the result is a (B, C, L_out) view of its
+    channels-last output.  The backward adds each window's gradient into its
+    input position tap by tap in reversed order, so each position sums its
+    windows in the order np.add.at would.
     """
     b, c, length = x.data.shape
-    out_len, spans = _tap_spans(length, kernel, stride, padding)
-    idx = np.zeros((b, c, out_len), dtype=np.intp) if x.requires_grad else None
-    out = make(maxpool_forward(x.data, kernel, stride, padding, idx), (x,))
+    taps = tap_spans(length, kernel, stride, padding)
+    out_len, spans = taps
+    idx = np.zeros((b, out_len, c), dtype=np.intp) if x.requires_grad else None
+    y = maxpool_forward(x.data.transpose(0, 2, 1), taps, idx)
+    out = make(y.transpose(0, 2, 1), (x,))
     if out.requires_grad:
 
-        def back(g, xt=x, am=idx):
+        def back(g, xt=x, am=idx.transpose(0, 2, 1)):
             gx = np.zeros((b, c, length), dtype=g.dtype)
             for kk in reversed(range(kernel)):
-                lo, hi, start = spans[kk]
-                gx[:, :, start : start + stride * (hi - lo) : stride] += np.where(
-                    am[:, :, lo:hi] == kk, g[:, :, lo:hi], 0)
+                lo, hi, src = spans[kk]
+                gx[:, :, src] += np.where(am[:, :, lo:hi] == kk, g[:, :, lo:hi], 0)
             xt.accumulate(gx)
 
         out._backward = back

@@ -92,9 +92,10 @@ def distance_oracle(a, b) -> float:
 
 def format_value(v: float) -> str:
     """One value's shortest decimal form that parses back to the same float,
-    one Python call per value: the integer form below 1e16, else repr."""
+    one Python call per value: the integer form below 1e16 ("-0" for -0.0),
+    else repr."""
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return str(int(v)) if v or math.copysign(1.0, v) > 0 else "-0"
     return repr(float(v))
 
 

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from embnum.dataset import (
@@ -82,6 +82,13 @@ class TestRoundTrip:
         loaded = load_dataset(tmp_path / "data")
         assert loaded == d
 
+    def test_the_sign_of_a_zero_survives(self, tmp_path):
+        values = np.array([-0.0, 0.0, -0.0, 1.5, -2.0])
+        d = Dataset([NumericAttribute(values=values, label="a", source="s")])
+        loaded = load_dataset(write_dataset(d, tmp_path / "data")).attributes[0].values
+        assert np.signbit(loaded).tolist() == np.signbit(values).tolist()
+        assert loaded.tobytes() == values.tobytes()
+
     def test_layout_one_csv_per_attribute(self, tmp_path):
         write_dataset(tiny_dataset(), tmp_path / "data")
         files = sorted(p.relative_to(tmp_path / "data").as_posix()
@@ -107,12 +114,13 @@ class TestRoundTrip:
                               min_value=-1e12, max_value=1e12),
                     min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
+    @example([-0.0, 0.0])
     def test_format_value_parses_back_exactly(self, values):
         for v, text in zip(values, format_values(values)):
-            assert float(text) == v
+            assert np.float64(text).tobytes() == np.float64(v).tobytes()
 
     def test_format_value_prefers_integer_form(self):
-        assert format_values([3.0, -17.0, 0.1, -0.0]) == ["3", "-17", "0.1", "0"]
+        assert format_values([3.0, -17.0, 0.1, -0.0, 0.0]) == ["3", "-17", "0.1", "-0", "0"]
 
     @given(values=st.lists(st.one_of(
         st.floats(),

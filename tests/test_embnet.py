@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -215,8 +216,9 @@ class TestEmbed:
         assert embed(m, x).shape == (1100, TINY.k)
         assert rows == [EMBED_CHUNK, EMBED_CHUNK, 1100 - 2 * EMBED_CHUNK]
 
-    @pytest.mark.parametrize("arch", [desk_arch(), ArchConfig(stem_channels=64)],
-                             ids=["desk", "full"])
+    @pytest.mark.parametrize("arch", [desk_arch(), ArchConfig(stem_channels=16),
+                                      ArchConfig(stem_channels=32), ArchConfig(stem_channels=64)],
+                             ids=["desk", "stem16", "stem32", "full"])
     def test_the_frozen_plan_gives_the_taped_forwards_bits(self, arch):
         # embed runs a plan frozen from the model's state; it must give the
         # taped eval forward's bits, and be rebuilt whenever the running
@@ -233,8 +235,10 @@ class TestEmbed:
 
         def agree(model):
             # the taped forward runs embed's chunks: whether a wide layer's
-            # one-GEMM product is batch invariant depends on the BLAS kernels
-            for n in (1, 9, EMBED_CHUNK + 1):
+            # one-GEMM product is batch invariant depends on the BLAS kernels.
+            # 8 rows fill one tile, 10 are a LOSO query batch, 60 training's
+            # eval batch
+            for n in (1, 8, 9, 10, 60, EMBED_CHUNK + 1):
                 x = rng.standard_normal((n, arch.h)).astype(np.float32)
                 taped = [model.net(Tensor(x[i : i + EMBED_CHUNK, None, :]), training=False).data
                          for i in range(0, n, EMBED_CHUNK)]
@@ -254,6 +258,21 @@ class TestEmbed:
         m.net(Tensor(x), training=False).sum().backward()
         SGD(m.net.named_params(), lr=0.1).step()
         agree(m)
+
+    def test_a_full_width_chunk_stays_within_its_memory(self):
+        # the eval plan must free each activation as soon as the next layer
+        # has read it: one full-width chunk peaked at 24.00 MiB of traced
+        # allocations when this gate was set; allow 1% over that
+        m = build_model(ArchConfig(stem_channels=64), 0)
+        x = np.random.default_rng(0).standard_normal((EMBED_CHUNK, m.arch.h)).astype(np.float32)
+        embed(m, x[:1])
+        tracemalloc.start()
+        try:
+            embed(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * 24.0 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_full_width_embedding_bits_are_pinned(self):
         # sha256 of the float32 embeddings of the first 64 efficiency-fixture

@@ -301,15 +301,18 @@ def kernel_set_children():
     """One child process per kernel set whose CPU flag /proc/cpuinfo lists,
     all started at once, each forced to its set by OPENBLAS_CORETYPE; each
     prints the core name its OpenBLAS loaded, then runs the weight layout
-    check."""
+    check and the frozen eval plan's check against the taped forward at desk
+    and full width."""
     cpuinfo = Path("/proc/cpuinfo")
     cpu_flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
-    code = ("import test_nn; print(test_nn.openblas_corename(), flush=True); "
-            "test_nn.TestTiledMatmulMatchesTiles().test_weight_layout_keeps_the_bits()")
+    code = ("import test_nn, test_embnet; print(test_nn.openblas_corename(), flush=True); "
+            "test_nn.TestTiledMatmulMatchesTiles().test_weight_layout_keeps_the_bits(); "
+            "plan = test_embnet.TestEmbed().test_the_frozen_plan_gives_the_taped_forwards_bits; "
+            "plan(test_nn.desk_arch()); plan(test_nn.ArchConfig(stem_channels=64))")
     children = {core: subprocess.Popen(
         [sys.executable, "-c", code], cwd=tests.parent,
         env=dict(env, OPENBLAS_CORETYPE=core), text=True,
@@ -321,6 +324,7 @@ def kernel_set_children():
         proc.communicate()
 
 
+# each child also checks the frozen eval plan against the taped forward
 @pytest.mark.parametrize("core", KERNEL_SETS)
 def test_weight_layout_keeps_the_bits_on_every_kernel_set(core, kernel_set_children):
     proc = kernel_set_children.get(core)
