@@ -112,7 +112,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sample(args) -> int:
     attr = dataset.load_attribute_csv(args.csv)
-    vec = sampling.sample_inverse_transform(attr.values, args.h)
+    vec = sampling.sample_inverse_transform([attr.values], args.h)[0]
     print(",".join(dataset.format_values(vec)))
     return 0
 

@@ -34,6 +34,7 @@ class ArchConfig:
     stem_channels: int = 64
 
     def __post_init__(self):
+        _serial.check(asdict(self), CHECKPOINT["arch"], InvalidArch, "arch")
         if min(self.h, self.k, self.stem_channels) < 1:
             raise InvalidArch(f"every field must be >= 1: {self}")
 
@@ -289,9 +290,11 @@ def normalize_input(raw: np.ndarray) -> np.ndarray:
     return np.sign(raw) * np.log1p(np.abs(raw))
 
 
-def preprocess(values: np.ndarray, arch: ArchConfig) -> np.ndarray:
-    """Raw attribute values -> model-ready float32 h-vector."""
-    return normalize_input(sample_inverse_transform(values, arch.h)).astype(np.float32)
+def preprocess(columns, arch: ArchConfig) -> np.ndarray:
+    """Raw attribute columns -> model-ready (n, h) float32 rows, one per
+    column, sampled in one sample_inverse_transform call; one 1-D array is a
+    batch of one."""
+    return normalize_input(sample_inverse_transform(columns, arch.h)).astype(np.float32)
 
 
 def embed(model: Model, inputs: np.ndarray) -> np.ndarray:

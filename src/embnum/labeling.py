@@ -62,7 +62,8 @@ class FeatureStore:
     (EmptyStore), an embnum store without its model or a dsl store without
     its weights (MissingModel), and labels, sources and feature rows of
     unequal counts (InvalidSpec).  It builds the tie_rank and label_codes
-    every ranking reads; the store is immutable, so they stay its own."""
+    every ranking reads, which subset() hands on instead; the store is
+    immutable, so they stay its own."""
 
     method: str
     labels: np.ndarray
@@ -100,10 +101,24 @@ class FeatureStore:
 
     def subset(self, keep: np.ndarray) -> FeatureStore:
         """The records where the boolean mask `keep` is set, under this
-        store's scorers.  A raw-value subset takes its presorted columns
-        from this store's pack instead of sorting them again."""
-        return FeatureStore(self.method, self.labels[keep], self.sources[keep],
-                            self.features[keep], self.model, self.dsl_model)
+        store's scorers; an all-False mask is EmptyStore.  The subset
+        inherits its keys rather than building them: a raw-value subset
+        takes its presorted columns from this store's pack, tie_rank[keep]
+        keeps the (label, source) order, and the label codes are this
+        store's, restricted to the kept labels."""
+        labels = self.labels[keep]
+        if not len(labels):
+            raise EmptyStore("a store needs at least one record")
+        code_of, codes = self.label_codes
+        codes = codes[keep]
+        kept = np.zeros(len(code_of), dtype=bool)
+        kept[codes] = True
+        sub = object.__new__(FeatureStore)  # no __init__: the parent checked every field
+        vars(sub).update(method=self.method, labels=labels, sources=self.sources[keep],
+                         features=self.features[keep], model=self.model,
+                         dsl_model=self.dsl_model, tie_rank=self.tie_rank[keep],
+                         label_codes=({x: c for x, c in code_of.items() if kept[c]}, codes))
+        return sub
 
 
 @dataclass(frozen=True)
@@ -151,7 +166,7 @@ def index_labeled(labeled: Dataset, method: str, model: Model | None = None,
 def _embed(model: Model, columns: list) -> np.ndarray:
     """The (n, k) float32 embedding matrix of the columns; a column holding
     NaN or an infinity is EmptyInput, which sampling raises."""
-    return embed(model, np.stack([preprocess(c, model.arch) for c in columns]))
+    return embed(model, preprocess(columns, model.arch))
 
 
 def _orders(store: FeatureStore, columns: list) -> tuple[np.ndarray, np.ndarray]:
@@ -274,8 +289,9 @@ def run_benchmark(dataset: Dataset, method: str, model: Model | None = None,
     """Full leave-one-source-out protocol.
 
     The dataset is indexed once and every subset store takes its records,
-    presorted raw columns and scorers from that store, dsl weights fitted
-    there included (indexing is excluded from labeling time by contract);
+    presorted raw columns, tie keys, label codes and scorers from that
+    store, dsl weights fitted there included (indexing is excluded from
+    labeling time by contract);
     the query side is re-featurized inside every timed experiment.
     Experiments with no scorable query, and labeled-source counts with no
     scored experiment, are left out; NoQueries is raised when no experiment

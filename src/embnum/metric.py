@@ -11,10 +11,11 @@ returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _serial
 from .dataset import Dataset
 from .embnet import ArchConfig, Model, build_model, distances, embed, preprocess
 from .errors import DegenerateBatch, InsufficientSamples, InvalidSpec, NonFiniteLoss
@@ -41,6 +42,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        fields = asdict(self)
+        _serial.check(fields, dict.fromkeys(fields, int), InvalidSpec, "TrainConfig")
         if self.epochs <= 0:
             raise InvalidSpec(f"epochs must be positive, got {self.epochs}")
         if self.batch_labels < 2:
@@ -142,7 +145,7 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
         raise InsufficientSamples("training needs at least 2 distinct labels")
 
     # sample once per attribute, reused every epoch
-    vectors = np.stack([preprocess(a.values, arch) for a in dataset.attributes])
+    vectors = preprocess([a.values for a in dataset.attributes], arch)
     label_list, labels = np.unique(np.array([a.label for a in dataset.attributes], dtype=object),
                                    return_inverse=True)  # sorted: ties still go by label
 

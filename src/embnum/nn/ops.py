@@ -269,10 +269,12 @@ def maxpool_forward(x: np.ndarray, taps: tuple, idx: np.ndarray | None = None) -
     padding) gives, along axis 1 of a channels-last (B, L, C) array, into a
     new (B, L_out, C) array; padded positions are -inf and never win.
 
-    The max is taken one tap at a time from strided slices of x, a NaN
-    counting as above every number and the first NaN winning, as np.argmax
-    picks; when idx, a (B, L_out, C) integer array, is given, each window's
-    winning tap is written into it.  The max is the same either way.
+    With idx, a (B, L_out, C) integer array, the max is taken one tap at a
+    time from strided slices of x, a NaN counting as above every number and
+    the first NaN winning, as np.argmax picks, and each window's winning tap
+    is written into idx.  Without it each tap is folded in by np.maximum,
+    which gives the same bits only when x holds no NaN and no -0.0, as a
+    relu output does; only the frozen eval plan calls it so.
     """
     b, _, c = x.shape
     out_len, spans = taps
@@ -280,26 +282,29 @@ def maxpool_forward(x: np.ndarray, taps: tuple, idx: np.ndarray | None = None) -
     for kk, (lo, hi, src) in enumerate(spans):
         tap = x[:, src]
         best = y[:, lo:hi]
+        if idx is None:
+            np.maximum(best, tap, out=best)
+            continue
         wins = np.less_equal(tap, best)
         np.logical_not(wins, out=wins)  # above best, or a NaN
         wins &= best == best  # a NaN already held keeps its place
         np.copyto(best, tap, where=wins)
-        if idx is not None:
-            np.copyto(idx[:, lo:hi], kk, where=wins)
+        np.copyto(idx[:, lo:hi], kk, where=wins)
     return y
 
 
 def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """maxpool_forward on x's (B, L, C) view, keeping each window's winning
-    tap only when a tape needs it; the result is a (B, C, L_out) view of its
-    channels-last output.  The backward adds each window's gradient into its
-    input position tap by tap in reversed order, so each position sums its
-    windows in the order np.add.at would.
+    """maxpool_forward on x's (B, L, C) view, always with an index of each
+    window's winning tap, so the taped forward keeps its NaN and signed-zero
+    rules; the result is a (B, C, L_out) view of its channels-last output.
+    The backward adds each window's gradient into its input position tap by
+    tap in reversed order, so each position sums its windows in the order
+    np.add.at would.
     """
     b, c, length = x.data.shape
     taps = tap_spans(length, kernel, stride, padding)
     out_len, spans = taps
-    idx = np.zeros((b, out_len, c), dtype=np.intp) if x.requires_grad else None
+    idx = np.zeros((b, out_len, c), dtype=np.intp)
     y = maxpool_forward(x.data.transpose(0, 2, 1), taps, idx)
     out = make(y.transpose(0, 2, 1), (x,))
     if out.requires_grad:

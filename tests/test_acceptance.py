@@ -68,7 +68,7 @@ def test_criterion_1():
     for _ in range(1000):
         values = _random_attribute(rng)
         for h in (1, 10, 100):
-            got = sample_inverse_transform(values, h).tolist()
+            got = sample_inverse_transform([values], h)[0].tolist()
             want = inverse_transform_oracle(values, h)
             assert got == want, f"mismatch at n={values.size}, h={h}"
         attrs += 1

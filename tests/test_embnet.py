@@ -145,20 +145,20 @@ class TestNormalizeInput:
 
 class TestPreprocess:
     def test_output_shape_and_dtype(self):
-        out = preprocess(np.array([5.0, 1.0, 3.0]), TINY)
+        out = preprocess([np.array([5.0, 1.0, 3.0])], TINY)[0]
         assert out.shape == (TINY.h,)
         assert out.dtype == np.float32
 
     def test_sampling_then_conditioning(self):
         arch = ArchConfig(h=4, k=8, stem_channels=4)
-        out = preprocess(np.array([3.0, 1.0, 2.0, 2.0]), arch)
+        out = preprocess([np.array([3.0, 1.0, 2.0, 2.0])], arch)[0]
         assert out.tolist() == np.log1p([1.0, 2.0, 2.0, 3.0]).astype(np.float32).tolist()
 
     def test_float64_extremes_stay_finite_in_float32(self):
         arch = ArchConfig(h=6, k=8, stem_channels=4)
         extremes = np.array([1.7976931348623157e308, -1.7976931348623157e308,
                              5e-324, -5e-324, 0.0, -0.0])
-        out = preprocess(extremes, arch)
+        out = preprocess([extremes], arch)[0]
         assert out.dtype == np.float32 and np.all(np.isfinite(out))
         assert out[0] == np.float32(-709.782712893384) and out[-1] == -out[0]
 
@@ -258,6 +258,12 @@ class TestEmbed:
         m.net(Tensor(x), training=False).sum().backward()
         SGD(m.net.named_params(), lr=0.1).step()
         agree(m)
+        # a stem whose relu output is all +0.0: the max pool's -inf padding
+        # must never reach its output
+        m.net.stem_bn.beta.data[...] = -1000.0
+        stem = ops.relu(m.net.stem_bn(m.net.stem_conv(Tensor(x)), False)).data
+        assert not stem.any() and not np.signbit(stem).any()
+        agree(m)
 
     def test_a_full_width_chunk_stays_within_its_memory(self):
         # the eval plan must free each activation as soon as the next layer
@@ -279,7 +285,7 @@ class TestEmbed:
         # columns under the full-width network, seed 0
         arch = ArchConfig(stem_channels=64)
         columns = generate_synthetic(efficiency_spec()).attributes[:64]
-        x = np.stack([preprocess(a.values, arch) for a in columns])
+        x = preprocess([a.values for a in columns], arch)
         digest = hashlib.sha256(embed(build_model(arch, 0), x).tobytes()).hexdigest()
         assert digest == "a02bf64a0826f924ed52a2ff5f79dab63c36916a35f7c6d8e6148032ef4e54a9"
 

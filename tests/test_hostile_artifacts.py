@@ -32,6 +32,8 @@ from embnum.dataset import SyntheticSpec, generate_synthetic, write_dataset
 from embnum.embnet import (MODEL_MAGIC, MODEL_VERSION, ArchConfig, build_model, load_model,
                            save_model)
 from embnum.labeling import STORE_MAGIC, STORE_VERSION, index_labeled, load_store, save_store
+from embnum.metric import TrainConfig
+from embnum.sampling import sample_inverse_transform
 
 ADDRESS_SPACE = 1536 * 2**20
 CLI = "import sys; from embnum.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -252,6 +254,25 @@ def test_an_allocation_past_the_cap_is_out_of_memory(base, tmp_path):
                     "--stem-channels", "1", "--epochs", "1"])
     assert proc.returncode == 1 and proc.stderr.startswith("OutOfMemory: "), proc.stderr
     assert proc.stderr.removeprefix("OutOfMemory: ").strip(), proc.stderr
+
+
+# A non-integer config field, a bool included, was accepted and ended in a raw
+# TypeError once a model was built or trained, or was never refused at all;
+# a bool width sampled a 1-wide vector.
+@pytest.mark.parametrize("make, error, field", [
+    (lambda: ArchConfig(stem_channels=2.5), errors.InvalidArch, "stem_channels"),
+    (lambda: ArchConfig(k=True), errors.InvalidArch, "k"),
+    (lambda: ArchConfig(h="100"), errors.InvalidArch, "h"),
+    (lambda: TrainConfig(epochs=2.0), errors.InvalidSpec, "epochs"),
+    (lambda: TrainConfig(batch_labels="8"), errors.InvalidSpec, "batch_labels"),
+    (lambda: TrainConfig(samples_per_label=4.0), errors.InvalidSpec, "samples_per_label"),
+    (lambda: TrainConfig(seed=True), errors.InvalidSpec, "seed"),
+    (lambda: sample_inverse_transform([[1.0, 2.0]], True), errors.InvalidWidth, "h"),
+], ids=["arch-stem-float", "arch-k-bool", "arch-h-str", "train-epochs-float",
+        "train-batch-labels-str", "train-samples-float", "train-seed-bool", "sample-h-bool"])
+def test_non_integer_config_fields_are_named_errors(make, error, field):
+    with pytest.raises(error, match=field):
+        make()
 
 
 SMALL_VALUES = st.one_of(

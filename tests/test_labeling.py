@@ -145,7 +145,7 @@ class TestRank:
     def test_embedding_toy_ordering(self, tiny_model, monkeypatch):
         # plant 1-d embeddings so the expected distances are hand-computable
         monkeypatch.setattr(labeling_mod, "preprocess",
-                            lambda values, arch: np.asarray(values, dtype=np.float32))
+                            lambda columns, arch: np.asarray(columns, dtype=np.float32))
         monkeypatch.setattr(labeling_mod, "embed",
                             lambda model, x: np.asarray(x, dtype=np.float32))
         store = store_of("embnum", [
@@ -310,7 +310,7 @@ class TestLabelQueries:
         rank."""
         if method == "embnum":  # plant 1-d embeddings, as in test_embedding_toy_ordering
             monkeypatch.setattr(labeling_mod, "preprocess",
-                                lambda values, arch: np.asarray(values, dtype=np.float32))
+                                lambda columns, arch: np.asarray(columns, dtype=np.float32))
             monkeypatch.setattr(labeling_mod, "embed",
                                 lambda model, x: np.asarray(x, dtype=np.float32))
             feature = np.array([0.0], dtype=np.float32)
@@ -459,6 +459,44 @@ class TestBenchmark:
         assert [(e.label, e.source) for e in want] == [("a", "s1"), ("a", "s3"), ("b", "s0"),
                                                       ("b", "s2")]
         assert rank(store.subset(keep), [1.0, 2.0]).entries == want
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_source_subset_ranks_as_a_store_indexed_on_it(self, tiny_dataset,
+                                                                 tiny_model, method):
+        """A subset inherits its tie keys and label codes from the full store;
+        under every non-empty source mask it must rank as index_labeled does
+        on the same records.  Some labels are missing from some sources, so
+        a mask drops whole labels; one source's columns copy another label's
+        column of another source, so scores tie across labels; and the
+        records run against (label, source) order, so only the tie keys
+        can order a tie."""
+        dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+        sources, labels = tiny_dataset.sources, tiny_dataset.labels
+        column = {(a.label, a.source): a.values for a in tiny_dataset.attributes}
+        attrs = []
+        for a in reversed(tiny_dataset.attributes):
+            i, j = sources.index(a.source), labels.index(a.label)
+            if (i + j) % 3 == 0:
+                continue
+            if i == 1:
+                a = dataclasses.replace(a, values=column[labels[(j + 1) % len(labels)], sources[0]])
+            attrs.append(a)
+        full = index_labeled(Dataset(attrs), method, model=tiny_model, dsl_model=dsl_model)
+        queries = [dataclasses.replace(a, source="q") for a in attrs[::2]]
+        for mask in range(1, 2 ** len(sources)):
+            chosen = {s for i, s in enumerate(sources) if mask >> i & 1}
+            kept = [a for a in attrs if a.source in chosen]
+            sub = full.subset(np.array([a.source in chosen for a in attrs]))
+            fresh = index_labeled(Dataset(kept), method, model=tiny_model, dsl_model=dsl_model)
+            assert set(sub.label_codes[0]) == {a.label for a in kept}
+            got, want = label_queries(sub, queries), label_queries(fresh, queries)
+            assert (got.ranks, got.excluded) == (want.ranks, want.excluded)
+            for q in queries:
+                a, b = rank(sub, q), rank(fresh, q)
+                assert a.order.tolist() == b.order.tolist()
+                assert a.scores.tobytes() == b.scores.tobytes()
+        with pytest.raises(EmptyStore):
+            full.subset(np.zeros(len(attrs), dtype=bool))
 
     def test_too_few_sources(self):
         ds = generate_synthetic(SyntheticSpec(
@@ -687,7 +725,7 @@ class TestEmbeddingExport:
         first = lines[1].split(",")
         attr = next(a for a in tiny_dataset.attributes
                     if (a.label, a.source) == (first[0], first[1]))
-        want = embed(tiny_model, preprocess(attr.values, tiny_model.arch))
+        want = embed(tiny_model, preprocess([attr.values], tiny_model.arch)[0])
         got = np.array([float(v) for v in first[2:]], dtype=np.float32)
         assert got.tobytes() == want.tobytes()
 

@@ -223,7 +223,7 @@ class TestTrainingMrr:
         with pytest.MonkeyPatch.context() as mp:
             # plant the embeddings: each query and record is its own point
             mp.setattr(labeling_mod, "preprocess",
-                       lambda values, arch: np.asarray(values, dtype=np.float32))
+                       lambda columns, arch: np.asarray(columns, dtype=np.float32))
             mp.setattr(labeling_mod, "embed",
                        lambda model, x: np.asarray(x, dtype=np.float32))
             for i, label in enumerate(labels):
@@ -357,7 +357,8 @@ class TestTrainLoop:
                 monkeypatch.setattr(ops, "maxpool1d", maxpool1d_reference)
                 monkeypatch.setattr(ops, "relu", relu_reference)
                 monkeypatch.setattr(embnet_mod, "sample_inverse_transform",
-                                    sample_unique_reference)
+                                    lambda columns, h: np.stack([sample_unique_reference(c, h)
+                                                                 for c in columns]))
             model, history = train(desk_dataset, desk_arch(), cfg)
             runs.append((model_to_bytes(model), history_to_csv(history)))
         assert runs[0] == runs[1]
@@ -374,7 +375,7 @@ class TestTrainLoop:
     def test_returned_model_reproduces_best_mrr(self):
         ds = tiny_training_set()
         model, history = train(ds, TINY_ARCH, TINY_CFG)
-        vectors = np.stack([preprocess(a.values, TINY_ARCH) for a in ds.attributes])
+        vectors = preprocess([a.values for a in ds.attributes], TINY_ARCH)
         labels = [a.label for a in ds.attributes]
         from embnum.embnet import embed
 
@@ -431,7 +432,7 @@ class TestTrainingImprovesRetrieval:
         arch = trained.arch
         from embnum.embnet import embed
 
-        vectors = np.stack([preprocess(a.values, arch) for a in dataset.attributes])
+        vectors = preprocess([a.values for a in dataset.attributes], arch)
         labels = [a.label for a in dataset.attributes]
         before = training_mrr(embed(untrained, vectors), labels)
         after = training_mrr(embed(trained, vectors), labels)

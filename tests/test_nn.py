@@ -427,9 +427,23 @@ class TestMatchesReferenceOps:
                 (y * Tensor(g)).sum().backward()
             runs.append([_bits(a) for a in (y.data, xt.grad)])
         assert runs[0] == runs[1]
-        # with no tape, the same forward bits and no index
+        # with no tape, the same forward bits, NaN and -0.0 rules included
         y = ops.maxpool1d(Tensor(case["x"]), case["k"], case["stride"], case["padding"])
         assert (_bits(y.data), y.requires_grad, y._backward) == (runs[0][0], False, None)
+
+    @given(window_cases(specials=True))
+    @settings(max_examples=150, deadline=None)
+    def test_maxpool_forward_without_an_index_on_a_relu_map(self, case):
+        # what the frozen plan pools: a relu output, non-negative with +0.0
+        # for -0.0, -inf and NaN and +inf kept, here with a span of zeros
+        # wide enough for all-zero windows
+        x = ops.relu(Tensor(case["x"])).data.transpose(0, 2, 1)
+        lo = case["rng"].integers(0, x.shape[1])
+        x[:, lo : lo + case["k"] + case["stride"]] = 0.0
+        taps = ops.tap_spans(x.shape[1], case["k"], case["stride"], case["padding"])
+        idx = np.zeros((x.shape[0], taps[0], x.shape[2]), dtype=np.intp)
+        with np.errstate(invalid="ignore"):
+            assert _bits(ops.maxpool_forward(x, taps)) == _bits(ops.maxpool_forward(x, taps, idx))
 
     @given(window_cases(specials=True))
     @settings(max_examples=50, deadline=None)

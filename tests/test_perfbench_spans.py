@@ -48,7 +48,7 @@ def test_a_built_network_records_every_layer_span(spans):
     with spans.Instrumented(rec) as inst:
         arch = embnet.ArchConfig(h=16, k=4, stem_channels=2)
         model = embnet.build_model(arch, seed=0)
-        taped_forward(model, embnet.preprocess(np.arange(5.0), arch))
+        taped_forward(model, embnet.preprocess([np.arange(5.0)], arch))
     assert inst.broken == []
     # stem_conv and stem_bn, two blocks per stage, one head
     assert {name: rec.calls[f"embnet.{name}"]
@@ -73,8 +73,8 @@ def test_a_traced_forward_counts_every_conv_product(spans, monkeypatch):
     with spans.Instrumented(rec) as inst:
         arch = embnet.ArchConfig(h=16, k=4, stem_channels=2)
         model = embnet.build_model(arch, seed=0)
-        taped_forward(model, np.stack([embnet.preprocess(np.arange(n, dtype=float), arch)
-                                       for n in (5, 9, 12)]))
+        taped_forward(model, embnet.preprocess([np.arange(n, dtype=float) for n in (5, 9, 12)],
+                                               arch))
     assert inst.broken == []
     convs = sum(p.data.ndim == 3 for p in model.net.named_params().values())
     assert len(shapes) == rec.calls["nn.ops.conv1d"] == convs
