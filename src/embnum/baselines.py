@@ -228,12 +228,10 @@ def pair_features(a, b) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for float64 z, with one exp that never overflows:
+    e = exp(-|z|) gives 1 / (1 + e) for z >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)

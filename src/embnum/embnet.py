@@ -11,13 +11,14 @@ at desk scale.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import _serial
-from .errors import InvalidArch, MalformedCheckpoint, WidthMismatch
+from .errors import EmptyInput, InvalidArch, MalformedCheckpoint, WidthMismatch
 from .nn import BatchNorm1d, Conv1d, Linear, Tensor, ops
 from .sampling import sample_inverse_transform
 
@@ -25,6 +26,7 @@ MODEL_MAGIC = b"EMBN"
 MODEL_VERSION = 1
 EMBED_CHUNK = 512  # rows per forward pass of embed()
 DISTANCE_BUDGET = 1 << 16  # float64 differences held per block of distances()
+PROGRAM_BUDGET = 2 << 20  # bytes of buffers one eval plan's programs retain
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,8 @@ class ResNet1d:
         self.fc = Linear(chans[3], arch.k)
         # the tap spans infer's plan reads at width arch.h, fixed per network
         self.taps = _plan_taps(self, arch.h)
-        # infer's frozen forward; a training-mode forward or Model.load_state,
-        # the only writers of the running statistics, drops it
+        # infer's frozen forward and its programs; a training-mode forward or
+        # Model.load_state, the only writers of the running statistics, drops it
         self.plan = None
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
@@ -124,11 +126,10 @@ class ResNet1d:
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """self(Tensor(x), training=False).data, bit for bit, for a (B, 1, h)
-        array, run on plain channels-last arrays by a plan that _freeze
-        builds once per state; each activation stays in its conv's GEMM
-        buffer."""
+        array, run on plain channels-last arrays by a _Plan built once per
+        state; each activation stays in its conv's GEMM buffer."""
         if self.plan is None:
-            self.plan = _freeze(self)
+            self.plan = _Plan(self)
         return self.plan(x)
 
     def modules(self) -> dict[str, object]:
@@ -189,23 +190,23 @@ def _conv_bn(conv: Conv1d, bn: BatchNorm1d, taps: tuple) -> tuple:
     return w.reshape(len(w), -1).T, taps, bn.running_mean, inv, bn.gamma.data, bn.beta.data
 
 
-def _conv_bn_forward(layer: tuple, x: np.ndarray) -> np.ndarray:
+def _conv_bn_forward(layer: tuple, x: np.ndarray, steps: list | None) -> np.ndarray:
     wt, taps, mean, inv, gamma, beta = layer
-    y = ops.conv_forward(x, wt, taps)[0]
-    y -= mean
-    y *= inv
-    y *= gamma
-    y += beta
+    y = ops.conv_forward(x, wt, taps, steps)[0]
+    ops.record(steps, np.subtract, y, mean, y)
+    ops.record(steps, np.multiply, y, inv, y)
+    ops.record(steps, np.multiply, y, gamma, y)
+    ops.record(steps, np.add, y, beta, y)
     return y
 
 
-def _relu_(y: np.ndarray) -> np.ndarray:
-    np.fmax(y, 0, out=y)
-    y += 0
+def _relu_(y: np.ndarray, steps: list | None) -> np.ndarray:
+    ops.record(steps, np.fmax, y, 0, y)
+    ops.record(steps, np.add, y, 0, y)
     return y
 
 
-def _freeze(net: ResNet1d):
+class _Plan:
     """net's eval-mode forward as a function of one (B, 1, h) float32 array.
 
     Every op is ops' own array arithmetic in the order the taped forward
@@ -215,27 +216,77 @@ def _freeze(net: ResNet1d):
     norm, relu and the residual add run in place over those contiguous rows
     with (C,) constants, and the next conv's im2col and the max pool read it
     as it is.  The tap spans come from net.taps, fixed at construction.  The
-    function holds views of the weights and of gamma and beta, which SGD and
+    plan holds views of the weights and of gamma and beta, which SGD and
     init_weights update in place, and the batch norms' inverse deviations,
     computed here once, so it is stale once the running statistics change.
+
+    forward runs the network layer by layer, allocating each activation and
+    freeing it once read.  The first batch of each size whose buffers fit in
+    what PROGRAM_BUDGET leaves also records that run's calls (ops.record)
+    into a program: its input buffer and the steps over the buffers the run
+    allocated, which stay allocated.  A later batch of that size copies into
+    the input buffer and replays the steps, the same calls on the same
+    operand layouts, so the bits are forward's.  Replay writes shared
+    buffers, so one lock per plan serializes it; batches without a program
+    run forward, which is reentrant, outside the lock.
     """
-    stem_taps, pool_taps, block_taps = net.taps
-    stem = _conv_bn(net.stem_conv, net.stem_bn, stem_taps)
-    blocks = [(_conv_bn(b.conv1, b.bn1, taps1), _conv_bn(b.conv2, b.bn2, taps2),
-               None if b.proj_conv is None else _conv_bn(b.proj_conv, b.proj_bn, proj_taps))
-              for b, (taps1, taps2, proj_taps) in zip(_blocks(net), block_taps)]
-    fc_wt, fc_bias = net.fc.weight.data.T, net.fc.bias.data
 
-    def forward(x: np.ndarray) -> np.ndarray:
-        y = _relu_(_conv_bn_forward(stem, x.transpose(0, 2, 1)))
-        y = ops.maxpool_forward(y, pool_taps)
-        for conv1, conv2, proj in blocks:
-            h = _conv_bn_forward(conv2, _relu_(_conv_bn_forward(conv1, y)))
-            h += y if proj is None else _conv_bn_forward(proj, y)
-            y = _relu_(h)
-        return ops._tiled_matmul(y.mean(axis=1), fc_wt) + fc_bias
+    def __init__(self, net: ResNet1d):
+        stem_taps, self.pool_taps, block_taps = net.taps
+        self.stem = _conv_bn(net.stem_conv, net.stem_bn, stem_taps)
+        self.blocks = [
+            (_conv_bn(b.conv1, b.bn1, taps1), _conv_bn(b.conv2, b.bn2, taps2),
+             None if b.proj_conv is None else _conv_bn(b.proj_conv, b.proj_bn, proj_taps))
+            for b, (taps1, taps2, proj_taps) in zip(_blocks(net), block_taps)]
+        self.fc_wt, self.fc_bias = net.fc.weight.data.T, net.fc.bias.data
+        self.programs: dict[int, tuple] = {}  # batch size -> (input buffer, steps)
+        self.retained = 0  # bytes of the programs' buffers
+        self.lock = threading.Lock()
 
-    return forward
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        with self.lock:
+            program = self.programs.get(len(x))
+            if program is not None:
+                x_in, steps = program
+                np.copyto(x_in, x)
+                for step in steps:
+                    y = step()
+                return y
+            size = self.program_bytes(x)
+            if self.retained + size <= PROGRAM_BUDGET:
+                x_in, steps = x.copy(), []
+                y = self.forward(x_in, steps)
+                self.programs[len(x)] = x_in, tuple(steps)
+                self.retained += size
+                return y
+        return self.forward(x)
+
+    def program_bytes(self, x: np.ndarray) -> int:
+        """An upper bound, from the shapes alone, on the bytes of the float32
+        buffers that recording forward(x) allocates: the input's copy, each
+        conv's im2col matrix and product in whole tiles, the max pool's
+        output, the pooled means and their tile-padded copy, and the fc
+        product."""
+        b, (c, k), rows = len(x), self.fc_wt.shape, ops.tile_rows
+        convs = [self.stem, *(layer for block in self.blocks for layer in block if layer)]
+        floats = (x.size + b * self.pool_taps[0] * self.stem[0].shape[1]
+                  + sum(rows(b * taps[0]) * sum(wt.shape) for wt, taps, *_ in convs)
+                  + (b + rows(b)) * c + rows(b) * k)
+        return 4 * floats
+
+    def forward(self, x: np.ndarray, steps: list | None = None) -> np.ndarray:
+        """The network's layer-by-layer eval forward on a (B, 1, h) array;
+        with steps, each array call is recorded into it (ops.record)."""
+        y = _relu_(_conv_bn_forward(self.stem, x.transpose(0, 2, 1), steps), steps)
+        y = ops.maxpool_forward(y, self.pool_taps, steps=steps)
+        for conv1, conv2, proj in self.blocks:
+            h = _conv_bn_forward(conv2, _relu_(_conv_bn_forward(conv1, y, steps), steps), steps)
+            ops.record(steps, np.add, h, y if proj is None else _conv_bn_forward(proj, y, steps), h)
+            y = _relu_(h, steps)
+        pooled = np.empty((len(y), y.shape[2]), y.dtype)
+        ops.record(steps, np.mean, y, axis=1, out=pooled)
+        return ops.record(steps, np.add, ops._tiled_matmul(pooled, self.fc_wt, steps=steps),
+                          self.fc_bias)
 
 
 @dataclass(eq=False)
@@ -303,7 +354,9 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
     forward's.
 
     Accepts one h-vector or a (batch, h) stack; returns float32 embeddings
-    with matching leading shape.  Batching never changes the numbers.
+    with matching leading shape.  Batching never changes the numbers.  A row
+    holding a NaN or an infinity is EmptyInput, as sampling refuses such a
+    column.
     """
     x = np.asarray(inputs, dtype=np.float32)
     single = x.ndim == 1
@@ -313,6 +366,9 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
         raise WidthMismatch(
             f"expected input width {model.arch.h}, got shape {np.asarray(inputs).shape}"
         )
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise EmptyInput(f"embed input row {int(np.argmin(finite))} holds a NaN or an infinity")
     out = np.concatenate([model.net.infer(x[i : i + EMBED_CHUNK, None, :])
                           for i in range(0, max(len(x), 1), EMBED_CHUNK)])
     return out[0] if single else out

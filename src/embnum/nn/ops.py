@@ -33,6 +33,11 @@ shape for the ops and fixed once per network for the eval forward.  conv1d and
 maxpool1d return (B, C, L_out) views of the channels-last results, and batch
 norm and relu keep whatever layout they are given, so in training most maps
 also reach the next conv1d channels-last.
+
+The array helpers also take an optional step list, which the Tensor ops
+never pass: each array call they make on data is appended to it through
+record, bound to the buffers that call used, so that the eval forward can
+replay a recorded run without allocating or slicing again.
 """
 
 from __future__ import annotations
@@ -86,7 +91,23 @@ def conv_weight(c_out: int, c_in: int, k: int) -> np.ndarray:
     return np.zeros((c_out, c_in, k), np.float32)
 
 
-def _tiled_matmul(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndarray:
+def tile_rows(m: int) -> int:
+    """m rounded up to whole tiles of _TILE_ROWS rows."""
+    return -(-m // _TILE_ROWS) * _TILE_ROWS
+
+
+def record(steps: list | None, fn, *args, **kwargs):
+    """fn(*args, **kwargs), first appended to steps as a step, the call
+    bound to its operands (functools.partial), unless steps is None.  A step
+    must be a call that, replayed on the same buffers, rewrites everything
+    it wrote."""
+    if steps is not None:
+        steps.append(functools.partial(fn, *args, **kwargs))
+    return fn(*args, **kwargs)
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray, m: int | None = None,
+                  steps: list | None = None) -> np.ndarray:
     """a[:m] @ b for 2-D a (all of a by default), each row's bits fixed by
     the shapes alone.
 
@@ -99,24 +120,27 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray, m: int | None = None) -> np.ndar
     their own; there b may be C-contiguous or a transposed view, with equal
     bits, and conv_weight gives wide convs the contiguous one, which packs
     faster.  Rows of a past m, up to the next whole tile, must be zeros,
-    as conv_forward leaves them; where a stops at m, the padding is copied in.
+    as conv_forward leaves them; where a stops at m, a is copied into a
+    zeroed tile-padded buffer.  steps records the calls (record).
     """
     m = len(a) if m is None else m
     k, n = b.shape
-    tiles = -(-m // _TILE_ROWS)
-    rows = tiles * _TILE_ROWS
+    rows = tile_rows(m)
+    tiles = rows // _TILE_ROWS
     full = m - m % _TILE_ROWS
     out = np.empty((rows, n), dtype=np.result_type(a, b))
     if len(a) < rows:
-        a = np.concatenate([a[:m], np.zeros((rows - m, k), dtype=a.dtype)])
+        padded = np.zeros((rows, k), dtype=a.dtype)
+        record(steps, np.copyto, padded[:m], a[:m])
+        a = padded
     if n >= _ONE_GEMM_WIDTH and out.dtype == np.float32:
         if full:
-            np.matmul(a[:full], b, out=out[:full])
+            record(steps, np.matmul, a[:full], b, out[:full])
         if full < m:
-            np.matmul(a[full:rows], b, out=out[full:])
+            record(steps, np.matmul, a[full:rows], b, out[full:])
     else:
-        np.matmul(a[:rows].reshape(tiles, _TILE_ROWS, k), b,
-                  out=out.reshape(tiles, _TILE_ROWS, n))
+        record(steps, np.matmul, a[:rows].reshape(tiles, _TILE_ROWS, k), b,
+               out.reshape(tiles, _TILE_ROWS, n))
     return out[:m]
 
 
@@ -150,8 +174,8 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def conv_forward(x: np.ndarray, wt: np.ndarray,
-                 taps: tuple) -> tuple[np.ndarray, np.ndarray]:
+def conv_forward(x: np.ndarray, wt: np.ndarray, taps: tuple,
+                 steps: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(y, col) for a channels-last (B, L, C_in) array x, wt = weight.reshape(
     C_out, C_in*K).T and taps = tap_spans(L, K, stride, padding).
 
@@ -161,15 +185,16 @@ def conv_forward(x: np.ndarray, wt: np.ndarray,
     in whole tiles of rows, so each tap writes only the positions it reads
     and _tiled_matmul pads the tail with no copy.  y, (B, L_out, C_out), is
     the product's channels-last rows, contiguous in the buffer of whole tiles
-    that the GEMM wrote."""
+    that the GEMM wrote.  steps records the tap copies and the GEMM calls;
+    the padding, never written, stays zero on replay."""
     b, _, c_in = x.shape
     out_len, spans = taps
     m = b * out_len
-    col = np.zeros((-(-m // _TILE_ROWS) * _TILE_ROWS, c_in * len(spans)), dtype=x.dtype)
+    col = np.zeros((tile_rows(m), c_in * len(spans)), dtype=x.dtype)
     col4 = col[:m].reshape(b, out_len, c_in, len(spans))
     for kk, (lo, hi, src) in enumerate(spans):
-        col4[:, lo:hi, :, kk] = x[:, src]
-    return _tiled_matmul(col, wt, m).reshape(b, out_len, wt.shape[1]), col[:m]
+        record(steps, np.copyto, col4[:, lo:hi, :, kk], x[:, src])
+    return _tiled_matmul(col, wt, m, steps).reshape(b, out_len, wt.shape[1]), col[:m]
 
 
 def conv1d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> Tensor:
@@ -264,7 +289,8 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     return out
 
 
-def maxpool_forward(x: np.ndarray, taps: tuple, idx: np.ndarray | None = None) -> np.ndarray:
+def maxpool_forward(x: np.ndarray, taps: tuple, idx: np.ndarray | None = None,
+                    steps: list | None = None) -> np.ndarray:
     """Max over the sliding windows that taps = tap_spans(L, kernel, stride,
     padding) gives, along axis 1 of a channels-last (B, L, C) array, into a
     new (B, L_out, C) array; padded positions are -inf and never win.
@@ -274,16 +300,18 @@ def maxpool_forward(x: np.ndarray, taps: tuple, idx: np.ndarray | None = None) -
     the first NaN winning, as np.argmax picks, and each window's winning tap
     is written into idx.  Without it each tap is folded in by np.maximum,
     which gives the same bits only when x holds no NaN and no -0.0, as a
-    relu output does; only the frozen eval plan calls it so.
+    relu output does; only the frozen eval plan calls it so, and only this
+    form is recorded into steps (record): the -inf fill and each tap's max.
     """
     b, _, c = x.shape
     out_len, spans = taps
-    y = np.full((b, out_len, c), -np.inf, dtype=x.dtype)
+    y = np.empty((b, out_len, c), dtype=x.dtype)
+    record(steps, np.copyto, y, -np.inf)
     for kk, (lo, hi, src) in enumerate(spans):
         tap = x[:, src]
         best = y[:, lo:hi]
         if idx is None:
-            np.maximum(best, tap, out=best)
+            record(steps, np.maximum, best, tap, out=best)
             continue
         wins = np.less_equal(tap, best)
         np.logical_not(wins, out=wins)  # above best, or a NaN

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from embnum.baselines import PackedColumns, _sigmoid
+from embnum.baselines import PackedColumns
 from embnum.errors import EmptyInput
 from embnum.labeling import BenchmarkReport, FeatureStore, PerCount, StoreRecord
 from embnum.nn.ops import BN_EPS, BN_MOMENTUM
@@ -186,9 +186,22 @@ def dsl_logit(model, a, b) -> float:
     return float(np.dot(model.weights, features_pairwise(a, b)) + model.bias)
 
 
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) for float64 z, exp taken only where it cannot
+    overflow: of -z where z >= 0, of z elsewhere, as two masked passes.
+    baselines._sigmoid, one exp(-|z|) over all of z, must equal it bit for
+    bit wherever it is not NaN."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def dsl_score(model, a, b) -> float:
     """DSL probability that the pair shares a label."""
-    return float(_sigmoid(np.array([dsl_logit(model, a, b)]))[0])
+    return float(sigmoid_reference(np.array([dsl_logit(model, a, b)]))[0])
 
 
 # ---------------------------------------------------------------------------

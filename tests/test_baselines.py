@@ -26,7 +26,7 @@ from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
 from embnum.errors import EmptyInput, SingleClassTraining
 from oracles import (dsl_logit, dsl_score, features_pairwise, jaccard_oracle,
                      jaccard_pairwise, ks_oracle, ks_pairwise, mw_oracle, mw_pairwise,
-                     semantictyper_score)
+                     semantictyper_score, sigmoid_reference)
 
 samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -350,6 +350,29 @@ PINNED_DSL_DOCS = {
     "overlapping_spec": [0.4511343638393534, 0.41647789798199414, 2.8282044020860417,
                          -4.213753313553445],
 }
+
+
+class TestSigmoid:
+    # ±0, the smallest subnormal and normal, where exp(-|z|) stops being
+    # subnormal and underflows to zero, the largest finite and ±inf, with
+    # each one's two float64 neighbours
+    EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 709.78, 745.1, 1e308,
+             np.finfo(np.float64).max, np.inf]
+
+    def test_edges_and_their_neighbours_match_the_masked_form(self):
+        z = np.array(self.EDGES + [-v for v in self.EDGES])
+        with np.errstate(over="ignore"):  # the largest finite steps to inf
+            z = np.concatenate([z, np.nextafter(z, np.inf), np.nextafter(z, -np.inf)])
+        assert same_bits(baselines._sigmoid(z), sigmoid_reference(z))
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_one_exp_matches_the_masked_form(self, values):
+        z = np.array(values, dtype=np.float64)
+        assert same_bits(baselines._sigmoid(z), sigmoid_reference(z))
+
+    def test_a_nan_logit_stays_nan(self):
+        assert np.isnan(baselines._sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 class TestDslTraining:

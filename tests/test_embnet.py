@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from embnum.embnet import (
 )
 from embnum.errors import (
     ChecksumMismatch,
+    EmptyInput,
     FormatVersionMismatch,
     InvalidArch,
     MalformedCheckpoint,
@@ -265,6 +267,17 @@ class TestEmbed:
         assert not stem.any() and not np.signbit(stem).any()
         agree(m)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("row", [0, 4, 9])
+    def test_a_non_finite_row_is_refused_by_name(self, value, row):
+        m = build_model(desk_arch(), 0)
+        x = np.random.default_rng(2).standard_normal((10, m.arch.h)).astype(np.float32)
+        x[row, 37] = value
+        with pytest.raises(EmptyInput, match=f"row {row} holds a NaN or an infinity"):
+            embed(m, x)
+        with pytest.raises(EmptyInput, match="row 0 "):
+            embed(m, x[row])
+
     def test_a_full_width_chunk_stays_within_its_memory(self):
         # the eval plan must free each activation as soon as the next layer
         # has read it: one full-width chunk peaked at 24.00 MiB of traced
@@ -322,6 +335,76 @@ class TestEmbed:
         for start in range(0, n, 1000):
             out = embed(m, x[start : start + 1000])
             assert np.all(np.isfinite(out))
+
+
+class TestPrograms:
+    """The frozen plan replays a recorded program for each small batch size
+    it has seen, within embnet.PROGRAM_BUDGET bytes of buffers per plan, and
+    runs larger batches layer by layer; both give the same bits."""
+
+    def test_a_batch_over_the_budget_runs_the_layer_path_with_the_same_bytes(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for arch in (desk_arch(), ArchConfig(stem_channels=64)):
+            m = build_model(arch, 0)
+            batches = [rng.standard_normal((n, arch.h)).astype(np.float32) for n in (1, 10, 1, 10)]
+            replayed = [embed(m, x).tobytes() for x in batches]
+            sizes = {1, 10} if arch == desk_arch() else {1}  # 10 full-width rows are 4.7 MiB
+            assert set(m.net.plan.programs) == sizes
+            monkeypatch.setattr(embnet, "PROGRAM_BUDGET", 0)
+            m.load_state(m.state_dict())  # drops the plan and its programs
+            assert [embed(m, x).tobytes() for x in batches] == replayed
+            assert m.net.plan.programs == {} and m.net.plan.retained == 0
+            monkeypatch.undo()
+
+    def test_retained_buffers_stay_within_the_budget(self):
+        # one full-width row compiles a program of about 0.67 MiB; ten rows
+        # would need 4.7 MiB more, so they run layer by layer and keep nothing
+        m = build_model(ArchConfig(stem_channels=64), 0)
+        x = np.random.default_rng(0).standard_normal((10, m.arch.h)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            embed(m, x[:1])
+            embed(m, x)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert set(m.net.plan.programs) == {1}
+        assert m.net.plan.retained <= embnet.PROGRAM_BUDGET
+        assert retained <= embnet.PROGRAM_BUDGET, f"{retained / 2**20:.2f} MiB"
+
+    def test_an_empty_batch_embeds_to_no_rows(self):
+        m = build_model(desk_arch(), 0)
+        for _ in range(2):  # records, then replays
+            out = embed(m, np.zeros((0, m.arch.h), np.float32))
+            assert out.shape == (0, m.arch.k) and out.dtype == np.float32
+
+    def test_two_threads_replaying_one_program_get_their_own_bytes(self):
+        # replay writes the program's shared buffers; the plan's lock keeps
+        # two threads embedding same-sized batches from mixing them
+        m = build_model(desk_arch(), 0)
+        rng = np.random.default_rng(13)
+        batches = [rng.standard_normal((10, m.arch.h)).astype(np.float32) for _ in range(2)]
+        want = [embed(m, x).tobytes() for x in batches]
+        got = [[], []]
+
+        def run(i):
+            for _ in range(200):
+                got[i].append(embed(m, batches[i]).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert set(m.net.plan.programs) == {10}
+        for i in range(2):
+            assert len(got[i]) == 200 and set(got[i]) == {want[i]}
 
 
 class TestResidualPath:
@@ -439,6 +522,15 @@ class TestCheckpointFormat:
         doctored = _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
         with pytest.raises(MalformedCheckpoint):
             model_from_bytes(doctored)
+
+    def test_the_blocked_transpose_writes_the_contiguous_copys_bytes(self, monkeypatch):
+        # pack_framed copies the full-width net's transposed wide weights
+        # in blocks; the checkpoint must keep the bytes of a plain copy
+        model = build_model(ArchConfig(stem_channels=64), seed=0)
+        blob = model_to_bytes(model)
+        monkeypatch.setattr(_serial, "_c_order",
+                            lambda arr: np.ascontiguousarray(arr, dtype=_serial._dtype_tag(arr)))
+        assert model_to_bytes(model) == blob
 
     def test_model_bytes_see_meta_and_weights(self):
         a = build_model(TINY, seed=0)
