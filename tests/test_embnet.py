@@ -342,19 +342,20 @@ class TestPrograms:
     it has seen, within embnet.PROGRAM_BUDGET bytes of buffers per plan, and
     runs larger batches layer by layer; both give the same bits."""
 
-    def test_a_batch_over_the_budget_runs_the_layer_path_with_the_same_bytes(self, monkeypatch):
+    @pytest.mark.parametrize("arch, programs", [(desk_arch(), {1, 10}),
+                                                (ArchConfig(stem_channels=64), {1})],
+                             ids=["desk", "full"])  # 10 full-width rows need 4.7 MiB
+    def test_a_batch_over_the_budget_runs_the_layer_path_with_the_same_bytes(
+            self, arch, programs, monkeypatch):
         rng = np.random.default_rng(12)
-        for arch in (desk_arch(), ArchConfig(stem_channels=64)):
-            m = build_model(arch, 0)
-            batches = [rng.standard_normal((n, arch.h)).astype(np.float32) for n in (1, 10, 1, 10)]
-            replayed = [embed(m, x).tobytes() for x in batches]
-            sizes = {1, 10} if arch == desk_arch() else {1}  # 10 full-width rows are 4.7 MiB
-            assert set(m.net.plan.programs) == sizes
-            monkeypatch.setattr(embnet, "PROGRAM_BUDGET", 0)
-            m.load_state(m.state_dict())  # drops the plan and its programs
-            assert [embed(m, x).tobytes() for x in batches] == replayed
-            assert m.net.plan.programs == {} and m.net.plan.retained == 0
-            monkeypatch.undo()
+        m = build_model(arch, 0)
+        batches = [rng.standard_normal((n, arch.h)).astype(np.float32) for n in (1, 10, 1, 10)]
+        replayed = [embed(m, x).tobytes() for x in batches]
+        assert set(m.net.plan.programs) == programs
+        monkeypatch.setattr(embnet, "PROGRAM_BUDGET", 0)
+        m.load_state(m.state_dict())  # drops the plan and its programs
+        assert [embed(m, x).tobytes() for x in batches] == replayed
+        assert m.net.plan.programs == {} and m.net.plan.retained == 0
 
     def test_retained_buffers_stay_within_the_budget(self):
         # one full-width row compiles a program of about 0.67 MiB; ten rows
@@ -378,14 +379,15 @@ class TestPrograms:
             out = embed(m, np.zeros((0, m.arch.h), np.float32))
             assert out.shape == (0, m.arch.k) and out.dtype == np.float32
 
-    def test_two_threads_replaying_one_program_get_their_own_bytes(self):
+    def test_threads_replaying_one_program_get_their_own_bytes(self):
         # replay writes the program's shared buffers; the plan's lock keeps
-        # two threads embedding same-sized batches from mixing them
+        # threads embedding same-sized batches from mixing them.  Four
+        # threads, more than a small host's cores
         m = build_model(desk_arch(), 0)
         rng = np.random.default_rng(13)
-        batches = [rng.standard_normal((10, m.arch.h)).astype(np.float32) for _ in range(2)]
+        batches = [rng.standard_normal((10, m.arch.h)).astype(np.float32) for _ in range(4)]
         want = [embed(m, x).tobytes() for x in batches]
-        got = [[], []]
+        got = [[] for _ in batches]
 
         def run(i):
             for _ in range(200):
@@ -394,7 +396,7 @@ class TestPrograms:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
             for t in threads:
                 t.start()
             for t in threads:
@@ -403,7 +405,7 @@ class TestPrograms:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert set(m.net.plan.programs) == {10}
-        for i in range(2):
+        for i in range(len(batches)):
             assert len(got[i]) == 200 and set(got[i]) == {want[i]}
 
 
