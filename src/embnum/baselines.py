@@ -20,7 +20,8 @@ from . import _serial
 from .errors import EmptyInput, MalformedDslModel, SingleClassTraining
 
 DSL_ITERS, DSL_LR = 500, 0.5  # dsl_train's gradient-descent steps and rate
-SCORE_CHUNK = 1 << 17  # stored values gathered per pass of PackedColumns.statistics
+SCORE_CHUNK = 1 << 17  # stored values gathered per chunk, whose ties resolve in one pass
+_NAN = np.full(1, np.nan)   # put ahead of each sorted query: it equals no value
 
 
 class PackedColumns:
@@ -33,10 +34,10 @@ class PackedColumns:
     beyond that run |F_q - F_r| only falls, and each value above max(q) adds
     m to the Mann-Whitney counts.  Each visited value r_j costs one binary
     search in the sorted query, for #(q <= r_j); #(q < r_j) differs only
-    where r_j equals a query value, and is read there from the query's own
-    #(q < q_i), built once per call.  A column scores the same, bit for bit,
-    alone or in any store or batch: counts are exact integers and no
-    arithmetic crosses a column boundary."""
+    where r_j equals a query value.  Each chunk finds those ties in one pass,
+    and reads #(q < r_j) there off where r_j's run starts in its query.  A
+    column scores the same, bit for bit, alone or in any store or batch:
+    counts are exact integers and no arithmetic crosses a column boundary."""
 
     def __init__(self, columns):
         cols = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
@@ -79,35 +80,47 @@ class PackedColumns:
         (which its sort puts at an end) is EmptyInput.
 
         The runs of every (query, column) pair are gathered and scored in
-        chunks of at most SCORE_CHUNK stored values, or one longer run; a
-        chunk holds about 64 bytes per value, some 8 MB at SCORE_CHUNK."""
+        chunks of at most SCORE_CHUNK stored values, or one longer run.  A
+        call peaks within 42 bytes per value of its largest chunk, 24 more per
+        value that ties, 256 per (query, column) pair and 64 per query value."""
         qs = [np.sort(np.asarray(q, dtype=np.float64).ravel()) for q in queries]
         if not qs or any(q.size == 0 for q in qs):
             raise EmptyInput("statistic inputs must be non-empty")
-        n_q, n_c = len(qs), self.sizes.size
-        m = np.array([q.size for q in qs])
-        tops = np.cumsum(m)
-        q_lo, q_hi = np.concatenate(qs)[[tops - m, tops - 1]]
-        if not np.isfinite([q_lo, q_hi]).all():
+        n_q, n_c, m = len(qs), self.sizes.size, np.array([q.size for q in qs])
+        flat = np.concatenate([part for q in qs for part in (_NAN, q)])
+        pad = np.cumsum(m + 1) - m - 1   # the index of each query's NaN in flat
+        q_lo, q_hi = extremes = flat[[pad + 1, pad + m]]
+        if not np.isfinite(extremes).all():
             raise EmptyInput("value list contains non-finite entries")
         ends = self.starts + self.sizes
         lo, hi = self._bisect(q_lo, q_hi)
-        first = np.maximum(lo - 1, self.starts).ravel()   # last value below min(q)
-        last = np.minimum(hi, ends - 1)                   # first value above max(q)
-        bounds = np.concatenate([[0], np.cumsum(last.ravel() - first + 1)])
+        first = np.maximum(lo - 1, self.starts)   # last value below min(q)
+        last = np.minimum(hi, ends - 1)           # first value above max(q)
+        # F_r below each run: the value before its head's, none at a column start
+        before = np.where(first > self.starts, self.cdf[first - 1], 0.0).ravel()
+        spans = last - first + 1
+        bounds = np.concatenate([[0], np.cumsum(spans)])
         cuts = [0]   # runs [a, b) of one chunk, at least one run each
         while cuts[-1] < n_q * n_c:
             a = cuts[-1]
             cuts.append(max(a + 1, int(np.searchsorted(bounds, bounds[a] + SCORE_CHUNK,
                                                        "right")) - 1))
-        # #(q < q_i) at each index i of query k, built when a value first ties it
-        lt_of = cache(lambda k: qs[k].searchsorted(qs[k], "left"))
-        ks, lt, le = (np.concatenate(part).reshape(n_q, n_c) for part in zip(
-            *(self._score_runs(qs, lt_of, first, bounds, a, b) for a, b in zip(cuts, cuts[1:]))))
+        @cache   # built when a value first ties
+        def runs():   # at each query value in flat: the index before its run
+            # of equal values (the query's NaN if none), and #(q < value) / m
+            new = np.concatenate([[True], flat[1:] != flat[:-1]])   # a NaN equals nothing
+            lower = np.maximum.accumulate(np.where(new, np.arange(flat.size), 0)) - 1
+            return lower, (lower - np.repeat(pad, m + 1)) / np.repeat(m, m + 1)
+        held = bounds[::n_c].tolist()   # where each query's gathered values start
+        parts = list(zip(qs, pad.tolist(), held, held[1:]))
+        ks, lt, le = (np.concatenate(chunks).reshape(n_q, n_c) for chunks in zip(*(
+            self._score_runs(parts, flat, runs, first.ravel(), before, bounds, a, b)
+            for a, b in zip(cuts, cuts[1:]))))
 
-        # U counts pairs with the query value below the stored one; above one
-        # half the complement is rounded, so MW(q, r) + MW(r, q) == 1.0
-        num2x = lt + le + 2 * m[:, None] * (ends - 1 - last)   # values past the run
+        # lt and le count each run's values from its query's NaN.  U counts
+        # pairs with the query value below the stored one; above one half
+        # the complement is rounded, so MW(q, r) + MW(r, q) == 1.0
+        num2x = lt + le + 2 * (m[:, None] * (ends - 1 - last) - pad[:, None] * spans)
         den2x = 2 * m[:, None] * self.sizes
         mw = np.where(2 * num2x <= den2x, num2x / den2x,
                       1.0 - (den2x - num2x) / den2x)
@@ -121,10 +134,13 @@ class PackedColumns:
         r_lo, r_hi = self.values[self.starts], self.values[ends - 1]
         q_lo, q_hi = q_lo[:, None], q_hi[:, None]
         top, bottom = np.maximum(r_hi, q_hi), np.minimum(r_lo, q_lo)
+        hi, lo = np.minimum(r_hi, q_hi), np.maximum(r_lo, q_lo)
         with np.errstate(over="ignore"):
-            scale = np.where(np.isinf(top - bottom), 0.5, 1.0)
-        union = top * scale - bottom * scale
-        overlap = np.minimum(r_hi, q_hi) * scale - np.maximum(r_lo, q_lo) * scale
+            union = top - bottom
+        if np.isinf(union).any():
+            scale = np.where(np.isinf(union), 0.5, 1.0)
+            union, hi, lo = top * scale - bottom * scale, hi * scale, lo * scale
+        overlap = hi - lo
         overlap = np.where(overlap > 0.0, overlap, 0.0)
         jaccard = np.divide(overlap, union, out=np.ones_like(union), where=union != 0.0)
         return ks, mw, jaccard
@@ -132,74 +148,59 @@ class PackedColumns:
     def _bisect(self, q_lo, q_hi) -> tuple[np.ndarray, np.ndarray]:
         """(queries, columns) global indices of the first value >= q_lo and
         of the first value > q_hi in each column: one bisection over
-        column-length arrays, a column's last index capping every probe."""
+        column-length arrays, a column's last index capping every probe, and
+        one compare per step, as v <= q_hi exactly when v < nextafter(q_hi, inf)."""
         n_q = q_lo.size
-        targets = np.concatenate([q_lo, q_hi])[:, None]
+        targets = np.concatenate([q_lo, np.nextafter(q_hi, np.inf)])[:, None]
         cap = self.starts + self.sizes - 1
         pos = np.repeat((self.starts - 1)[None], 2 * n_q, axis=0)  # last index below
-        ahead = np.empty(pos.shape, dtype=bool)
+        probe, seen, ahead = np.empty_like(pos), np.empty(pos.shape), np.empty(pos.shape, bool)
         step = 1 << (int(self.sizes.max()).bit_length() - 1)
         while step:
-            probe = np.minimum(pos + step, cap)
-            seen = self.values[probe]
-            np.less(seen[:n_q], targets[:n_q], out=ahead[:n_q])
-            np.less_equal(seen[n_q:], targets[n_q:], out=ahead[n_q:])
+            np.minimum(np.add(pos, step, out=probe), cap, out=probe)
+            np.less(self.values.take(probe, out=seen), targets, out=ahead)
             np.copyto(pos, probe, where=ahead)
             step >>= 1
         return pos[:n_q] + 1, pos[n_q:] + 1
 
-    def _score_runs(self, qs, lt_of, first, bounds, a, b):
+    def _score_runs(self, parts, flat, runs, first, before, bounds, a, b):
         """(max gap, #(q < r_j) sum, #(q <= r_j) sum) over each of the flat
-        (query, column) runs [a, b): one gather, one binary search per
-        gathered value, and one pass over the chunk.  From the first query
-        that ties a gathered value on, #(q < r_j) is kept apart from
-        #(q <= r_j), in the spent index buffer; with no tie, the #(q <= r_j)
-        sums serve both."""
-        n_c = self.sizes.size
-        lengths = np.diff(bounds[a : b + 1])
-        offsets = bounds[a:b] - bounds[a]
-        idx = np.repeat(first[a:b] - offsets, lengths) + np.arange(offsets[-1] + lengths[-1])
+        (query, column) runs [a, b), the sums counted from the query's NaN:
+        one gather, one binary search per gathered value, and a few passes
+        over the chunk.  parts holds each query's sorted values, the index of
+        its NaN in `flat` and the bounds of its gathered values.  The spent
+        index buffer keeps each count as the index in `flat` of the last query
+        value <= r_j (the NaN if none), or, where that value is r_j, of the
+        value before its run."""
+        n_c, base, stop = self.sizes.size, int(bounds[a]), int(bounds[b])
+        offsets = bounds[a:b] - base
+        idx = np.repeat(first[a:b] - offsets, bounds[a + 1 : b + 1] - bounds[a:b])
+        idx += np.arange(stop - base)
         seen, cdf = self.values[idx], self.cdf[idx]
-        n_le = np.empty(idx.size, dtype=np.intp)
-        gap = np.empty(idx.size)     # F_q(r_j) = #(q <= r_j) / m, then the gap there
-        below = np.empty(idx.size)   # #(q < r_j) / m, then the gap below r_j
-        n_lt = n_le                  # until a value ties: then idx's buffer
-        q0 = a // n_c
-        cuts = bounds[np.clip(np.arange(q0, (b - 1) // n_c + 2) * n_c, a, b)] - bounds[a]
-        for k, i, j in zip(range(q0, len(qs)), cuts.tolist(), cuts[1:].tolist()):
-            q = qs[k]
+        gap = np.empty(idx.size)   # F_q(r_j) = #(q <= r_j) / m, then the gap there
+        for q, p, i, j in parts[a // n_c : (b - 1) // n_c + 1]:
+            i, j = max(i, base) - base, min(j, stop) - base
             top = q.searchsorted(seen[i:j], "right")   # #(q <= r_j)
-            n_le[i:j] = top
             np.divide(top, q.size, out=gap[i:j])
-            top -= 1   # the index of the last query value <= r_j
-            # #(q < r_j) differs only where that value is r_j itself (==
-            # holds for -0.0 and +0.0, as in the search); at #(q <= r_j) == 0
-            # the index wraps to max(q), which is above r_j
-            tie = q[top] == seen[i:j]
-            if n_lt is n_le and tie.any():
-                n_lt = idx
-                n_lt[:i] = n_le[:i]
-            if n_lt is n_le:
-                below[i:j] = gap[i:j]
-            else:
-                n_lt[i:j] = n_le[i:j]
-                np.copyto(n_lt[i:j], lt_of(k)[top], where=tie)
-                np.divide(n_lt[i:j], q.size, out=below[i:j])
-        # stored points: |F_q(r_j) - F_r(r_j)|
-        gap -= cdf
-        np.abs(gap, out=gap)
+            np.add(top, p, out=idx[i:j])
+        del top   # before the tie pass; == holds for -0.0 and +0.0, and NaN ties nothing
+        at = np.flatnonzero(flat[idx] == seen)
+        le = lt = np.add.reduceat(idx, offsets)
+        stored = np.abs(np.subtract(gap, cdf, out=seen), out=seen)   # |F_q(r_j) - F_r(r_j)|
+        if at.size:
+            lower, below_frac = runs()
+            tied = idx[at]
+            idx[at] = lower[tied]
+            lt = np.add.reduceat(idx, offsets)
+            gap[at] = below_frac[tied]   # F_q just below r_j
         # query points: F_q - F_r peaks at the last query value below r_j,
         # where F_q = #(q < r_j) / m and F_r is the previous stored value's:
-        # the run's own, or at its head the one before (none at a column start)
-        head = first[a:b]
-        before = np.where(head == self.starts[np.arange(a, b) % n_c], 0.0, self.cdf[head - 1])
-        heads = below[offsets] - before
-        below[1:] -= cdf[:-1]
-        below[offsets] = heads
-        np.maximum(gap, below, out=gap)
-        le_sums = np.add.reduceat(n_le, offsets)
-        lt_sums = le_sums if n_lt is n_le else np.add.reduceat(n_lt, offsets)
-        return np.maximum.reduceat(gap, offsets), lt_sums, le_sums
+        # the run's own, or at its head the one before
+        heads = gap[offsets] - before[a:b]
+        np.subtract(gap[1:], cdf[:-1], out=gap[1:])
+        gap[offsets] = heads
+        np.maximum(stored, gap, out=gap)
+        return np.maximum.reduceat(gap, offsets), lt, le
 
 
 def features_from_statistics(ks, mw, jaccard) -> np.ndarray:

@@ -170,21 +170,18 @@ def _embed(model: Model, columns: list) -> np.ndarray:
 
 
 def _orders(store: FeatureStore, columns: list) -> tuple[np.ndarray, np.ndarray]:
-    """(orders, display scores) of the store against each query column, one row
-    per query.  An order row lists record indices best first: keys ascend, and
+    """(orders, keys) of the store against each query column, one row per
+    query.  An order row lists record indices best first: keys ascend, and
     key ties break by (label, source); raw-value stores score in one call.
     Every scorer refuses a query holding NaN or an infinity (EmptyInput)."""
     if store.method == "embnum":
-        keys = display = distances(store.features, _embed(store.model, columns))
+        keys = distances(store.features, _embed(store.model, columns))
     else:
-        ks, mw, jaccard = store.features.statistics(columns)
-        if store.method == "semantictyper":
-            keys, display = ks, 1.0 - ks
-        else:
-            feats = features_from_statistics(ks.ravel(), mw.ravel(), jaccard.ravel())
-            logits = store.dsl_model.logits(feats).reshape(ks.shape)
-            keys, display = -logits, _sigmoid(logits)
-    return np.lexsort((np.broadcast_to(store.tie_rank, keys.shape), keys)), display
+        keys, mw, jaccard = store.features.statistics(columns)   # KS first
+        if store.method == "dsl":
+            feats = features_from_statistics(keys.ravel(), mw.ravel(), jaccard.ravel())
+            keys = -store.dsl_model.logits(feats).reshape(mw.shape)
+    return np.lexsort((np.broadcast_to(store.tie_rank, keys.shape), keys)), keys
 
 
 def _first_correct(store: FeatureStore, orders: np.ndarray, labels: list[str]) -> np.ndarray:
@@ -197,8 +194,10 @@ def _first_correct(store: FeatureStore, orders: np.ndarray, labels: list[str]) -
 def rank(store: FeatureStore, query) -> RankingList:
     """Total ordering of every store record against one query."""
     values = query.values if isinstance(query, NumericAttribute) else query
-    orders, display = _orders(store, [values])
-    return RankingList(store, orders[0], display[0][orders[0]])
+    orders, keys = _orders(store, [values])
+    keys = keys[0][orders[0]]   # shown as the distance, 1 - KS or the DSL probability
+    return RankingList(store, orders[0], keys if store.method == "embnum" else
+                       1.0 - keys if store.method == "semantictyper" else _sigmoid(-keys))
 
 
 def assign_label(ranking: RankingList) -> str:

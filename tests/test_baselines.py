@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -275,6 +276,15 @@ class TestPackedColumns:
     @example(([[1.0, 2.0, 3.0], [1.0], [1.0, 1.0, 4.0]], [[1.0, 3.0], [1.0, 1.0]]), 1)
     # stored values below every query value: #(q <= r_j) == 0
     @example(([[-5.0, -4.0, 1.0, 2.0], [-3.0]], [[0.0, 1.0, 1.5], [0.5]]), 3)
+    # #(q <= r_j) == 0 for the second query at a stored 2.0 that the first
+    # query's maximum equals: the index of the second query's NaN, not of
+    # the first query's last value
+    @example(([[2.0, 5.0]], [[1.0, 2.0], [3.0, 4.0]]), 1 << 17)
+    # the chunk's only tie, on its last gathered value, in its last query
+    @example(([[1.0, 3.0]], [[0.5], [1.5], [3.0, 4.0]]), 1 << 17)
+    # a query ending on -0.0 before one starting on +0.0: each run of equal
+    # values starts within its own query
+    @example(([[-0.0, 0.5], [-1.0, 0.0]], [[-1.0, -0.0], [0.0, 1.0]]), 1 << 17)
     def test_every_row_of_a_batch_equals_the_pairwise_statistics(self, batch, chunk):
         columns, queries = batch
         pack = PackedColumns(columns)
@@ -316,6 +326,35 @@ class TestPackedColumns:
         for stat in PackedColumns(store).statistics(queries):
             digest.update(stat.tobytes())
         assert digest.hexdigest() == want
+
+    def test_a_single_chunk_peaks_within_its_stated_bytes(self):
+        # the statistics docstring's bound: 42 bytes per gathered value, 24
+        # more per gathered value that equals a query value, 256 per (query,
+        # column) pair and 64 per query value
+        store = [a.values for a in generate_synthetic(fixtures.efficiency_spec()).attributes]
+        fresh = generate_synthetic(dataclasses.replace(fixtures.efficiency_spec(),
+                                                       source_count=1, seed=2027))
+        columns = [np.sort(c) for c in store]
+
+        def runs(q):   # each column's run from the last value below min(q) on
+            for r in columns:
+                first = max(r.searchsorted(q.min(), "left") - 1, 0)
+                yield r[first : min(r.searchsorted(q.max(), "right"), r.size - 1) + 1]
+
+        sizes = {k: sum(r.size for r in runs(a.values)) for k, a in enumerate(fresh.attributes)}
+        k = max((k for k in sizes if sizes[k] <= baselines.SCORE_CHUNK), key=sizes.get)
+        query, gathered = fresh.attributes[k].values, sizes[k]
+        assert query.size == 1000 and gathered > baselines.SCORE_CHUNK // 2   # one large chunk
+        ties = sum(int(np.isin(r, query).sum()) for r in runs(query))
+        pack = PackedColumns(store)
+        pack.cdf   # built on first use, outside the measured call
+        tracemalloc.start()
+        try:
+            pack.statistics([query])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 42 * gathered + 24 * ties + 256 * len(store) + 64 * query.size
 
     def test_hand_cases(self):
         ks, mw, jac = PackedColumns([[1.0, 2.0], [10.0, 11.0], [2.0]]).statistics([[1.0, 2.0]])
