@@ -80,11 +80,11 @@ class BasicBlock:
             self.proj_conv = Conv1d(in_channels, out_channels, 1, stride=stride)
             self.proj_bn = BatchNorm1d(out_channels)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        y = ops.relu(self.bn1(self.conv1(x), training))
-        y = self.bn2(self.conv2(y), training)
+    def __call__(self, x: Tensor) -> Tensor:
+        y = ops.relu(self.bn1(self.conv1(x)))
+        y = self.bn2(self.conv2(y))
         if self.proj_conv is not None:
-            shortcut = self.proj_bn(self.proj_conv(x), training)
+            shortcut = self.proj_bn(self.proj_conv(x))
         else:
             shortcut = x
         return ops.relu(y + shortcut)
@@ -109,25 +109,27 @@ class ResNet1d:
         self.fc = Linear(chans[3], arch.k)
         # the tap spans infer's plan reads at width arch.h, fixed per network
         self.taps = _plan_taps(self, arch.h)
-        # infer's frozen forward and its programs; a training-mode forward or
+        # infer's frozen forward and its programs; a taped forward or
         # Model.load_state, the only writers of the running statistics, drops it
         self.plan = None
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if training:
-            self.plan = None
-        y = ops.relu(self.stem_bn(self.stem_conv(x), training))
+    def __call__(self, x: Tensor) -> Tensor:
+        """Training's taped forward: each batch norm normalizes by the batch's
+        statistics and moves its running ones, so the frozen plan is dropped."""
+        self.plan = None
+        y = ops.relu(self.stem_bn(self.stem_conv(x)))
         y = ops.maxpool1d(y, *POOL)
         for blocks in self.stages:
             for block in blocks:
-                y = block(y, training)
+                y = block(y)
         y = ops.global_avgpool1d(y)
         return self.fc(y)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """self(Tensor(x), training=False).data, bit for bit, for a (B, 1, h)
-        array, run on plain channels-last arrays by a _Plan built once per
-        state; each activation stays in its conv's GEMM buffer."""
+        """The eval forward of a (B, 1, h) array, each batch norm on its
+        running statistics, run on plain channels-last arrays by a _Plan
+        built once per state; each activation stays in its conv's GEMM
+        buffer."""
         if self.plan is None:
             self.plan = _Plan(self)
         return self.plan(x)
@@ -184,7 +186,8 @@ def _conv_bn(conv: Conv1d, bn: BatchNorm1d, taps: tuple) -> tuple:
     """What one conv and the batch norm after it read in eval mode: the
     (C_in*K, C_out) view of the conv's weight that ops.conv1d reads, its tap
     spans, and (C,) views of the batch norm's running mean, gamma and beta
-    beside 1 / sqrt(running_var + eps) as batchnorm1d computes it."""
+    beside 1 / sqrt(running_var + eps), as batchnorm1d takes it of a batch
+    variance."""
     w = conv.weight.data
     inv = 1.0 / np.sqrt(bn.running_var + ops.BN_EPS)
     return w.reshape(len(w), -1).T, taps, bn.running_mean, inv, bn.gamma.data, bn.beta.data
@@ -209,13 +212,14 @@ def _relu_(y: np.ndarray, steps: list | None) -> np.ndarray:
 class _Plan:
     """net's eval-mode forward as a function of one (B, 1, h) float32 array.
 
-    Every op is ops' own array arithmetic in the order the taped forward
-    runs it, so the bits are the same; only the Tensors, the tape and the
-    module calls are gone.  Each activation stays channels-last, (B, L, C),
-    in the buffer of whole 8-row tiles that its conv's GEMM wrote: batch
-    norm, relu and the residual add run in place over those contiguous rows
-    with (C,) constants, and the next conv's im2col and the max pool read it
-    as it is.  The tap spans come from net.taps, fixed at construction.  The
+    Every op is ops' own array arithmetic in the network's layer order, each
+    batch norm computing ((y - running_mean) * inv) * gamma + beta, so the
+    bits are those of the taped ops run with each batch norm on its running
+    statistics; no Tensor, tape or module call is made.  Each activation
+    stays channels-last, (B, L, C), in the buffer of whole 8-row tiles that
+    its conv's GEMM wrote: batch norm, relu and the residual add run in
+    place over those contiguous rows with (C,) constants, and the next
+    conv's im2col and the max pool read it as it is.  The tap spans come from net.taps, fixed at construction.  The
     plan holds views of the weights and of gamma and beta, which SGD and
     init_weights update in place, and the batch norms' inverse deviations,
     computed here once, so it is stale once the running statistics change.
@@ -349,29 +353,20 @@ def preprocess(columns, arch: ArchConfig) -> np.ndarray:
 
 
 def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """Eval-mode forward pass, at most EMBED_CHUNK rows at a time, through
-    the network's frozen plan (ResNet1d.infer), whose bits are the taped
-    forward's.
-
-    Accepts one h-vector or a (batch, h) stack; returns float32 embeddings
-    with matching leading shape.  Batching never changes the numbers.  A row
-    holding a NaN or an infinity is EmptyInput, as sampling refuses such a
-    column.
+    """Eval-mode forward pass of an (n, h) batch, at most EMBED_CHUNK rows
+    at a time, through the network's frozen plan (ResNet1d.infer); returns
+    (n, k) float32 embeddings.  Batching never changes the numbers.  Any
+    other shape is WidthMismatch, and a row holding a NaN or an infinity is
+    EmptyInput, as sampling refuses such a column.
     """
     x = np.asarray(inputs, dtype=np.float32)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != model.arch.h:
-        raise WidthMismatch(
-            f"expected input width {model.arch.h}, got shape {np.asarray(inputs).shape}"
-        )
+        raise WidthMismatch(f"expected an (n, {model.arch.h}) batch, got shape {x.shape}")
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise EmptyInput(f"embed input row {int(np.argmin(finite))} holds a NaN or an infinity")
-    out = np.concatenate([model.net.infer(x[i : i + EMBED_CHUNK, None, :])
-                          for i in range(0, max(len(x), 1), EMBED_CHUNK)])
-    return out[0] if single else out
+    return np.concatenate([model.net.infer(x[i : i + EMBED_CHUNK, None, :])
+                           for i in range(0, max(len(x), 1), EMBED_CHUNK)])
 
 
 def distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -200,10 +200,6 @@ def rank(store: FeatureStore, query) -> RankingList:
                        1.0 - keys if store.method == "semantictyper" else _sigmoid(-keys))
 
 
-def assign_label(ranking: RankingList) -> str:
-    return ranking.store.labels[ranking.order[0]]
-
-
 def rank_of_first_correct(ranking: RankingList, true_label: str) -> int | None:
     if true_label not in ranking.store.label_codes[0]:
         return None

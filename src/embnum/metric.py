@@ -173,7 +173,7 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
                 idx.extend(pool[t] for t in take)
             idx_arr = np.array(idx)
             batch = Tensor(vectors[idx_arr][:, None, :])
-            emb = model.net(batch, training=True)
+            emb = model.net(batch)
             if not np.all(np.isfinite(emb.data)):
                 raise NonFiniteLoss(
                     f"non-finite embeddings at epoch {epoch}, step {start // cfg.batch_labels}; "

@@ -30,6 +30,10 @@ class Conv1d:
 
 
 class BatchNorm1d:
+    """Batch norm's scale and shift with its running statistics.  A call is
+    training's forward, which moves the running statistics
+    (ops.batchnorm1d); embnet's frozen plan reads them for the eval forward."""
+
     def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels, np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
@@ -37,9 +41,8 @@ class BatchNorm1d:
         self.running_mean = np.zeros(channels, np.float32)
         self.running_var = np.ones(channels, np.float32)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return ops.batchnorm1d(x, self.gamma, self.beta,
-                               self.running_mean, self.running_var, training)
+    def __call__(self, x: Tensor) -> Tensor:
+        return ops.batchnorm1d(x, self.gamma, self.beta, self.running_mean, self.running_var)
 
     def params(self) -> dict[str, Tensor]:
         return {"gamma": self.gamma, "beta": self.beta}

@@ -236,54 +236,40 @@ def conv1d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> T
 
 
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
-                running_mean: np.ndarray, running_var: np.ndarray,
-                training: bool) -> Tensor:
-    """Per-channel normalization over the (batch, length) axes.
+                running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
+    """Per-channel normalization over the (batch, length) axes, as training
+    runs it: the batch statistics (biased variance) both normalize the
+    activations and update the running buffers in place.
 
-    In training mode the batch statistics (biased variance) both normalize
-    the activations and update the running buffers in place.  They are
-    numpy's own mean and var arithmetic, one pass each: the channel sums
-    divided by n, then the summed squares of x - mean, whose buffer becomes
-    xhat.  The output is (x - mean) * inv * gamma + beta in that order, with
-    (C, 1) parameters broadcast over x in its own layout; when no tape keeps
-    xhat, the scale and shift run in place in xhat's buffer.
+    They are numpy's own mean and var arithmetic, one pass each: the channel
+    sums divided by n, then the summed squares of x - mean, whose buffer
+    becomes xhat.  The output is gamma * ((x - mean) * inv) + beta, with
+    (C, 1) parameters broadcast over x in its own layout.  The eval forward,
+    from the running statistics, is embnet's frozen plan.
     """
-    if training:
-        n = x.data.shape[0] * x.data.shape[2]
-        mean = np.add.reduce(x.data, axis=(0, 2), keepdims=True)
-        mean /= n
-        xhat = x.data - mean
-        var = np.square(xhat).sum(axis=(0, 2)) / n
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean.ravel()
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var
-    else:
-        xhat = x.data - running_mean[:, None]
-        var = running_var
+    n = x.data.shape[0] * x.data.shape[2]
+    mean = np.add.reduce(x.data, axis=(0, 2), keepdims=True)
+    mean /= n
+    xhat = x.data - mean
+    var = np.square(xhat).sum(axis=(0, 2)) / n
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean.ravel()
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv[:, None]
-    out = make(xhat, (x, gamma, beta))
-    if out.requires_grad:
-        out.data = gamma.data[:, None] * xhat + beta.data[:, None]
-    else:
-        xhat *= gamma.data[:, None]
-        xhat += beta.data[:, None]
-    out.data = out.data.astype(x.data.dtype, copy=False)
+    y = gamma.data[:, None] * xhat + beta.data[:, None]
+    out = make(y.astype(x.data.dtype, copy=False), (x, gamma, beta))
     if out.requires_grad:
 
-        def back(g, xt=x, gt=gamma, bt=beta, xh=xhat, iv=inv, train=training):
+        def back(g, xt=x, gt=gamma, bt=beta, xh=xhat, iv=inv):
             sum_g = g.sum(axis=(0, 2))
             sum_gx = (g * xh).sum(axis=(0, 2))
             bt.accumulate(sum_g)
             gt.accumulate(sum_gx)
             if xt.requires_grad:
-                if train:
-                    n = g.shape[0] * g.shape[2]
-                    scale = (gt.data * iv)[:, None] / n
-                    xt.accumulate(scale * (n * g - sum_g[:, None] - xh * sum_gx[:, None]))
-                else:
-                    xt.accumulate(g * (gt.data * iv)[:, None])
+                scale = (gt.data * iv)[:, None] / n
+                xt.accumulate(scale * (n * g - sum_g[:, None] - xh * sum_gx[:, None]))
 
         out._backward = back
     return out

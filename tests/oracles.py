@@ -5,10 +5,10 @@ production code (pure-Python loops, Fraction arithmetic, brute-force pair
 counting) so that agreement is evidence, not tautology.  Three sections are
 the exception: the pairwise scorers, numpy code scoring one pair at a time;
 the np.pad / sliding_window_view window ops with the np.where relu,
-the out-of-place batch norm, the np.unique sampler and the
-one-GEMM-per-8-row-tile product; and the distances and training MRR taken
-one query row at a time.  Each states what the library's faster form must
-equal bit for bit.
+the out-of-place batch norm, the network's eval-mode taped forward, the
+np.unique sampler and the one-GEMM-per-8-row-tile product; and the
+distances and training MRR taken one query row at a time.  Each states
+what the library's faster form must equal bit for bit.
 
 store_of, at the end, is no oracle: it builds small stores for tests.
 """
@@ -23,8 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from embnum.baselines import PackedColumns
+from embnum.embnet import POOL
 from embnum.errors import EmptyInput
 from embnum.labeling import BenchmarkReport, FeatureStore, PerCount, StoreRecord
+from embnum.nn import Tensor, ops
 from embnum.nn.ops import BN_EPS, BN_MOMENTUM
 from embnum.nn.tensor import make
 
@@ -278,7 +280,10 @@ def conv1d_reference(x, weight, *, stride: int = 1, padding: int = 0):
 
 
 def batchnorm1d_reference(x, gamma, beta, running_mean, running_var, training: bool):
-    """ops.batchnorm1d out of place, parameters broadcast as (1, C, 1)."""
+    """ops.batchnorm1d out of place, parameters broadcast as (1, C, 1).  With
+    training=False it normalizes by the running statistics instead, the
+    eval forward that embnet's frozen plan must match; that form builds no
+    tape."""
     if training:
         mean = x.data.mean(axis=(0, 2))
         var = x.data.var(axis=(0, 2))
@@ -292,23 +297,23 @@ def batchnorm1d_reference(x, gamma, beta, running_mean, running_var, training: b
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
     y = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
-    out = make(y.astype(x.data.dtype, copy=False), (x, gamma, beta))
+    y = y.astype(x.data.dtype, copy=False)
+    if not training:
+        return Tensor(y)
+    out = make(y, (x, gamma, beta))
     if out.requires_grad:
 
-        def back(g, xt=x, gt=gamma, bt=beta, xh=xhat, iv=inv, train=training):
+        def back(g, xt=x, gt=gamma, bt=beta, xh=xhat, iv=inv):
             if bt.requires_grad:
                 bt.accumulate(g.sum(axis=(0, 2)))
             if gt.requires_grad:
                 gt.accumulate((g * xh).sum(axis=(0, 2)))
             if xt.requires_grad:
-                if train:
-                    n = g.shape[0] * g.shape[2]
-                    sum_g = g.sum(axis=(0, 2), keepdims=True)
-                    sum_gx = (g * xh).sum(axis=(0, 2), keepdims=True)
-                    scale = (gt.data * iv)[None, :, None] / n
-                    xt.accumulate(scale * (n * g - sum_g - xh * sum_gx))
-                else:
-                    xt.accumulate(g * (gt.data * iv)[None, :, None])
+                n = g.shape[0] * g.shape[2]
+                sum_g = g.sum(axis=(0, 2), keepdims=True)
+                sum_gx = (g * xh).sum(axis=(0, 2), keepdims=True)
+                scale = (gt.data * iv)[None, :, None] / n
+                xt.accumulate(scale * (n * g - sum_g - xh * sum_gx))
 
         out._backward = back
     return out
@@ -333,6 +338,28 @@ def maxpool1d_reference(x, kernel: int, stride: int, padding: int = 0):
 
         out._backward = back
     return out
+
+
+def eval_conv_bn_reference(conv, bn, x):
+    """A conv and the batch norm after it, the batch norm on its running
+    statistics (batchnorm1d_reference with training=False)."""
+    return batchnorm1d_reference(conv(x), bn.gamma, bn.beta, bn.running_mean,
+                                 bn.running_var, training=False)
+
+
+def eval_forward_reference(net, x: np.ndarray) -> np.ndarray:
+    """The (B, k) eval forward of net for a (B, 1, h) array: the taped ops,
+    each batch norm on its running statistics, in the network's layer
+    order.  embnet's frozen plan must give its bits."""
+    y = ops.relu(eval_conv_bn_reference(net.stem_conv, net.stem_bn, Tensor(x)))
+    y = ops.maxpool1d(y, *POOL)
+    for block in (b for blocks in net.stages for b in blocks):
+        h = ops.relu(eval_conv_bn_reference(block.conv1, block.bn1, y))
+        h = eval_conv_bn_reference(block.conv2, block.bn2, h)
+        if block.proj_conv is not None:
+            y = eval_conv_bn_reference(block.proj_conv, block.proj_bn, y)
+        y = ops.relu(h + y)
+    return net.fc(ops.global_avgpool1d(y)).data
 
 
 def sample_unique_reference(values, h: int) -> np.ndarray:

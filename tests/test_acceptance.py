@@ -5,9 +5,14 @@ numbers so the terminal summary shows what was actually achieved, not just
 pass/fail.  Everything here is seeded and deterministic.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,15 +115,14 @@ def _conv_config(rng, b, c_in, c_out, length, k, stride, padding, shift):
     return lambda: check_gradients(fwd, arrays, rng)
 
 
-def _bn_config(rng, b, c, length, training):
+def _bn_config(rng, b, c, length):
     proj = rng.standard_normal((b, c, length))
     rm = rng.standard_normal(c)
     rv = np.abs(rng.standard_normal(c)) + 0.5
 
     def fwd(ts):
         x, gamma, beta = ts
-        y = ops.batchnorm1d(x, gamma, beta, rm.copy(), rv.copy(),
-                            training=training)
+        y = ops.batchnorm1d(x, gamma, beta, rm.copy(), rv.copy())
         return (y * Tensor(proj)).sum()
 
     arrays = [rng.standard_normal((b, c, length)),
@@ -204,7 +208,7 @@ def _misc_configs(rng):
     ]
 
 
-def _block_config(rng, c_in, c_out, stride, training):
+def _block_config(rng, c_in, c_out, stride):
     block = as_float64(BasicBlock(c_in, c_out, stride))
     init_weights(block, rng)
     params, buffers = _module_state(block.modules())
@@ -214,12 +218,12 @@ def _block_config(rng, c_in, c_out, stride, training):
     x = Tensor(rng.standard_normal((2, c_in, length)), requires_grad=True)
 
     def fwd():
-        return (block(x, training) * Tensor(proj)).sum()
+        return (block(x) * Tensor(proj)).sum()
 
     return lambda: check_network(fwd, params, buffers, x, rng, n_coords=16)
 
 
-def _resnet_config(rng, training):
+def _resnet_config(rng):
     arch = ArchConfig(h=16, k=4, stem_channels=4)
     net = as_float64(ResNet1d(arch))
     init_weights(net, rng)
@@ -227,7 +231,7 @@ def _resnet_config(rng, training):
     x = Tensor(rng.standard_normal((2, 1, arch.h)), requires_grad=True)
 
     def fwd():
-        return (net(x, training) * Tensor(proj)).sum()
+        return (net(x) * Tensor(proj)).sum()
 
     return lambda: check_network(fwd, net.named_params(), net.named_buffers(),
                                  x, rng, n_coords=24)
@@ -260,10 +264,9 @@ def test_criterion_2():
         _conv_config(rng, 1, 6, 6, 4, 3, 1, 1, False),
         _conv_config(rng, 2, 4, 8, 10, 1, 2, 0, True),
     ]
-    # 8 batch-norm shapes, train and eval
+    # 4 batch-norm shapes
     for b, c, length in [(2, 3, 5), (4, 2, 6), (3, 5, 4), (2, 1, 9)]:
-        configs.append(_bn_config(rng, b, c, length, training=True))
-        configs.append(_bn_config(rng, b, c, length, training=False))
+        configs.append(_bn_config(rng, b, c, length))
     # 6 linear shapes
     for b, f_in, f_out in [(1, 4, 3), (5, 8, 2), (3, 2, 7),
                            (2, 16, 16), (4, 1, 5), (2, 10, 1)]:
@@ -279,19 +282,16 @@ def test_criterion_2():
         configs.append(_relu_config(rng, shape))
     # 6 composite tensor-op chains
     configs += _misc_configs(rng)
-    # 4 residual blocks
-    configs.append(_block_config(rng, 4, 4, 1, training=True))
-    configs.append(_block_config(rng, 4, 4, 1, training=False))
-    configs.append(_block_config(rng, 3, 6, 2, training=True))
-    configs.append(_block_config(rng, 3, 6, 2, training=False))
-    # 2 full networks
-    configs.append(_resnet_config(rng, training=True))
-    configs.append(_resnet_config(rng, training=False))
+    # 2 residual blocks
+    configs.append(_block_config(rng, 4, 4, 1))
+    configs.append(_block_config(rng, 3, 6, 2))
+    # 1 full network
+    configs.append(_resnet_config(rng))
     # 2 triplet loss heads
     configs.append(_triplet_head_config(rng, alpha=0.2))
     configs.append(_triplet_head_config(rng, alpha=1.0))
 
-    assert len(configs) == 50
+    assert len(configs) == 43
     t0 = time.perf_counter()
     total_checked = total_skipped = 0
     for i, run in enumerate(configs):
@@ -300,7 +300,7 @@ def test_criterion_2():
         total_checked += checked
         total_skipped += skipped
     elapsed = time.perf_counter() - t0
-    record_note(2, f"50 configs, {total_checked} coords ok, "
+    record_note(2, f"43 configs, {total_checked} coords ok, "
                    f"{total_skipped} at kinks skipped, {elapsed:.1f}s")
     assert elapsed < 120.0, f"gradient checks took {elapsed:.1f}s"
 
@@ -384,35 +384,51 @@ def test_criterion_5(desk_training, desk_reports):
 # -- criterion 6: labeling speed on a 500-attribute store ---------------------
 
 
-def test_criterion_6():
-    t0 = time.perf_counter()
-    ds = generate_synthetic(efficiency_spec())
-    holdout = ds.sources[-1]
-    labeled_attrs = [a for a in ds.attributes if a.source != holdout]
-    queries = ds.by_source(holdout)
+def label_seconds() -> dict[str, float]:
+    """Each method's label_queries seconds for 50 queries against a
+    500-attribute store of the efficiency fixture: the median of 5 calls,
+    the methods taking turns, so a stretch of load on the host reaches all
+    three alike."""
     from embnum.dataset import Dataset
 
-    labeled = Dataset(labeled_attrs)
+    ds = generate_synthetic(efficiency_spec())
+    holdout = ds.sources[-1]
+    labeled = Dataset([a for a in ds.attributes if a.source != holdout])
+    queries = ds.by_source(holdout)
     assert len(labeled.attributes) == 500 and len(queries) == 50
     assert all(a.values.size == 1000 for a in ds.attributes)
 
     model = build_model(desk_arch(), seed=0)
     dsl_model = LogisticModel(weights=np.array([1.0, 1.0, 1.0]), bias=0.0)
-
     stores = {
         "embnum": index_labeled(labeled, "embnum", model=model),
         "semantictyper": index_labeled(labeled, "semantictyper"),
         "dsl": index_labeled(labeled, "dsl", dsl_model=dsl_model),
     }
-    # each method's time is the median of 5 calls, the methods taking turns,
-    # so a stretch of load on the host reaches all three alike
     runs = {method: [] for method in stores}
     for _ in range(5):
         for method, store in stores.items():
             result = label_queries(store, queries)
             assert result.excluded == 0 and len(result.ranks) == 50
             runs[method].append(result.seconds)
-    seconds = {method: float(np.median(times)) for method, times in runs.items()}
+    return {method: float(np.median(times)) for method, times in runs.items()}
+
+
+def test_criterion_6():
+    # timed in a fresh interpreter, so the ratio does not depend on which
+    # tests ran before: after tests/test_baselines.py and
+    # tests/test_labeling.py in one process it read 9.6-12x, alone 17-21x
+    t0 = time.perf_counter()
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_acceptance; print(json.dumps(test_acceptance.label_seconds()))"],
+        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    seconds = json.loads(proc.stdout.splitlines()[-1])
 
     elapsed = time.perf_counter() - t0
     ratio_dsl = seconds["dsl"] / seconds["embnum"]

@@ -43,6 +43,7 @@ from embnum.fixtures import desk_arch, efficiency_spec
 from embnum.labeling import index_labeled, load_store, save_store
 from embnum.metric import TrainConfig, train
 from embnum.nn import SGD, Conv1d, Linear, Tensor, ops
+from oracles import eval_conv_bn_reference, eval_forward_reference
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
@@ -168,14 +169,14 @@ class TestPreprocess:
 class TestEmbed:
     def test_shapes_and_dtype(self):
         m = build_model(TINY, seed=0)
-        one = embed(m, np.zeros(16, dtype=np.float32))
+        one = embed(m, np.zeros((1, 16), dtype=np.float32))
         many = embed(m, np.zeros((5, 16), dtype=np.float32))
-        assert one.shape == (8,) and one.dtype == np.float32
+        assert one.shape == (1, 8) and one.dtype == np.float32
         assert many.shape == (5, 8) and many.dtype == np.float32
 
     def test_deterministic(self):
         m = build_model(TINY, seed=0)
-        x = np.random.default_rng(1).standard_normal(16).astype(np.float32)
+        x = np.random.default_rng(1).standard_normal((1, 16)).astype(np.float32)
         assert embed(m, x).tobytes() == embed(m, x).tobytes()
 
     def test_batching_never_changes_numbers(self):
@@ -184,7 +185,7 @@ class TestEmbed:
         x = rng.standard_normal((7, 16)).astype(np.float32)
         full = embed(m, x)
         for i in range(7):
-            assert full[i].tobytes() == embed(m, x[i]).tobytes()
+            assert full[i].tobytes() == embed(m, x[i : i + 1]).tobytes()
         # and sub-batches agree with the full batch too
         assert embed(m, x[2:5]).tobytes() == full[2:5].tobytes()
         # and batches on both sides of the forward pass's 8-row GEMM tile,
@@ -193,7 +194,7 @@ class TestEmbed:
         for arch in (TINY, ArchConfig(stem_channels=64)):
             m = build_model(arch, seed=3)
             x = rng.standard_normal((max(sizes), arch.h)).astype(np.float32)
-            single = np.stack([embed(m, row) for row in x])
+            single = np.concatenate([embed(m, x[i : i + 1]) for i in range(len(x))])
             for n in sizes:
                 assert embed(m, x[:n]).tobytes() == single[:n].tobytes()
         # and a full-width batch larger than one embnet.EMBED_CHUNK, which
@@ -203,7 +204,7 @@ class TestEmbed:
         full = embed(m, x)
         assert full[: len(single)].tobytes() == single.tobytes()
         for i in (*range(len(single), len(x), 7), len(x) - 1):
-            assert full[i].tobytes() == embed(m, x[i]).tobytes()
+            assert full[i].tobytes() == embed(m, x[i : i + 1]).tobytes()
 
     def test_the_network_never_sees_more_than_one_chunk(self, monkeypatch):
         m = build_model(TINY, seed=0)
@@ -223,8 +224,9 @@ class TestEmbed:
                              ids=["desk", "stem16", "stem32", "full"])
     def test_the_frozen_plan_gives_the_taped_forwards_bits(self, arch):
         # embed runs a plan frozen from the model's state; it must give the
-        # taped eval forward's bits, and be rebuilt whenever the running
-        # statistics move: on load_state and on a training-mode forward
+        # bits of the taped eval forward (eval_forward_reference), and be
+        # rebuilt whenever the running statistics move: on load_state and on
+        # a taped forward
         rng = np.random.default_rng(11)
 
         def randomize_norms(model):
@@ -242,7 +244,7 @@ class TestEmbed:
             # eval batch
             for n in (1, 8, 9, 10, 60, EMBED_CHUNK + 1):
                 x = rng.standard_normal((n, arch.h)).astype(np.float32)
-                taped = [model.net(Tensor(x[i : i + EMBED_CHUNK, None, :]), training=False).data
+                taped = [eval_forward_reference(model.net, x[i : i + EMBED_CHUNK, None, :])
                          for i in range(0, n, EMBED_CHUNK)]
                 assert embed(model, x).tobytes() == np.concatenate(taped).tobytes()
 
@@ -253,17 +255,19 @@ class TestEmbed:
         randomize_norms(other)
         m.load_state(other.state_dict())
         agree(m)
-        m.net(Tensor(rng.standard_normal((4, 1, arch.h)).astype(np.float32)), training=True)
+        m.net(Tensor(rng.standard_normal((4, 1, arch.h)).astype(np.float32)))
         agree(m)
-        # an SGD step after an eval-mode loss moves the weights, in place
+        # an SGD step moves the weights in place, under the plan built since
+        # the taped forward that took the gradients
         x = rng.standard_normal((4, 1, arch.h)).astype(np.float32)
-        m.net(Tensor(x), training=False).sum().backward()
+        m.net(Tensor(x)).sum().backward()
+        agree(m)
         SGD(m.net.named_params(), lr=0.1).step()
         agree(m)
         # a stem whose relu output is all +0.0: the max pool's -inf padding
         # must never reach its output
         m.net.stem_bn.beta.data[...] = -1000.0
-        stem = ops.relu(m.net.stem_bn(m.net.stem_conv(Tensor(x)), False)).data
+        stem = ops.relu(eval_conv_bn_reference(m.net.stem_conv, m.net.stem_bn, Tensor(x))).data
         assert not stem.any() and not np.signbit(stem).any()
         agree(m)
 
@@ -276,7 +280,7 @@ class TestEmbed:
         with pytest.raises(EmptyInput, match=f"row {row} holds a NaN or an infinity"):
             embed(m, x)
         with pytest.raises(EmptyInput, match="row 0 "):
-            embed(m, x[row])
+            embed(m, x[row : row + 1])
 
     def test_a_full_width_chunk_stays_within_its_memory(self):
         # the eval plan must free each activation as soon as the next layer
@@ -320,8 +324,10 @@ class TestEmbed:
 
     def test_width_mismatch(self):
         m = build_model(TINY, seed=0)
+        with pytest.raises(WidthMismatch, match=r"expected an \(n, 16\) batch, got shape \(16,\)"):
+            embed(m, np.zeros(16, dtype=np.float32))
         with pytest.raises(WidthMismatch):
-            embed(m, np.zeros(15, dtype=np.float32))
+            embed(m, np.zeros((1, 15), dtype=np.float32))
         with pytest.raises(WidthMismatch):
             embed(m, np.zeros((2, 3, 16), dtype=np.float32))
 
@@ -418,7 +424,7 @@ class TestResidualPath:
         init_weights(block, rng)
         block.bn2.gamma.data[:] = 0.0
         x = np.abs(rng.standard_normal((2, 4, 8))).astype(np.float32)
-        out = block(Tensor(x), training=False)
+        out = block(Tensor(x))
         assert np.array_equal(out.data, x)
 
 
@@ -427,7 +433,7 @@ class TestCheckpointFormat:
         m = build_model(TINY, seed=5)
         # move running stats off their initial values first
         x = np.random.default_rng(0).standard_normal((4, 1, 16)).astype(np.float32)
-        m.net(Tensor(x), training=True)
+        m.net(Tensor(x))
         m.training_meta["best_mrr"] = 0.75
         p = tmp_path / "model.bin"
         save_model(m, p)

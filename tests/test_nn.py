@@ -130,17 +130,19 @@ class TestOpForwardOracles:
         x = T(np.array([[[1.0, 3.0]]]))
         gamma, beta = T([1.0]), T([0.0])
         rm, rv = np.zeros(1), np.ones(1)
-        y = ops.batchnorm1d(x, gamma, beta, rm, rv, training=True)
+        y = ops.batchnorm1d(x, gamma, beta, rm, rv)
         expect = 1.0 / np.sqrt(1.0 + 1e-5)
         assert np.allclose(y.data, [[[-expect, expect]]])
         assert np.allclose(rm, [0.2])   # 0.9 * 0 + 0.1 * mean(2)
         assert np.allclose(rv, [1.0])   # 0.9 * 1 + 0.1 * var(1)
 
     def test_batchnorm_eval_uses_running_stats(self):
+        # the eval form lives only in the reference that the frozen plan is
+        # checked against; this pins it to a hand-computed value
         x = T(np.array([[[5.0, 7.0]]]))
         gamma, beta = T([2.0]), T([1.0])
         rm, rv = np.array([5.0]), np.array([4.0])
-        y = ops.batchnorm1d(x, gamma, beta, rm, rv, training=False)
+        y = batchnorm1d_reference(x, gamma, beta, rm, rv, training=False)
         inv = 1.0 / np.sqrt(4.0 + 1e-5)
         assert np.allclose(y.data, [[[1.0, 1.0 + 2.0 * 2.0 * inv]]])
         assert rm.tolist() == [5.0] and rv.tolist() == [4.0]  # untouched
@@ -456,17 +458,17 @@ class TestMatchesReferenceOps:
             runs.append([_bits(a) for a in (y.data, xt.grad)])
         assert runs[0] == runs[1]
 
-    @given(window_cases(), st.booleans(), st.booleans())
+    @given(window_cases(), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_batchnorm1d(self, case, training, tape):
+    def test_batchnorm1d(self, case, tape):
         rng, dtype, c = case["rng"], case["dtype"], case["c_in"]
         params = [rng.standard_normal(c).astype(dtype) for _ in range(2)]
         stats = [rng.standard_normal(c).astype(dtype), rng.random(c).astype(dtype) + 0.5]
         runs = []
-        for op in (ops.batchnorm1d, batchnorm1d_reference):
+        for op in (ops.batchnorm1d, lambda *a: batchnorm1d_reference(*a, training=True)):
             xt, gt, bt = (Tensor(a, requires_grad=tape) for a in [case["x"]] + params)
             rm, rv = (a.copy() for a in stats)
-            y = op(xt, gt, bt, rm, rv, training)
+            y = op(xt, gt, bt, rm, rv)
             run = [_bits(a) for a in (y.data, rm, rv)]
             if tape:
                 g = np.random.default_rng(1).standard_normal(y.data.shape).astype(dtype)
@@ -519,7 +521,7 @@ class TestGradientsNumerically:
         def fwd(ts):
             x, gamma, beta = ts
             rm, rv = np.zeros(3), np.ones(3)
-            y = ops.batchnorm1d(x, gamma, beta, rm, rv, training=True)
+            y = ops.batchnorm1d(x, gamma, beta, rm, rv)
             return (y * Tensor(proj)).sum()
 
         arrays = [rng.standard_normal((2, 3, 5)),
@@ -528,24 +530,6 @@ class TestGradientsNumerically:
         # 5 + 3 + 3 coords (gamma/beta only have 3 each), all smooth
         checked, skipped = check_gradients(fwd, arrays, rng, coords_per_array=5)
         assert (checked, skipped) == (11, 0)
-
-    def test_batchnorm_eval_grads(self):
-        rng = np.random.default_rng(4)
-        proj = rng.standard_normal((2, 3, 4))
-        rm = rng.standard_normal(3)
-        rv = np.abs(rng.standard_normal(3)) + 0.5
-
-        def fwd(ts):
-            x, gamma, beta = ts
-            y = ops.batchnorm1d(x, gamma, beta, rm.copy(), rv.copy(),
-                                training=False)
-            return (y * Tensor(proj)).sum()
-
-        arrays = [rng.standard_normal((2, 3, 4)),
-                  rng.standard_normal(3),
-                  rng.standard_normal(3)]
-        checked, _ = check_gradients(fwd, arrays, rng)
-        assert checked > 0
 
     def test_maxpool_grads_skip_kinks(self):
         rng = np.random.default_rng(5)
@@ -620,7 +604,7 @@ class TestLayers:
         assert layer.buffers()["running_mean"].tolist() == [0.0, 0.0, 0.0]
         assert layer.buffers()["running_var"].tolist() == [1.0, 1.0, 1.0]
         x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 4)).astype(np.float32))
-        layer(x, training=True)
+        layer(x)
         assert not np.allclose(layer.buffers()["running_mean"], 0.0)
 
     def test_linear_layer(self):
@@ -705,7 +689,7 @@ class TestKinkTracing:
         model = build_model(arch, seed=0)
         buf = []
         with trace_kinks(buf):
-            model.net(Tensor(np.ones((2, 1, arch.h), dtype=np.float32)), training=False)
+            model.net(Tensor(np.ones((2, 1, arch.h), dtype=np.float32)))
         # the stem's relu and maxpool, then two relus in each of 8 residual blocks
         relus = 1 + 2 * 8
         assert [a.dtype.kind for a in buf] == ["b", "i"] + ["b"] * (relus - 1)

@@ -40,7 +40,7 @@ def test_every_traced_name_patches_and_restores(spans):
 def taped_forward(model, x):
     """The taped forward that training runs; embed runs a frozen plan that
     the per-layer proxies and op wrappers do not see."""
-    return model.net(Tensor(np.atleast_2d(x)[:, None, :]), training=True)
+    return model.net(Tensor(np.atleast_2d(x)[:, None, :]))
 
 
 def test_a_built_network_records_every_layer_span(spans):
