@@ -13,7 +13,6 @@ untrained network measurably trails a trained one.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -34,14 +33,7 @@ def parse_args(argv):
                     help="directory for checkpoint, history and reports")
     ap.add_argument("--hard", action="store_true",
                     help="use the overlapping fixture instead of the desk one")
-    ap.add_argument("--epochs", type=int, default=None,
-                    help="override the fixture's epoch count")
-    ap.add_argument("--skip", action="append", default=[], choices=METHODS,
-                    help="method to leave out (repeatable)")
-    args = ap.parse_args(argv)
-    if set(args.skip) >= set(METHODS):
-        ap.error("--skip leaves no method to run")
-    return args
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -53,37 +45,31 @@ def main(argv=None) -> int:
     print(f"protocol: {expected_experiments(len(dataset.sources))} experiments "
           f"per method\n")
 
-    methods = [m for m in METHODS if m not in args.skip]
-    model = None
-    if "embnum" in methods:
-        cfg = desk_train_config()
-        if args.epochs is not None:
-            cfg = dataclasses.replace(cfg, epochs=args.epochs)
-        t0 = time.perf_counter()
-        model, history = train(dataset, desk_arch(), cfg)
-        train_s = time.perf_counter() - t0
-        best = model.training_meta["best_mrr"]
-        print(f"trained {cfg.epochs} epochs in {train_s:.1f}s, best in-sample MRR "
-              f"{best:.4f} at epoch {model.training_meta['epochs_seen']}")
+    cfg = desk_train_config()
+    t0 = time.perf_counter()
+    model, history = train(dataset, desk_arch(), cfg)
+    train_s = time.perf_counter() - t0
+    best = model.training_meta["best_mrr"]
+    print(f"trained {cfg.epochs} epochs in {train_s:.1f}s, best in-sample MRR "
+          f"{best:.4f} at epoch {model.training_meta['epochs_seen']}")
 
     reports = {}
-    for method in methods:
+    for method in METHODS:
         t0 = time.perf_counter()
         reports[method] = run_benchmark(dataset, method, model=model)
         print(f"benchmarked {method:14s} in {time.perf_counter() - t0:6.1f}s")
 
     print("\nMRR by number of labeled sources")
-    print("labeled  " + "  ".join(f"{m:>14s}" for m in methods))
-    for row in zip(*(reports[m].per_count for m in methods)):
+    print("labeled  " + "  ".join(f"{m:>14s}" for m in METHODS))
+    for row in zip(*(reports[m].per_count for m in METHODS)):
         print(f"{row[0].labeled_sources:7d}  " + "  ".join(f"{pc.mean_mrr:14.4f}" for pc in row))
-    row = "  ".join(f"{reports[m].overall_mrr:14.4f}" for m in methods)
+    row = "  ".join(f"{reports[m].overall_mrr:14.4f}" for m in METHODS)
     print(f"overall  {row}")
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        if model is not None:
-            save_model(model, args.out / "metric.bin")
-            atomic_write_text(args.out / "history.csv", history_to_csv(history))
+        save_model(model, args.out / "metric.bin")
+        atomic_write_text(args.out / "history.csv", history_to_csv(history))
         for method, report in reports.items():
             atomic_write_text(args.out / f"report_{method}.json", report_to_json(report))
         print(f"\nartifacts written to {args.out}/")

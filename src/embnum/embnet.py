@@ -107,10 +107,9 @@ class ResNet1d:
         for stage, _, in_ch, out_ch, stride in block_plan(arch):
             self.stages[stage].append(BasicBlock(in_ch, out_ch, stride))
         self.fc = Linear(chans[3], arch.k)
-        # the tap spans infer's plan reads at width arch.h, fixed per network
-        self.taps = _plan_taps(self, arch.h)
-        # infer's frozen forward and its programs; a taped forward or
-        # Model.load_state, the only writers of the running statistics, drops it
+        # infer's frozen forward and its programs, built at the first batch's
+        # width; a taped forward or Model.load_state, the only writers of the
+        # running statistics, drops it
         self.plan = None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -128,10 +127,10 @@ class ResNet1d:
     def infer(self, x: np.ndarray) -> np.ndarray:
         """The eval forward of a (B, 1, h) array, each batch norm on its
         running statistics, run on plain channels-last arrays by a _Plan
-        built once per state; each activation stays in its conv's GEMM
-        buffer."""
+        built once per state at width h, which embed has checked against
+        arch.h; each activation stays in its conv's GEMM buffer."""
         if self.plan is None:
-            self.plan = _Plan(self)
+            self.plan = _Plan(self, x.shape[2])
         return self.plan(x)
 
     def modules(self) -> dict[str, object]:
@@ -159,36 +158,15 @@ class ResNet1d:
         return out
 
 
-def _blocks(net: ResNet1d):
-    return (block for blocks in net.stages for block in blocks)
-
-
-def _conv_taps(conv: Conv1d, length: int) -> tuple:
-    return ops.tap_spans(length, conv.weight.data.shape[2], conv.stride, conv.padding)
-
-
-def _plan_taps(net: ResNet1d, h: int) -> tuple:
-    """The tap spans (ops.tap_spans) that net's eval forward reads at input
-    width h: the stem's, the max pool's, and (conv1, conv2, projection) per
-    block, the projection's None where the shortcut is the identity."""
-    stem = _conv_taps(net.stem_conv, h)
-    pool = ops.tap_spans(stem[0], *POOL)
-    length, blocks = pool[0], []
-    for b in _blocks(net):
-        conv1 = _conv_taps(b.conv1, length)
-        blocks.append((conv1, _conv_taps(b.conv2, conv1[0]),
-                       None if b.proj_conv is None else _conv_taps(b.proj_conv, length)))
-        length = conv1[0]
-    return stem, pool, blocks
-
-
-def _conv_bn(conv: Conv1d, bn: BatchNorm1d, taps: tuple) -> tuple:
-    """What one conv and the batch norm after it read in eval mode: the
-    (C_in*K, C_out) view of the conv's weight that ops.conv1d reads, its tap
-    spans, and (C,) views of the batch norm's running mean, gamma and beta
+def _conv_bn(conv: Conv1d, bn: BatchNorm1d, length: int) -> tuple:
+    """What one conv at input length `length` and the batch norm after it
+    read in eval mode: the (C_in*K, C_out) view of the conv's weight that
+    ops.conv1d reads, its tap spans (ops.tap_spans, as ops.conv1d looks them
+    up), and (C,) views of the batch norm's running mean, gamma and beta
     beside 1 / sqrt(running_var + eps), as batchnorm1d takes it of a batch
     variance."""
     w = conv.weight.data
+    taps = ops.tap_spans(length, w.shape[2], conv.stride, conv.padding)
     inv = 1.0 / np.sqrt(bn.running_var + ops.BN_EPS)
     return w.reshape(len(w), -1).T, taps, bn.running_mean, inv, bn.gamma.data, bn.beta.data
 
@@ -203,12 +181,6 @@ def _conv_bn_forward(layer: tuple, x: np.ndarray, steps: list | None) -> np.ndar
     return y
 
 
-def _relu_(y: np.ndarray, steps: list | None) -> np.ndarray:
-    ops.record(steps, np.fmax, y, 0, y)
-    ops.record(steps, np.add, y, 0, y)
-    return y
-
-
 class _Plan:
     """net's eval-mode forward as a function of one (B, 1, h) float32 array.
 
@@ -219,10 +191,12 @@ class _Plan:
     stays channels-last, (B, L, C), in the buffer of whole 8-row tiles that
     its conv's GEMM wrote: batch norm, relu and the residual add run in
     place over those contiguous rows with (C,) constants, and the next
-    conv's im2col and the max pool read it as it is.  The tap spans come from net.taps, fixed at construction.  The
-    plan holds views of the weights and of gamma and beta, which SGD and
-    init_weights update in place, and the batch norms' inverse deviations,
-    computed here once, so it is stale once the running statistics change.
+    conv's im2col and the max pool read it as it is.  Each layer's tap
+    spans come from ops.tap_spans, looked up once here by walking the
+    layers from width h, with the keys the taped ops use.  The plan holds
+    views of the weights and of gamma and beta, which SGD and init_weights
+    update in place, and the batch norms' inverse deviations, computed here
+    once, so it is stale once the running statistics change.
 
     forward runs the network layer by layer, allocating each activation and
     freeing it once read.  The first batch of each size whose buffers fit in
@@ -235,13 +209,15 @@ class _Plan:
     run forward, which is reentrant, outside the lock.
     """
 
-    def __init__(self, net: ResNet1d):
-        stem_taps, self.pool_taps, block_taps = net.taps
-        self.stem = _conv_bn(net.stem_conv, net.stem_bn, stem_taps)
-        self.blocks = [
-            (_conv_bn(b.conv1, b.bn1, taps1), _conv_bn(b.conv2, b.bn2, taps2),
-             None if b.proj_conv is None else _conv_bn(b.proj_conv, b.proj_bn, proj_taps))
-            for b, (taps1, taps2, proj_taps) in zip(_blocks(net), block_taps)]
+    def __init__(self, net: ResNet1d, h: int):
+        self.stem = _conv_bn(net.stem_conv, net.stem_bn, h)
+        self.pool_taps = ops.tap_spans(self.stem[1][0], *POOL)
+        length, self.blocks = self.pool_taps[0], []
+        for b in (block for blocks in net.stages for block in blocks):
+            conv1 = _conv_bn(b.conv1, b.bn1, length)
+            proj = None if b.proj_conv is None else _conv_bn(b.proj_conv, b.proj_bn, length)
+            length = conv1[1][0]
+            self.blocks.append((conv1, _conv_bn(b.conv2, b.bn2, length), proj))
         self.fc_wt, self.fc_bias = net.fc.weight.data.T, net.fc.bias.data
         self.programs: dict[int, tuple] = {}  # batch size -> (input buffer, steps)
         self.retained = 0  # bytes of the programs' buffers
@@ -281,12 +257,13 @@ class _Plan:
     def forward(self, x: np.ndarray, steps: list | None = None) -> np.ndarray:
         """The network's layer-by-layer eval forward on a (B, 1, h) array;
         with steps, each array call is recorded into it (ops.record)."""
-        y = _relu_(_conv_bn_forward(self.stem, x.transpose(0, 2, 1), steps), steps)
-        y = ops.maxpool_forward(y, self.pool_taps, steps=steps)
+        y = _conv_bn_forward(self.stem, x.transpose(0, 2, 1), steps)
+        y = ops.maxpool_forward(ops.relu_(y, y, steps), self.pool_taps, steps)
         for conv1, conv2, proj in self.blocks:
-            h = _conv_bn_forward(conv2, _relu_(_conv_bn_forward(conv1, y, steps), steps), steps)
+            h = _conv_bn_forward(conv1, y, steps)
+            h = _conv_bn_forward(conv2, ops.relu_(h, h, steps), steps)
             ops.record(steps, np.add, h, y if proj is None else _conv_bn_forward(proj, y, steps), h)
-            y = _relu_(h, steps)
+            y = ops.relu_(h, h, steps)
         pooled = np.empty((len(y), y.shape[2]), y.dtype)
         ops.record(steps, np.mean, y, axis=1, out=pooled)
         return ops.record(steps, np.add, ops._tiled_matmul(pooled, self.fc_wt, steps=steps),

@@ -14,25 +14,27 @@ their small-matrix kernel depends on.  The backward passes use plain GEMM,
 which is deterministic from run to run but not batch invariant; training
 needs no more than that.
 
-The forward arithmetic of conv1d and maxpool1d lives in array-level
-helpers, conv_forward and maxpool_forward, which the ops call and which
-embnet's frozen eval forward calls without a Tensor, so each is written
-once.  Both work channels-last: they read a (B, L, C) array and return one.
-conv_forward builds its (B*L_out, C_in*K) im2col matrix, allocated zeroed in
-whole tiles of rows, one kernel tap at a time from the input, writing only
-the positions that the tap reads; conv1d scatters the matrix's gradient back
-tap by tap in the same order, and no padded copy of the input is made.  Its
-product stays in the buffer of whole tiles that the GEMM wrote, so the eval
-forward runs batch norm, relu and the residual add over contiguous rows with
-(C,) constants.  maxpool_forward takes its max the same way, one tap at a
-time from strided slices of the input, where padded taps are -inf and never
-win; maxpool1d has it keep the index of each window's winning tap only when
-a tape needs it for the backward, which scatters the gradient back tap by
-tap.  Each tap's span of output positions comes from tap_spans, cached per
-shape for the ops and fixed once per network for the eval forward.  conv1d and
-maxpool1d return (B, C, L_out) views of the channels-last results, and batch
-norm and relu keep whatever layout they are given, so in training most maps
-also reach the next conv1d channels-last.
+The forward arithmetic of conv1d, relu and maxpool1d lives in array-level
+helpers, conv_forward, relu_ and maxpool_forward, which the ops call and
+which embnet's frozen eval forward calls without a Tensor, so each is
+written once.  conv_forward and maxpool_forward work channels-last: they
+read a (B, L, C) array and return one.  conv_forward builds its
+(B*L_out, C_in*K) im2col matrix, allocated zeroed in whole tiles of rows,
+one kernel tap at a time from the input, writing only the positions that
+the tap reads; conv1d scatters the matrix's gradient back tap by tap in the
+same order, and no padded copy of the input is made.  Its product stays in
+the buffer of whole tiles that the GEMM wrote, so the eval forward runs
+batch norm, relu and the residual add over contiguous rows with (C,)
+constants.  maxpool_forward takes its max the same way, one np.maximum per
+tap from strided slices of the input, where padded taps are -inf and never
+win; it is exact on the relu maps the network pools.  When a tape needs the
+backward, maxpool1d finds each window's first winning tap by equality with
+the max, and the backward scatters the gradient back tap by tap.  Each
+tap's span of output positions comes from tap_spans, cached per shape, for
+the ops and the eval forward alike.  conv1d and maxpool1d return
+(B, C, L_out) views of the channels-last results, and batch norm and relu
+keep whatever layout they are given, so in training most maps also reach
+the next conv1d channels-last.
 
 The array helpers also take an optional step list, which the Tensor ops
 never pass: each array call they make on data is appended to it through
@@ -163,12 +165,17 @@ def tap_spans(length: int, k: int, stride: int,
     return out_len, tuple(spans)
 
 
+def relu_(x: np.ndarray, out: np.ndarray, steps: list | None = None) -> np.ndarray:
+    """max(x, 0) into out, which may be x, with NaN, -inf and -0.0 all
+    mapped to +0.0: fmax drops the NaN and adding 0 turns -0.0 into +0.0.
+    steps records both calls (record)."""
+    record(steps, np.fmax, x, 0, out)
+    return record(steps, np.add, out, 0, out)
+
+
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0), with NaN, -inf and -0.0 all mapped to +0.0: fmax drops the
-    NaN and adding 0 turns -0.0 into +0.0.  The result keeps x's layout."""
-    y = np.fmax(x.data, 0)
-    y += 0
-    out = make(y, (x,))
+    """relu_ into a new array that keeps x's layout."""
+    out = make(relu_(x.data, np.empty_like(x.data)), (x,))
     if out.requires_grad:
         out._backward = lambda g, a=x, m=x.data > 0: a.accumulate(g * m)
     return out
@@ -275,53 +282,44 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor,
     return out
 
 
-def maxpool_forward(x: np.ndarray, taps: tuple, idx: np.ndarray | None = None,
-                    steps: list | None = None) -> np.ndarray:
+def maxpool_forward(x: np.ndarray, taps: tuple, steps: list | None = None) -> np.ndarray:
     """Max over the sliding windows that taps = tap_spans(L, kernel, stride,
     padding) gives, along axis 1 of a channels-last (B, L, C) array, into a
-    new (B, L_out, C) array; padded positions are -inf and never win.
-
-    With idx, a (B, L_out, C) integer array, the max is taken one tap at a
-    time from strided slices of x, a NaN counting as above every number and
-    the first NaN winning, as np.argmax picks, and each window's winning tap
-    is written into idx.  Without it each tap is folded in by np.maximum,
-    which gives the same bits only when x holds no NaN and no -0.0, as a
-    relu output does; only the frozen eval plan calls it so, and only this
-    form is recorded into steps (record): the -inf fill and each tap's max.
+    new (B, L_out, C) array: a -inf fill, so padded positions never win,
+    then each tap folded in by np.maximum from a strided slice of x.  That
+    is each window's exact max where x holds no NaN and no -0.0, as a relu
+    output does.  steps records the fill and each tap's max (record).
     """
     b, _, c = x.shape
     out_len, spans = taps
     y = np.empty((b, out_len, c), dtype=x.dtype)
     record(steps, np.copyto, y, -np.inf)
-    for kk, (lo, hi, src) in enumerate(spans):
-        tap = x[:, src]
+    for lo, hi, src in spans:
         best = y[:, lo:hi]
-        if idx is None:
-            record(steps, np.maximum, best, tap, out=best)
-            continue
-        wins = np.less_equal(tap, best)
-        np.logical_not(wins, out=wins)  # above best, or a NaN
-        wins &= best == best  # a NaN already held keeps its place
-        np.copyto(best, tap, where=wins)
-        np.copyto(idx[:, lo:hi], kk, where=wins)
+        record(steps, np.maximum, best, x[:, src], out=best)
     return y
 
 
 def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """maxpool_forward on x's (B, L, C) view, always with an index of each
-    window's winning tap, so the taped forward keeps its NaN and signed-zero
-    rules; the result is a (B, C, L_out) view of its channels-last output.
-    The backward adds each window's gradient into its input position tap by
-    tap in reversed order, so each position sums its windows in the order
-    np.add.at would.
+    """maxpool_forward on x's (B, L, C) view; the result is a (B, C, L_out)
+    view of its channels-last output.  The op takes relu-shaped maps, with
+    no NaN and no -0.0, as the network pools.  When a tape needs the
+    backward, each window's winning tap is the first whose value equals the
+    max, as np.argmax picks it, and the backward adds each window's gradient
+    into that tap's input position tap by tap in reversed order, so each
+    position sums its windows in the order np.add.at would.
     """
     b, c, length = x.data.shape
+    x_cl = x.data.transpose(0, 2, 1)
     taps = tap_spans(length, kernel, stride, padding)
-    out_len, spans = taps
-    idx = np.zeros((b, out_len, c), dtype=np.intp)
-    y = maxpool_forward(x.data.transpose(0, 2, 1), taps, idx)
+    y = maxpool_forward(x_cl, taps)
     out = make(y.transpose(0, 2, 1), (x,))
     if out.requires_grad:
+        spans = taps[1]
+        idx = np.zeros(y.shape, dtype=np.intp)
+        for kk in reversed(range(kernel)):
+            lo, hi, src = spans[kk]
+            np.copyto(idx[:, lo:hi], kk, where=x_cl[:, src] == y[:, lo:hi])
 
         def back(g, xt=x, am=idx.transpose(0, 2, 1)):
             gx = np.zeros((b, c, length), dtype=g.dtype)

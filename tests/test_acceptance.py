@@ -224,11 +224,13 @@ def _block_config(rng, c_in, c_out, stride):
 
 
 def _resnet_config(rng):
+    # batch 4: at h = 16 stage 3's maps are one position long, and batch norms
+    # over only 2 values curve the loss enough to fail the check on some draws
     arch = ArchConfig(h=16, k=4, stem_channels=4)
     net = as_float64(ResNet1d(arch))
     init_weights(net, rng)
-    proj = rng.standard_normal((2, arch.k))
-    x = Tensor(rng.standard_normal((2, 1, arch.h)), requires_grad=True)
+    proj = rng.standard_normal((4, arch.k))
+    x = Tensor(rng.standard_normal((4, 1, arch.h)), requires_grad=True)
 
     def fwd():
         return (net(x) * Tensor(proj)).sum()

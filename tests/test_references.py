@@ -1,7 +1,9 @@
 """Every top-level function and class in src/embnum/ and scripts/ is named
-somewhere in src/ or scripts/ outside its own definition, so library code
-that only tests reach shows up here.  ALLOWED lists the exceptions, each
-with its reason; an entry that gains a caller must leave the list."""
+somewhere in src/ or scripts/ outside its own definition, and every method,
+property and self. attribute of a top-level class is read there as an
+attribute outside its own definition, so library code and state that only
+tests reach show up here.  ALLOWED and ALLOWED_MEMBERS list the exceptions,
+each with its reason; an entry that gains a reader must leave its list."""
 
 import ast
 from pathlib import Path
@@ -17,6 +19,10 @@ ALLOWED = {
     "numeric_jaccard": "perfbench times it (ROADMAP item 5)",
     "rank_of_first_correct": "perfbench reads it (ROADMAP item 5)",
     "efficiency_spec": "perfbench builds its serve fixture from it (ROADMAP item 5)",
+}
+
+ALLOWED_MEMBERS = {
+    "FeatureStore.records": "perfbench reads it (ROADMAP item 5)",
 }
 
 
@@ -47,3 +53,25 @@ def test_every_top_level_name_has_a_caller_outside_tests():
         if not any(name in names for key, names in named_by.items() if key != (path, name))}
     assert sorted(unreferenced - ALLOWED.keys()) == [], "only tests reach these"
     assert sorted(ALLOWED.keys() - unreferenced) == [], "these have callers now"
+
+
+def test_every_class_member_is_read_outside_tests():
+    members, reads = [], []  # (class.member, nodes of its own definition); (attr, node)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [(sub.attr, sub) for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if not fn.name.startswith("__"):  # dunders are called by the language
+                    members.append((f"{cls.name}.{fn.name}", {id(sub) for sub in ast.walk(fn)}))
+                members += [(f"{cls.name}.{sub.attr}", set()) for sub in ast.walk(fn)
+                            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"]
+    unread = {qual for qual, own in members
+              if not any(attr == qual.rpartition(".")[2] and id(node) not in own
+                         for attr, node in reads)}
+    assert sorted(unread - ALLOWED_MEMBERS.keys()) == [], "only tests read these"
+    assert sorted(ALLOWED_MEMBERS.keys() - unread) == [], "these have readers now"
