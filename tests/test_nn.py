@@ -163,6 +163,18 @@ class TestOpForwardOracles:
         y = ops.maxpool1d(x, kernel=3, stride=2, padding=1)
         assert y.data.tolist() == [[[-1.0]]]
 
+    # the backward's index is each window's first tap equal to its max: the
+    # left 3 of [3, 3], and in an all-zero relu map, where padding never wins,
+    # each window's first real position
+    @pytest.mark.parametrize("data, kernel, padding, grad", [
+        ([1.0, 3.0, 3.0, 2.0], 2, 0, [0.0, 2.0, 1.0, 0.0]),
+        ([0.0, 0.0, 0.0], 3, 1, [2.0, 1.0, 0.0]),
+    ], ids=["overlapping-tie", "all-zero-padded"])
+    def test_maxpool_routes_grad_to_each_windows_first_max(self, data, kernel, padding, grad):
+        x = T(np.array([[data]]))
+        ops.maxpool1d(x, kernel=kernel, stride=1, padding=padding).sum().backward()
+        assert x.grad.tolist() == [[grad]]
+
     def test_global_avgpool(self):
         x = T(np.array([[[2.0, 4.0, 6.0]]]))
         assert ops.global_avgpool1d(x).data.tolist() == [[4.0]]
@@ -450,6 +462,21 @@ class TestMatchesReferenceOps:
             (y * 3.0).sum().backward()
             runs.append([_bits(a) for a in (y.data, xt.grad)])
         assert runs[0] == runs[1]
+
+    @given(window_cases(specials=True))
+    @settings(max_examples=50, deadline=None)
+    def test_relu_in_place_and_replayed(self, case):
+        # the frozen plan's forms of the one relu: in place, and replayed
+        # from its two recorded steps, each with the taped op's bits
+        want = _bits(ops.relu(Tensor(case["x"])).data)
+        y = case["x"].copy()
+        assert _bits(ops.relu_(y, y)) == want
+        out, steps = np.empty_like(case["x"]), []
+        ops.relu_(case["x"], out, steps)
+        out.fill(np.nan)
+        for step in steps:
+            step()
+        assert (_bits(out), len(steps)) == (want, 2)
 
     @given(window_cases(), st.booleans())
     @settings(max_examples=100, deadline=None)
