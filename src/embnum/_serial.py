@@ -26,15 +26,19 @@ from .errors import ChecksumMismatch, FormatVersionMismatch
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
     """Write via a temp file in the same directory so readers never see a
     half-written file.  The temp name is unique per call, so concurrent
-    writers of one path never share it, and it is removed if the write fails."""
+    writers of one path never share it, and it is removed if the write
+    fails; an OSError is raised again with path, not the temp file, as its
+    filename."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(blob)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

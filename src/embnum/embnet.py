@@ -108,8 +108,8 @@ class ResNet1d:
             self.stages[stage].append(BasicBlock(in_ch, out_ch, stride))
         self.fc = Linear(chans[3], arch.k)
         # infer's frozen forward and its programs, built at the first batch's
-        # width; a taped forward or Model.load_state, the only writers of the
-        # running statistics, drops it
+        # width; a taped forward or Model.load_state drops it, and infer
+        # builds it again once any batch norm array's bytes change
         self.plan = None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -127,9 +127,10 @@ class ResNet1d:
     def infer(self, x: np.ndarray) -> np.ndarray:
         """The eval forward of a (B, 1, h) array, each batch norm on its
         running statistics, run on plain channels-last arrays by a _Plan
-        built once per state at width h, which embed has checked against
-        arch.h; each activation stays in its conv's GEMM buffer."""
-        if self.plan is None:
+        built at width h, which embed has checked against arch.h, and built
+        again whenever it is stale(); each activation stays in its conv's
+        GEMM buffer."""
+        if self.plan is None or self.plan.stale():
             self.plan = _Plan(self, x.shape[2])
         return self.plan(x)
 
@@ -171,13 +172,24 @@ def _conv_bn(conv: Conv1d, bn: BatchNorm1d, length: int) -> tuple:
     return w.reshape(len(w), -1).T, taps, bn.running_mean, inv, bn.gamma.data, bn.beta.data
 
 
+_NORM_UFUNCS = (np.subtract, np.multiply, np.multiply, np.add)
+
+
 def _conv_bn_forward(layer: tuple, x: np.ndarray, steps: list | None) -> np.ndarray:
-    wt, taps, mean, inv, gamma, beta = layer
+    """The conv, then its batch norm as four in-place passes: ((y - mean) *
+    inv) * gamma + beta.  Run layer by layer each pass broadcasts a (C,)
+    constant; recorded, it reads a contiguous copy of the constant tiled to
+    y's own (B, L_out, C) shape, both operands flat, so replay takes numpy's
+    same-shape loop with the same bits."""
+    wt, taps, *norm = layer
     y = ops.conv_forward(x, wt, taps, steps)[0]
-    ops.record(steps, np.subtract, y, mean, y)
-    ops.record(steps, np.multiply, y, inv, y)
-    ops.record(steps, np.multiply, y, gamma, y)
-    ops.record(steps, np.add, y, beta, y)
+    if steps is None:
+        for fn, c in zip(_NORM_UFUNCS, norm):
+            fn(y, c, y)
+    else:
+        flat = y.reshape(-1)
+        for fn, c in zip(_NORM_UFUNCS, norm):
+            ops.record(steps, fn, flat, np.tile(c, y.size // c.size), flat)
     return y
 
 
@@ -190,23 +202,29 @@ class _Plan:
     statistics; no Tensor, tape or module call is made.  Each activation
     stays channels-last, (B, L, C), in the buffer of whole 8-row tiles that
     its conv's GEMM wrote: batch norm, relu and the residual add run in
-    place over those contiguous rows with (C,) constants, and the next
-    conv's im2col and the max pool read it as it is.  Each layer's tap
-    spans come from ops.tap_spans, looked up once here by walking the
-    layers from width h, with the keys the taped ops use.  The plan holds
-    views of the weights and of gamma and beta, which SGD and init_weights
-    update in place, and the batch norms' inverse deviations, computed here
-    once, so it is stale once the running statistics change.
+    place over those contiguous rows, and the next conv's im2col and the max
+    pool read it as it is.  Each layer's tap spans come from ops.tap_spans,
+    looked up once here by walking the layers from width h, with the keys
+    the taped ops use.  The plan holds views of the weights, which SGD and
+    init_weights update in place, the batch norms' inverse deviations,
+    computed here once, and the bytes of every batch norm's running_mean,
+    running_var, gamma and beta as they were here; stale() compares those
+    bytes with the arrays' current ones, and ResNet1d.infer builds a new
+    plan when they differ.
 
     forward runs the network layer by layer, allocating each activation and
-    freeing it once read.  The first batch of each size whose buffers fit in
+    freeing it once read; there batch norm broadcasts (C,) constants and
+    relu a scalar zero.  The first batch of each size whose buffers fit in
     what PROGRAM_BUDGET leaves also records that run's calls (ops.record)
     into a program: its input buffer and the steps over the buffers the run
-    allocated, which stay allocated.  A later batch of that size copies into
-    the input buffer and replays the steps, the same calls on the same
-    operand layouts, so the bits are forward's.  Replay writes shared
-    buffers, so one lock per plan serializes it; batches without a program
-    run forward, which is reentrant, outside the lock.
+    allocated, which stay allocated.  Those include each batch norm
+    constant tiled to its activation's shape and one zeros buffer for every
+    relu, so each recorded pass reads two same-shaped contiguous operands.
+    A later batch of that size copies into the input buffer and replays the
+    steps, the same calls on the same operand layouts, so the bits are
+    forward's.  Replay writes shared buffers, so one lock per plan
+    serializes it; batches without a program run forward, which is
+    reentrant, outside the lock.
     """
 
     def __init__(self, net: ResNet1d, h: int):
@@ -218,10 +236,19 @@ class _Plan:
             proj = None if b.proj_conv is None else _conv_bn(b.proj_conv, b.proj_bn, length)
             length = conv1[1][0]
             self.blocks.append((conv1, _conv_bn(b.conv2, b.bn2, length), proj))
+        self.convs = [self.stem, *(layer for block in self.blocks for layer in block if layer)]
         self.fc_wt, self.fc_bias = net.fc.weight.data.T, net.fc.bias.data
+        self.norms = [a for mod in net.modules().values() if isinstance(mod, BatchNorm1d)
+                      for a in (mod.running_mean, mod.running_var, mod.gamma.data, mod.beta.data)]
+        self.norm_bytes = np.concatenate(self.norms).tobytes()
         self.programs: dict[int, tuple] = {}  # batch size -> (input buffer, steps)
         self.retained = 0  # bytes of the programs' buffers
         self.lock = threading.Lock()
+
+    def stale(self) -> bool:
+        """Whether any batch norm array's bytes changed since the plan was
+        built (so -0.0 and each NaN compare as their bits)."""
+        return np.concatenate(self.norms).tobytes() != self.norm_bytes
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         with self.lock:
@@ -241,29 +268,43 @@ class _Plan:
                 return y
         return self.forward(x)
 
+    def conv_outputs(self, b: int) -> list[int]:
+        """The floats of each conv's (b, L_out, C_out) output, in self.convs' order."""
+        return [b * taps[0] * wt.shape[1] for wt, taps, *_ in self.convs]
+
     def program_bytes(self, x: np.ndarray) -> int:
         """An upper bound, from the shapes alone, on the bytes of the float32
         buffers that recording forward(x) allocates: the input's copy, each
-        conv's im2col matrix and product in whole tiles, the max pool's
-        output, the pooled means and their tile-padded copy, and the fc
-        product."""
+        conv's im2col matrix and product in whole tiles, its batch norm's
+        four tiled constants, the relu zeros, the max pool's output, the
+        pooled means and their tile-padded copy, and the fc product."""
         b, (c, k), rows = len(x), self.fc_wt.shape, ops.tile_rows
-        convs = [self.stem, *(layer for block in self.blocks for layer in block if layer)]
+        outputs = self.conv_outputs(b)
         floats = (x.size + b * self.pool_taps[0] * self.stem[0].shape[1]
-                  + sum(rows(b * taps[0]) * sum(wt.shape) for wt, taps, *_ in convs)
+                  + sum(rows(b * taps[0]) * sum(wt.shape) for wt, taps, *_ in self.convs)
+                  + 4 * sum(outputs) + max(outputs)
                   + (b + rows(b)) * c + rows(b) * k)
         return 4 * floats
 
     def forward(self, x: np.ndarray, steps: list | None = None) -> np.ndarray:
         """The network's layer-by-layer eval forward on a (B, 1, h) array;
         with steps, each array call is recorded into it (ops.record)."""
+        zeros = None if steps is None else np.zeros(max(self.conv_outputs(len(x))), x.dtype)
+
+        def relu(y):
+            if steps is None:
+                return ops.relu_(y, y)
+            flat = y.reshape(-1)
+            ops.relu_(flat, flat, steps, zeros[: flat.size])
+            return y
+
         y = _conv_bn_forward(self.stem, x.transpose(0, 2, 1), steps)
-        y = ops.maxpool_forward(ops.relu_(y, y, steps), self.pool_taps, steps)
+        y = ops.maxpool_forward(relu(y), self.pool_taps, steps)
         for conv1, conv2, proj in self.blocks:
             h = _conv_bn_forward(conv1, y, steps)
-            h = _conv_bn_forward(conv2, ops.relu_(h, h, steps), steps)
+            h = _conv_bn_forward(conv2, relu(h), steps)
             ops.record(steps, np.add, h, y if proj is None else _conv_bn_forward(proj, y, steps), h)
-            y = ops.relu_(h, h, steps)
+            y = relu(h)
         pooled = np.empty((len(y), y.shape[2]), y.dtype)
         ops.record(steps, np.mean, y, axis=1, out=pooled)
         return ops.record(steps, np.add, ops._tiled_matmul(pooled, self.fc_wt, steps=steps),

@@ -24,8 +24,8 @@ one kernel tap at a time from the input, writing only the positions that
 the tap reads; conv1d scatters the matrix's gradient back tap by tap in the
 same order, and no padded copy of the input is made.  Its product stays in
 the buffer of whole tiles that the GEMM wrote, so the eval forward runs
-batch norm, relu and the residual add over contiguous rows with (C,)
-constants.  maxpool_forward takes its max the same way, one np.maximum per
+batch norm, relu and the residual add in place over contiguous rows.
+maxpool_forward takes its max the same way, one np.maximum per
 tap from strided slices of the input, where padded taps are -inf and never
 win; it is exact on the relu maps the network pools.  When a tape needs the
 backward, maxpool1d finds each window's first winning tap by equality with
@@ -165,12 +165,16 @@ def tap_spans(length: int, k: int, stride: int,
     return out_len, tuple(spans)
 
 
-def relu_(x: np.ndarray, out: np.ndarray, steps: list | None = None) -> np.ndarray:
+def relu_(x: np.ndarray, out: np.ndarray, steps: list | None = None,
+          zero=0) -> np.ndarray:
     """max(x, 0) into out, which may be x, with NaN, -inf and -0.0 all
     mapped to +0.0: fmax drops the NaN and adding 0 turns -0.0 into +0.0.
-    steps records both calls (record)."""
-    record(steps, np.fmax, x, 0, out)
-    return record(steps, np.add, out, 0, out)
+    zero is the 0 that both calls take: the scalar, or an array of +0.0 of
+    x's shape, which gives the same bits through numpy's same-shape loop;
+    embnet's recorded eval programs pass one.  steps records both calls
+    (record)."""
+    record(steps, np.fmax, x, zero, out)
+    return record(steps, np.add, out, zero, out)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -153,6 +153,18 @@ class TestTrain:
                      str(tmp_path / "m.bin")] + TRAIN_FLAGS) == 1
         assert f"dataset root {tmp_path / 'nope'} does not exist" in capsys.readouterr().err
 
+    def test_a_history_path_that_is_a_directory_is_named_in_the_io_error(
+            self, data_dir, tmp_path, capsys):
+        # the history is written through a temp file beside it; the error
+        # names the path asked for and the temp file is removed
+        hist = tmp_path / "hist"
+        hist.mkdir()
+        assert main(["train", str(data_dir), "--out", str(tmp_path / "m.bin"),
+                     "--history", str(hist)] + TRAIN_FLAGS) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IoError: ") and repr(str(hist)) in err and ".tmp" not in err, err
+        assert list(tmp_path.rglob("*.tmp")) == [] and list(hist.iterdir()) == []
+
     def test_a_memory_error_without_a_message_still_says_what_failed(
             self, data_dir, tmp_path, capsys, monkeypatch):
         def refuse(*args):
@@ -394,6 +406,16 @@ class TestExport:
         assert main(["export-embeddings", str(model), str(data_dir),
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("label,source,e0,")
+
+    def test_an_out_path_in_a_missing_directory_is_named_in_the_io_error(
+            self, trained_paths, tmp_path, capsys):
+        data_dir, model, _ = trained_paths
+        out = tmp_path / "nonexistent" / "x.csv"
+        capsys.readouterr()
+        assert main(["export-embeddings", str(model), str(data_dir), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IoError: ") and repr(str(out)) in err and ".tmp" not in err, err
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     @pytest.mark.parametrize("missing", ["arch", "training_meta"])
     def test_malformed_checkpoint_is_named_error(self, trained_paths, missing, capsys):

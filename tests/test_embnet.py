@@ -350,7 +350,7 @@ class TestPrograms:
 
     @pytest.mark.parametrize("arch, programs", [(desk_arch(), {1, 10}),
                                                 (ArchConfig(stem_channels=64), {1})],
-                             ids=["desk", "full"])  # 10 full-width rows need 4.7 MiB
+                             ids=["desk", "full"])  # 10 full-width rows need 10.5 MiB
     def test_a_batch_over_the_budget_runs_the_layer_path_with_the_same_bytes(
             self, arch, programs, monkeypatch):
         rng = np.random.default_rng(12)
@@ -364,8 +364,9 @@ class TestPrograms:
         assert m.net.plan.programs == {} and m.net.plan.retained == 0
 
     def test_retained_buffers_stay_within_the_budget(self):
-        # one full-width row compiles a program of about 0.67 MiB; ten rows
-        # would need 4.7 MiB more, so they run layer by layer and keep nothing
+        # one full-width row compiles a program of about 1.25 MiB, its batch
+        # norms' tiled constants included; ten rows would need 10.5 MiB more,
+        # so they run layer by layer and keep nothing
         m = build_model(ArchConfig(stem_channels=64), 0)
         x = np.random.default_rng(0).standard_normal((10, m.arch.h)).astype(np.float32)
         tracemalloc.start()
@@ -378,6 +379,42 @@ class TestPrograms:
         assert set(m.net.plan.programs) == {1}
         assert m.net.plan.retained <= embnet.PROGRAM_BUDGET
         assert retained <= embnet.PROGRAM_BUDGET, f"{retained / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("arch, n", [(desk_arch(), 10), (ArchConfig(stem_channels=64), 1)],
+                             ids=["desk", "full"])
+    def test_a_program_sees_in_place_writes_to_the_batch_norms(self, arch, n):
+        # a program reads copies of each batch norm's constants, tiled to its
+        # activation's shape; an in-place write to any array they were copied
+        # from, with no load_state and no taped forward, must reach the next
+        # embed.  An unchanged model keeps its plan and programs
+        rng = np.random.default_rng(14)
+        m = build_model(arch, 0)
+        x = rng.standard_normal((n, arch.h)).astype(np.float32)
+        embed(m, x)
+        plan, program = m.net.plan, m.net.plan.programs[n]
+        for _ in range(3):
+            embed(m, x)
+        assert m.net.plan is plan and plan.programs == {n: program}
+        bn = m.net.stages[1][0].bn1
+        writes = [(bn.gamma.data, 0, -0.0),
+                  (bn.beta.data, ..., rng.normal(0.0, 0.5, bn.beta.data.shape)),
+                  (bn.running_mean, ..., rng.normal(0.0, 0.5, bn.running_mean.shape)),
+                  (bn.running_var, ..., rng.uniform(0.25, 4.0, bn.running_var.shape))]
+        for i, (array, where, value) in enumerate(writes):
+            before = embed(m, x).tobytes()
+            array[where] = value
+            got = embed(m, x)
+            assert got.tobytes() == eval_forward_reference(m.net, x[:, None, :]).tobytes(), i
+            assert got.tobytes() != before and m.net.plan is not plan, i
+            assert set(m.net.plan.programs) == {n}, i  # recorded again
+            plan = m.net.plan
+        # -0.0 equals 0.0 but has other bits: the check compares bytes
+        bn.beta.data[0] = 0.0
+        embed(m, x)
+        plan = m.net.plan
+        bn.beta.data[0] = -0.0
+        embed(m, x)
+        assert m.net.plan is not plan
 
     def test_an_empty_batch_embeds_to_no_rows(self):
         m = build_model(desk_arch(), 0)
