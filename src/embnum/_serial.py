@@ -92,25 +92,6 @@ def _dtype_tag(arr: np.ndarray) -> str:
     raise ValueError(f"only float32/float64 arrays are serializable, got {arr.dtype}")
 
 
-def _c_order(arr: np.ndarray) -> np.ndarray:
-    """arr as a C-contiguous little-endian array.  An array whose (len, -1)
-    view is a transposed matrix, as a wide conv weight's is (nn.ops.
-    conv_weight), is copied 64 x 64 elements at a time, so that both sides
-    of each copy stay within a few cache lines; any other goes through
-    np.ascontiguousarray.  Either way the bytes are the same."""
-    tag = _dtype_tag(arr)
-    if arr.flags.c_contiguous or arr.ndim < 2:
-        return np.ascontiguousarray(arr, dtype=tag)
-    src = arr.reshape(len(arr), -1)
-    if not src.flags.f_contiguous:
-        return np.ascontiguousarray(arr, dtype=tag)
-    out = np.empty(src.shape, dtype=tag)
-    for i in range(0, len(src), 64):
-        for j in range(0, src.shape[1], 64):
-            out[i : i + 64, j : j + 64] = src[i : i + 64, j : j + 64]
-    return out.reshape(arr.shape)
-
-
 def pack_framed(magic: bytes, version: int, meta: dict,
                 arrays: dict[str, np.ndarray]) -> bytes:
     """Serialize named float arrays plus a JSON metadata dict."""
@@ -122,7 +103,7 @@ def pack_framed(magic: bytes, version: int, meta: dict,
     ]
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [magic, struct.pack("<II", version, len(mbytes)), mbytes, *(
-        memoryview(_c_order(arr)) for arr in arrays.values())]
+        memoryview(np.ascontiguousarray(arr, dtype=_dtype_tag(arr))) for arr in arrays.values())]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)

@@ -25,7 +25,7 @@ from .sampling import sample_inverse_transform
 MODEL_MAGIC = b"EMBN"
 MODEL_VERSION = 1
 EMBED_CHUNK = 512  # rows per forward pass of embed()
-DISTANCE_BUDGET = 1 << 16  # float64 differences held per block of distances()
+DISTANCE_BUDGET = 1 << 16  # float64 values per block of distances() and training_mrr
 PROGRAM_BUDGET = 2 << 20  # bytes of buffers one eval plan's programs retain
 
 
@@ -39,6 +39,9 @@ class ArchConfig:
         _serial.check(asdict(self), CHECKPOINT["arch"], InvalidArch, "arch")
         if min(self.h, self.k, self.stem_channels) < 1:
             raise InvalidArch(f"every field must be >= 1: {self}")
+        for name, shape in state_shapes(self):  # float32 arrays numpy can address
+            if 4 * math.prod(shape) >= 1 << 63:
+                raise InvalidArch(f"{name} would need 2**63 bytes or more: {self}")
 
     @property
     def stage_channels(self) -> tuple[int, int, int, int]:
@@ -108,14 +111,13 @@ class ResNet1d:
             self.stages[stage].append(BasicBlock(in_ch, out_ch, stride))
         self.fc = Linear(chans[3], arch.k)
         # infer's frozen forward and its programs, built at the first batch's
-        # width; a taped forward or Model.load_state drops it, and infer
-        # builds it again once any batch norm array's bytes change
+        # width and built again once any batch norm array's bytes change
         self.plan = None
 
     def __call__(self, x: Tensor) -> Tensor:
         """Training's taped forward: each batch norm normalizes by the batch's
-        statistics and moves its running ones, so the frozen plan is dropped."""
-        self.plan = None
+        statistics and moves its running ones, which makes the frozen plan
+        stale()."""
         y = ops.relu(self.stem_bn(self.stem_conv(x)))
         y = ops.maxpool1d(y, *POOL)
         for blocks in self.stages:
@@ -128,8 +130,8 @@ class ResNet1d:
         """The eval forward of a (B, 1, h) array, each batch norm on its
         running statistics, run on plain channels-last arrays by a _Plan
         built at width h, which embed has checked against arch.h, and built
-        again whenever it is stale(); each activation stays in its conv's
-        GEMM buffer."""
+        again whenever it is stale(), the one rule by which it is rebuilt;
+        each activation stays in its conv's GEMM buffer."""
         if self.plan is None or self.plan.stale():
             self.plan = _Plan(self, x.shape[2])
         return self.plan(x)
@@ -205,12 +207,13 @@ class _Plan:
     place over those contiguous rows, and the next conv's im2col and the max
     pool read it as it is.  Each layer's tap spans come from ops.tap_spans,
     looked up once here by walking the layers from width h, with the keys
-    the taped ops use.  The plan holds views of the weights, which SGD and
-    init_weights update in place, the batch norms' inverse deviations,
-    computed here once, and the bytes of every batch norm's running_mean,
-    running_var, gamma and beta as they were here; stale() compares those
-    bytes with the arrays' current ones, and ResNet1d.infer builds a new
-    plan when they differ.
+    the taped ops use.  The plan holds views of the weights, which SGD,
+    init_weights and Model.load_state write in place, the batch norms'
+    inverse deviations, computed here once, and the bytes of every batch
+    norm's running_mean, running_var, gamma and beta as they were here;
+    stale() compares those bytes with the arrays' current ones, and
+    ResNet1d.infer builds a new plan when they differ, its only rebuild
+    rule, which also covers the taped forward's running statistics.
 
     forward runs the network layer by layer, allocating each activation and
     freeing it once read; there batch norm broadcasts (C,) constants and
@@ -324,16 +327,16 @@ class Model:
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy every parameter and buffer in from arrays, into the buffers
-        the layers allocated, so each keeps its layout (ops.conv_weight),
-        and drop the network's frozen forward.  Unless arrays hold exactly
-        this model's names and shapes, InvalidArch names the first that
-        differs and nothing is copied."""
+        the layers allocated, so each keeps its layout (ops.conv_weight) and
+        the frozen plan's weight views see the copy; the plan is rebuilt
+        only if a batch norm array's bytes change (_Plan.stale).  Unless
+        arrays hold exactly this model's names and shapes, InvalidArch names
+        the first that differs and nothing is copied."""
         state = self.state_dict()
         shapes = {name: np.shape(a) for name, a in arrays.items()}
         for name in sorted(state.keys() | shapes.keys()):
             if name not in state or shapes.get(name) != state[name].shape:
                 raise InvalidArch(f"state array {name!r} is missing, extra or misshapen")
-        self.net.plan = None
         for name, buf in state.items():
             np.copyto(buf, arrays[name])
 
@@ -392,7 +395,8 @@ def distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     each row of a (queries, k) block.  Mining, training MRR and labeling all
     rank by it.  Query rows go a block at a time, as many as keep
     the block's differences within DISTANCE_BUDGET float64 values (at least
-    one row), through one buffer allocated per call; each block sums its
+    one row), through one buffer allocated per call; the same budget bounds
+    the rows metric.training_mrr ranks per block.  Each block sums its
     squares with one einsum, which gives every row the bits of summing it
     alone.  Squares underflow for points under about 1e-154 apart (to
     exactly 0 under 1e-162); distinct float32 embeddings are at least

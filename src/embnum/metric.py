@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _serial
+from . import _serial, embnet
 from .dataset import Dataset
 from .embnet import ArchConfig, Model, build_model, distances, embed, preprocess
 from .errors import DegenerateBatch, InsufficientSamples, InvalidSpec, NonFiniteLoss
@@ -29,9 +29,6 @@ LR_STEP = 10
 LR_DECAY = 0.1
 MOMENTUM = 0.9
 WEIGHT_DECAY = 1e-5
-
-# Rows ranked at once by training_mrr, each against all n rows.
-MRR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -48,8 +45,9 @@ class TrainConfig:
             raise InvalidSpec(f"epochs must be positive, got {self.epochs}")
         if self.batch_labels < 2:
             raise InvalidSpec(f"batch_labels must be >= 2, got {self.batch_labels}")
-        if self.samples_per_label < 2:
-            raise InvalidSpec(f"samples_per_label must be >= 2, got {self.samples_per_label}")
+        if not 2 <= self.samples_per_label < 1 << 60:  # an int64 draw array numpy can size
+            raise InvalidSpec(f"samples_per_label must be from 2 to 2**60 - 1, "
+                              f"got {self.samples_per_label}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
@@ -101,13 +99,15 @@ def training_mrr(embeddings: np.ndarray, labels) -> float:
     """Each row queries all the others, ranked as labeling ranks a store: by
     distance, ties by label, then by index.  The reciprocal rank of the first
     same-label hit (0 when there is none) is averaged in input order.  Rows
-    are ranked MRR_BLOCK at a time, so memory grows as n * MRR_BLOCK, not
-    n * n."""
+    are ranked a block at a time, as many as keep the block's distances
+    within embnet.DISTANCE_BUDGET values (at least one row), so memory
+    grows with n, not n * n."""
     emb = np.asarray(embeddings, dtype=np.float64)
     _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     rr = np.zeros(len(emb))
-    for lo in range(0, len(emb), MRR_BLOCK):
-        rows = np.arange(lo, min(lo + MRR_BLOCK, len(emb)))
+    step = max(1, embnet.DISTANCE_BUDGET // max(len(emb), 1))
+    for lo in range(0, len(emb), step):
+        rows = np.arange(lo, min(lo + step, len(emb)))
         dist = distances(emb, emb[rows])
         order = np.lexsort((np.broadcast_to(codes, dist.shape), dist))
         is_self = order == rows[:, None]  # by index: an inf stand-in for self can tie

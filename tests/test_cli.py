@@ -137,6 +137,19 @@ class TestTrain:
                      "--seed", "-1"]) == 1
         assert "InvalidSpec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, error", [("--samples-per-label", "InvalidSpec"),
+                                             ("--k", "InvalidArch"),
+                                             ("--stem-channels", "InvalidArch")])
+    def test_a_size_numpy_cannot_address_is_a_named_error(self, data_dir, tmp_path, capsys,
+                                                          flag, error):
+        # 10**20 int64 draws, or a weight of 10**20 rows, are more bytes than
+        # numpy can size; the configs refuse them before anything is built
+        out = tmp_path / "m.bin"
+        assert main(["train", str(data_dir), "--out", str(out), flag, str(10**20)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{error}: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_dataset(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "nope"), "--out",
                      str(tmp_path / "m.bin")] + TRAIN_FLAGS)

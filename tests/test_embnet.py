@@ -225,8 +225,8 @@ class TestEmbed:
     def test_the_frozen_plan_gives_the_taped_forwards_bits(self, arch):
         # embed runs a plan frozen from the model's state; it must give the
         # bits of the taped eval forward (eval_forward_reference), and be
-        # rebuilt whenever the running statistics move: on load_state and on
-        # a taped forward
+        # rebuilt whenever the running statistics move, as load_state and a
+        # taped forward move them here
         rng = np.random.default_rng(11)
 
         def randomize_norms(model):
@@ -359,7 +359,7 @@ class TestPrograms:
         replayed = [embed(m, x).tobytes() for x in batches]
         assert set(m.net.plan.programs) == programs
         monkeypatch.setattr(embnet, "PROGRAM_BUDGET", 0)
-        m.load_state(m.state_dict())  # drops the plan and its programs
+        m.net.plan = None  # drops the plan and its programs
         assert [embed(m, x).tobytes() for x in batches] == replayed
         assert m.net.plan.programs == {} and m.net.plan.retained == 0
 
@@ -415,6 +415,35 @@ class TestPrograms:
         bn.beta.data[0] = -0.0
         embed(m, x)
         assert m.net.plan is not plan
+
+    @pytest.mark.parametrize("arch, n", [(desk_arch(), 10), (ArchConfig(stem_channels=64), 1)],
+                             ids=["desk", "full"])
+    def test_only_a_batch_norm_change_rebuilds_the_plan(self, arch, n):
+        # load_state copies into the buffers the plan views, so new weights
+        # with byte-identical batch norm arrays keep the plan and its
+        # programs; a taped forward moves the running statistics, and the
+        # plan is rebuilt at the next embed, not before
+        rng = np.random.default_rng(15)
+        m = build_model(arch, 0)
+        norms = ("gamma", "beta", "running_mean", "running_var")
+        for name, a in m.state_dict().items():
+            if name.endswith(norms):
+                a[...] = rng.uniform(0.5, 2.0, a.shape)
+        x = rng.standard_normal((n, arch.h)).astype(np.float32)
+        before = embed(m, x).tobytes()
+        plan, program = m.net.plan, m.net.plan.programs[n]
+        other = build_model(arch, 1).state_dict()
+        state = {name: a if name.endswith(norms) else other[name]
+                 for name, a in m.state_dict().items()}
+        m.load_state(state)
+        got = embed(m, x).tobytes()
+        assert m.net.plan is plan and plan.programs == {n: program}
+        assert got == eval_forward_reference(m.net, x[:, None, :]).tobytes() != before
+        m.net(Tensor(rng.standard_normal((4, 1, arch.h)).astype(np.float32)))
+        assert m.net.plan is plan
+        got = embed(m, x).tobytes()
+        assert m.net.plan is not plan and set(m.net.plan.programs) == {n}
+        assert got == eval_forward_reference(m.net, x[:, None, :]).tobytes()
 
     def test_an_empty_batch_embeds_to_no_rows(self):
         m = build_model(desk_arch(), 0)
@@ -567,15 +596,6 @@ class TestCheckpointFormat:
         doctored = _serial.pack_framed(MODEL_MAGIC, MODEL_VERSION, manifest, arrays)
         with pytest.raises(MalformedCheckpoint):
             model_from_bytes(doctored)
-
-    def test_the_blocked_transpose_writes_the_contiguous_copys_bytes(self, monkeypatch):
-        # pack_framed copies the full-width net's transposed wide weights
-        # in blocks; the checkpoint must keep the bytes of a plain copy
-        model = build_model(ArchConfig(stem_channels=64), seed=0)
-        blob = model_to_bytes(model)
-        monkeypatch.setattr(_serial, "_c_order",
-                            lambda arr: np.ascontiguousarray(arr, dtype=_serial._dtype_tag(arr)))
-        assert model_to_bytes(model) == blob
 
     def test_model_bytes_see_meta_and_weights(self):
         a = build_model(TINY, seed=0)

@@ -251,16 +251,18 @@ class TestTrainingMrr:
         points, labels = case
         emb = np.array(points)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metric_mod, "MRR_BLOCK", block)
+            mp.setattr(embnet_mod, "DISTANCE_BUDGET", block * len(emb))  # `block` rows a block
             got = training_mrr(emb, labels)
         assert got.hex() == training_mrr_reference(emb, labels).hex()
 
     def test_rows_past_one_block_equal_the_row_at_a_time_ranking(self):
         rng = np.random.default_rng(3)
-        n = 2 * metric_mod.MRR_BLOCK + 3
+        n = 2 * 256 + 3
         emb = np.round(rng.standard_normal((n, 2)) * 2) / 2  # duplicates on a grid
         labels = [f"l{i}" for i in rng.integers(0, n // 3, size=n)]
-        got = training_mrr(emb, labels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(embnet_mod, "DISTANCE_BUDGET", 256 * n)  # blocks of 256 rows
+            got = training_mrr(emb, labels)
         assert got.hex() == training_mrr_reference(emb, labels).hex()
 
     def test_memory_grows_with_rows_not_pairs(self):

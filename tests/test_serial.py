@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from embnum._serial import _c_order, atomic_write_bytes, check, pack_framed, unpack_framed
+from embnum._serial import atomic_write_bytes, check, pack_framed, unpack_framed
 from embnum.errors import ChecksumMismatch
 
 MAGIC = b"TEST"
@@ -41,16 +41,19 @@ def test_pack_framed_writes_the_documented_layout():
                          ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_a_transposed_array_is_copied_in_c_order(shape, dtype):
-    # the blocked copy of a transposed matrix, as a wide conv weight is
-    # stored, must give the bytes np.ascontiguousarray gives
+    # a transposed matrix, as a wide conv weight is stored, and an array in
+    # neither C nor F order must be framed with np.ascontiguousarray's bytes
     rng = np.random.default_rng(0)
     rows = np.ascontiguousarray(rng.standard_normal((np.prod(shape[1:]), shape[0])), dtype=dtype)
-    arr = rows.T.reshape(shape)
-    got = _c_order(arr)
-    assert got.flags.c_contiguous and got.dtype == dtype
-    assert got.tobytes() == np.ascontiguousarray(arr).tobytes()
-    strided = rng.standard_normal((6, 4))[::2, ::3].astype(dtype)  # neither C nor F order
-    assert _c_order(strided).tobytes() == np.ascontiguousarray(strided).tobytes()
+    arrays = {"t": rows.T.reshape(shape),
+              "s": rng.standard_normal((6, 4))[::2, ::3].astype(dtype)}
+    blob = pack_framed(MAGIC, 1, {}, arrays)
+    payload = b"".join(np.ascontiguousarray(a).tobytes() for a in arrays.values())
+    assert blob[-4 - len(payload) : -4] == payload
+    got = unpack_framed(blob, MAGIC, 1)[1]
+    for name, arr in arrays.items():
+        assert got[name].dtype == dtype
+        assert got[name].tobytes() == np.ascontiguousarray(arr).tobytes()
 
 
 def test_frame_round_trips():
