@@ -62,54 +62,81 @@ def block_plan(arch: ArchConfig):
 POOL = (3, 2, 1)  # the stem's max pool: kernel, stride, padding
 
 
-def _projects(in_channels: int, out_channels: int, stride: int) -> bool:
-    return stride != 1 or in_channels != out_channels  # the shortcut changes shape
+def block_convs(in_ch: int, out_ch: int, stride: int, prefix: str = ""):
+    """conv_table's rows for one residual block: two 3-wide convs, the first
+    strided, then a strided 1-wide projection when the shortcut changes shape."""
+    yield prefix + "conv1", prefix + "bn1", (out_ch, in_ch, 3), stride, 1
+    yield prefix + "conv2", prefix + "bn2", (out_ch, out_ch, 3), 1, 1
+    if stride != 1 or in_ch != out_ch:
+        yield prefix + "proj_conv", prefix + "proj_bn", (out_ch, in_ch, 1), stride, 0
 
 
-class BasicBlock:
-    """Two 3-wide convolutions with a residual connection.
+def conv_table(arch: ArchConfig):
+    """(conv name, name of the batch norm it feeds, (C_out, C_in, K), stride,
+    padding) of every conv of a ResNet1d(arch), in state order: the 7-wide
+    strided stem, then each block of block_plan.  The one place the layer
+    layout is written: the modules are built from its rows and state_shapes
+    reads them."""
+    yield "stem_conv", "stem_bn", (arch.stem_channels, 1, 7), 2, 3
+    for stage, block, in_ch, out_ch, stride in block_plan(arch):
+        yield from block_convs(in_ch, out_ch, stride, f"stage{stage}.{block}.")
 
-    The shortcut is the identity when shapes match, else a strided 1-wide
-    projection conv + batch norm.
-    """
 
-    def __init__(self, in_channels: int, out_channels: int, stride: int):
-        self.conv1 = Conv1d(in_channels, out_channels, 3, stride=stride, padding=1)
-        self.bn1 = BatchNorm1d(out_channels)
-        self.conv2 = Conv1d(out_channels, out_channels, 3, padding=1)
-        self.bn2 = BatchNorm1d(out_channels)
-        self.proj_conv = self.proj_bn = None
-        if _projects(in_channels, out_channels, stride):
-            self.proj_conv = Conv1d(in_channels, out_channels, 1, stride=stride)
-            self.proj_bn = BatchNorm1d(out_channels)
+class _Layers:
+    """A Conv1d and the BatchNorm1d it feeds per conv_table row, as (conv,
+    bn) pairs in row order, and every module by its state name (modules),
+    in the order that fixes state_dict and init_weights' draw."""
 
-    def __call__(self, x: Tensor) -> Tensor:
-        y = ops.relu(self.bn1(self.conv1(x)))
-        y = self.bn2(self.conv2(y))
-        if self.proj_conv is not None:
-            shortcut = self.proj_bn(self.proj_conv(x))
-        else:
-            shortcut = x
-        return ops.relu(y + shortcut)
+    def __init__(self, rows):
+        self.pairs, self.layers = [], {}
+        for conv, bn, (c_out, c_in, k), stride, padding in rows:
+            pair = Conv1d(c_in, c_out, k, stride=stride, padding=padding), BatchNorm1d(c_out)
+            self.pairs.append(pair)
+            self.layers.update(zip((conv, bn), pair))
 
     def modules(self) -> dict[str, object]:
-        out = {"conv1": self.conv1, "bn1": self.bn1,
-               "conv2": self.conv2, "bn2": self.bn2}
-        if self.proj_conv is not None:
-            out["proj_conv"] = self.proj_conv
-            out["proj_bn"] = self.proj_bn
-        return out
+        return self.layers
+
+    def named_params(self) -> dict[str, Tensor]:
+        return {f"{prefix}.{name}": p for prefix, mod in self.layers.items()
+                for name, p in mod.params().items()}
+
+    def named_buffers(self) -> dict[str, np.ndarray]:
+        return {f"{prefix}.{name}": b for prefix, mod in self.layers.items()
+                if isinstance(mod, BatchNorm1d) for name, b in mod.buffers().items()}
 
 
-class ResNet1d:
+class BasicBlock(_Layers):
+    """Two 3-wide convolutions with a residual connection, built from
+    block_convs' rows: pairs holds (conv1, bn1), (conv2, bn2) and, when the
+    shortcut is not the identity, its projection (proj_conv, proj_bn)."""
+
+    def __init__(self, in_channels: int, out_channels: int, stride: int, prefix: str = ""):
+        super().__init__(block_convs(in_channels, out_channels, stride, prefix))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        (conv1, bn1), (conv2, bn2), *proj = self.pairs
+        y = bn2(conv2(ops.relu(bn1(conv1(x)))))
+        for conv, bn in proj:
+            x = bn(conv(x))
+        return ops.relu(y + x)
+
+
+class ResNet1d(_Layers):
+    """Built from conv_table: pairs holds the stem's pair, then each block's,
+    in row order, and layers ends with fc.  The taped forward calls the stem,
+    the blocks and fc through their attributes, which a tracer may wrap."""
+
     def __init__(self, arch: ArchConfig):
-        chans = arch.stage_channels
-        self.stem_conv = Conv1d(1, chans[0], 7, stride=2, padding=3)
-        self.stem_bn = BatchNorm1d(chans[0])
-        self.stages: list[list[BasicBlock]] = [[] for _ in chans]
-        for stage, _, in_ch, out_ch, stride in block_plan(arch):
-            self.stages[stage].append(BasicBlock(in_ch, out_ch, stride))
-        self.fc = Linear(chans[3], arch.k)
+        super().__init__([next(conv_table(arch))])
+        self.stem_conv, self.stem_bn = self.pairs[0]
+        self.stages: list[list[BasicBlock]] = [[] for _ in arch.stage_channels]
+        for stage, j, in_ch, out_ch, stride in block_plan(arch):
+            block = BasicBlock(in_ch, out_ch, stride, f"stage{stage}.{j}.")
+            self.stages[stage].append(block)
+            self.pairs += block.pairs
+            self.layers.update(block.layers)
+        self.fc = self.layers["fc"] = Linear(arch.stage_channels[3], arch.k)
         # infer's frozen forward and its programs, built at the first batch's
         # width and built again once any batch norm array's bytes change
         self.plan = None
@@ -135,30 +162,6 @@ class ResNet1d:
         if self.plan is None or self.plan.stale():
             self.plan = _Plan(self, x.shape[2])
         return self.plan(x)
-
-    def modules(self) -> dict[str, object]:
-        out: dict[str, object] = {"stem_conv": self.stem_conv, "stem_bn": self.stem_bn}
-        for i, blocks in enumerate(self.stages):
-            for j, block in enumerate(blocks):
-                for name, mod in block.modules().items():
-                    out[f"stage{i}.{j}.{name}"] = mod
-        out["fc"] = self.fc
-        return out
-
-    def named_params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix, mod in self.modules().items():
-            for name, p in mod.params().items():
-                out[f"{prefix}.{name}"] = p
-        return out
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for prefix, mod in self.modules().items():
-            if isinstance(mod, BatchNorm1d):
-                for name, b in mod.buffers().items():
-                    out[f"{prefix}.{name}"] = b
-        return out
 
 
 def _conv_bn(conv: Conv1d, bn: BatchNorm1d, length: int) -> tuple:
@@ -234,15 +237,16 @@ class _Plan:
         self.stem = _conv_bn(net.stem_conv, net.stem_bn, h)
         self.pool_taps = ops.tap_spans(self.stem[1][0], *POOL)
         length, self.blocks = self.pool_taps[0], []
-        for b in (block for blocks in net.stages for block in blocks):
-            conv1 = _conv_bn(b.conv1, b.bn1, length)
-            proj = None if b.proj_conv is None else _conv_bn(b.proj_conv, b.proj_bn, length)
+        for block in (b for blocks in net.stages for b in blocks):
+            first, second, *proj = block.pairs
+            conv1 = _conv_bn(*first, length)
+            proj = [_conv_bn(*pair, length) for pair in proj]
             length = conv1[1][0]
-            self.blocks.append((conv1, _conv_bn(b.conv2, b.bn2, length), proj))
-        self.convs = [self.stem, *(layer for block in self.blocks for layer in block if layer)]
+            self.blocks.append((conv1, _conv_bn(*second, length), *proj))
+        self.convs = [self.stem, *(layer for block in self.blocks for layer in block)]
         self.fc_wt, self.fc_bias = net.fc.weight.data.T, net.fc.bias.data
-        self.norms = [a for mod in net.modules().values() if isinstance(mod, BatchNorm1d)
-                      for a in (mod.running_mean, mod.running_var, mod.gamma.data, mod.beta.data)]
+        self.norms = [a for _, bn in net.pairs
+                      for a in (bn.running_mean, bn.running_var, bn.gamma.data, bn.beta.data)]
         self.norm_bytes = np.concatenate(self.norms).tobytes()
         self.programs: dict[int, tuple] = {}  # batch size -> (input buffer, steps)
         self.retained = 0  # bytes of the programs' buffers
@@ -303,10 +307,12 @@ class _Plan:
 
         y = _conv_bn_forward(self.stem, x.transpose(0, 2, 1), steps)
         y = ops.maxpool_forward(relu(y), self.pool_taps, steps)
-        for conv1, conv2, proj in self.blocks:
+        for conv1, conv2, *proj in self.blocks:
             h = _conv_bn_forward(conv1, y, steps)
             h = _conv_bn_forward(conv2, relu(h), steps)
-            ops.record(steps, np.add, h, y if proj is None else _conv_bn_forward(proj, y, steps), h)
+            for layer in proj:
+                y = _conv_bn_forward(layer, y, steps)
+            ops.record(steps, np.add, h, y, h)
             y = relu(h)
         pooled = np.empty((len(y), y.shape[2]), y.dtype)
         ops.record(steps, np.mean, y, axis=1, out=pooled)
@@ -424,21 +430,13 @@ def model_frame(model: Model) -> tuple[dict, dict[str, np.ndarray]]:
 
 def state_shapes(arch: ArchConfig):
     """(name, shape) of every array in a ResNet1d(arch)'s state, from the
-    arch alone, so a checkpoint is checked before any array is allocated."""
-    def conv_bn(conv: str, bn: str, shape: tuple):
+    arch alone (conv_table), so a checkpoint is checked before any array is
+    allocated."""
+    for conv, bn, shape, _, _ in conv_table(arch):
         yield f"{conv}.weight", shape
         for name in ("gamma", "beta", "running_mean", "running_var"):
             yield f"{bn}.{name}", shape[:1]
-
-    chans = arch.stage_channels
-    yield from conv_bn("stem_conv", "stem_bn", (chans[0], 1, 7))
-    for stage, block, in_ch, out_ch, stride in block_plan(arch):
-        p = f"stage{stage}.{block}."
-        yield from conv_bn(p + "conv1", p + "bn1", (out_ch, in_ch, 3))
-        yield from conv_bn(p + "conv2", p + "bn2", (out_ch, out_ch, 3))
-        if _projects(in_ch, out_ch, stride):
-            yield from conv_bn(p + "proj_conv", p + "proj_bn", (out_ch, in_ch, 1))
-    yield "fc.weight", (arch.k, chans[3])
+    yield "fc.weight", (arch.k, arch.stage_channels[3])
     yield "fc.bias", (arch.k,)
 
 

@@ -354,10 +354,11 @@ def eval_forward_reference(net, x: np.ndarray) -> np.ndarray:
     y = ops.relu(eval_conv_bn_reference(net.stem_conv, net.stem_bn, Tensor(x)))
     y = ops.maxpool1d(y, *POOL)
     for block in (b for blocks in net.stages for b in blocks):
-        h = ops.relu(eval_conv_bn_reference(block.conv1, block.bn1, y))
-        h = eval_conv_bn_reference(block.conv2, block.bn2, h)
-        if block.proj_conv is not None:
-            y = eval_conv_bn_reference(block.proj_conv, block.proj_bn, y)
+        (conv1, bn1), (conv2, bn2), *proj = block.pairs
+        h = ops.relu(eval_conv_bn_reference(conv1, bn1, y))
+        h = eval_conv_bn_reference(conv2, bn2, h)
+        for conv, bn in proj:
+            y = eval_conv_bn_reference(conv, bn, y)
         y = ops.relu(h + y)
     return net.fc(ops.global_avgpool1d(y)).data
 

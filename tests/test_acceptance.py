@@ -35,7 +35,7 @@ from embnum.labeling import (
     run_benchmark,
 )
 from embnum.metric import mine_batch_hard, triplet_loss
-from embnum.nn import BatchNorm1d, Tensor, ops
+from embnum.nn import Tensor, ops
 from embnum.sampling import sample_inverse_transform
 from gradcheck import as_float64, check_gradients, check_network
 from oracles import (
@@ -83,17 +83,6 @@ def test_criterion_1():
 
 
 # -- criterion 2: finite-difference gradient checks --------------------------
-
-
-def _module_state(mod_map):
-    params, buffers = {}, {}
-    for name, mod in mod_map.items():
-        for pn, p in mod.params().items():
-            params[f"{name}.{pn}"] = p
-        if isinstance(mod, BatchNorm1d):
-            for bn, b in mod.buffers().items():
-                buffers[f"{name}.{bn}"] = b
-    return params, buffers
 
 
 def _conv_config(rng, b, c_in, c_out, length, k, stride, padding, shift):
@@ -211,7 +200,6 @@ def _misc_configs(rng):
 def _block_config(rng, c_in, c_out, stride):
     block = as_float64(BasicBlock(c_in, c_out, stride))
     init_weights(block, rng)
-    params, buffers = _module_state(block.modules())
     length = 8
     out_len = math.ceil(length / stride)
     proj = rng.standard_normal((2, c_out, out_len))
@@ -220,7 +208,8 @@ def _block_config(rng, c_in, c_out, stride):
     def fwd():
         return (block(x) * Tensor(proj)).sum()
 
-    return lambda: check_network(fwd, params, buffers, x, rng, n_coords=16)
+    return lambda: check_network(fwd, block.named_params(), block.named_buffers(), x, rng,
+                                 n_coords=16)
 
 
 def _resnet_config(rng):

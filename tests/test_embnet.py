@@ -395,7 +395,7 @@ class TestPrograms:
         for _ in range(3):
             embed(m, x)
         assert m.net.plan is plan and plan.programs == {n: program}
-        bn = m.net.stages[1][0].bn1
+        bn = m.net.modules()["stage1.0.bn1"]
         writes = [(bn.gamma.data, 0, -0.0),
                   (bn.beta.data, ..., rng.normal(0.0, 0.5, bn.beta.data.shape)),
                   (bn.running_mean, ..., rng.normal(0.0, 0.5, bn.running_mean.shape)),
@@ -415,6 +415,23 @@ class TestPrograms:
         bn.beta.data[0] = -0.0
         embed(m, x)
         assert m.net.plan is not plan
+
+    def test_stale_watches_every_batch_norm_the_conv_table_names(self):
+        # one in-place write to one entry of any batch norm array makes the
+        # plan stale, and putting its bytes back makes it current again
+        m = build_model(desk_arch(), 0)
+        embed(m, np.zeros((1, m.arch.h), np.float32))
+        plan, layers = m.net.plan, m.net.modules()
+        names = [bn for _, bn, *_ in embnet.conv_table(m.arch)]
+        assert len(names) == 1 + 2 * 8 + 3  # stem, block convs, projections
+        for bn in names:
+            mod = layers[bn]
+            for array in (mod.gamma.data, mod.beta.data, mod.running_mean, mod.running_var):
+                old = array[-1]
+                array[-1] = np.nextafter(old, np.inf)
+                assert plan.stale(), bn
+                array[-1] = old
+                assert not plan.stale(), bn
 
     @pytest.mark.parametrize("arch, n", [(desk_arch(), 10), (ArchConfig(stem_channels=64), 1)],
                              ids=["desk", "full"])
@@ -488,7 +505,7 @@ class TestResidualPath:
         rng = np.random.default_rng(0)
         block = BasicBlock(4, 4, stride=1)
         init_weights(block, rng)
-        block.bn2.gamma.data[:] = 0.0
+        block.modules()["bn2"].gamma.data[:] = 0.0
         x = np.abs(rng.standard_normal((2, 4, 8))).astype(np.float32)
         out = block(Tensor(x))
         assert np.array_equal(out.data, x)
