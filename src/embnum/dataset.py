@@ -155,7 +155,12 @@ def load_dataset(root_path) -> Dataset:
 
 
 def write_dataset(dataset: Dataset, root_path) -> Path:
-    """Write a dataset in the on-disk layout; files are written atomically."""
+    """Write a dataset in the on-disk layout; files are written atomically.
+    The first source or label that names no file of its own there ("." or
+    "..", or one holding "/" or a NUL) is MalformedValue, before any write."""
+    for name in (n for attr in dataset.attributes for n in (attr.source, attr.label)):
+        if name in (".", "..") or "/" in name or "\0" in name:
+            raise MalformedValue(f"{name!r} is not a file name of the dataset layout")
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
     for attr in dataset.attributes:

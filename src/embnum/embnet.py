@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +123,9 @@ class BasicBlock(_Layers):
 
 
 class ResNet1d(_Layers):
-    """Built from conv_table: pairs holds the stem's pair, then each block's,
-    in row order, and layers ends with fc.  The taped forward calls the stem,
-    the blocks and fc through their attributes, which a tracer may wrap."""
+    """Training's taped network, from conv_table: pairs holds the stem's pair,
+    then each block's, in row order, and layers ends with fc.  The taped
+    forward calls the stem, blocks and fc by attribute, which a tracer may wrap."""
 
     def __init__(self, arch: ArchConfig):
         super().__init__([next(conv_table(arch))])
@@ -137,14 +137,11 @@ class ResNet1d(_Layers):
             self.pairs += block.pairs
             self.layers.update(block.layers)
         self.fc = self.layers["fc"] = Linear(arch.stage_channels[3], arch.k)
-        # infer's frozen forward and its programs, built at the first batch's
-        # width and built again once any batch norm array's bytes change
-        self.plan = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        """Training's taped forward: each batch norm normalizes by the batch's
-        statistics and moves its running ones, which makes the frozen plan
-        stale()."""
+        """Training's taped forward of a (B, 1, h) Tensor: each batch norm
+        normalizes by the batch's statistics and moves its running ones,
+        which makes a Model's plan stale(), so the next embed rebuilds it."""
         y = ops.relu(self.stem_bn(self.stem_conv(x)))
         y = ops.maxpool1d(y, *POOL)
         for blocks in self.stages:
@@ -152,16 +149,6 @@ class ResNet1d(_Layers):
                 y = block(y)
         y = ops.global_avgpool1d(y)
         return self.fc(y)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """The eval forward of a (B, 1, h) array, each batch norm on its
-        running statistics, run on plain channels-last arrays by a _Plan
-        built at width h, which embed has checked against arch.h, and built
-        again whenever it is stale(), the one rule by which it is rebuilt;
-        each activation stays in its conv's GEMM buffer."""
-        if self.plan is None or self.plan.stale():
-            self.plan = _Plan(self, x.shape[2])
-        return self.plan(x)
 
 
 def _conv_bn(conv: Conv1d, bn: BatchNorm1d, length: int) -> tuple:
@@ -199,7 +186,7 @@ def _conv_bn_forward(layer: tuple, x: np.ndarray, steps: list | None) -> np.ndar
 
 
 class _Plan:
-    """net's eval-mode forward as a function of one (B, 1, h) float32 array.
+    """net's eval-mode forward of (B, h) float32 rows, read channels-last as (B, h, 1).
 
     Every op is ops' own array arithmetic in the network's layer order, each
     batch norm computing ((y - running_mean) * inv) * gamma + beta, so the
@@ -214,9 +201,9 @@ class _Plan:
     init_weights and Model.load_state write in place, the batch norms'
     inverse deviations, computed here once, and the bytes of every batch
     norm's running_mean, running_var, gamma and beta as they were here;
-    stale() compares those bytes with the arrays' current ones, and
-    ResNet1d.infer builds a new plan when they differ, its only rebuild
-    rule, which also covers the taped forward's running statistics.
+    stale() compares those bytes with the arrays' current ones, and embed
+    builds a new Model.plan when they differ, its only rebuild rule, which
+    also covers the taped forward's running statistics.
 
     forward runs the network layer by layer, allocating each activation and
     freeing it once read; there batch norm broadcasts (C,) constants and
@@ -294,7 +281,7 @@ class _Plan:
         return 4 * floats
 
     def forward(self, x: np.ndarray, steps: list | None = None) -> np.ndarray:
-        """The network's layer-by-layer eval forward on a (B, 1, h) array;
+        """The network's layer-by-layer eval forward on a (B, h) array;
         with steps, each array call is recorded into it (ops.record)."""
         zeros = None if steps is None else np.zeros(max(self.conv_outputs(len(x))), x.dtype)
 
@@ -305,7 +292,7 @@ class _Plan:
             ops.relu_(flat, flat, steps, zeros[: flat.size])
             return y
 
-        y = _conv_bn_forward(self.stem, x.transpose(0, 2, 1), steps)
+        y = _conv_bn_forward(self.stem, x[:, :, None], steps)
         y = ops.maxpool_forward(relu(y), self.pool_taps, steps)
         for conv1, conv2, *proj in self.blocks:
             h = _conv_bn_forward(conv1, y, steps)
@@ -322,9 +309,12 @@ class _Plan:
 
 @dataclass(eq=False)
 class Model:
+    """net is training's taped network; plan, its frozen eval forward, is
+    built and run by embed alone (at width arch.h, again once stale())."""
     arch: ArchConfig
     net: ResNet1d
     training_meta: dict = field(default_factory=dict)
+    plan: _Plan | None = field(default=None, init=False, repr=False)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: p.data for name, p in self.net.named_params().items()}
@@ -334,8 +324,8 @@ class Model:
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy every parameter and buffer in from arrays, into the buffers
         the layers allocated, so each keeps its layout (ops.conv_weight) and
-        the frozen plan's weight views see the copy; the plan is rebuilt
-        only if a batch norm array's bytes change (_Plan.stale).  Unless
+        plan's weight views see the copy.  plan is kept: embed rebuilds it
+        only if a batch norm array's bytes changed (_Plan.stale).  Unless
         arrays hold exactly this model's names and shapes, InvalidArch names
         the first that differs and nothing is copied."""
         state = self.state_dict()
@@ -381,9 +371,10 @@ def preprocess(columns, arch: ArchConfig) -> np.ndarray:
 
 def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
     """Eval-mode forward pass of an (n, h) batch, at most EMBED_CHUNK rows
-    at a time, through the network's frozen plan (ResNet1d.infer); returns
-    (n, k) float32 embeddings.  Batching never changes the numbers.  Any
-    other shape is WidthMismatch, and a row holding a NaN or an infinity is
+    at a time, through model.plan, which embed alone builds: once per call,
+    at width arch.h, when there is none or it is stale(); returns (n, k)
+    float32 embeddings.  Batching never changes the numbers.  Any other
+    shape is WidthMismatch, and a row holding a NaN or an infinity is
     EmptyInput, as sampling refuses such a column.
     """
     x = np.asarray(inputs, dtype=np.float32)
@@ -392,7 +383,9 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise EmptyInput(f"embed input row {int(np.argmin(finite))} holds a NaN or an infinity")
-    return np.concatenate([model.net.infer(x[i : i + EMBED_CHUNK, None, :])
+    if model.plan is None or model.plan.stale():
+        model.plan = _Plan(model.net, model.arch.h)
+    return np.concatenate([model.plan(x[i : i + EMBED_CHUNK])
                            for i in range(0, max(len(x), 1), EMBED_CHUNK)])
 
 
@@ -441,7 +434,7 @@ def state_shapes(arch: ArchConfig):
 
 
 CHECKPOINT = {"kind": str, "arrays?": list, "training_meta": dict,
-              "arch": {"h": int, "k": int, "stem_channels": int}}
+              "arch": {f.name: int for f in fields(ArchConfig)}}
 
 
 def model_from_frame(manifest: dict, arrays: dict[str, np.ndarray]) -> Model:

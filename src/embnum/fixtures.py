@@ -33,7 +33,7 @@ def desk_spec() -> SyntheticSpec:
 
 
 def desk_arch() -> ArchConfig:
-    return ArchConfig(h=100, k=100, stem_channels=8)
+    return ArchConfig(stem_channels=8)
 
 
 def desk_train_config() -> TrainConfig:

@@ -96,12 +96,12 @@ def triplet_loss(emb: Tensor, mined: tuple[np.ndarray, ...], alpha: float) -> Te
 
 
 def training_mrr(embeddings: np.ndarray, labels) -> float:
-    """Each row queries all the others, ranked as labeling ranks a store: by
-    distance, ties by label, then by index.  The reciprocal rank of the first
-    same-label hit (0 when there is none) is averaged in input order.  Rows
-    are ranked a block at a time, as many as keep the block's distances
-    within embnet.DISTANCE_BUDGET values (at least one row), so memory
-    grows with n, not n * n."""
+    """Each row queries all the others, ranked by distance, ties by label,
+    then by index where labeling goes by source: either way the first
+    same-label hit is the same.  Its reciprocal rank (0 when there is none)
+    is averaged in input order.  Rows are ranked a block at a time,
+    as many as keep the block's distances within embnet.DISTANCE_BUDGET
+    values (at least one row), so memory grows with n, not n * n."""
     emb = np.asarray(embeddings, dtype=np.float64)
     _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     rr = np.zeros(len(emb))

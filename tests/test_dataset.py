@@ -97,6 +97,23 @@ class TestRoundTrip:
             "s0/height.csv", "s0/weight.csv", "s1/height.csv", "s1/weight.csv",
         ]
 
+    @pytest.mark.parametrize("source, label", [
+        ("../../out", "x"), ("s", "../esc"), ("s", "a/b"), ("s", "n\0ul"), (".", "x"),
+        ("..", "x"), ("s", "."), ("s", ".."), ("a/b", "x"), ("n\0ul", "x")])
+    def test_a_name_the_layout_cannot_hold_is_refused_before_any_write(
+            self, tmp_path, source, label):
+        attrs = [*tiny_dataset().attributes,
+                 NumericAttribute(values=[1.0], label=label, source=source)]
+        with pytest.raises(MalformedValue, match="is not a file name"):
+            write_dataset(Dataset(attrs), tmp_path / "deep" / "er" / "data")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_odd_names_the_layout_can_hold_round_trip(self, tmp_path):
+        names = [(".hid", "a.csv"), (" sp ", "x\\y"), ("x\\y", ".hid"), ("s", " sp ")]
+        d = Dataset([NumericAttribute(values=[float(i)], label=label, source=source)
+                     for i, (source, label) in enumerate(names)])
+        assert load_dataset(write_dataset(d, tmp_path / "data")) == d
+
     def test_fingerprint_stable_under_attribute_order(self, tmp_path):
         d1 = tiny_dataset()
         d2 = Dataset(list(reversed(d1.attributes)))

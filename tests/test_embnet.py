@@ -209,13 +209,13 @@ class TestEmbed:
     def test_the_network_never_sees_more_than_one_chunk(self, monkeypatch):
         m = build_model(TINY, seed=0)
         x = np.random.default_rng(5).standard_normal((1100, 16)).astype(np.float32)
-        infer, rows = m.net.infer, []
+        call, rows = embnet._Plan.__call__, []
 
-        def spy(chunk):
+        def spy(plan, chunk):
             rows.append(chunk.shape[0])
-            return infer(chunk)
+            return call(plan, chunk)
 
-        monkeypatch.setattr(m.net, "infer", spy)
+        monkeypatch.setattr(embnet._Plan, "__call__", spy)
         assert embed(m, x).shape == (1100, TINY.k)
         assert rows == [EMBED_CHUNK, EMBED_CHUNK, 1100 - 2 * EMBED_CHUNK]
 
@@ -357,11 +357,11 @@ class TestPrograms:
         m = build_model(arch, 0)
         batches = [rng.standard_normal((n, arch.h)).astype(np.float32) for n in (1, 10, 1, 10)]
         replayed = [embed(m, x).tobytes() for x in batches]
-        assert set(m.net.plan.programs) == programs
+        assert set(m.plan.programs) == programs
         monkeypatch.setattr(embnet, "PROGRAM_BUDGET", 0)
-        m.net.plan = None  # drops the plan and its programs
+        m.plan = None  # drops the plan and its programs
         assert [embed(m, x).tobytes() for x in batches] == replayed
-        assert m.net.plan.programs == {} and m.net.plan.retained == 0
+        assert m.plan.programs == {} and m.plan.retained == 0
 
     def test_retained_buffers_stay_within_the_budget(self):
         # one full-width row compiles a program of about 1.25 MiB, its batch
@@ -376,8 +376,8 @@ class TestPrograms:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert set(m.net.plan.programs) == {1}
-        assert m.net.plan.retained <= embnet.PROGRAM_BUDGET
+        assert set(m.plan.programs) == {1}
+        assert m.plan.retained <= embnet.PROGRAM_BUDGET
         assert retained <= embnet.PROGRAM_BUDGET, f"{retained / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("arch, n", [(desk_arch(), 10), (ArchConfig(stem_channels=64), 1)],
@@ -391,10 +391,10 @@ class TestPrograms:
         m = build_model(arch, 0)
         x = rng.standard_normal((n, arch.h)).astype(np.float32)
         embed(m, x)
-        plan, program = m.net.plan, m.net.plan.programs[n]
+        plan, program = m.plan, m.plan.programs[n]
         for _ in range(3):
             embed(m, x)
-        assert m.net.plan is plan and plan.programs == {n: program}
+        assert m.plan is plan and plan.programs == {n: program}
         bn = m.net.modules()["stage1.0.bn1"]
         writes = [(bn.gamma.data, 0, -0.0),
                   (bn.beta.data, ..., rng.normal(0.0, 0.5, bn.beta.data.shape)),
@@ -405,23 +405,23 @@ class TestPrograms:
             array[where] = value
             got = embed(m, x)
             assert got.tobytes() == eval_forward_reference(m.net, x[:, None, :]).tobytes(), i
-            assert got.tobytes() != before and m.net.plan is not plan, i
-            assert set(m.net.plan.programs) == {n}, i  # recorded again
-            plan = m.net.plan
+            assert got.tobytes() != before and m.plan is not plan, i
+            assert set(m.plan.programs) == {n}, i  # recorded again
+            plan = m.plan
         # -0.0 equals 0.0 but has other bits: the check compares bytes
         bn.beta.data[0] = 0.0
         embed(m, x)
-        plan = m.net.plan
+        plan = m.plan
         bn.beta.data[0] = -0.0
         embed(m, x)
-        assert m.net.plan is not plan
+        assert m.plan is not plan
 
     def test_stale_watches_every_batch_norm_the_conv_table_names(self):
         # one in-place write to one entry of any batch norm array makes the
         # plan stale, and putting its bytes back makes it current again
         m = build_model(desk_arch(), 0)
         embed(m, np.zeros((1, m.arch.h), np.float32))
-        plan, layers = m.net.plan, m.net.modules()
+        plan, layers = m.plan, m.net.modules()
         names = [bn for _, bn, *_ in embnet.conv_table(m.arch)]
         assert len(names) == 1 + 2 * 8 + 3  # stem, block convs, projections
         for bn in names:
@@ -448,18 +448,18 @@ class TestPrograms:
                 a[...] = rng.uniform(0.5, 2.0, a.shape)
         x = rng.standard_normal((n, arch.h)).astype(np.float32)
         before = embed(m, x).tobytes()
-        plan, program = m.net.plan, m.net.plan.programs[n]
+        plan, program = m.plan, m.plan.programs[n]
         other = build_model(arch, 1).state_dict()
         state = {name: a if name.endswith(norms) else other[name]
                  for name, a in m.state_dict().items()}
         m.load_state(state)
         got = embed(m, x).tobytes()
-        assert m.net.plan is plan and plan.programs == {n: program}
+        assert m.plan is plan and plan.programs == {n: program}
         assert got == eval_forward_reference(m.net, x[:, None, :]).tobytes() != before
         m.net(Tensor(rng.standard_normal((4, 1, arch.h)).astype(np.float32)))
-        assert m.net.plan is plan
+        assert m.plan is plan
         got = embed(m, x).tobytes()
-        assert m.net.plan is not plan and set(m.net.plan.programs) == {n}
+        assert m.plan is not plan and set(m.plan.programs) == {n}
         assert got == eval_forward_reference(m.net, x[:, None, :]).tobytes()
 
     def test_an_empty_batch_embeds_to_no_rows(self):
@@ -493,7 +493,7 @@ class TestPrograms:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert set(m.net.plan.programs) == {10}
+        assert set(m.plan.programs) == {10}
         for i in range(len(batches)):
             assert len(got[i]) == 200 and set(got[i]) == {want[i]}
 
