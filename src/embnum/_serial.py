@@ -30,7 +30,7 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
     fails; an OSError is raised again with path, not the temp file, as its
     filename."""
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(temp_name(path.name))
     try:
         with open(tmp, "xb") as fh:
             fh.write(blob)
@@ -40,6 +40,10 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+
+
+def temp_name(name: str) -> str:  # atomic_write_bytes' temp file for a file name
+    return f"{name}.{uuid.uuid4().hex}.tmp"
 
 
 def atomic_write_text(path: Path, text: str) -> None:

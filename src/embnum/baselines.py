@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _serial
 from .errors import EmptyInput, MalformedDslModel, SingleClassTraining
+from .sampling import sort_columns
 
 DSL_ITERS, DSL_LR = 500, 0.5  # dsl_train's gradient-descent steps and rate
 SCORE_CHUNK = 1 << 17  # stored values gathered per chunk, whose ties resolve in one pass
@@ -25,7 +26,7 @@ _NAN = np.full(1, np.nan)   # put ahead of each sorted query: it equals no value
 
 
 class PackedColumns:
-    """Stored columns laid end to end, each sorted once as the pack is built,
+    """Stored columns laid end to end, each sorted once by sampling.sort_columns,
     for scoring a batch of queries against all of them in a few vectorized
     passes; like an embedding matrix, it has a length, rows (each column's
     sorted values) and boolean-mask indexing.  Each column's CDF at its
@@ -43,11 +44,7 @@ class PackedColumns:
         cols = [np.asarray(c, dtype=np.float64).ravel() for c in columns]
         if not cols or any(c.size == 0 for c in cols):
             raise EmptyInput("statistic inputs must be non-empty")
-        self.sizes = np.array([c.size for c in cols])
-        self.starts = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
-        self.values = np.empty(int(self.sizes.sum()))
-        for c, s in zip(cols, self.starts):
-            self.values[s : s + c.size] = np.sort(c)
+        self.values, self.sizes, self.starts = sort_columns(cols)
 
     def __len__(self) -> int:
         return self.sizes.size
@@ -66,7 +63,7 @@ class PackedColumns:
         those columns afresh gives, this pack's CDF built once and sliced."""
         sub = copy.copy(self)
         sub.sizes = self.sizes[keep]
-        sub.starts = np.concatenate([[0], np.cumsum(sub.sizes)[:-1]])
+        sub.starts = np.cumsum(sub.sizes) - sub.sizes
         rows = np.repeat(keep, self.sizes)
         sub.values, sub.cdf = self.values[rows], self.cdf[rows]
         return sub

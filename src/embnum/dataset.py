@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,10 +158,13 @@ def load_dataset(root_path) -> Dataset:
 def write_dataset(dataset: Dataset, root_path) -> Path:
     """Write a dataset in the on-disk layout; files are written atomically.
     The first source or label that names no file of its own there ("." or
-    "..", or one holding "/" or a NUL) is MalformedValue, before any write."""
-    for name in (n for attr in dataset.attributes for n in (attr.source, attr.label)):
-        if name in (".", "..") or "/" in name or "\0" in name:
-            raise MalformedValue(f"{name!r} is not a file name of the dataset layout")
+    "..", one holding "/" or a NUL, or a source or its .csv's temp file name
+    over the 255 bytes a file name takes) is MalformedValue, before any write."""
+    for attr in dataset.attributes:
+        for name, entry in ((attr.source, attr.source),
+                            (attr.label, _serial.temp_name(f"{attr.label}.csv"))):
+            if name in (".", "..") or "/" in name or "\0" in name or len(os.fsencode(entry)) > 255:
+                raise MalformedValue(f"{name!r} is not a file name of the dataset layout")
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
     for attr in dataset.attributes:

@@ -98,10 +98,12 @@ def triplet_loss(emb: Tensor, mined: tuple[np.ndarray, ...], alpha: float) -> Te
 def training_mrr(embeddings: np.ndarray, labels) -> float:
     """Each row queries all the others, ranked by distance, ties by label,
     then by index where labeling goes by source: either way the first
-    same-label hit is the same.  Its reciprocal rank (0 when there is none)
-    is averaged in input order.  Rows are ranked a block at a time,
-    as many as keep the block's distances within embnet.DISTANCE_BUDGET
-    values (at least one row), so memory grows with n, not n * n."""
+    same-label hit is the same.  The row itself takes a NaN distance, sorted
+    after every other, inf included (embeddings are finite), so a first hit
+    in the last place is itself and scores 0.  Reciprocal ranks are averaged
+    in input order, ranked a block of rows at a time, as many as keep the
+    block's distances within embnet.DISTANCE_BUDGET values (at least one
+    row), so memory grows with n, not n * n."""
     emb = np.asarray(embeddings, dtype=np.float64)
     _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     rr = np.zeros(len(emb))
@@ -109,15 +111,10 @@ def training_mrr(embeddings: np.ndarray, labels) -> float:
     for lo in range(0, len(emb), step):
         rows = np.arange(lo, min(lo + step, len(emb)))
         dist = distances(emb, emb[rows])
+        dist[np.arange(len(rows)), rows] = np.nan  # self sorts last, after any inf
         order = np.lexsort((np.broadcast_to(codes, dist.shape), dist))
-        is_self = order == rows[:, None]  # by index: an inf stand-in for self can tie
-        hit = codes[order] == codes[rows][:, None]
-        hit &= ~is_self
-        first = hit.argmax(axis=1)
-        # the position among the others: one less when self sorted ahead
-        first -= is_self.argmax(axis=1) < first
-        found = hit.any(axis=1)
-        rr[rows[found]] = 1.0 / (first[found] + 1.0)
+        first = (codes[order] == codes[rows][:, None]).argmax(axis=1) + 1
+        rr[rows] = np.where(first < len(emb), 1.0 / first, 0.0)
     return float(rr.mean())
 
 
@@ -128,26 +125,23 @@ def _snapshot(model: Model) -> dict[str, np.ndarray]:
 def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
           ) -> tuple[Model, list[dict]]:
     """Full training loop; returns the best-MRR model and per-epoch history.
-
-    History rows are dicts with keys epoch, mean_loss, train_mrr, lr.
+    A batch draws K attributes per label from the label's index pool, one
+    per np.unique code.  History rows have keys epoch, mean_loss, train_mrr, lr.
     """
     if not dataset.attributes:
         raise InsufficientSamples("dataset has no attributes")
-    by_label: dict[str, list[int]] = {}
-    for i, attr in enumerate(dataset.attributes):
-        by_label.setdefault(attr.label, []).append(i)
-    thin = [lab for lab, idxs in by_label.items() if len(idxs) < 2]
-    if thin:
-        raise InsufficientSamples(
-            f"labels need >= 2 attributes to form triplets; short: {sorted(thin)}"
-        )
-    if len(by_label) < 2:
+    label_list, labels, counts = np.unique(
+        np.array([a.label for a in dataset.attributes], dtype=object),
+        return_inverse=True, return_counts=True)  # sorted: ties still go by label
+    if (counts < 2).any():
+        raise InsufficientSamples(f"labels need >= 2 attributes to form triplets; "
+                                  f"short: {label_list[counts < 2].tolist()}")
+    if len(label_list) < 2:
         raise InsufficientSamples("training needs at least 2 distinct labels")
+    pools = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])  # input order
 
     # sample once per attribute, reused every epoch
     vectors = preprocess([a.values for a in dataset.attributes], arch)
-    label_list, labels = np.unique(np.array([a.label for a in dataset.attributes], dtype=object),
-                                   return_inverse=True)  # sorted: ties still go by label
 
     model = build_model(arch, seed=cfg.seed)
     opt = SGD(model.net.named_params(), lr=LR0,
@@ -165,13 +159,9 @@ def train(dataset: Dataset, arch: ArchConfig, cfg: TrainConfig
             group = order[start : start + cfg.batch_labels]
             if len(group) < 2:
                 continue  # a lone trailing label cannot form a negative
-            idx: list[int] = []
-            for li in group:
-                pool = by_label[label_list[li]]
-                take = rng.choice(len(pool), size=cfg.samples_per_label,
-                                  replace=len(pool) < cfg.samples_per_label)
-                idx.extend(pool[t] for t in take)
-            idx_arr = np.array(idx)
+            idx_arr = np.concatenate([pools[li][rng.choice(
+                counts[li], cfg.samples_per_label, counts[li] < cfg.samples_per_label)]
+                for li in group])
             batch = Tensor(vectors[idx_arr][:, None, :])
             emb = model.net(batch)
             if not np.all(np.isfinite(emb.data)):

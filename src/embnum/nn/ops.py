@@ -21,10 +21,10 @@ written once.  conv_forward and maxpool_forward work channels-last: they
 read a (B, L, C) array and return one.  conv_forward builds its
 (B*L_out, C_in*K) im2col matrix, allocated zeroed in whole tiles of rows,
 one kernel tap at a time from the input, writing only the positions that
-the tap reads; conv1d scatters the matrix's gradient back tap by tap in the
-same order, and no padded copy of the input is made.  Its product stays in
-the buffer of whole tiles that the GEMM wrote, so the eval forward runs
-batch norm, relu and the residual add in place over contiguous rows.
+the tap reads; conv1d's backward adds the matrix's gradient back through
+the same spans into an unpadded array, so no pass pads a copy.  Its product
+stays in the buffer of whole tiles that the GEMM wrote, so the eval forward
+runs batch norm, relu and the residual add in place over contiguous rows.
 maxpool_forward takes its max the same way, one np.maximum per
 tap from strided slices of the input, where padded taps are -inf and never
 win; it is exact on the relu maps the network pools.  When a tape needs the
@@ -217,30 +217,29 @@ def conv1d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> T
 
     The forward is conv_forward on weight's (C_in*K, C_out) view, so each
     output's summation order is independent of batch size; the backward
-    products are plain GEMM, deterministic from run to run only.
+    products are plain GEMM, deterministic from run to run only, and the input
+    gradient goes back tap by tap through tap_spans into an unpadded array.
     """
     b, c_in, length = x.data.shape
     c_out, c_in_w, k = weight.data.shape
     if c_in != c_in_w:
         raise ValueError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
-    y, col = conv_forward(x.data.transpose(0, 2, 1), weight.data.reshape(c_out, c_in * k).T,
-                          tap_spans(length, k, stride, padding))
+    out_len, spans = taps = tap_spans(length, k, stride, padding)
+    y, col = conv_forward(x.data.transpose(0, 2, 1), weight.data.reshape(c_out, c_in * k).T, taps)
     out = make(y.transpose(0, 2, 1), (x, weight))
     if out.requires_grad:
-        m, out_len = len(col), y.shape[1]
-        padded_len = length + 2 * padding
 
         def back(g, xt=x, wt=weight, win=col):
-            g2 = g.transpose(0, 2, 1).reshape(m, c_out)
+            g2 = g.transpose(0, 2, 1).reshape(len(win), c_out)
             if wt.requires_grad:
                 wt.accumulate((g2.T @ win).reshape(c_out, c_in, k))
             if xt.requires_grad:
                 gcol = (g2 @ wt.data.reshape(c_out, c_in * k)).reshape(
                     b, out_len, c_in, k)
-                gxp = np.zeros((b, padded_len, c_in), dtype=g.dtype)
-                for kk in range(k):
-                    gxp[:, kk : kk + stride * out_len : stride] += gcol[:, :, :, kk]
-                xt.accumulate(gxp[:, padding : padding + length].transpose(0, 2, 1))
+                gx = np.zeros((b, length, c_in), dtype=g.dtype)
+                for kk, (lo, hi, src) in enumerate(spans):
+                    gx[:, src] += gcol[:, lo:hi, :, kk]
+                xt.accumulate(gx.transpose(0, 2, 1))
 
         out._backward = back
     return out
@@ -315,11 +314,10 @@ def maxpool1d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     """
     b, c, length = x.data.shape
     x_cl = x.data.transpose(0, 2, 1)
-    taps = tap_spans(length, kernel, stride, padding)
+    _, spans = taps = tap_spans(length, kernel, stride, padding)
     y = maxpool_forward(x_cl, taps)
     out = make(y.transpose(0, 2, 1), (x,))
     if out.requires_grad:
-        spans = taps[1]
         idx = np.zeros(y.shape, dtype=np.intp)
         for kk in reversed(range(kernel)):
             lo, hi, src = spans[kk]

@@ -13,11 +13,11 @@ value, read from one sort of the column.  Each pick is then replaced by the
 first member of its run of equal values, so a column that mixes -0.0 and 0.0
 always yields the one that sorts first.
 
-Columns are sampled a batch at a time, laid end to end in one copy per
-pass of at most about SAMPLE_CHUNK values: each column is sorted in place
-on its own, and the finiteness check, the picks and the sign of each picked
-zero run once over the pass.  The grid's integers i = 1..MAX_H are built
-once at import, and each call reads its first h.
+Columns are sampled in passes of at most about SAMPLE_CHUNK values, which
+sort_columns (baselines' PackedColumns packs with it too) lays end to end
+in one copy, each column's run sorted in place; the finiteness check, the
+picks and the sign of each picked zero run once over the pass.  The grid's
+integers i = 1..MAX_H are built once at import; each call reads its first h.
 """
 
 import numpy as np
@@ -60,22 +60,28 @@ def sample_inverse_transform(columns, h: int) -> np.ndarray:
     return np.concatenate([_sample_pass(cols, h) for cols in passes])
 
 
-def _sample_pass(cols: list, h: int) -> np.ndarray:
-    """sample_inverse_transform's rows for one pass of 1-D float64 columns."""
+def sort_columns(cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, sizes, starts) of a sequence of 1-D float64 arrays: one new
+    array holding them end to end, each column's run sorted in place, and
+    each column's length and offset in it.  The inputs are not written."""
     sizes = np.array([len(c) for c in cols])
-    flat = np.concatenate(cols)
+    values, ends = np.concatenate(cols), np.cumsum(sizes)
+    starts = ends - sizes
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        values[lo:hi].sort()
+    return values, sizes, starts
+
+
+def _sample_pass(cols: list, h: int) -> np.ndarray:
+    """sample_inverse_transform's rows for one pass of 1-D float64 columns,
+    packed by sort_columns; only a failed check walks them for the culprit."""
+    flat, sizes, starts = sort_columns(cols)
     if not (sizes.all() and np.isfinite(flat).all()):
         for col in cols:  # name the first bad column, as its own call would
             if not col.size:
                 raise EmptyInput("value list is empty")
             if not np.isfinite(col).all():
                 raise EmptyInput("value list contains non-finite entries")
-    starts = np.cumsum(sizes)
-    lo = 0
-    for hi in starts.tolist():
-        flat[lo:hi].sort()
-        lo = hi
-    starts -= sizes
     # min{v : count(v) / n >= i / h}  <=>  count(v) >= ceil(i * n / h), the
     # value at 0-based index ceil(i * n / h) - 1 = (i * n - 1) // h of the
     # column, so at (i * n + start * h - 1) // h of the pass

@@ -99,7 +99,10 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("source, label", [
         ("../../out", "x"), ("s", "../esc"), ("s", "a/b"), ("s", "n\0ul"), (".", "x"),
-        ("..", "x"), ("s", "."), ("s", ".."), ("a/b", "x"), ("n\0ul", "x")])
+        ("..", "x"), ("s", "."), ("s", ".."), ("a/b", "x"), ("n\0ul", "x"),
+        pytest.param("s", "x" * 300, id="label-300-bytes"),
+        pytest.param("s", "x" * 215, id="label-temp-name-256-bytes"),
+        pytest.param("\u00e9" * 128, "x", id="source-256-bytes")])
     def test_a_name_the_layout_cannot_hold_is_refused_before_any_write(
             self, tmp_path, source, label):
         attrs = [*tiny_dataset().attributes,
@@ -109,7 +112,8 @@ class TestRoundTrip:
         assert list(tmp_path.iterdir()) == []
 
     def test_odd_names_the_layout_can_hold_round_trip(self, tmp_path):
-        names = [(".hid", "a.csv"), (" sp ", "x\\y"), ("x\\y", ".hid"), ("s", " sp ")]
+        names = [(".hid", "a.csv"), (" sp ", "x\\y"), ("x\\y", ".hid"), ("s", " sp "),
+                 ("\u00e9" * 127 + "a", "x" * 214)]  # 255 bytes: the source, the label's temp file
         d = Dataset([NumericAttribute(values=[float(i)], label=label, source=source)
                      for i, (source, label) in enumerate(names)])
         assert load_dataset(write_dataset(d, tmp_path / "data")) == d

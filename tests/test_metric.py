@@ -201,6 +201,14 @@ class TestTrainingMrr:
         # row 0 is 1 away from B and from A; A ranks first, as labeling ranks it
         assert training_mrr(emb, ["A", "B", "A"]) == pytest.approx(2.0 / 3.0)
 
+    @pytest.mark.parametrize("emb, labels, rr", [
+        ([[0.0]], ["A"], [0.0]),  # one row: nothing else to rank
+        ([[0.0], [0.0], [0.0]], ["A", "B", "A"], [1.0, 0.0, 1.0]),  # B ties self at 0
+        ([[0.0], [1e200], [-1e200]], ["A", "B", "A"], [1.0, 0.0, 1.0]),  # and at inf
+    ], ids=["one-row", "ties-at-zero", "ties-at-inf"])
+    def test_a_row_whose_only_record_of_its_label_is_itself_scores_zero(self, emb, labels, rr):
+        assert training_mrr(emb, labels) == np.mean(rr)
+
     def test_infinite_distances_never_rank_the_query_itself(self):
         # every distance is inf; no row has another of its label
         assert training_mrr([[0.0], [1e200], [-1e200]], ["B", "A", "C"]) == 0.0

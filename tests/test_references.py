@@ -75,3 +75,27 @@ def test_every_class_member_is_read_outside_tests():
                          for attr, node in reads)}
     assert sorted(unread - ALLOWED_MEMBERS.keys()) == [], "only tests read these"
     assert sorted(ALLOWED_MEMBERS.keys() - unread) == [], "these have readers now"
+
+
+def test_every_module_level_import_is_used():
+    # an import marked "# noqa: F401" is a patch point that stays bound on purpose;
+    # a package __init__ re-exports the names its __all__ lists
+    unused = []
+    for path in SOURCES:
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= {elt.value for elt in node.value.elts}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or any("noqa: F401" in line
+                           for line in lines[node.lineno - 1 : node.end_lineno])):
+                continue
+            unused += [f"{path.relative_to(ROOT)}: {alias.name}" for alias in node.names
+                       if (alias.asname or alias.name.partition(".")[0]) not in read]
+    assert unused == [], "imported and never used"

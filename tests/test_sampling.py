@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embnum import sampling
+from embnum.baselines import PackedColumns
 from embnum.errors import EmptyInput, InvalidWidth
 from embnum.sampling import MAX_H, SAMPLE_CHUNK, sample_inverse_transform
 from oracles import inverse_transform_oracle, sample_unique_reference
@@ -137,6 +138,23 @@ class TestProperties:
         got = sample_inverse_transform(column, 6)
         assert got.shape == (1, 6)
         assert got.tobytes() == sample_unique_reference(column, 6).tobytes()
+
+    @pytest.mark.parametrize("pack", [lambda cols: sample_inverse_transform(cols, 5),
+                                      PackedColumns], ids=["sample", "PackedColumns"])
+    @pytest.mark.parametrize("make", [
+        lambda: [np.array([3.0, -0.0, 1.0, 0.0, -2.0])],
+        lambda: [np.array([2.0, 1.0]), np.array([9.0, -1.0, 4.0], dtype=np.float32),
+                 np.arange(10.0)[::-3], np.array([5, 3, 4])],
+        lambda: np.array([3.0, -0.0, 1.0, 0.0, -2.0])], ids=["one", "several", "bare-array"])
+    def test_inputs_are_never_written(self, pack, make):
+        # sort_columns sorts its packed copy in place, never an input: a
+        # float64 contiguous column reaches it through np.asarray uncopied
+        columns = make()
+        arrays = [columns] if isinstance(columns, np.ndarray) else columns
+        assert np.asarray(arrays[0], dtype=np.float64) is arrays[0]
+        before = [a.tobytes() for a in arrays]
+        pack(columns)
+        assert [a.tobytes() for a in arrays] == before
 
     @given(value_lists, widths)
     @settings(max_examples=100, deadline=None)
