@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _serial
+from . import _serial, sampling
 from .errors import EmptyInput, MalformedDslModel, SingleClassTraining
 from .sampling import sort_columns
 
 DSL_ITERS, DSL_LR = 500, 0.5  # dsl_train's gradient-descent steps and rate
-SCORE_CHUNK = 1 << 17  # stored values gathered per chunk, whose ties resolve in one pass
 _NAN = np.full(1, np.nan)   # put ahead of each sorted query: it equals no value
 
 
@@ -76,10 +75,10 @@ class PackedColumns:
         columns) array.  A query that is empty or holds NaN or an infinity
         (which its sort puts at an end) is EmptyInput.
 
-        The runs of every (query, column) pair are gathered and scored in
-        chunks of at most SCORE_CHUNK stored values, or one longer run.  A
-        call peaks within 42 bytes per value of its largest chunk, 24 more per
-        value that ties, 256 per (query, column) pair and 64 per query value."""
+        Runs of every (query, column) pair are scored in chunks of at most
+        sampling.CHUNK_BYTES // 66 gathered values, or one longer run: a
+        call peaks within 42 bytes per value of its largest chunk, 24 more
+        per value that ties, 256 per (query, column) pair and 64 per query value."""
         qs = [np.sort(np.asarray(q, dtype=np.float64).ravel()) for q in queries]
         if not qs or any(q.size == 0 for q in qs):
             raise EmptyInput("statistic inputs must be non-empty")
@@ -98,10 +97,10 @@ class PackedColumns:
         spans = last - first + 1
         bounds = np.concatenate([[0], np.cumsum(spans)])
         cuts = [0]   # runs [a, b) of one chunk, at least one run each
+        chunk = max(1, sampling.CHUNK_BYTES // 66)   # gathered values, at 42 + 24 bytes
         while cuts[-1] < n_q * n_c:
             a = cuts[-1]
-            cuts.append(max(a + 1, int(np.searchsorted(bounds, bounds[a] + SCORE_CHUNK,
-                                                       "right")) - 1))
+            cuts.append(max(a + 1, int(np.searchsorted(bounds, bounds[a] + chunk, "right")) - 1))
         @cache   # built when a value first ties
         def runs():   # at each query value in flat: the index before its run
             # of equal values (the query's NaN if none), and #(q < value) / m

@@ -17,15 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _serial
+from . import _serial, sampling
 from .errors import EmptyInput, InvalidArch, MalformedCheckpoint, WidthMismatch
 from .nn import BatchNorm1d, Conv1d, Linear, Tensor, ops
 from .sampling import sample_inverse_transform
 
 MODEL_MAGIC = b"EMBN"
 MODEL_VERSION = 1
-EMBED_CHUNK = 512  # rows per forward pass of embed()
-DISTANCE_BUDGET = 1 << 16  # float64 values per block of distances() and training_mrr
 PROGRAM_BUDGET = 2 << 20  # bytes of buffers one eval plan's programs retain
 
 
@@ -231,6 +229,8 @@ class _Plan:
             length = conv1[1][0]
             self.blocks.append((conv1, _conv_bn(*second, length), *proj))
         self.convs = [self.stem, *(layer for block in self.blocks for layer in block)]
+        # embed's bytes per row: the largest conv's float32 im2col row and output row
+        self.row_bytes = 4 * max(taps[0] * sum(wt.shape) for wt, taps, *_ in self.convs)
         self.fc_wt, self.fc_bias = net.fc.weight.data.T, net.fc.bias.data
         self.norms = [a for _, bn in net.pairs
                       for a in (bn.running_mean, bn.running_var, bn.gamma.data, bn.beta.data)]
@@ -370,12 +370,12 @@ def preprocess(columns, arch: ArchConfig) -> np.ndarray:
 
 
 def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """Eval-mode forward pass of an (n, h) batch, at most EMBED_CHUNK rows
-    at a time, through model.plan, which embed alone builds: once per call,
-    at width arch.h, when there is none or it is stale(); returns (n, k)
-    float32 embeddings.  Batching never changes the numbers.  Any other
-    shape is WidthMismatch, and a row holding a NaN or an infinity is
-    EmptyInput, as sampling refuses such a column.
+    """Eval-mode forward pass of an (n, h) batch, sampling.CHUNK_BYTES //
+    plan.row_bytes rows at a time, through model.plan, which embed alone
+    builds: once per call, at width arch.h, when there is none or it is
+    stale(); returns (n, k) float32 embeddings, which batching never
+    changes.  Any other shape is WidthMismatch, and a row holding a NaN or
+    an infinity is EmptyInput, as sampling refuses such a column.
     """
     x = np.asarray(inputs, dtype=np.float32)
     if x.ndim != 2 or x.shape[1] != model.arch.h:
@@ -385,25 +385,25 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
         raise EmptyInput(f"embed input row {int(np.argmin(finite))} holds a NaN or an infinity")
     if model.plan is None or model.plan.stale():
         model.plan = _Plan(model.net, model.arch.h)
-    return np.concatenate([model.plan(x[i : i + EMBED_CHUNK])
-                           for i in range(0, max(len(x), 1), EMBED_CHUNK)])
+    step = max(1, sampling.CHUNK_BYTES // model.plan.row_bytes)
+    return np.concatenate([model.plan(x[i : i + step]) for i in range(0, max(len(x), 1), step)])
 
 
 def distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Exact float64 Euclidean distances, (queries, n), from n (k,) points to
     each row of a (queries, k) block.  Mining, training MRR and labeling all
-    rank by it.  Query rows go a block at a time, as many as keep
-    the block's differences within DISTANCE_BUDGET float64 values (at least
-    one row), through one buffer allocated per call; the same budget bounds
-    the rows metric.training_mrr ranks per block.  Each block sums its
-    squares with one einsum, which gives every row the bits of summing it
-    alone.  Squares underflow for points under about 1e-154 apart (to
-    exactly 0 under 1e-162); distinct float32 embeddings are at least
-    1.4e-45 apart, far above either."""
+    rank by it.  Query rows go a block at a time, as many as fit a sixteenth
+    of sampling.CHUNK_BYTES at their float64 differences' 8 * n * k bytes
+    per row (at least one row), through one buffer allocated per call, which
+    einsum reads back while it is in cache.  Each block sums its squares
+    with one einsum, which gives every row the bits of summing it alone.
+    Squares underflow for points under about 1e-154 apart (to exactly 0
+    under 1e-162); distinct float32 embeddings are at least 1.4e-45 apart,
+    far above either."""
     points = np.asarray(points, dtype=np.float64)
     block = np.asarray(queries, dtype=np.float64)
     out = np.empty((len(block), len(points)))
-    step = max(1, DISTANCE_BUDGET // max(points.size, 1))
+    step = max(1, sampling.CHUNK_BYTES // 16 // (8 * max(points.size, 1)))
     diff = np.empty((min(step, len(block)), *points.shape))
     for lo in range(0, len(block), step):
         rows = np.subtract(points, block[lo : lo + step, None], out=diff[: len(block) - lo])

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _serial
+from . import _serial, sampling
 from .baselines import (DSL_WEIGHTS, LogisticModel, PackedColumns, _sigmoid,
                         dsl_model_from_doc, dsl_model_to_doc, dsl_train,
                         features_from_statistics, make_training_pairs)
@@ -226,12 +226,12 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]) -> Label
     """Label a batch of queries against one store, timing the whole batch.
 
     Queries whose label the store lacks are counted as excluded.  The rest
-    are ranked as rank() ranks one query, in one _orders() call for the whole
-    batch (one embedding batch for embnum; one PackedColumns.statistics call,
-    in chunks of stored values, otherwise; one lexsort over every query's
-    keys), and _first_correct() reads every rank off those orders.  The clock
-    covers those two calls only; a raw-value store's column CDF, which its
-    pack builds on first use, is built before it starts.
+    are ranked as rank() ranks one query, in one _orders() call per block of
+    sampling.CHUNK_BYTES of (query, record) pairs, at 256 bytes a pair for a
+    raw-value store (PackedColumns.statistics' figure) and 24 for embnum's
+    keys, order and label codes; _first_correct() reads the ranks off each
+    block's orders.  The clock covers those calls only; a raw-value store's
+    column CDF, which its pack builds on first use, is built before it starts.
     """
     if not queries:
         raise NoQueries("no query attributes")
@@ -241,9 +241,11 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]) -> Label
 
     t0 = time.perf_counter()
     ranks = []
-    if kept:
-        orders, _ = _orders(store, [a.values for a in kept])
-        ranks = _first_correct(store, orders, [a.label for a in kept]).tolist()
+    pair_bytes = (24 if store.method == "embnum" else 256) * len(store.labels)
+    step = max(1, sampling.CHUNK_BYTES // pair_bytes)
+    for block in (kept[lo : lo + step] for lo in range(0, len(kept), step)):
+        orders, _ = _orders(store, [a.values for a in block])
+        ranks += _first_correct(store, orders, [a.label for a in block]).tolist()
     seconds = time.perf_counter() - t0
     return LabelingResult(ranks=ranks, excluded=len(queries) - len(kept), seconds=seconds)
 

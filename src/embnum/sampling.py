@@ -13,11 +13,11 @@ value, read from one sort of the column.  Each pick is then replaced by the
 first member of its run of equal values, so a column that mixes -0.0 and 0.0
 always yields the one that sorts first.
 
-Columns are sampled in passes of at most about SAMPLE_CHUNK values, which
-sort_columns (baselines' PackedColumns packs with it too) lays end to end
-in one copy, each column's run sorted in place; the finiteness check, the
-picks and the sign of each picked zero run once over the pass.  The grid's
-integers i = 1..MAX_H are built once at import; each call reads its first h.
+Columns are sampled in passes, which sort_columns (baselines' PackedColumns
+packs with it too) lays end to end in one copy, each column's run sorted in
+place; the finiteness check, the picks and the sign of each picked zero run
+once over the pass.  The grid's integers i = 1..MAX_H are built once at
+import; each call reads its first h.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import EmptyInput, InvalidWidth
 # per sampled column before a width from a checkpoint or flag allocates them.
 MAX_H = 4096
 _GRID = np.arange(1, MAX_H + 1, dtype=np.int64)
-SAMPLE_CHUNK = 1 << 17  # values laid end to end per pass of sample_inverse_transform
+CHUNK_BYTES = 8 << 20  # one chunked pass's working set, which every site reads at call time
 
 
 def sample_inverse_transform(columns, h: int) -> np.ndarray:
@@ -39,9 +39,9 @@ def sample_inverse_transform(columns, h: int) -> np.ndarray:
     vector of h values, each taken from that column, computed with exact
     quantile-boundary arithmetic.  The first empty or non-finite column
     raises EmptyInput, as does an empty batch.  Columns are copied in passes
-    of whole columns, each starting a new pass once the last holds
-    SAMPLE_CHUNK values, so a pass holds at most that many values beside
-    its last column.
+    of whole columns, each starting a new pass once the last holds an
+    eighth of CHUNK_BYTES, at 8 bytes per value and 17 * h per column (the
+    README says why), so a pass holds at most that beside its last column.
     """
     if (not isinstance(h, (int, np.integer)) or isinstance(h, bool)
             or not 1 <= h <= MAX_H):
@@ -50,11 +50,11 @@ def sample_inverse_transform(columns, h: int) -> np.ndarray:
         columns = [columns]
     passes, held = [[]], 0
     for c in columns:
-        if held >= SAMPLE_CHUNK:
+        if held >= max(1, CHUNK_BYTES // 8):
             passes.append([])
             held = 0
         passes[-1].append(np.asarray(c, dtype=np.float64).reshape(-1))
-        held += passes[-1][-1].size
+        held += 8 * passes[-1][-1].size + 17 * h
     if not passes[0]:
         raise EmptyInput("no value lists to sample")
     return np.concatenate([_sample_pass(cols, h) for cols in passes])

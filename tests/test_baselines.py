@@ -22,7 +22,7 @@ from embnum.baselines import (
     pair_features,
     save_dsl_model,
 )
-from embnum import baselines, fixtures
+from embnum import baselines, fixtures, sampling
 from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
 from embnum.errors import EmptyInput, SingleClassTraining
 from oracles import (dsl_logit, dsl_score, features_pairwise, jaccard_oracle,
@@ -288,12 +288,12 @@ class TestPackedColumns:
     def test_every_row_of_a_batch_equals_the_pairwise_statistics(self, batch, chunk):
         columns, queries = batch
         pack = PackedColumns(columns)
-        saved = baselines.SCORE_CHUNK
-        baselines.SCORE_CHUNK = chunk   # 1 and 3 split runs across chunks
+        saved = sampling.CHUNK_BYTES
+        sampling.CHUNK_BYTES = 66 * chunk   # chunks of 1 and 3 values split runs
         try:
             got = pack.statistics(queries)
         finally:
-            baselines.SCORE_CHUNK = saved
+            sampling.CHUNK_BYTES = saved
         for stat, fn in zip(got, (ks_pairwise, mw_pairwise, jaccard_pairwise)):
             assert stat.shape == (len(queries), len(columns))
             for row, query in zip(stat, queries):
@@ -321,7 +321,7 @@ class TestPackedColumns:
         gathered = [sum(min(r.searchsorted(q.max(), "right"), r.size - 1)
                         - max(r.searchsorted(q.min(), "left") - 1, 0) + 1
                         for r in map(np.sort, store)) for q in queries]
-        assert max(gathered) > baselines.SCORE_CHUNK   # one query spans chunks
+        assert max(gathered) > sampling.CHUNK_BYTES // 66   # one query spans chunks
         digest = hashlib.sha256()
         for stat in PackedColumns(store).statistics(queries):
             digest.update(stat.tobytes())
@@ -342,9 +342,10 @@ class TestPackedColumns:
                 yield r[first : min(r.searchsorted(q.max(), "right"), r.size - 1) + 1]
 
         sizes = {k: sum(r.size for r in runs(a.values)) for k, a in enumerate(fresh.attributes)}
-        k = max((k for k in sizes if sizes[k] <= baselines.SCORE_CHUNK), key=sizes.get)
+        chunk = sampling.CHUNK_BYTES // 66
+        k = max((k for k in sizes if sizes[k] <= chunk), key=sizes.get)
         query, gathered = fresh.attributes[k].values, sizes[k]
-        assert query.size == 1000 and gathered > baselines.SCORE_CHUNK // 2   # one large chunk
+        assert query.size == 1000 and gathered > chunk // 2   # one large chunk
         ties = sum(int(np.isin(r, query).sum()) for r in runs(query))
         pack = PackedColumns(store)
         pack.cdf   # built on first use, outside the measured call
@@ -355,6 +356,31 @@ class TestPackedColumns:
         finally:
             tracemalloc.stop()
         assert peak <= 42 * gathered + 24 * ties + 256 * len(store) + 64 * query.size
+
+    def test_a_batch_peaks_within_the_budget(self, monkeypatch):
+        # 20 fresh 1,000-row queries against the 550-column efficiency store
+        # gather about 1.3 million stored values, 66 bytes each at once; in
+        # chunks, a call peaks within the budget and the statistics
+        # docstring's 256 bytes per (query, column) pair and 64 per query
+        # value, which hold its output
+        store = [a.values for a in generate_synthetic(fixtures.efficiency_spec()).attributes]
+        fresh = generate_synthetic(dataclasses.replace(fixtures.efficiency_spec(),
+                                                       source_count=1, seed=2027))
+        queries = [a.values for a in fresh.attributes[:20]]
+        gathered = sum(min(r.searchsorted(q.max(), "right"), r.size - 1)
+                       - max(r.searchsorted(q.min(), "left") - 1, 0) + 1
+                       for r in map(np.sort, store) for q in queries)
+        pack = PackedColumns(store)
+        pack.cdf   # built on first use, outside the measured call
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            pack.statistics(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = sampling.CHUNK_BYTES + 256 * len(queries) * len(store) + 64 * 20 * 1000
+        assert 66 * gathered > bound and peak <= bound, peak
 
     def test_hand_cases(self):
         ks, mw, jac = PackedColumns([[1.0, 2.0], [10.0, 11.0], [2.0]]).statistics([[1.0, 2.0]])

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embnum import _serial, embnet
+from embnum import _serial, embnet, sampling
 from embnum.dataset import generate_synthetic
 from embnum.embnet import (
-    EMBED_CHUNK,
     MODEL_MAGIC,
     MODEL_VERSION,
     ArchConfig,
@@ -197,9 +196,10 @@ class TestEmbed:
             single = np.concatenate([embed(m, x[i : i + 1]) for i in range(len(x))])
             for n in sizes:
                 assert embed(m, x[:n]).tobytes() == single[:n].tobytes()
-        # and a full-width batch larger than one embnet.EMBED_CHUNK, which
-        # embed runs as a full chunk and a short one; a full chunk's stage-2
-        # and stage-3 products run as one GEMM over thousands of rows
+        # and a full-width batch larger than one of embed's chunks (256 rows
+        # at sampling.CHUNK_BYTES), which embed runs as full chunks and a
+        # short one; a full chunk's stage-2 and stage-3 products run as one
+        # GEMM over a thousand rows or more
         x = np.concatenate([x, rng.standard_normal((520 - len(x), arch.h)).astype(np.float32)])
         full = embed(m, x)
         assert full[: len(single)].tobytes() == single.tobytes()
@@ -207,8 +207,11 @@ class TestEmbed:
             assert full[i].tobytes() == embed(m, x[i : i + 1]).tobytes()
 
     def test_the_network_never_sees_more_than_one_chunk(self, monkeypatch):
+        # a budget just short of 513 rows' bytes gives chunks of 512 rows
         m = build_model(TINY, seed=0)
         x = np.random.default_rng(5).standard_normal((1100, 16)).astype(np.float32)
+        row_bytes = embnet._Plan(m.net, TINY.h).row_bytes
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 513 * row_bytes - 1)
         call, rows = embnet._Plan.__call__, []
 
         def spy(plan, chunk):
@@ -217,7 +220,7 @@ class TestEmbed:
 
         monkeypatch.setattr(embnet._Plan, "__call__", spy)
         assert embed(m, x).shape == (1100, TINY.k)
-        assert rows == [EMBED_CHUNK, EMBED_CHUNK, 1100 - 2 * EMBED_CHUNK]
+        assert rows == [512, 512, 1100 - 2 * 512]
 
     @pytest.mark.parametrize("arch", [desk_arch(), ArchConfig(stem_channels=16),
                                       ArchConfig(stem_channels=32), ArchConfig(stem_channels=64)],
@@ -242,13 +245,14 @@ class TestEmbed:
             # one-GEMM product is batch invariant depends on the BLAS kernels.
             # 8 rows fill one tile, 10 are a LOSO query batch, 60 training's
             # eval batch
-            for n in (1, 8, 9, 10, 60, EMBED_CHUNK + 1):
+            for n in (1, 8, 9, 10, 60, chunk + 1):
                 x = rng.standard_normal((n, arch.h)).astype(np.float32)
-                taped = [eval_forward_reference(model.net, x[i : i + EMBED_CHUNK, None, :])
-                         for i in range(0, n, EMBED_CHUNK)]
+                taped = [eval_forward_reference(model.net, x[i : i + chunk, None, :])
+                         for i in range(0, n, chunk)]
                 assert embed(model, x).tobytes() == np.concatenate(taped).tobytes()
 
         m = build_model(arch, seed=0)
+        chunk = sampling.CHUNK_BYTES // embnet._Plan(m.net, arch.h).row_bytes   # embed's rows
         randomize_norms(m)
         agree(m)
         other = build_model(arch, seed=1)
@@ -282,20 +286,25 @@ class TestEmbed:
         with pytest.raises(EmptyInput, match="row 0 "):
             embed(m, x[row : row + 1])
 
-    def test_a_full_width_chunk_stays_within_its_memory(self):
+    def test_a_full_width_chunk_stays_within_its_memory(self, monkeypatch):
         # the eval plan must free each activation as soon as the next layer
-        # has read it: one full-width chunk peaked at 24.00 MiB of traced
-        # allocations when this gate was set; allow 1% over that
+        # has read it, so a chunk peaks at its row_bytes (the largest conv's
+        # im2col and output rows) and the slack they leave out: that conv's
+        # input and the block's shortcut, half as much again at full width,
+        # and 64 KiB of tile padding and objects.  512 rows in one chunk
+        # would take 24 MiB
         m = build_model(ArchConfig(stem_channels=64), 0)
-        x = np.random.default_rng(0).standard_normal((EMBED_CHUNK, m.arch.h)).astype(np.float32)
+        x = np.random.default_rng(0).standard_normal((512, m.arch.h)).astype(np.float32)
         embed(m, x[:1])
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 2 << 20)
         tracemalloc.start()
         try:
-            embed(m, x)
+            out = embed(m, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.01 * 24.0 * 2**20, f"{peak / 2**20:.2f} MiB"
+        bound = sampling.CHUNK_BYTES * 3 // 2 + out.nbytes + (64 << 10)
+        assert 512 * m.plan.row_bytes > bound and peak <= bound, f"{peak / 2**20:.2f} MiB"
 
     def test_full_width_embedding_bits_are_pinned(self):
         # sha256 of the float32 embeddings of the first 64 efficiency-fixture

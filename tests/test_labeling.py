@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 from pathlib import Path
@@ -13,13 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import embnum.baselines as baselines_mod
 import embnum.labeling as labeling_mod
-from embnum import _serial
+from embnum import _serial, sampling
 from embnum.baselines import (LogisticModel, PackedColumns, dsl_model_to_doc, dsl_train,
                               make_training_pairs)
 from embnum.dataset import Dataset, NumericAttribute, SyntheticSpec, generate_synthetic
 from embnum.embnet import ArchConfig, build_model, model_frame, model_to_bytes
+from embnum.fixtures import desk_arch, desk_train_config, overlapping_spec
+from embnum.metric import history_to_csv, train
 from embnum.errors import (
     ChecksumMismatch,
     EmptyInput,
@@ -289,9 +291,9 @@ class TestLabelQueries:
     @pytest.mark.parametrize("chunk", [1, 7, 40])
     def test_batches_spanning_several_chunks_agree_with_rank(self, tiny_dataset, chunk,
                                                              monkeypatch):
-        """A chunk of a few stored values splits the batch between queries
-        and inside one query's columns; every rank stays rank()'s."""
-        monkeypatch.setattr(baselines_mod, "SCORE_CHUNK", chunk)
+        """A budget of a few stored values' bytes splits the batch between
+        queries and inside one query's columns; every rank stays rank()'s."""
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 66 * chunk)
         dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
         queries = tiny_dataset.by_source("s0") + tiny_dataset.by_source("s2")
         for method in ("semantictyper", "dsl"):
@@ -364,6 +366,29 @@ class TestLabelQueries:
         result = label_queries(store, tiny_dataset.by_source("s0"))
         assert time.perf_counter() - t0 >= 0.2   # the slow build did run
         assert result.seconds < 0.2
+
+    @pytest.mark.parametrize("method", ["semantictyper", "dsl"])
+    def test_a_batch_peaks_within_the_budget(self, method, monkeypatch):
+        """300 queries against 300 raw-value records: 90,000 pairs would take
+        22 MB at the 256 bytes a pair that PackedColumns.statistics states.
+        Ranked in blocks, a batch peaks within the budget for a block's pairs
+        and as much again for statistics' own chunk of stored values."""
+        spec = SyntheticSpec(label_count=30, source_count=10, rows_min=50, rows_max=100,
+                             seed=1)
+        dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
+        store = index_labeled(generate_synthetic(spec), method, dsl_model=dsl_model)
+        queries = generate_synthetic(dataclasses.replace(spec, seed=2)).attributes
+        store.features.cdf   # store construction, outside the measured call
+        label_queries(store, queries[:2])
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            result = label_queries(store, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.ranks) == len(queries) == len(store.labels) == 300
+        assert peak <= 2 * sampling.CHUNK_BYTES, peak
 
     def test_empty_inputs_rejected(self, tiny_dataset, tiny_model):
         store = index_labeled(tiny_dataset, "semantictyper")
@@ -726,6 +751,34 @@ class TestEmbeddingExport:
         want = embed(tiny_model, preprocess([attr.values], tiny_model.arch))[0]
         got = np.array([float(v) for v in first[2:]], dtype=np.float32)
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_few_kib_budget_splits_every_site_with_the_same_output(monkeypatch):
+    """With sampling.CHUNK_BYTES at 4 KiB every chunked pass splits at once:
+    sampling passes of one column, scoring chunks of 62 gathered values,
+    one desk-width row per embed chunk, distance blocks of one row, and
+    training_mrr's and label_queries' blocks of a few rows.  Every output
+    on the overlapping fixture must be the default budget's, bit for bit."""
+    dataset = generate_synthetic(overlapping_spec())
+    queries = dataset.by_source(dataset.sources[0])
+
+    def outputs():
+        model, history = train(dataset, desk_arch(),
+                               dataclasses.replace(desk_train_config(), epochs=3))
+        out = [model_to_bytes(model), history_to_csv(history),
+               export_embeddings_csv(model, dataset)]
+        for method in METHODS:
+            store = index_labeled(dataset, method, model=model)
+            out.append([(r.order.tobytes(), r.scores.tobytes())
+                        for r in (rank(store, q) for q in dataset.attributes)])
+            out.append(label_queries(store, queries).ranks)
+            out.append([(pc.labeled_sources, pc.mean_mrr, pc.experiments) for pc in
+                        run_benchmark(dataset, method, model=model).per_count])
+        return out
+
+    default = outputs()
+    monkeypatch.setattr(sampling, "CHUNK_BYTES", 4 << 10)
+    assert outputs() == default
 
 
 def test_the_store_imports_nothing_from_the_trainer():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from embnum import sampling
 from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
 from embnum.embnet import ArchConfig, build_model, distances, model_to_bytes, preprocess
 from embnum.errors import (
@@ -68,6 +69,21 @@ class TestDistances:
             for j in range(5):
                 assert d[i, j] == pytest.approx(distance_oracle(e[i], e[j]))
 
+    def test_a_block_of_rows_stays_within_the_budget(self, monkeypatch):
+        # 300 queries against 300 points of k = 100: every difference at once
+        # would take 72 MB; one block's fit a sixteenth of the budget, beside
+        # the output and 64 KiB of objects
+        points, queries = np.random.default_rng(1).standard_normal((2, 300, 100))
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 8 << 20)
+        tracemalloc.start()
+        try:
+            out = distances(points, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = sampling.CHUNK_BYTES // 16 + out.nbytes + (64 << 10)
+        assert 8 * len(queries) * points.size > bound and peak <= bound, peak
+
     def test_a_query_block_gives_one_row_per_query(self):
         points = np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32)
         assert distances(points, np.zeros((0, 2))).shape == (0, 2)
@@ -90,7 +106,7 @@ class TestDistances:
         # a budget from below one row's n * k differences up to four rows
         budget = max(1, int(rows * points.size))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embnet_mod, "DISTANCE_BUDGET", budget)
+            mp.setattr(sampling, "CHUNK_BYTES", 16 * 8 * budget)   # blocks take a sixteenth
             got = distances(points, queries)
         want = distances_reference(points, queries)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
@@ -259,7 +275,7 @@ class TestTrainingMrr:
         points, labels = case
         emb = np.array(points)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embnet_mod, "DISTANCE_BUDGET", block * len(emb))  # `block` rows a block
+            mp.setattr(sampling, "CHUNK_BYTES", 8 * block * len(emb))  # `block` rows a block
             got = training_mrr(emb, labels)
         assert got.hex() == training_mrr_reference(emb, labels).hex()
 
@@ -269,7 +285,7 @@ class TestTrainingMrr:
         emb = np.round(rng.standard_normal((n, 2)) * 2) / 2  # duplicates on a grid
         labels = [f"l{i}" for i in rng.integers(0, n // 3, size=n)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(embnet_mod, "DISTANCE_BUDGET", 256 * n)  # blocks of 256 rows
+            mp.setattr(sampling, "CHUNK_BYTES", 8 * 256 * n)  # blocks of 256 rows
             got = training_mrr(emb, labels)
         assert got.hex() == training_mrr_reference(emb, labels).hex()
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from embnum import sampling
 from embnum.baselines import PackedColumns
 from embnum.errors import EmptyInput, InvalidWidth
-from embnum.sampling import MAX_H, SAMPLE_CHUNK, sample_inverse_transform
+from embnum.sampling import MAX_H, sample_inverse_transform
 from oracles import inverse_transform_oracle, sample_unique_reference
 
 finite_floats = st.floats(
@@ -110,28 +110,36 @@ class TestProperties:
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     @given(st.lists(zero_heavy_lists | value_lists, min_size=1, max_size=6), widths,
-           st.sampled_from([1, 7, 60, SAMPLE_CHUNK]))
+           st.sampled_from([1, 64 * 7, 64 * 60, sampling.CHUNK_BYTES]))
     @settings(max_examples=200, deadline=None)
-    @example([[0.0, -0.0], [-0.0, 0.0, 1.5], [-2.0]], 5, SAMPLE_CHUNK)  # each column its own zero
-    @example([[-0.0], [0.0]], 3, SAMPLE_CHUNK)  # a run of equal values never crosses a column
+    # each column its own zero; a run of equal values never crosses a column
+    @example([[0.0, -0.0], [-0.0, 0.0, 1.5], [-2.0]], 5, sampling.CHUNK_BYTES)
+    @example([[-0.0], [0.0]], 3, sampling.CHUNK_BYTES)
     def test_each_row_of_a_batch_is_its_columns_own_sample(self, columns, h, chunk):
-        # a chunk of 1 samples every column in its own pass
-        with mock.patch.object(sampling, "SAMPLE_CHUNK", chunk):
+        # a pass holds an eighth of the budget at 8 bytes a value: a budget
+        # of 1 byte samples every column in its own pass
+        with mock.patch.object(sampling, "CHUNK_BYTES", chunk):
             got = sample_inverse_transform(columns, h)
         want = np.stack([sample_unique_reference(c, h) for c in columns])
         assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
-    def test_a_batch_copies_a_chunk_at_a_time(self):
-        # 40 columns of 20,000 values: one copy of the batch would be 6.4 MB
+    def test_a_batch_copies_a_chunk_at_a_time(self, monkeypatch):
+        # 40 columns of 20,000 values: one copy of the batch would be 6.4 MB.
+        # A pass closes past an eighth of the budget, so it may hold one more
+        # column, and its finiteness check allocates a byte per value of it
         columns = list(np.random.default_rng(0).standard_normal((40, 20_000)))
         sample_inverse_transform(columns[:1], 100)
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 8 << 20)
         tracemalloc.start()
         try:
-            sample_inverse_transform(columns, 100)
+            out = sample_inverse_transform(columns, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 8 * (SAMPLE_CHUNK + 20_000), peak
+        column = 8 * 20_000 + 17 * 100
+        held = sampling.CHUNK_BYTES // 8 + column
+        bound = held + out.nbytes + held // 8
+        assert 8 * 40 * 20_000 > bound and peak <= bound, peak
 
     def test_one_array_is_a_batch_of_one(self):
         column = np.array([3.0, -0.0, 1.0, 0.0])
