@@ -76,9 +76,9 @@ class PackedColumns:
         (which its sort puts at an end) is EmptyInput.
 
         Runs of every (query, column) pair are scored in chunks of at most
-        sampling.CHUNK_BYTES // 66 gathered values, or one longer run: a
-        call peaks within 42 bytes per value of its largest chunk, 24 more
-        per value that ties, 256 per (query, column) pair and 64 per query value."""
+        sampling.per_chunk("score") gathered values, or one longer run: a call
+        peaks within 42 bytes per value of its largest chunk, 24 more per tie,
+        256 per (query, column) pair ("raw_pair") and 64 per query value."""
         qs = [np.sort(np.asarray(q, dtype=np.float64).ravel()) for q in queries]
         if not qs or any(q.size == 0 for q in qs):
             raise EmptyInput("statistic inputs must be non-empty")
@@ -97,7 +97,7 @@ class PackedColumns:
         spans = last - first + 1
         bounds = np.concatenate([[0], np.cumsum(spans)])
         cuts = [0]   # runs [a, b) of one chunk, at least one run each
-        chunk = max(1, sampling.CHUNK_BYTES // 66)   # gathered values, at 42 + 24 bytes
+        chunk = sampling.per_chunk("score")   # gathered values, at 42 + 24 bytes
         while cuts[-1] < n_q * n_c:
             a = cuts[-1]
             cuts.append(max(a + 1, int(np.searchsorted(bounds, bounds[a] + chunk, "right")) - 1))

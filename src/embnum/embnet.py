@@ -229,8 +229,9 @@ class _Plan:
             length = conv1[1][0]
             self.blocks.append((conv1, _conv_bn(*second, length), *proj))
         self.convs = [self.stem, *(layer for block in self.blocks for layer in block)]
-        # embed's bytes per row: the largest conv's float32 im2col row and output row
-        self.row_bytes = 4 * max(taps[0] * sum(wt.shape) for wt, taps, *_ in self.convs)
+        # embed's bytes per row: the largest conv's im2col and output rows, and two activation rows
+        self.row_bytes = 4 * (max(taps[0] * sum(wt.shape) for wt, taps, *_ in self.convs)
+                              + 2 * max(self.conv_outputs(1)))
         self.fc_wt, self.fc_bias = net.fc.weight.data.T, net.fc.bias.data
         self.norms = [a for _, bn in net.pairs
                       for a in (bn.running_mean, bn.running_var, bn.gamma.data, bn.beta.data)]
@@ -370,8 +371,8 @@ def preprocess(columns, arch: ArchConfig) -> np.ndarray:
 
 
 def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """Eval-mode forward pass of an (n, h) batch, sampling.CHUNK_BYTES //
-    plan.row_bytes rows at a time, through model.plan, which embed alone
+    """Eval-mode forward pass of an (n, h) batch, sampling.per_chunk("embed",
+    plan.row_bytes) rows at a time, through model.plan, which embed alone
     builds: once per call, at width arch.h, when there is none or it is
     stale(); returns (n, k) float32 embeddings, which batching never
     changes.  Any other shape is WidthMismatch, and a row holding a NaN or
@@ -385,25 +386,23 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
         raise EmptyInput(f"embed input row {int(np.argmin(finite))} holds a NaN or an infinity")
     if model.plan is None or model.plan.stale():
         model.plan = _Plan(model.net, model.arch.h)
-    step = max(1, sampling.CHUNK_BYTES // model.plan.row_bytes)
+    step = sampling.per_chunk("embed", model.plan.row_bytes)
     return np.concatenate([model.plan(x[i : i + step]) for i in range(0, max(len(x), 1), step)])
 
 
 def distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Exact float64 Euclidean distances, (queries, n), from n (k,) points to
     each row of a (queries, k) block.  Mining, training MRR and labeling all
-    rank by it.  Query rows go a block at a time, as many as fit a sixteenth
-    of sampling.CHUNK_BYTES at their float64 differences' 8 * n * k bytes
-    per row (at least one row), through one buffer allocated per call, which
-    einsum reads back while it is in cache.  Each block sums its squares
-    with one einsum, which gives every row the bits of summing it alone.
-    Squares underflow for points under about 1e-154 apart (to exactly 0
-    under 1e-162); distinct float32 embeddings are at least 1.4e-45 apart,
-    far above either."""
+    rank by it.  Query rows go a block of per_chunk("distances", n * k) at a
+    time through one buffer allocated per call, and each block sums its
+    squares with one einsum, which gives every row the bits of summing it
+    alone.  Squares underflow for points under about 1e-154 apart (to
+    exactly 0 under 1e-162); distinct float32 embeddings are at least
+    1.4e-45 apart, far above either."""
     points = np.asarray(points, dtype=np.float64)
     block = np.asarray(queries, dtype=np.float64)
     out = np.empty((len(block), len(points)))
-    step = max(1, sampling.CHUNK_BYTES // 16 // (8 * max(points.size, 1)))
+    step = sampling.per_chunk("distances", points.size)
     diff = np.empty((min(step, len(block)), *points.shape))
     for lo in range(0, len(block), step):
         rows = np.subtract(points, block[lo : lo + step, None], out=diff[: len(block) - lo])

@@ -227,10 +227,9 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]) -> Label
 
     Queries whose label the store lacks are counted as excluded.  The rest
     are ranked as rank() ranks one query, in one _orders() call per block of
-    sampling.CHUNK_BYTES of (query, record) pairs, at 256 bytes a pair for a
-    raw-value store (PackedColumns.statistics' figure) and 24 for embnum's
-    keys, order and label codes; _first_correct() reads the ranks off each
-    block's orders.  The clock covers those calls only; a raw-value store's
+    queries whose (query, record) pairs fit sampling.CHUNK_BYTES, each a
+    "raw_pair", or for embnum a "ranked_pair"; _first_correct() reads the
+    ranks off each block's orders.  The clock covers those calls only; a raw-value store's
     column CDF, which its pack builds on first use, is built before it starts.
     """
     if not queries:
@@ -241,8 +240,8 @@ def label_queries(store: FeatureStore, queries: list[NumericAttribute]) -> Label
 
     t0 = time.perf_counter()
     ranks = []
-    pair_bytes = (24 if store.method == "embnum" else 256) * len(store.labels)
-    step = max(1, sampling.CHUNK_BYTES // pair_bytes)
+    step = sampling.per_chunk("ranked_pair" if store.method == "embnum" else "raw_pair",
+                              len(store.labels))
     for block in (kept[lo : lo + step] for lo in range(0, len(kept), step)):
         orders, _ = _orders(store, [a.values for a in block])
         ranks += _first_correct(store, orders, [a.label for a in block]).tolist()

@@ -101,13 +101,13 @@ def training_mrr(embeddings: np.ndarray, labels) -> float:
     same-label hit is the same.  The row itself takes a NaN distance, sorted
     after every other, inf included (embeddings are finite), so a first hit
     in the last place is itself and scores 0.  Reciprocal ranks are averaged
-    in input order, ranked a block of rows at a time, sampling.CHUNK_BYTES //
-    (8 * n) of them, at their float64 distances' 8 * n bytes per row (at
-    least one row), so memory grows with n, not n * n."""
+    in input order, ranked a block of rows at a time, as many as fit
+    sampling.CHUNK_BYTES at n "ranked_pair"s each (distance, order, label
+    code and compare), so memory grows with n, not n * n."""
     emb = np.asarray(embeddings, dtype=np.float64)
     _, codes = np.unique(np.asarray(labels, dtype=object), return_inverse=True)
     rr = np.zeros(len(emb))
-    step = max(1, sampling.CHUNK_BYTES // (8 * max(len(emb), 1)))
+    step = sampling.per_chunk("ranked_pair", len(emb))
     for lo in range(0, len(emb), step):
         rows = np.arange(lo, min(lo + step, len(emb)))
         dist = distances(emb, emb[rows])

@@ -29,6 +29,16 @@ from .errors import EmptyInput, InvalidWidth
 MAX_H = 4096
 _GRID = np.arange(1, MAX_H + 1, dtype=np.int64)
 CHUNK_BYTES = 8 << 20  # one chunked pass's working set, which every site reads at call time
+# Each chunked pass's (share of CHUNK_BYTES, bytes per unit of its items), which its code
+# counts.  Sampling and distances fill the share they measured fastest at (README).
+CHUNK_SITES = dict(sample=(8, 1), score=(1, 66), raw_pair=(1, 256), ranked_pair=(1, 25),
+                   distances=(16, 8), embed=(1, 1))
+
+
+def per_chunk(site: str, units: int = 1) -> int:
+    """Items of `units` units each that fit site's share of CHUNK_BYTES, at least one."""
+    share, unit_bytes = CHUNK_SITES[site]
+    return max(1, CHUNK_BYTES // share // (unit_bytes * max(units, 1)))
 
 
 def sample_inverse_transform(columns, h: int) -> np.ndarray:
@@ -39,9 +49,8 @@ def sample_inverse_transform(columns, h: int) -> np.ndarray:
     vector of h values, each taken from that column, computed with exact
     quantile-boundary arithmetic.  The first empty or non-finite column
     raises EmptyInput, as does an empty batch.  Columns are copied in passes
-    of whole columns, each starting a new pass once the last holds an
-    eighth of CHUNK_BYTES, at 8 bytes per value and 17 * h per column (the
-    README says why), so a pass holds at most that beside its last column.
+    of whole columns, each starting a new pass once the last fills
+    per_chunk("sample") bytes, so a pass holds at most that beside its last.
     """
     if (not isinstance(h, (int, np.integer)) or isinstance(h, bool)
             or not 1 <= h <= MAX_H):
@@ -50,11 +59,11 @@ def sample_inverse_transform(columns, h: int) -> np.ndarray:
         columns = [columns]
     passes, held = [[]], 0
     for c in columns:
-        if held >= max(1, CHUNK_BYTES // 8):
+        if held >= per_chunk("sample"):
             passes.append([])
             held = 0
         passes[-1].append(np.asarray(c, dtype=np.float64).reshape(-1))
-        held += 8 * passes[-1][-1].size + 17 * h
+        held += 8 * passes[-1][-1].size + 17 * h   # the copy; picks, output, zero mask
     if not passes[0]:
         raise EmptyInput("no value lists to sample")
     return np.concatenate([_sample_pass(cols, h) for cols in passes])

@@ -10,7 +10,8 @@ np.unique sampler and the one-GEMM-per-8-row-tile product; and the
 distances and training MRR taken one query row at a time.  Each states
 what the library's faster form must equal bit for bit.
 
-store_of, at the end, is no oracle: it builds small stores for tests.
+store_of and chunk_budget, at the end, are no oracles: they build small
+stores and chunk budgets for tests.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from embnum import sampling
 from embnum.baselines import PackedColumns
 from embnum.embnet import POOL
 from embnum.errors import EmptyInput
@@ -452,3 +454,11 @@ def store_of(method: str, rows, model=None, dsl_model=None) -> FeatureStore:
     else:
         features = PackedColumns(features)
     return FeatureStore(method, labels, sources, features, model, dsl_model)
+
+
+def chunk_budget(site: str, items, units: int = 1) -> int:
+    """The sampling.CHUNK_BYTES at which sampling.per_chunk(site, units)
+    gives `items` (rounded down, at least one), read off the site's entry
+    in sampling.CHUNK_SITES; every other site moves with it."""
+    share, unit_bytes = sampling.CHUNK_SITES[site]
+    return max(1, int(share * unit_bytes * units * items))

@@ -25,7 +25,7 @@ from embnum.baselines import (
 from embnum import baselines, fixtures, sampling
 from embnum.dataset import Dataset, NumericAttribute, generate_synthetic
 from embnum.errors import EmptyInput, SingleClassTraining
-from oracles import (dsl_logit, dsl_score, features_pairwise, jaccard_oracle,
+from oracles import (chunk_budget, dsl_logit, dsl_score, features_pairwise, jaccard_oracle,
                      jaccard_pairwise, ks_oracle, ks_pairwise, mw_oracle, mw_pairwise,
                      semantictyper_score, sigmoid_reference)
 
@@ -289,7 +289,7 @@ class TestPackedColumns:
         columns, queries = batch
         pack = PackedColumns(columns)
         saved = sampling.CHUNK_BYTES
-        sampling.CHUNK_BYTES = 66 * chunk   # chunks of 1 and 3 values split runs
+        sampling.CHUNK_BYTES = chunk_budget("score", chunk)   # chunks of 1 and 3 values split runs
         try:
             got = pack.statistics(queries)
         finally:
@@ -321,7 +321,7 @@ class TestPackedColumns:
         gathered = [sum(min(r.searchsorted(q.max(), "right"), r.size - 1)
                         - max(r.searchsorted(q.min(), "left") - 1, 0) + 1
                         for r in map(np.sort, store)) for q in queries]
-        assert max(gathered) > sampling.CHUNK_BYTES // 66   # one query spans chunks
+        assert max(gathered) > sampling.per_chunk("score")   # one query spans chunks
         digest = hashlib.sha256()
         for stat in PackedColumns(store).statistics(queries):
             digest.update(stat.tobytes())
@@ -342,7 +342,7 @@ class TestPackedColumns:
                 yield r[first : min(r.searchsorted(q.max(), "right"), r.size - 1) + 1]
 
         sizes = {k: sum(r.size for r in runs(a.values)) for k, a in enumerate(fresh.attributes)}
-        chunk = sampling.CHUNK_BYTES // 66
+        chunk = sampling.per_chunk("score")
         k = max((k for k in sizes if sizes[k] <= chunk), key=sizes.get)
         query, gathered = fresh.attributes[k].values, sizes[k]
         assert query.size == 1000 and gathered > chunk // 2   # one large chunk
@@ -379,7 +379,8 @@ class TestPackedColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = sampling.CHUNK_BYTES + 256 * len(queries) * len(store) + 64 * 20 * 1000
+        pair_bytes = sampling.CHUNK_SITES["raw_pair"][1]
+        bound = sampling.CHUNK_BYTES + pair_bytes * len(queries) * len(store) + 64 * 20 * 1000
         assert 66 * gathered > bound and peak <= bound, peak
 
     def test_hand_cases(self):

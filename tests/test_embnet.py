@@ -42,7 +42,7 @@ from embnum.fixtures import desk_arch, efficiency_spec
 from embnum.labeling import index_labeled, load_store, save_store
 from embnum.metric import TrainConfig, train
 from embnum.nn import SGD, Conv1d, Linear, Tensor, ops
-from oracles import eval_conv_bn_reference, eval_forward_reference
+from oracles import chunk_budget, eval_conv_bn_reference, eval_forward_reference
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
@@ -196,7 +196,7 @@ class TestEmbed:
             single = np.concatenate([embed(m, x[i : i + 1]) for i in range(len(x))])
             for n in sizes:
                 assert embed(m, x[:n]).tobytes() == single[:n].tobytes()
-        # and a full-width batch larger than one of embed's chunks (256 rows
+        # and a full-width batch larger than one of embed's chunks (143 rows
         # at sampling.CHUNK_BYTES), which embed runs as full chunks and a
         # short one; a full chunk's stage-2 and stage-3 products run as one
         # GEMM over a thousand rows or more
@@ -207,11 +207,10 @@ class TestEmbed:
             assert full[i].tobytes() == embed(m, x[i : i + 1]).tobytes()
 
     def test_the_network_never_sees_more_than_one_chunk(self, monkeypatch):
-        # a budget just short of 513 rows' bytes gives chunks of 512 rows
         m = build_model(TINY, seed=0)
         x = np.random.default_rng(5).standard_normal((1100, 16)).astype(np.float32)
         row_bytes = embnet._Plan(m.net, TINY.h).row_bytes
-        monkeypatch.setattr(sampling, "CHUNK_BYTES", 513 * row_bytes - 1)
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", chunk_budget("embed", 512, row_bytes))
         call, rows = embnet._Plan.__call__, []
 
         def spy(plan, chunk):
@@ -252,7 +251,7 @@ class TestEmbed:
                 assert embed(model, x).tobytes() == np.concatenate(taped).tobytes()
 
         m = build_model(arch, seed=0)
-        chunk = sampling.CHUNK_BYTES // embnet._Plan(m.net, arch.h).row_bytes   # embed's rows
+        chunk = sampling.per_chunk("embed", embnet._Plan(m.net, arch.h).row_bytes)
         randomize_norms(m)
         agree(m)
         other = build_model(arch, seed=1)
@@ -288,11 +287,10 @@ class TestEmbed:
 
     def test_a_full_width_chunk_stays_within_its_memory(self, monkeypatch):
         # the eval plan must free each activation as soon as the next layer
-        # has read it, so a chunk peaks at its row_bytes (the largest conv's
-        # im2col and output rows) and the slack they leave out: that conv's
-        # input and the block's shortcut, half as much again at full width,
-        # and 64 KiB of tile padding and objects.  512 rows in one chunk
-        # would take 24 MiB
+        # has read it, so a chunk peaks within its rows' row_bytes (the
+        # largest conv's im2col and output rows and two activation rows),
+        # its output and 64 KiB of tile padding and objects.  512 rows in one
+        # chunk would take 24 MiB
         m = build_model(ArchConfig(stem_channels=64), 0)
         x = np.random.default_rng(0).standard_normal((512, m.arch.h)).astype(np.float32)
         embed(m, x[:1])
@@ -303,7 +301,7 @@ class TestEmbed:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = sampling.CHUNK_BYTES * 3 // 2 + out.nbytes + (64 << 10)
+        bound = sampling.CHUNK_BYTES + out.nbytes + (64 << 10)
         assert 512 * m.plan.row_bytes > bound and peak <= bound, f"{peak / 2**20:.2f} MiB"
 
     def test_full_width_embedding_bits_are_pinned(self):

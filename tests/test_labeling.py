@@ -52,8 +52,8 @@ from embnum.labeling import (
     run_benchmark,
     save_store,
 )
-from oracles import (count_experiments_oracle, dsl_logit, dsl_score, ks_pairwise,
-                     mrr_oracle, report_from_json, store_of)
+from oracles import (chunk_budget, count_experiments_oracle, dsl_logit, dsl_score,
+                     ks_pairwise, mrr_oracle, report_from_json, store_of)
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
@@ -288,20 +288,41 @@ class TestLabelQueries:
             assert result.excluded == 0
             assert result.seconds >= 0.0
 
-    @pytest.mark.parametrize("chunk", [1, 7, 40])
-    def test_batches_spanning_several_chunks_agree_with_rank(self, tiny_dataset, chunk,
-                                                             monkeypatch):
-        """A budget of a few stored values' bytes splits the batch between
-        queries and inside one query's columns; every rank stays rank()'s."""
-        monkeypatch.setattr(sampling, "CHUNK_BYTES", 66 * chunk)
+    @pytest.mark.parametrize("per_block", [2, 3, 7])
+    def test_batches_spanning_several_chunks_agree_with_rank(self, per_block):
+        """A budget of a few queries' (query, record) pairs ranks the batch in
+        blocks of several queries, each one statistics call; a full block
+        gathers more than two scoring chunks' values, so chunks split blocks
+        between their queries and inside one query's columns.  Every rank
+        stays rank()'s at the default budget."""
+        spec = SyntheticSpec(label_count=10, source_count=4, rows_min=50, rows_max=100, seed=1)
+        dataset = generate_synthetic(spec)
+        queries = generate_synthetic(dataclasses.replace(spec, seed=2)).attributes
         dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
-        queries = tiny_dataset.by_source("s0") + tiny_dataset.by_source("s2")
+        columns = [np.sort(a.values) for a in dataset.attributes]
+        gathered = [sum(min(r.searchsorted(q.values.max(), "right"), r.size - 1)
+                        - max(r.searchsorted(q.values.min(), "left") - 1, 0) + 1
+                        for r in columns) for q in queries]
+        calls, statistics = [], PackedColumns.statistics
+
+        def spy(pack, block):
+            calls.append(len(block))
+            return statistics(pack, block)
+
         for method in ("semantictyper", "dsl"):
-            store = index_labeled(tiny_dataset, method, dsl_model=dsl_model)
-            assert store.features.values.size > 3 * chunk
-            result = label_queries(store, queries)
-            assert result.ranks == [rank_of_first_correct(rank(store, q), q.label)
-                                    for q in queries]
+            store = index_labeled(dataset, method, dsl_model=dsl_model)
+            want = [rank_of_first_correct(rank(store, q), q.label) for q in queries]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sampling, "CHUNK_BYTES",
+                           chunk_budget("raw_pair", per_block, len(store.labels)))
+                mp.setattr(PackedColumns, "statistics", spy)
+                assert all(sum(gathered[lo : lo + per_block]) > 2 * sampling.per_chunk("score")
+                           for lo in range(0, len(queries) - per_block + 1, per_block))
+                calls.clear()
+                result = label_queries(store, queries)
+            assert calls == [len(queries[lo : lo + per_block])
+                             for lo in range(0, len(queries), per_block)]
+            assert result.ranks == want
 
     @pytest.mark.parametrize("method", METHODS)
     def test_a_tied_batch_follows_label_then_source(self, tiny_model, method, monkeypatch):
@@ -372,14 +393,15 @@ class TestLabelQueries:
         """300 queries against 300 raw-value records: 90,000 pairs would take
         22 MB at the 256 bytes a pair that PackedColumns.statistics states.
         Ranked in blocks, a batch peaks within the budget for a block's pairs
-        and as much again for statistics' own chunk of stored values."""
+        and as much again for statistics' own chunk of stored values, and
+        ranks as the default budget's blocks of 109 queries do."""
         spec = SyntheticSpec(label_count=30, source_count=10, rows_min=50, rows_max=100,
                              seed=1)
         dsl_model = LogisticModel(weights=np.array([-4.0, 0.5, 1.0]), bias=0.25)
         store = index_labeled(generate_synthetic(spec), method, dsl_model=dsl_model)
         queries = generate_synthetic(dataclasses.replace(spec, seed=2)).attributes
         store.features.cdf   # store construction, outside the measured call
-        label_queries(store, queries[:2])
+        whole = label_queries(store, queries)
         monkeypatch.setattr(sampling, "CHUNK_BYTES", 1 << 20)
         tracemalloc.start()
         try:
@@ -388,7 +410,7 @@ class TestLabelQueries:
         finally:
             tracemalloc.stop()
         assert len(result.ranks) == len(queries) == len(store.labels) == 300
-        assert peak <= 2 * sampling.CHUNK_BYTES, peak
+        assert result.ranks == whole.ranks and peak <= 2 * sampling.CHUNK_BYTES, peak
 
     def test_empty_inputs_rejected(self, tiny_dataset, tiny_model):
         store = index_labeled(tiny_dataset, "semantictyper")
@@ -757,7 +779,7 @@ def test_a_few_kib_budget_splits_every_site_with_the_same_output(monkeypatch):
     """With sampling.CHUNK_BYTES at 4 KiB every chunked pass splits at once:
     sampling passes of one column, scoring chunks of 62 gathered values,
     one desk-width row per embed chunk, distance blocks of one row, and
-    training_mrr's and label_queries' blocks of a few rows.  Every output
+    training_mrr's and label_queries' blocks of one or a few rows.  Every output
     on the overlapping fixture must be the default budget's, bit for bit."""
     dataset = generate_synthetic(overlapping_spec())
     queries = dataset.by_source(dataset.sources[0])

@@ -29,7 +29,7 @@ import embnum.embnet as embnet_mod
 import embnum.labeling as labeling_mod
 import embnum.metric as metric_mod
 from embnum.nn import ops
-from oracles import (conv1d_reference, distance_oracle, distances_reference,
+from oracles import (chunk_budget, conv1d_reference, distance_oracle, distances_reference,
                      maxpool1d_reference, parse_history_csv, relu_reference,
                      sample_unique_reference, store_of, training_mrr_reference)
 
@@ -71,8 +71,8 @@ class TestDistances:
 
     def test_a_block_of_rows_stays_within_the_budget(self, monkeypatch):
         # 300 queries against 300 points of k = 100: every difference at once
-        # would take 72 MB; one block's fit a sixteenth of the budget, beside
-        # the output and 64 KiB of objects
+        # would take 72 MB; one block's fit distances' share of the budget,
+        # beside the output and 64 KiB of objects
         points, queries = np.random.default_rng(1).standard_normal((2, 300, 100))
         monkeypatch.setattr(sampling, "CHUNK_BYTES", 8 << 20)
         tracemalloc.start()
@@ -81,7 +81,8 @@ class TestDistances:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = sampling.CHUNK_BYTES // 16 + out.nbytes + (64 << 10)
+        share, _ = sampling.CHUNK_SITES["distances"]
+        bound = sampling.CHUNK_BYTES // share + out.nbytes + (64 << 10)
         assert 8 * len(queries) * points.size > bound and peak <= bound, peak
 
     def test_a_query_block_gives_one_row_per_query(self):
@@ -104,9 +105,8 @@ class TestDistances:
         points = np.array(points, dtype=np.float64).reshape(-1, k)
         queries = np.array(queries, dtype=np.float64).reshape(-1, k)
         # a budget from below one row's n * k differences up to four rows
-        budget = max(1, int(rows * points.size))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampling, "CHUNK_BYTES", 16 * 8 * budget)   # blocks take a sixteenth
+            mp.setattr(sampling, "CHUNK_BYTES", chunk_budget("distances", rows, points.size))
             got = distances(points, queries)
         want = distances_reference(points, queries)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
@@ -275,7 +275,7 @@ class TestTrainingMrr:
         points, labels = case
         emb = np.array(points)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampling, "CHUNK_BYTES", 8 * block * len(emb))  # `block` rows a block
+            mp.setattr(sampling, "CHUNK_BYTES", chunk_budget("ranked_pair", block, len(emb)))
             got = training_mrr(emb, labels)
         assert got.hex() == training_mrr_reference(emb, labels).hex()
 
@@ -285,7 +285,7 @@ class TestTrainingMrr:
         emb = np.round(rng.standard_normal((n, 2)) * 2) / 2  # duplicates on a grid
         labels = [f"l{i}" for i in rng.integers(0, n // 3, size=n)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampling, "CHUNK_BYTES", 8 * 256 * n)  # blocks of 256 rows
+            mp.setattr(sampling, "CHUNK_BYTES", chunk_budget("ranked_pair", 256, n))
             got = training_mrr(emb, labels)
         assert got.hex() == training_mrr_reference(emb, labels).hex()
 
@@ -300,6 +300,27 @@ class TestTrainingMrr:
         finally:
             tracemalloc.stop()
         assert peak < 20e6, f"peak {peak / 1e6:.0f} MB"
+
+    def test_a_block_of_rows_stays_within_the_budget(self, monkeypatch):
+        # 1,000 rows of k = 16: every pair's distance, order, label code and
+        # compare at once would take 25 MB.  A block's fit the budget, beside
+        # distances' own share, np.unique's arrays over the labels (within
+        # 64 bytes a row) and 64 KiB of objects
+        rng = np.random.default_rng(0)
+        emb = rng.standard_normal((1000, 16))
+        labels = [f"l{i % 60}" for i in range(len(emb))]
+        training_mrr(emb[:10], labels[:10])
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            training_mrr(emb, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (share, _), (_, pair_bytes) = (sampling.CHUNK_SITES[site]
+                                       for site in ("distances", "ranked_pair"))
+        bound = sampling.CHUNK_BYTES + sampling.CHUNK_BYTES // share + 64 * len(emb) + (64 << 10)
+        assert pair_bytes * len(emb) ** 2 > bound and peak <= bound, peak
 
 
 class TestTrainConfig:

@@ -10,7 +10,7 @@ from embnum import sampling
 from embnum.baselines import PackedColumns
 from embnum.errors import EmptyInput, InvalidWidth
 from embnum.sampling import MAX_H, sample_inverse_transform
-from oracles import inverse_transform_oracle, sample_unique_reference
+from oracles import chunk_budget, inverse_transform_oracle, sample_unique_reference
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -110,23 +110,27 @@ class TestProperties:
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     @given(st.lists(zero_heavy_lists | value_lists, min_size=1, max_size=6), widths,
-           st.sampled_from([1, 64 * 7, 64 * 60, sampling.CHUNK_BYTES]))
+           st.sampled_from([None, 3, 2, 1]))
     @settings(max_examples=200, deadline=None)
     # each column its own zero; a run of equal values never crosses a column
-    @example([[0.0, -0.0], [-0.0, 0.0, 1.5], [-2.0]], 5, sampling.CHUNK_BYTES)
-    @example([[-0.0], [0.0]], 3, sampling.CHUNK_BYTES)
-    def test_each_row_of_a_batch_is_its_columns_own_sample(self, columns, h, chunk):
-        # a pass holds an eighth of the budget at 8 bytes a value: a budget
-        # of 1 byte samples every column in its own pass
-        with mock.patch.object(sampling, "CHUNK_BYTES", chunk):
+    @example([[0.0, -0.0], [-0.0, 0.0, 1.5], [-2.0]], 5, 1)
+    @example([[-0.0], [0.0]], 3, 1)
+    def test_each_row_of_a_batch_is_its_columns_own_sample(self, columns, h, passes):
+        # a pass closes once it holds per_chunk("sample") bytes, 8 a value
+        # and 17 * h a column: a 1-byte budget samples every column in its
+        # own pass, and a budget of 1 / passes of the batch's bytes packs
+        # its columns into at most that many passes
+        held = sum(8 * len(c) + 17 * h for c in columns)
+        budget = 1 if passes is None else chunk_budget("sample", -(-held // passes))
+        with mock.patch.object(sampling, "CHUNK_BYTES", budget):
             got = sample_inverse_transform(columns, h)
         want = np.stack([sample_unique_reference(c, h) for c in columns])
         assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
     def test_a_batch_copies_a_chunk_at_a_time(self, monkeypatch):
         # 40 columns of 20,000 values: one copy of the batch would be 6.4 MB.
-        # A pass closes past an eighth of the budget, so it may hold one more
-        # column, and its finiteness check allocates a byte per value of it
+        # A pass closes past per_chunk("sample") bytes, so it may hold one
+        # more column, and its finiteness check allocates a byte per value
         columns = list(np.random.default_rng(0).standard_normal((40, 20_000)))
         sample_inverse_transform(columns[:1], 100)
         monkeypatch.setattr(sampling, "CHUNK_BYTES", 8 << 20)
@@ -137,7 +141,7 @@ class TestProperties:
         finally:
             tracemalloc.stop()
         column = 8 * 20_000 + 17 * 100
-        held = sampling.CHUNK_BYTES // 8 + column
+        held = sampling.per_chunk("sample") + column
         bound = held + out.nbytes + held // 8
         assert 8 * 40 * 20_000 > bound and peak <= bound, peak
 
