@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -371,11 +372,15 @@ def preprocess(columns, arch: ArchConfig) -> np.ndarray:
 
 
 def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
-    """Eval-mode forward pass of an (n, h) batch, sampling.per_chunk("embed",
-    plan.row_bytes) rows at a time, through model.plan, which embed alone
-    builds: once per call, at width arch.h, when there is none or it is
-    stale(); returns (n, k) float32 embeddings, which batching never
-    changes.  Any other shape is WidthMismatch, and a row holding a NaN or
+    """Eval-mode forward pass of an (n, h) batch through model.plan, which
+    embed alone builds: once per call, at width arch.h, when there is none
+    or it is stale(); returns (n, k) float32 embeddings, which batching never
+    changes.  A batch of at most one chunk, sampling.per_chunk("embed",
+    plan.row_bytes) rows, runs on the caller, as does any batch when
+    ops.gemm_workers() is 1.  Otherwise that many threads of a pool that
+    ends with the call share the chunk's budget: each runs chunks of its
+    share through the plan's reentrant forward, and the chunks are joined
+    in order.  Any other shape is WidthMismatch, and a row holding a NaN or
     an infinity is EmptyInput, as sampling refuses such a column.
     """
     x = np.asarray(inputs, dtype=np.float32)
@@ -386,8 +391,14 @@ def embed(model: Model, inputs: np.ndarray) -> np.ndarray:
         raise EmptyInput(f"embed input row {int(np.argmin(finite))} holds a NaN or an infinity")
     if model.plan is None or model.plan.stale():
         model.plan = _Plan(model.net, model.arch.h)
-    step = sampling.per_chunk("embed", model.plan.row_bytes)
-    return np.concatenate([model.plan(x[i : i + step]) for i in range(0, max(len(x), 1), step)])
+    plan = model.plan
+    step = sampling.per_chunk("embed", plan.row_bytes)
+    workers = ops.gemm_workers() if len(x) > step else 1
+    if workers == 1:
+        return np.concatenate([plan(x[i : i + step]) for i in range(0, max(len(x), 1), step)])
+    step = sampling.per_chunk("embed", plan.row_bytes * workers)
+    with ThreadPoolExecutor(workers) as pool:
+        return np.concatenate(list(pool.map(plan.forward, np.split(x, range(step, len(x), step)))))
 
 
 def distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:

@@ -40,11 +40,17 @@ The array helpers also take an optional step list, which the Tensor ops
 never pass: each array call they make on data is appended to it through
 record, bound to the buffers that call used, so that the eval forward can
 replay a recorded run without allocating or slicing again.
+
+gemm_workers says how many threads can run these GEMMs at once, each on CPUs
+of its own, from the thread count of the OpenBLAS that numpy loaded.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -91,6 +97,36 @@ def conv_weight(c_out: int, c_in: int, k: int) -> np.ndarray:
     if c_out >= _ONE_GEMM_WIDTH:
         return np.zeros((c_in * k, c_out), np.float32).T.reshape(c_out, c_in, k)
     return np.zeros((c_out, c_in, k), np.float32)
+
+
+# The kernel sets whose wide one-GEMM products were measured batch invariant
+# (_ONE_GEMM_WIDTH); under any other, Haswell's among them, a row's bits can
+# depend on the rows beside it, so only embed's serial chunking keeps them.
+_BATCH_INVARIANT_KERNELS = ("SkylakeX", "Sandybridge", "Nehalem")
+
+
+def gemm_workers() -> int:
+    """Threads that can each run a GEMM at the same time without sharing a
+    CPU: the CPUs this process may run on (os.sched_getaffinity) divided by
+    OpenBLAS's thread count, at least 1.  Both are read at call time, the
+    count from the OpenBLAS that numpy loaded, as its wheels ship it in
+    numpy.libs.  It is 1 when that library cannot be read or runs a kernel
+    set outside _BATCH_INVARIANT_KERNELS.  OpenBLAS threads each GEMM over
+    every CPU by default, so threads beside it only contend."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        threads = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        core = getattr(handle, "scipy_openblas_get_corename64_", None)
+        if threads is not None and core is not None:
+            threads.argtypes = core.argtypes = []
+            threads.restype, core.restype = ctypes.c_int, ctypes.c_char_p
+            if core().decode() not in _BATCH_INVARIANT_KERNELS or threads() < 1:
+                return 1
+            return max(1, len(os.sched_getaffinity(0)) // threads())
+    return 1
 
 
 def tile_rows(m: int) -> int:

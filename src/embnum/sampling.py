@@ -48,25 +48,28 @@ def sample_inverse_transform(columns, h: int) -> np.ndarray:
     of one.  Row i of the (n, h) float64 result is column i's non-decreasing
     vector of h values, each taken from that column, computed with exact
     quantile-boundary arithmetic.  The first empty or non-finite column
-    raises EmptyInput, as does an empty batch.  Columns are copied in passes
-    of whole columns, each starting a new pass once the last fills
-    per_chunk("sample") bytes, so a pass holds at most that beside its last.
+    raises EmptyInput, as does an empty batch.  Columns are read in passes
+    of whole columns, each sampled once it holds per_chunk("sample") bytes,
+    so only one pass's float64 columns are alive, and a pass holds at most
+    that beside its last column.
     """
     if (not isinstance(h, (int, np.integer)) or isinstance(h, bool)
             or not 1 <= h <= MAX_H):
         raise InvalidWidth(f"h must be an integer from 1 to {MAX_H}, got {h!r}")
     if isinstance(columns, np.ndarray) and columns.ndim == 1:
         columns = [columns]
-    passes, held = [[]], 0
+    rows, cols, held = [], [], 0
     for c in columns:
         if held >= per_chunk("sample"):
-            passes.append([])
-            held = 0
-        passes[-1].append(np.asarray(c, dtype=np.float64).reshape(-1))
-        held += 8 * passes[-1][-1].size + 17 * h   # the copy; picks, output, zero mask
-    if not passes[0]:
+            rows.append(_sample_pass(cols, h))
+            cols, held = [], 0
+        cols.append(np.asarray(c, dtype=np.float64).reshape(-1))
+        converted = not (isinstance(c, np.ndarray) and np.may_share_memory(cols[-1], c))
+        # the sorted copy, and the converted one; picks, output, zero mask
+        held += 8 * cols[-1].size * (1 + converted) + 17 * h
+    if not cols:
         raise EmptyInput("no value lists to sample")
-    return np.concatenate([_sample_pass(cols, h) for cols in passes])
+    return np.concatenate([*rows, _sample_pass(cols, h)])
 
 
 def sort_columns(cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -207,10 +207,12 @@ class TestEmbed:
             assert full[i].tobytes() == embed(m, x[i : i + 1]).tobytes()
 
     def test_the_network_never_sees_more_than_one_chunk(self, monkeypatch):
+        # on the caller, as one worker runs it (TestWorkers has the pool's)
         m = build_model(TINY, seed=0)
         x = np.random.default_rng(5).standard_normal((1100, 16)).astype(np.float32)
         row_bytes = embnet._Plan(m.net, TINY.h).row_bytes
         monkeypatch.setattr(sampling, "CHUNK_BYTES", chunk_budget("embed", 512, row_bytes))
+        monkeypatch.setattr(ops, "gemm_workers", lambda: 1)
         call, rows = embnet._Plan.__call__, []
 
         def spy(plan, chunk):
@@ -315,7 +317,8 @@ class TestEmbed:
 
     def test_batching_invariant_with_single_threaded_blas(self):
         # tier-1 runs with the default BLAS thread count; rerun the
-        # invariance checks in one child process pinned to one thread
+        # invariance checks in one child process pinned to one thread, where
+        # a large batch runs on the CPUs BLAS leaves idle (ops.gemm_workers)
         tests = Path(__file__).resolve().parent
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -324,6 +327,8 @@ class TestEmbed:
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              f"{tests / 'test_embnet.py'}::TestEmbed::test_batching_never_changes_numbers",
              f"{tests / 'test_embnet.py'}::TestEmbed::test_full_width_embedding_bits_are_pinned",
+             f"{tests / 'test_embnet.py'}::TestEmbed::test_a_full_width_chunk_stays_within_its_memory",
+             f"{tests / 'test_embnet.py'}::TestWorkers",
              f"{tests / 'test_nn.py'}::TestConvBatchInvariance",
              f"{tests / 'test_nn.py'}::TestTiledMatmulMatchesTiles"],
             cwd=tests.parent, env=env, capture_output=True, text=True, timeout=600)
@@ -503,6 +508,88 @@ class TestPrograms:
         assert set(m.plan.programs) == {10}
         for i in range(len(batches)):
             assert len(got[i]) == 200 and set(got[i]) == {want[i]}
+
+
+class TestWorkers:
+    """A batch larger than one chunk runs in per-worker chunks on
+    ops.gemm_workers() threads, which end with the call; with one worker it
+    runs on the caller as one-chunk batches do."""
+
+    def test_two_workers_give_each_row_its_own_bytes(self, monkeypatch):
+        # 90 full-width rows at a 24-row chunk budget: two workers take 12
+        # rows a chunk, so each runs several, and each chunk's wide products
+        # run one GEMM over a whole tile and one over the zero-padded tail
+        m = build_model(ArchConfig(stem_channels=64), 0)
+        x = np.random.default_rng(21).standard_normal((90, m.arch.h)).astype(np.float32)
+        alone = [embed(m, row[None]).tobytes() for row in x]
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", chunk_budget("embed", 24, m.plan.row_bytes))
+        monkeypatch.setattr(ops, "gemm_workers", lambda: 2)
+        forward, chunks = embnet._Plan.forward, []
+
+        def spy(plan, chunk):
+            chunks.append((threading.current_thread(), len(chunk)))
+            return forward(plan, chunk)
+
+        monkeypatch.setattr(embnet._Plan, "forward", spy)
+        before = set(threading.enumerate())
+        got = embed(m, x)
+        assert set(threading.enumerate()) == before  # no worker outlives embed
+        assert sorted(n for _, n in chunks) == [6] + [12] * 7
+        assert {t for t, _ in chunks} - before  # chunks ran on the workers
+        assert [row.tobytes() for row in got] == alone
+
+    @pytest.mark.parametrize("probe", ["unreadable", "no_idle_cpu", "variant_kernels"])
+    def test_no_thread_starts_without_an_idle_cpu(self, monkeypatch, probe):
+        # an OpenBLAS whose thread count cannot be read, one with at least as
+        # many threads as the process has CPUs, or one whose kernel set is
+        # not known to be batch invariant leaves one worker
+        if probe == "unreadable":
+            def refuse(*args, **kwargs):
+                raise OSError("no library")
+
+            monkeypatch.setattr(ops.ctypes, "CDLL", refuse)
+        elif probe == "no_idle_cpu":
+            monkeypatch.setattr(ops.os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.setattr(ops, "_BATCH_INVARIANT_KERNELS", ())
+        assert ops.gemm_workers() == 1
+        m = build_model(desk_arch(), 0)
+        x = np.random.default_rng(22).standard_normal((40, m.arch.h)).astype(np.float32)
+        embed(m, x[:1])
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", chunk_budget("embed", 16, m.plan.row_bytes))
+        call, seen = embnet._Plan.__call__, []
+
+        def spy(plan, chunk):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return call(plan, chunk)
+
+        monkeypatch.setattr(embnet._Plan, "__call__", spy)
+        count = threading.active_count()
+        embed(m, x)
+        assert seen == [(threading.current_thread(), count)] * 3
+
+    def test_a_process_pinned_to_one_cpu_gets_the_same_bytes(self):
+        # a child with single-threaded BLAS embeds 200 full-width rows, more
+        # than one chunk, on a worker per CPU, then pins itself to one CPU,
+        # which leaves it one worker, and embeds them again on the caller
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tests.parent / "src"), env.get("PYTHONPATH")) if p)
+        code = (
+            "import os\n"
+            "import numpy as np\n"
+            "from embnum.embnet import ArchConfig, build_model, embed\n"
+            "from embnum.nn import ops\n"
+            "m = build_model(ArchConfig(stem_channels=64), 0)\n"
+            "x = np.random.default_rng(23).standard_normal((200, 100)).astype(np.float32)\n"
+            "spread = embed(m, x).tobytes()\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "print(ops.gemm_workers(), embed(m, x).tobytes() == spread)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout.split() == ["1", "True"]
 
 
 class TestResidualPath:

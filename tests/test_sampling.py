@@ -116,11 +116,11 @@ class TestProperties:
     @example([[0.0, -0.0], [-0.0, 0.0, 1.5], [-2.0]], 5, 1)
     @example([[-0.0], [0.0]], 3, 1)
     def test_each_row_of_a_batch_is_its_columns_own_sample(self, columns, h, passes):
-        # a pass closes once it holds per_chunk("sample") bytes, 8 a value
-        # and 17 * h a column: a 1-byte budget samples every column in its
-        # own pass, and a budget of 1 / passes of the batch's bytes packs
+        # a pass closes once it holds per_chunk("sample") bytes, 16 a listed
+        # value and 17 * h a column: a 1-byte budget samples every column in
+        # its own pass, and a budget of 1 / passes of the batch's bytes packs
         # its columns into at most that many passes
-        held = sum(8 * len(c) + 17 * h for c in columns)
+        held = sum(16 * len(c) + 17 * h for c in columns)
         budget = 1 if passes is None else chunk_budget("sample", -(-held // passes))
         with mock.patch.object(sampling, "CHUNK_BYTES", budget):
             got = sample_inverse_transform(columns, h)
@@ -142,6 +142,25 @@ class TestProperties:
             tracemalloc.stop()
         column = 8 * 20_000 + 17 * 100
         held = sampling.per_chunk("sample") + column
+        bound = held + out.nbytes + held // 8
+        assert 8 * 40 * 20_000 > bound and peak <= bound, peak
+
+    def test_a_batch_of_lists_converts_a_pass_at_a_time(self, monkeypatch):
+        # the same 40 columns as Python lists.  A value's float64 conversion
+        # is alive only while its pass is sampled, beside the pass's sorted
+        # copy, so a pass counts 16 bytes a value, and the peak stays within
+        # the sample share, one more column, the output, and an eighth of
+        # share and column for the finiteness mask and objects.  Converting
+        # every list before the first pass peaked at 7.7 MB traced
+        columns = np.random.default_rng(0).standard_normal((40, 20_000)).tolist()
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 8 << 20)
+        tracemalloc.start()
+        try:
+            out = sample_inverse_transform(columns, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sampling.per_chunk("sample") + 16 * 20_000 + 17 * 100
         bound = held + out.nbytes + held // 8
         assert 8 * 40 * 20_000 > bound and peak <= bound, peak
 
