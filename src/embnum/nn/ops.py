@@ -2,17 +2,16 @@
 
 The Tensor ops take (batch, channels, length) arrays.  The forward passes of
 conv1d and linear run through _tiled_matmul, whose GEMM calls are chosen by
-the layer's shape alone: narrow layers call GEMM on fixed tiles of exactly
-_TILE_ROWS rows, the zero-padded tail tile among them, in one batched
-matmul call; float32 layers at least _ONE_GEMM_WIDTH outputs wide make one
-call over all whole tiles and one 8-row call for the zero-padded tail.  So
-each output row's bits depend only on the layer's shape, never on how many
-rows are batched with it.  A conv at least _ONE_GEMM_WIDTH wide holds its
-weight in the layout its forward GEMM reads (conv_weight), so OpenBLAS packs
-it from contiguous rows; narrower layers read a transposed view, whose bits
+the layer's shape and OpenBLAS's kernel set: layers call GEMM on fixed tiles
+of exactly _TILE_ROWS rows, the zero-padded tail tile among them, in one
+batched call, but under _BATCH_INVARIANT_KERNELS float32 layers at least
+_ONE_GEMM_WIDTH outputs wide make one call over all whole tiles and one
+8-row call for the tail.  So no output row's bits depend on how many rows
+are batched with it.  A conv at least _ONE_GEMM_WIDTH wide holds its weight
+in the layout its forward GEMM reads (conv_weight), so OpenBLAS packs it
+from contiguous rows; narrower layers read a transposed view, whose bits
 their small-matrix kernel depends on.  The backward passes use plain GEMM,
-which is deterministic from run to run but not batch invariant; training
-needs no more than that.
+deterministic from run to run but not batch invariant, as training needs.
 
 The forward arithmetic of conv1d, relu and maxpool1d lives in array-level
 helpers, conv_forward, relu_ and maxpool_forward, which the ops call and
@@ -41,8 +40,7 @@ never pass: each array call they make on data is appended to it through
 record, bound to the buffers that call used, so that the eval forward can
 replay a recorded run without allocating or slicing again.
 
-gemm_workers says how many threads can run these GEMMs at once, each on CPUs
-of its own, from the thread count of the OpenBLAS that numpy loaded.
+gemm_workers says how many of these GEMMs can run at once on CPUs of their own.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ BN_EPS = 1e-5
 
 _ONE_GEMM_WIDTH = 256
 """Output width from which a float32 product runs as one GEMM over all whole
-tiles instead of one GEMM per tile.
+tiles instead of one GEMM per tile, under _BATCH_INVARIANT_KERNELS.
 
 OpenBLAS 0.3.31 with its AVX-512 kernels sends an 8-row sgemm through a
 small-matrix kernel only when 8*N <= 1200, K >= 32 and 8*K*N <= 1e6, and
@@ -89,10 +87,10 @@ def conv_weight(c_out: int, c_in: int, k: int) -> np.ndarray:
     c_out) rows, so that conv1d's wf.T reaches the one-GEMM branch
     C-contiguous and OpenBLAS packs it without a strided gather.  Its bits
     are the transposed view's at every row count tested (1-17, 513, 2,200
-    and 3,850) under the SkylakeX, Haswell, Sandybridge and Nehalem kernels.
-    A narrower layer keeps C order: its 8-row tiles run the small-matrix
-    kernel, whose sums depend on B's layout, so it reads the transposed view
-    it always has.
+    and 3,850) under the SkylakeX, Haswell, Sandybridge and Nehalem kernels,
+    tiled or not.  A narrower layer keeps C order: its 8-row tiles run the
+    small-matrix kernel, whose sums depend on B's layout, so it reads the
+    transposed view it always has.
     """
     if c_out >= _ONE_GEMM_WIDTH:
         return np.zeros((c_in * k, c_out), np.float32).T.reshape(c_out, c_in, k)
@@ -100,33 +98,35 @@ def conv_weight(c_out: int, c_in: int, k: int) -> np.ndarray:
 
 
 # The kernel sets whose wide one-GEMM products were measured batch invariant
-# (_ONE_GEMM_WIDTH); under any other, Haswell's among them, a row's bits can
-# depend on the rows beside it, so only embed's serial chunking keeps them.
+# (_ONE_GEMM_WIDTH); _tiled_matmul runs tiles under any other, Haswell's too.
 _BATCH_INVARIANT_KERNELS = ("SkylakeX", "Sandybridge", "Nehalem")
 
 
-def gemm_workers() -> int:
-    """Threads that can each run a GEMM at the same time without sharing a
-    CPU: the CPUs this process may run on (os.sched_getaffinity) divided by
-    OpenBLAS's thread count, at least 1.  Both are read at call time, the
-    count from the OpenBLAS that numpy loaded, as its wheels ship it in
-    numpy.libs.  It is 1 when that library cannot be read or runs a kernel
-    set outside _BATCH_INVARIANT_KERNELS.  OpenBLAS threads each GEMM over
-    every CPU by default, so threads beside it only contend."""
+@functools.cache
+def openblas() -> tuple[ctypes.CDLL | None, str | None]:
+    """(handle, kernel set name) of the OpenBLAS that numpy's wheels ship in
+    numpy.libs, read once per process, or (None, None) where none can be."""
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             handle = ctypes.CDLL(str(lib))
-        except OSError:
+            core, threads = (handle.scipy_openblas_get_corename64_,
+                             handle.scipy_openblas_get_num_threads64_)
+        except (OSError, AttributeError):
             continue
-        threads = getattr(handle, "scipy_openblas_get_num_threads64_", None)
-        core = getattr(handle, "scipy_openblas_get_corename64_", None)
-        if threads is not None and core is not None:
-            threads.argtypes = core.argtypes = []
-            threads.restype, core.restype = ctypes.c_int, ctypes.c_char_p
-            if core().decode() not in _BATCH_INVARIANT_KERNELS or threads() < 1:
-                return 1
-            return max(1, len(os.sched_getaffinity(0)) // threads())
-    return 1
+        core.argtypes = threads.argtypes = []
+        core.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
+        return handle, core().decode()
+    return None, None
+
+
+def gemm_workers() -> int:
+    """GEMMs that can run at once on CPUs of their own: the CPUs this process
+    may run on (os.sched_getaffinity, else os.cpu_count) over OpenBLAS's
+    per-GEMM thread count, both read per call; 1 if openblas() finds none."""
+    handle = openblas()[0]
+    threads = handle.scipy_openblas_get_num_threads64_() if handle else 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cpus or 1) // threads) if threads > 0 else 1
 
 
 def tile_rows(m: int) -> int:
@@ -147,38 +147,38 @@ def record(steps: list | None, fn, *args, **kwargs):
 def _tiled_matmul(a: np.ndarray, b: np.ndarray, m: int | None = None,
                   steps: list | None = None) -> np.ndarray:
     """a[:m] @ b for 2-D a (all of a by default), each row's bits fixed by
-    the shapes alone.
+    the shapes and the kernel set.
 
-    A narrow layer calls GEMM on exactly _TILE_ROWS rows at a time, because
-    one GEMM over all its rows, even padded to a multiple of the tile, is
-    not batch invariant on OpenBLAS; the whole tiles and the zero-padded
-    tail tile go through one batched per-tile matmul call.  A float32 layer
-    at least _ONE_GEMM_WIDTH wide makes one call over all whole tiles and
-    sends the last m % _TILE_ROWS rows through one zero-padded 8-row GEMM of
-    their own; there b may be C-contiguous or a transposed view, with equal
-    bits, and conv_weight gives wide convs the contiguous one, which packs
-    faster.  Rows of a past m, up to the next whole tile, must be zeros,
-    as conv_forward leaves them; where a stops at m, a is copied into a
-    zeroed tile-padded buffer.  steps records the calls (record).
+    A layer calls GEMM on exactly _TILE_ROWS rows at a time, because one
+    GEMM over all its rows, even padded to a multiple of the tile, is not
+    batch invariant on OpenBLAS; the whole tiles and the zero-padded tail
+    tile go through one batched per-tile matmul call.  Under
+    _BATCH_INVARIANT_KERNELS a float32 layer at least _ONE_GEMM_WIDTH wide
+    makes one call over all whole tiles and sends the last m % _TILE_ROWS
+    rows through one zero-padded 8-row GEMM of their own.  b may be
+    C-contiguous or a transposed view, with equal bits (conv_weight).  Rows
+    of a past m, up to the next whole tile, must be zeros, as conv_forward
+    leaves them; where a stops at m, a is copied into a zeroed tile-padded
+    buffer.  steps records the calls (record).
     """
     m = len(a) if m is None else m
     k, n = b.shape
     rows = tile_rows(m)
-    tiles = rows // _TILE_ROWS
     full = m - m % _TILE_ROWS
     out = np.empty((rows, n), dtype=np.result_type(a, b))
     if len(a) < rows:
         padded = np.zeros((rows, k), dtype=a.dtype)
         record(steps, np.copyto, padded[:m], a[:m])
         a = padded
-    if n >= _ONE_GEMM_WIDTH and out.dtype == np.float32:
+    if (n >= _ONE_GEMM_WIDTH and out.dtype == np.float32
+            and openblas()[1] in _BATCH_INVARIANT_KERNELS):
         if full:
             record(steps, np.matmul, a[:full], b, out[:full])
         if full < m:
             record(steps, np.matmul, a[full:rows], b, out[full:])
     else:
-        record(steps, np.matmul, a[:rows].reshape(tiles, _TILE_ROWS, k), b,
-               out.reshape(tiles, _TILE_ROWS, n))
+        record(steps, np.matmul, a[:rows].reshape(-1, _TILE_ROWS, k), b,
+               out.reshape(-1, _TILE_ROWS, n))
     return out[:m]
 
 

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ from embnum.fixtures import desk_arch, efficiency_spec
 from embnum.labeling import index_labeled, load_store, save_store
 from embnum.metric import TrainConfig, train
 from embnum.nn import SGD, Conv1d, Linear, Tensor, ops
-from oracles import chunk_budget, eval_conv_bn_reference, eval_forward_reference
+from oracles import (chunk_budget, eval_conv_bn_reference, eval_forward_reference,
+                     tiled_matmul_reference)
 
 TINY = ArchConfig(h=16, k=8, stem_channels=4)
 
@@ -538,20 +540,21 @@ class TestWorkers:
         assert {t for t, _ in chunks} - before  # chunks ran on the workers
         assert [row.tobytes() for row in got] == alone
 
-    @pytest.mark.parametrize("probe", ["unreadable", "no_idle_cpu", "variant_kernels"])
-    def test_no_thread_starts_without_an_idle_cpu(self, monkeypatch, probe):
-        # an OpenBLAS whose thread count cannot be read, one with at least as
-        # many threads as the process has CPUs, or one whose kernel set is
-        # not known to be batch invariant leaves one worker
-        if probe == "unreadable":
-            def refuse(*args, **kwargs):
-                raise OSError("no library")
+    @staticmethod
+    def _probe(core: str, threads: int):
+        """An ops.openblas stand-in: an OpenBLAS of `threads` threads that
+        runs the kernel set `core`."""
+        handle = SimpleNamespace(scipy_openblas_get_num_threads64_=lambda: threads)
+        return lambda: (handle, core)
 
-            monkeypatch.setattr(ops.ctypes, "CDLL", refuse)
-        elif probe == "no_idle_cpu":
-            monkeypatch.setattr(ops.os, "sched_getaffinity", lambda pid: {0})
+    @pytest.mark.parametrize("probe", ["unreadable", "no_idle_cpu"])
+    def test_no_thread_starts_without_an_idle_cpu(self, monkeypatch, probe):
+        # an OpenBLAS that cannot be read, or one with at least as many
+        # threads as the process has CPUs, leaves one worker
+        if probe == "unreadable":
+            monkeypatch.setattr(ops, "openblas", lambda: (None, None))
         else:
-            monkeypatch.setattr(ops, "_BATCH_INVARIANT_KERNELS", ())
+            monkeypatch.setattr(ops.os, "sched_getaffinity", lambda pid: {0})
         assert ops.gemm_workers() == 1
         m = build_model(desk_arch(), 0)
         x = np.random.default_rng(22).standard_normal((40, m.arch.h)).astype(np.float32)
@@ -567,6 +570,33 @@ class TestWorkers:
         count = threading.active_count()
         embed(m, x)
         assert seen == [(threading.current_thread(), count)] * 3
+
+    def test_other_kernel_sets_run_tiles_and_keep_their_workers(self, monkeypatch):
+        # outside ops._BATCH_INVARIANT_KERNELS even wide float32 products run
+        # 8-row tiles, so workers may still cut a batch into chunks
+        monkeypatch.setattr(ops, "openblas", self._probe("Haswell", 2))
+        monkeypatch.setattr(ops.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert ops.gemm_workers() == 2
+        rng = np.random.default_rng(24)
+        for n in (256, 512, 1024):
+            a = rng.standard_normal((29, 192)).astype(np.float32)
+            b = rng.standard_normal((n, 192)).astype(np.float32).T
+            steps = []
+            got = ops._tiled_matmul(a, b, steps=steps)
+            assert got.tobytes() == tiled_matmul_reference(a, b).tobytes(), n
+            assert [step.args[0].shape for step in steps[1:]] == [(4, 8, 192)], n
+
+    def test_cpu_count_stands_in_without_sched_getaffinity(self, monkeypatch):
+        # Python offers os.sched_getaffinity on some Unix platforms only
+        monkeypatch.delattr(ops.os, "sched_getaffinity")
+        monkeypatch.setattr(ops.os, "cpu_count", lambda: 6)
+        monkeypatch.setattr(ops, "openblas", self._probe("SkylakeX", 2))
+        assert ops.gemm_workers() == 3
+        m = build_model(desk_arch(), 0)
+        x = np.random.default_rng(25).standard_normal((40, m.arch.h)).astype(np.float32)
+        alone = embed(m, x)
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", chunk_budget("embed", 16, m.plan.row_bytes))
+        assert embed(m, x).tobytes() == alone.tobytes()
 
     def test_a_process_pinned_to_one_cpu_gets_the_same_bytes(self):
         # a child with single-threaded BLAS embeds 200 full-width rows, more

@@ -1,4 +1,3 @@
-import ctypes
 import math
 import os
 import subprocess
@@ -290,46 +289,44 @@ class TestTiledMatmulMatchesTiles:
                         == ops._tiled_matmul(a[:m], b).tobytes()), (k, n, m)
 
 
-def openblas_corename() -> str | None:
-    """The kernel set numpy's bundled OpenBLAS loaded, as the library names
-    it, or None where no such library is found."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        except OSError:
-            continue
-        if fn is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_char_p
-            return fn().decode()
-    return None
-
-
 # The CPU flag each OpenBLAS kernel set needs: forcing a set the CPU lacks
 # kills the process with an illegal instruction.
 KERNEL_SETS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx",
                "Nehalem": "sse4_2"}
 
 
+# What each kernel set's child runs: the weight layout check, the frozen eval
+# plan against the taped forward at desk and full width, and the batch
+# invariance gate of every product form the full-width network reaches.
+KERNEL_SET_TESTS = (
+    "test_nn.py::TestTiledMatmulMatchesTiles::test_weight_layout_keeps_the_bits",
+    "test_embnet.py::TestEmbed::test_the_frozen_plan_gives_the_taped_forwards_bits[desk]",
+    "test_embnet.py::TestEmbed::test_the_frozen_plan_gives_the_taped_forwards_bits[full]",
+    "test_embnet.py::TestEmbed::test_batching_never_changes_numbers",
+    "test_nn.py::TestTiledMatmulMatchesTiles::test_every_layer_of_the_network[full]",
+    *(f"test_nn.py::TestTiledMatmulMatchesTiles::test_output_widths_around_the_one_gemm_width[{n}]"
+      for n in (256, 512, 1024)),
+    "test_embnet.py::TestWorkers::test_two_workers_give_each_row_its_own_bytes",
+)
+
+
 @pytest.fixture(scope="module")
 def kernel_set_children():
     """One child process per kernel set whose CPU flag /proc/cpuinfo lists,
-    all started at once, each forced to its set by OPENBLAS_CORETYPE; each
-    prints the core name its OpenBLAS loaded, then runs the weight layout
-    check and the frozen eval plan's check against the taped forward at desk
-    and full width."""
+    all started at once, each forced to its set by OPENBLAS_CORETYPE and to
+    one BLAS thread; each prints the core name its OpenBLAS loaded
+    (ops.openblas), then runs KERNEL_SET_TESTS under pytest."""
     cpuinfo = Path("/proc/cpuinfo")
     cpu_flags = set(cpuinfo.read_text().split()) if cpuinfo.exists() else set()
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
-    code = ("import test_nn, test_embnet; print(test_nn.openblas_corename(), flush=True); "
-            "test_nn.TestTiledMatmulMatchesTiles().test_weight_layout_keeps_the_bits(); "
-            "plan = test_embnet.TestEmbed().test_the_frozen_plan_gives_the_taped_forwards_bits; "
-            "plan(test_nn.desk_arch()); plan(test_nn.ArchConfig(stem_channels=64))")
+        p for p in (str(tests.parent / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, pytest; from embnum.nn import ops; print(ops.openblas()[1], flush=True); "
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))")
     children = {core: subprocess.Popen(
-        [sys.executable, "-c", code], cwd=tests.parent,
-        env=dict(env, OPENBLAS_CORETYPE=core), text=True,
+        [sys.executable, "-c", code, *(str(tests / t) for t in KERNEL_SET_TESTS)],
+        cwd=tests.parent, env=dict(env, OPENBLAS_CORETYPE=core), text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         for core, flag in KERNEL_SETS.items() if flag in cpu_flags}
     yield children
@@ -338,7 +335,7 @@ def kernel_set_children():
         proc.communicate()
 
 
-# each child also checks the frozen eval plan against the taped forward
+# each child also runs the batch invariance gate (KERNEL_SET_TESTS)
 @pytest.mark.parametrize("core", KERNEL_SETS)
 def test_weight_layout_keeps_the_bits_on_every_kernel_set(core, kernel_set_children):
     proc = kernel_set_children.get(core)
